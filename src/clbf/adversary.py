@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .nets import Mlp, value_and_input_grad
+from .nets import Mlp, forward_batch, value_and_input_grad
 
 
 @dataclass
@@ -57,23 +57,22 @@ def pgd_maximize_batch(
     lo = centers - cfg.delta
     hi = centers + cfg.delta
 
-    best_x = centers.copy()
-    best_v, _ = value_and_input_grad(net, centers)
-    for restart in range(cfg.restarts):
-        if restart == 0:
-            x = centers.copy()
-        else:
-            x = rng.uniform(lo, hi)
-        for _ in range(cfg.steps):
-            v, g = value_and_input_grad(net, x)
-            improve = v > best_v
-            best_v = np.where(improve, v, best_v)
-            best_x[improve] = x[improve]
-            x = np.clip(x + step * np.sign(g), lo, hi)
-        v, _ = value_and_input_grad(net, x)
+    def keep_best(x, v):
         improve = v > best_v
-        best_v = np.where(improve, v, best_v)
+        best_v[improve] = v[improve]
         best_x[improve] = x[improve]
+
+    best_x = centers.copy()
+    # restart 0 starts at the centers, so this pass is also its first step
+    best_v, g = value_and_input_grad(net, centers)
+    for restart in range(cfg.restarts):
+        x = centers if restart == 0 else rng.uniform(lo, hi)
+        for i in range(cfg.steps):
+            if restart or i:
+                v, g = value_and_input_grad(net, x)
+                keep_best(x, v)
+            x = np.clip(x + step * np.sign(g), lo, hi)
+        keep_best(x, forward_batch(net, x)[:, 0])
     return best_x
 
 
@@ -92,8 +91,6 @@ def attack_step(cert, policy: Mlp, env, X: np.ndarray, delta: float,
                 rng: np.random.Generator | None = None) -> np.ndarray:
     """Worst-case realized next states: the certificate maximizer in the
     delta-ball around the nominal transition f(x, pi(x))."""
-    from .nets import forward_batch
-
     X = np.atleast_2d(np.asarray(X, dtype=float))
     U = env.clamp_control(forward_batch(policy, X))
     nxt = env.step(X, U)

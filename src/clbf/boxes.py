@@ -128,10 +128,3 @@ def subtract_boxes(base: list[Box], cuts: list[Box]) -> list[Box]:
             nxt.extend(subtract_box(b, cut))
         pieces = nxt
     return pieces
-
-
-def stack_bounds(boxes: list[Box]) -> tuple[np.ndarray, np.ndarray]:
-    """Bounds of a box list as (k, n) arrays for vectorised processing."""
-    lo = np.stack([b.lo for b in boxes])
-    hi = np.stack([b.hi for b in boxes])
-    return lo, hi

@@ -51,8 +51,8 @@ def _params_from_doc(d: dict) -> ClbfParams:
     return ClbfParams(**p)
 
 
-def save_model(path: str | Path, policy: Mlp, cert: FilteredCertificate) -> Path:
-    doc = {
+def _model_doc(policy: Mlp, cert: FilteredCertificate) -> dict:
+    return {
         "format": FORMAT_TAG,
         "env": cert.env.name,
         "env_constants": cert.env.constants,
@@ -60,8 +60,11 @@ def save_model(path: str | Path, policy: Mlp, cert: FilteredCertificate) -> Path
         "policy": _net_doc(policy),
         "certificate": _net_doc(cert.net),
     }
+
+
+def save_model(path: str | Path, policy: Mlp, cert: FilteredCertificate) -> Path:
     path = Path(path)
-    path.write_text(json.dumps(doc, indent=1))
+    path.write_text(json.dumps(_model_doc(policy, cert), indent=1))
     return path
 
 
@@ -82,12 +85,4 @@ def load_model(path: str | Path) -> tuple[Mlp, FilteredCertificate]:
 
 def model_bytes(policy: Mlp, cert: FilteredCertificate) -> bytes:
     """Canonical serialized form, for reproducibility comparisons."""
-    doc = {
-        "format": FORMAT_TAG,
-        "env": cert.env.name,
-        "env_constants": cert.env.constants,
-        "clbf_params": _params_doc(cert.params),
-        "policy": _net_doc(policy),
-        "certificate": _net_doc(cert.net),
-    }
-    return json.dumps(doc, sort_keys=True).encode()
+    return json.dumps(_model_doc(policy, cert), sort_keys=True).encode()

@@ -1,10 +1,11 @@
 """Minimal dense ReLU network engine.
 
-Forward evaluation, exact reverse-mode gradients (parameters and inputs),
-interval bound propagation, spectral-norm power iteration, and a first-order
-adaptive-moment optimizer. Everything is float64 numpy; batches are (k, n)
-arrays. No general computation graphs: the architecture is a fixed
-affine/ReLU chain, so backprop is hand-chained.
+Forward evaluation, exact reverse-mode gradients (parameters and inputs,
+plus an input-only reverse pass for callers that discard the parameter
+gradients, such as PGD), interval bound propagation, spectral-norm power
+iteration, and a first-order adaptive-moment optimizer. Everything is
+float64 numpy; batches are (k, n) arrays. No general computation graphs: the
+architecture is a fixed affine/ReLU chain, so backprop is hand-chained.
 """
 
 from __future__ import annotations
@@ -132,6 +133,14 @@ def forward_tape(net: Mlp, X: np.ndarray) -> Tape:
     return Tape(inputs, preacts, a)
 
 
+def _upstream(tape: Tape, gY: np.ndarray) -> np.ndarray:
+    """Upstream gradient as a (k, n_out) array; a reverse pass needs a tape."""
+    if tape is None:
+        raise ValueError("no recorded forward pass")
+    gY = np.asarray(gY, dtype=float)
+    return gY[:, None] if gY.ndim == 1 else gY
+
+
 def backward(net: Mlp, tape: Tape, gY: np.ndarray) -> tuple[list[np.ndarray], np.ndarray]:
     """Reverse pass from upstream gradient gY (k, n_out).
 
@@ -139,13 +148,8 @@ def backward(net: Mlp, tape: Tape, gY: np.ndarray) -> tuple[list[np.ndarray], np
     ReLU subgradient at 0 is taken as 0. Parameter gradients are summed over
     the batch; the input gradient is per-row.
     """
-    if tape is None:
-        raise ValueError("no recorded forward pass")
-    gY = np.asarray(gY, dtype=float)
-    if gY.ndim == 1:
-        gY = gY[:, None]
+    g = _upstream(tape, gY)
     grads: list[np.ndarray] = [None] * (2 * len(net.weights))
-    g = gY
     last = len(net.weights) - 1
     for k in range(last, -1, -1):
         if k != last:
@@ -156,11 +160,25 @@ def backward(net: Mlp, tape: Tape, gY: np.ndarray) -> tuple[list[np.ndarray], np
     return grads, g
 
 
+def input_grad(net: Mlp, tape: Tape, gY: np.ndarray) -> np.ndarray:
+    """Input gradient (k, n_in) of backward alone, without parameter gradients.
+
+    Runs the same elementwise ops in the same order as backward, so the
+    result is bit-identical to backward's second return value.
+    """
+    g = _upstream(tape, gY)
+    last = len(net.weights) - 1
+    for k in range(last, -1, -1):
+        if k != last:
+            g = g * (tape.preacts[k] > 0.0)
+        g = g @ net.weights[k]
+    return g
+
+
 def value_and_input_grad(net: Mlp, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Scalar-output convenience: values (k,) and dV/dx (k, n_in)."""
     tape = forward_tape(net, X)
-    _, gX = backward(net, tape, np.ones((X.shape[0], 1)))
-    return tape.output[:, 0], gX
+    return tape.output[:, 0], input_grad(net, tape, np.ones((X.shape[0], 1)))
 
 
 def input_jacobian(net: Mlp, X: np.ndarray) -> np.ndarray:
@@ -171,8 +189,7 @@ def input_jacobian(net: Mlp, X: np.ndarray) -> np.ndarray:
     for j in range(net.n_out):
         gY = np.zeros((k, net.n_out))
         gY[:, j] = 1.0
-        _, gX = backward(net, tape, gY)
-        J[:, j, :] = gX
+        J[:, j, :] = input_grad(net, tape, gY)
     return J
 
 

@@ -23,7 +23,8 @@ from .adversary import PgdConfig, pgd_maximize_batch
 from .boxes import Box
 from .certificate import FilteredCertificate
 from .envs import EnvSpec
-from .nets import Mlp, backward, forward_batch, forward_tape, ibp_bounds, input_jacobian
+from .nets import (Mlp, forward_batch, forward_tape, ibp_bounds, input_grad,
+                   input_jacobian)
 
 WITNESS_SLACK = 1e-9  # a witness must violate its condition by at least this
 
@@ -381,7 +382,6 @@ def _hunt_decrease_ce(cert, policy, env, lo, hi, delta, epsilon, cfg, rng):
     short sign-ascent on the violation. Returns [(row_index, Witness)]."""
     if lo.shape[0] == 0:
         return []
-    p = cert.params
     X = 0.5 * (lo + hi)
     found = []
     checked = [X]
@@ -435,10 +435,10 @@ def _violation_grad(cert, policy, env, X, delta, inner_pgd, rng):
     else:
         Y = nxt
     tape_x = forward_tape(cert.net, X)
-    _, gVx = backward(cert.net, tape_x, np.ones((X.shape[0], 1)))
+    gVx = input_grad(cert.net, tape_x, np.ones((X.shape[0], 1)))
     unmasked = ~(env.in_goal(Y) | env.in_unsafe(Y))
     tape_y = forward_tape(cert.net, Y)
-    _, gVy = backward(cert.net, tape_y, unmasked[:, None].astype(float))
+    gVy = input_grad(cert.net, tape_y, unmasked[:, None].astype(float))
     A, B = env.step_jac(X, U_raw)
     g = -gVx + np.einsum("kij,ki->kj", A, gVy)
     J_pi = input_jacobian(policy, X)

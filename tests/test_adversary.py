@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
+import clbf.adversary
 from clbf.adversary import PgdConfig, attack_step, pgd_maximize, pgd_maximize_batch
-from clbf.nets import Mlp, forward_batch, init_mlp, scalar_value
+from clbf.nets import Mlp, forward_batch, init_mlp, scalar_value, value_and_input_grad
 
 from conftest import small_cert, small_policy
 
@@ -102,3 +103,44 @@ def test_attack_saturates_monotone_coordinate(pendulum):
     nominal = pendulum.step(x, U)
     got = attack_step(cert, policy, pendulum, x, delta)
     assert got[0, 0] == pytest.approx(nominal[0, 0] + delta)
+
+
+def reference_pgd(net, centers, cfg, rng):
+    """The ascent loop as first written: a value-and-gradient pass at the
+    centers, steps+1 of them per restart."""
+    step = cfg.step_size if cfg.step_size is not None else cfg.delta / 4.0
+    lo, hi = centers - cfg.delta, centers + cfg.delta
+    best_x = centers.copy()
+    best_v, _ = value_and_input_grad(net, centers)
+    for restart in range(cfg.restarts):
+        x = centers.copy() if restart == 0 else rng.uniform(lo, hi)
+        for _ in range(cfg.steps):
+            v, g = value_and_input_grad(net, x)
+            improve = v > best_v
+            best_v = np.where(improve, v, best_v)
+            best_x[improve] = x[improve]
+            x = np.clip(x + step * np.sign(g), lo, hi)
+        v, _ = value_and_input_grad(net, x)
+        improve = v > best_v
+        best_v = np.where(improve, v, best_v)
+        best_x[improve] = x[improve]
+    return best_x
+
+
+@pytest.mark.parametrize("restarts", [1, 3])
+def test_matches_reference_loop_with_one_gradient_pass_per_step(restarts, monkeypatch):
+    net = init_mlp([2, 32, 16, 1], np.random.default_rng(5))
+    centers = np.random.default_rng(6).uniform(-1, 1, (64, 2))
+    cfg = PgdConfig(steps=7, delta=0.05, restarts=restarts)
+    want = reference_pgd(net, centers, cfg, np.random.default_rng(9))
+
+    calls = []
+
+    def counted(net, X):
+        calls.append(X.shape[0])
+        return value_and_input_grad(net, X)
+
+    monkeypatch.setattr(clbf.adversary, "value_and_input_grad", counted)
+    got = pgd_maximize_batch(net, centers, cfg, np.random.default_rng(9))
+    assert np.array_equal(got, want)
+    assert len(calls) == restarts * cfg.steps

@@ -1,0 +1,41 @@
+import json
+
+import numpy as np
+import pytest
+
+from clbf.model_io import load_model, model_bytes, save_model
+from clbf.nets import init_mlp
+
+from conftest import small_cert, small_policy
+
+
+def test_round_trip_is_bit_exact(pendulum, tmp_path):
+    cert = small_cert(pendulum)
+    policy = small_policy(pendulum)
+    for net in (cert.net, policy):  # init leaves biases at zero
+        for b in net.biases:
+            b[:] = np.random.default_rng(2).normal(size=b.shape) / 3.0
+    path = save_model(tmp_path / "m.clbf", policy, cert)
+    policy2, cert2 = load_model(path)
+    for a, b in ((policy, policy2), (cert.net, cert2.net)):
+        assert all(np.array_equal(x, y) for x, y in zip(a.params(), b.params()))
+    assert cert2.params == cert.params
+    assert cert2.env.name == cert.env.name
+    assert model_bytes(policy2, cert2) == model_bytes(policy, cert)
+
+
+def test_wrong_format_tag_is_rejected(pendulum, tmp_path):
+    path = save_model(tmp_path / "m.clbf", small_policy(pendulum), small_cert(pendulum))
+    doc = json.loads(path.read_text())
+    doc["format"] = "clbf-model/0"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError, match="format"):
+        load_model(path)
+
+
+def test_certificate_dimension_mismatch_is_rejected(pendulum, tmp_path):
+    cert = small_cert(pendulum)
+    cert.net = init_mlp([pendulum.state_dim + 1, 8, 1], np.random.default_rng(0))
+    path = save_model(tmp_path / "m.clbf", small_policy(pendulum), cert)
+    with pytest.raises(ValueError, match="certificate dimensions"):
+        load_model(path)

@@ -10,6 +10,8 @@ from clbf.nets import (
     forward_tape,
     ibp_bounds,
     init_mlp,
+    input_grad,
+    input_jacobian,
     lipschitz_upper_bound_l2,
     spectral_norm,
     spectral_norm_vectors,
@@ -100,6 +102,28 @@ def test_backward_requires_tape():
     net = Mlp([np.eye(2)], [np.zeros(2)])
     with pytest.raises(ValueError):
         backward(net, None, np.ones((1, 2)))
+    with pytest.raises(ValueError):
+        input_grad(net, None, np.ones((1, 2)))
+
+
+@pytest.mark.parametrize("dims", [[2, 64, 32, 16, 1], [3, 16, 8, 4], [2, 1]])
+def test_input_grad_is_bit_identical_to_backward(dims):
+    rng = np.random.default_rng(sum(dims))
+    net = init_mlp(dims, rng)
+    X = rng.uniform(-1, 1, (257, dims[0]))
+    tape = forward_tape(net, X)
+    gYs = [rng.normal(size=(257, net.n_out))]
+    if net.n_out == 1:
+        gYs.append(rng.normal(size=257))  # 1-D upstream gradient
+    for gY in gYs:
+        _, gX = backward(net, tape, gY)
+        assert np.array_equal(input_grad(net, tape, gY), gX)
+
+    J = input_jacobian(net, X)
+    for j in range(net.n_out):
+        gY = np.zeros((X.shape[0], net.n_out))
+        gY[:, j] = 1.0
+        assert np.array_equal(J[:, j, :], backward(net, tape, gY)[1])
 
 
 def test_piecewise_affine_within_activation_pattern(rng):
