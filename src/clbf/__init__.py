@@ -6,7 +6,7 @@ empirical robustness under adversarial and random state perturbations.
 """
 
 from .boxes import Box, subtract_box, subtract_boxes
-from .certificate import ClbfParams, FilteredCertificate, value_bounds
+from .certificate import ClbfParams, FilteredCertificate, value_bounds_arrays
 from .envs import EnvSpec, docking_env, make_env, pendulum_env, trig_interval
 from .lipschitz import lipschitz_bound_lp, norm_conversion_constant, robust_margin
 from .nets import (
@@ -26,12 +26,10 @@ from .losses import (
     Batch,
     LossWeights,
     TotalLossConfig,
-    loss_dec,
-    loss_dec_adv,
-    loss_dec_neighbor,
-    loss_init,
-    loss_lip_global,
-    total_loss,
+    loss_dec_grads,
+    loss_init_grads,
+    loss_lip_global_grads,
+    total_loss_grads,
 )
 
 __version__ = "0.1.0"

@@ -213,18 +213,6 @@ def cfg_sample_region(env: EnvSpec):
     return env.domain
 
 
-def unperturbed_success_rate(policy: Mlp, cert: FilteredCertificate,
-                             env: EnvSpec, n: int = 500, horizon: int = 200,
-                             seed: int = 0) -> float:
-    """Fraction of nominal rollouts from the initial set reaching the goal."""
-    from .evaluate import OUTCOME_GOAL, rollout_batch, sample_initial_states
-
-    rng = np.random.default_rng(seed)
-    X0 = sample_initial_states(env, n, rng)
-    outcomes, _ = rollout_batch(policy, cert, env, X0, "random", 0.0, horizon, rng)
-    return float(np.mean(outcomes == OUTCOME_GOAL))
-
-
 # ---------------------------------------------------------------------------
 # counterexample resampling
 

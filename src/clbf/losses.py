@@ -1,17 +1,20 @@
 """Training losses for the certificate-controller pair.
 
 All losses are hinge sums: non-negative, zero exactly when every summand's
-condition holds with the required margin. The descent losses evaluate the
+condition holds with the required margin. The descent loss evaluates the
 next state through the filtered certificate, so transitions into the goal
 are rewarded by the low goal mask and transitions into the unsafe set are
 penalised by the high unsafe mask.
 
-Each loss has a plain value entry point and a *_grads variant returning
-exact reverse-mode gradients with respect to certificate parameters, policy
-parameters and (where meaningful) the batch states. Gradients flow through
-the dynamics Jacobian into the policy; for the adversarial loss they flow
-through the certificate at the attacked point but not through the search
-that found it.
+Four functions: loss_init_grads (initial-set cap), loss_dec_grads (the
+descent condition under its nominal, adversarial and Lipschitz-neighbourhood
+objectives), loss_lip_global_grads (global Lipschitz regularisation) and
+total_loss_grads (the weighted sum a training method uses). Each returns its
+value together with exact reverse-mode gradients with respect to the
+certificate parameters, the policy parameters and (where meaningful) the
+batch states. Gradients flow through the dynamics Jacobian into the policy;
+for the adversarial objective they flow through the certificate at the
+attacked point but not through the search that found it.
 """
 
 from __future__ import annotations
@@ -29,7 +32,6 @@ from .nets import (
     accumulate,
     backward,
     forward_tape,
-    input_jacobian,
     spectral_product_grads,
     zero_grads,
 )
@@ -82,23 +84,14 @@ class Batch:
 # initial-set loss
 
 
-def loss_init(cert: FilteredCertificate, init_states: np.ndarray,
-              weights: np.ndarray | None = None) -> float:
-    """Sum of hinge violations of V(x) <= beta over initial states.
+def loss_init_grads(cert: FilteredCertificate, init_states: np.ndarray,
+                    weights: np.ndarray | None = None):
+    """Hinge sum of V(x) <= beta over initial states: (value, cert_grads,
+    state_grads).
 
     Raw network values: the initial set is unmasked (its goal overlap is
     trained too, which keeps interval bounds provable across the boundary).
     """
-    X = np.atleast_2d(np.asarray(init_states, dtype=float))
-    v = cert.raw(X)
-    h = np.maximum(0.0, v - cert.params.beta)
-    if weights is not None:
-        h = h * weights
-    return float(h.sum())
-
-
-def loss_init_grads(cert: FilteredCertificate, init_states: np.ndarray,
-                    weights: np.ndarray | None = None):
     X = np.atleast_2d(np.asarray(init_states, dtype=float))
     k = X.shape[0]
     w = np.ones(k) if weights is None else np.asarray(weights, dtype=float)
@@ -112,36 +105,32 @@ def loss_init_grads(cert: FilteredCertificate, init_states: np.ndarray,
 
 
 # ---------------------------------------------------------------------------
-# descent losses (shared core)
+# descent loss
 
 
-def _filtered(env: EnvSpec, params, raw: np.ndarray, Y: np.ndarray):
-    """Filtered values plus the mask telling where the raw net applied."""
-    in_unsafe = env.in_unsafe(Y)
-    in_goal = env.in_goal(Y)
-    v = np.where(in_unsafe, params.unsafe_mask, raw)
-    v = np.where(in_goal, params.goal_mask, v)  # goal precedence
-    unmasked = ~(in_goal | in_unsafe)
-    return v, unmasked
-
-
-def _descent_core(cert: FilteredCertificate, policy: Mlp, env: EnvSpec,
-                  X: np.ndarray, w: np.ndarray, mode: str,
-                  delta: float = 0.0,
-                  pgd_cfg: PgdConfig | None = None,
-                  rng: np.random.Generator | None = None,
-                  lip_iters: int = 50,
-                  spectral_vs: list[np.ndarray] | None = None,
-                  want_grads: bool = False,
-                  want_state_grads: bool = False):
-    """Value (and optionally gradients) of one descent-style hinge sum.
+def loss_dec_grads(cert: FilteredCertificate, policy: Mlp, env: EnvSpec,
+                   batch: Batch, mode: str = "plain",
+                   weights: np.ndarray | None = None,
+                   delta: float = 0.0,
+                   pgd_cfg: PgdConfig | None = None,
+                   rng: np.random.Generator | None = None,
+                   L_p: float | None = None,
+                   spectral_iters: int = 50,
+                   spectral_vs: list[np.ndarray] | None = None):
+    """Descent hinge sum: V must drop by at least epsilon per step.
 
     mode: "plain" (nominal next state), "adv" (PGD point in the delta-ball,
-    kept only when its filtered value beats the nominal one), or "neighbor"
-    (nominal next state plus a global-Lipschitz slack L_p * delta).
+    kept only when its filtered value beats the nominal one; the PGD offset
+    is treated as frozen), or "neighbor" (nominal next state plus the slack
+    L_p * delta, which covers the whole delta-ball). In "neighbor" mode a
+    given L_p is a constant; None recomputes it from the current weights by
+    power iteration and includes its gradient term.
+
+    Returns (value, cert_grads, policy_grads, state_grads, spectral_vs).
     """
     p = cert.params
-    k = X.shape[0]
+    X = batch.states
+    w = np.ones(X.shape[0]) if weights is None else weights
 
     tape_x = forward_tape(cert.net, X)
     V_x = tape_x.output[:, 0]
@@ -152,13 +141,14 @@ def _descent_core(cert: FilteredCertificate, policy: Mlp, env: EnvSpec,
     U_raw = tape_pi.output
     NXT = env.step(X, U_raw)  # clamps internally
 
-    L_p = 0.0
     dLp = None
     new_vs = spectral_vs
-    if mode == "neighbor":
+    if mode != "neighbor":
+        L_p = 0.0
+    elif L_p is None:
         K = norm_conversion_constant(np.inf, cert.net.n_in, cert.net.n_out)
         prod, prod_grads, new_vs = spectral_product_grads(
-            cert.net, lip_iters, spectral_vs
+            cert.net, spectral_iters, spectral_vs
         )
         L_p = K * prod
         dLp = [K * g for g in prod_grads]
@@ -169,21 +159,19 @@ def _descent_core(cert: FilteredCertificate, policy: Mlp, env: EnvSpec,
             cfg = PgdConfig(steps=cfg.steps, step_size=cfg.step_size,
                             delta=delta, restarts=cfg.restarts)
         Y_pgd = pgd_maximize_batch(cert.net, NXT, cfg, rng)
-        v_pgd, _ = _filtered(env, p, cert.raw(Y_pgd), Y_pgd)
-        v_nom, _ = _filtered(env, p, cert.raw(NXT), NXT)
+        v_pgd, _ = cert.apply_masks(Y_pgd, cert.raw(Y_pgd))
+        v_nom, _ = cert.apply_masks(NXT, cert.raw(NXT))
         use_pgd = v_pgd >= v_nom  # keep the stronger candidate per state
         Y = np.where(use_pgd[:, None], Y_pgd, NXT)
     else:
         Y = NXT
 
     tape_y = forward_tape(cert.net, Y)
-    V_y, unmasked_y = _filtered(env, p, tape_y.output[:, 0], Y)
+    V_y, unmasked_y = cert.apply_masks(Y, tape_y.output[:, 0])
 
     residual = p.epsilon - (V_x - V_y - L_p * delta)
     hinge = np.where(eligible, np.maximum(0.0, residual), 0.0)
     value = float((w * hinge).sum())
-    if not want_grads:
-        return value, None, None, None, new_vs
 
     active = eligible & (residual > 0.0)
     coef = w * active
@@ -195,114 +183,24 @@ def _descent_core(cert: FilteredCertificate, policy: Mlp, env: EnvSpec,
     up_y = (coef * unmasked_y)[:, None]
     g_y, gy = backward(cert.net, tape_y, up_y)
     accumulate(cert_g, g_y)
-    if mode == "neighbor" and delta > 0.0:
+    if dLp is not None and delta > 0.0:
         scale = delta * coef.sum()
         for k, gW in enumerate(dLp):
             cert_g[2 * k] += scale * gW
 
-    # policy: through the dynamics Jacobian at the (clamped) control
-    _, Bu = env.step_jac(X, U_raw)
+    # policy and states: through the dynamics Jacobian at the (clamped)
+    # control; the policy's reverse pass also yields its input gradient
+    A, Bu = env.step_jac(X, U_raw)
     gu = np.einsum("kij,ki->kj", Bu, gy)
-    policy_g, _ = backward(policy, tape_pi, gu)
-
-    gX = None
-    if want_state_grads:
-        A, _ = env.step_jac(X, U_raw)
-        gX = gVx + np.einsum("kij,ki->kj", A, gy)
-        J_pi = input_jacobian(policy, X)
-        gX = gX + np.einsum("kmj,km->kj", J_pi, gu)
+    policy_g, g_pi = backward(policy, tape_pi, gu)
+    gX = gVx + np.einsum("kij,ki->kj", A, gy) + g_pi
     return value, cert_g, policy_g, gX, new_vs
-
-
-def loss_dec(cert: FilteredCertificate, policy: Mlp, env: EnvSpec,
-             batch: Batch, weights: np.ndarray | None = None) -> float:
-    """Nominal descent hinge: V must drop by at least epsilon per step."""
-    w = np.ones(batch.states.shape[0]) if weights is None else weights
-    value, *_ = _descent_core(cert, policy, env, batch.states, w, "plain")
-    return value
-
-
-def loss_dec_adv(cert: FilteredCertificate, policy: Mlp, env: EnvSpec,
-                 batch: Batch, pgd_cfg: PgdConfig,
-                 rng: np.random.Generator | None = None,
-                 weights: np.ndarray | None = None) -> float:
-    """Adversarial descent hinge: the drop must hold at the PGD-found
-    worst point of the delta-ball around the nominal next state."""
-    w = np.ones(batch.states.shape[0]) if weights is None else weights
-    value, *_ = _descent_core(cert, policy, env, batch.states, w, "adv",
-                              delta=pgd_cfg.delta, pgd_cfg=pgd_cfg, rng=rng)
-    return value
-
-
-def loss_dec_neighbor(cert: FilteredCertificate, policy: Mlp, env: EnvSpec,
-                      batch: Batch, L_p: float, delta: float,
-                      weights: np.ndarray | None = None) -> float:
-    """Lipschitz-slack descent hinge: the nominal drop must exceed
-    epsilon + L_p * delta, which covers the whole delta-ball."""
-    p = cert.params
-    X = batch.states
-    w = np.ones(X.shape[0]) if weights is None else weights
-    V_x = cert.raw(X)
-    eligible = (V_x <= p.beta) & ~env.in_goal(X)
-    from .nets import forward_batch
-
-    NXT = env.step(X, forward_batch(policy, X))
-    V_y, _ = _filtered(env, p, cert.raw(NXT), NXT)
-    residual = p.epsilon - (V_x - V_y - L_p * delta)
-    hinge = np.where(eligible, np.maximum(0.0, residual), 0.0)
-    return float((w * hinge).sum())
-
-
-def loss_dec_grads(cert: FilteredCertificate, policy: Mlp, env: EnvSpec,
-                   batch: Batch, weights: np.ndarray | None = None):
-    """(value, cert_grads, policy_grads, state_grads) for loss_dec."""
-    w = np.ones(batch.states.shape[0]) if weights is None else weights
-    value, cg, pg, gX, _ = _descent_core(
-        cert, policy, env, batch.states, w, "plain",
-        want_grads=True, want_state_grads=True,
-    )
-    return value, cg, pg, gX
-
-
-def loss_dec_adv_grads(cert: FilteredCertificate, policy: Mlp, env: EnvSpec,
-                       batch: Batch, pgd_cfg: PgdConfig,
-                       rng: np.random.Generator | None = None,
-                       weights: np.ndarray | None = None):
-    """Gradients of loss_dec_adv; the PGD offset is treated as frozen."""
-    w = np.ones(batch.states.shape[0]) if weights is None else weights
-    value, cg, pg, gX, _ = _descent_core(
-        cert, policy, env, batch.states, w, "adv",
-        delta=pgd_cfg.delta, pgd_cfg=pgd_cfg, rng=rng,
-        want_grads=True, want_state_grads=True,
-    )
-    return value, cg, pg, gX
-
-
-def loss_dec_neighbor_grads(cert: FilteredCertificate, policy: Mlp,
-                            env: EnvSpec, batch: Batch, delta: float,
-                            spectral_iters: int = 50,
-                            weights: np.ndarray | None = None):
-    """Gradients of loss_dec_neighbor; the Lipschitz product is recomputed
-    from the current weights and its gradient term is included."""
-    w = np.ones(batch.states.shape[0]) if weights is None else weights
-    value, cg, pg, gX, _ = _descent_core(
-        cert, policy, env, batch.states, w, "neighbor",
-        delta=delta, lip_iters=spectral_iters,
-        want_grads=True, want_state_grads=True,
-    )
-    return value, cg, pg, gX
-
-
-def loss_lip_global(net: Mlp, tau: float, iters: int = 50) -> float:
-    """Hinge on the spectral-norm product exceeding the budget tau."""
-    if tau <= 0:
-        raise ValueError("tau must be positive")
-    prod, _, _ = spectral_product_grads(net, iters)
-    return max(0.0, prod - tau)
 
 
 def loss_lip_global_grads(net: Mlp, tau: float, iters: int = 50,
                           vs: list[np.ndarray] | None = None):
+    """Hinge on the spectral-norm product exceeding the budget tau:
+    (value, grads, vs)."""
     if tau <= 0:
         raise ValueError("tau must be positive")
     prod, prod_grads, new_vs = spectral_product_grads(net, iters, vs)
@@ -335,19 +233,10 @@ class TotalLossConfig:
         return self
 
 
-def total_loss(cfg: TotalLossConfig, cert: FilteredCertificate, policy: Mlp,
-               env: EnvSpec, init_batch: Batch, dec_batch: Batch,
-               rng: np.random.Generator | None = None) -> float:
-    value, *_ = total_loss_grads(cfg, cert, policy, env, init_batch, dec_batch,
-                                 rng, want_grads=False)
-    return value
-
-
 def total_loss_grads(cfg: TotalLossConfig, cert: FilteredCertificate,
                      policy: Mlp, env: EnvSpec, init_batch: Batch,
                      dec_batch: Batch, rng: np.random.Generator | None = None,
-                     spectral_vs: list[np.ndarray] | None = None,
-                     want_grads: bool = True):
+                     spectral_vs: list[np.ndarray] | None = None):
     """Weighted sum of the method's active loss terms.
 
     Counterexample-tagged states contribute with multiplier ce_weight.
@@ -358,44 +247,28 @@ def total_loss_grads(cfg: TotalLossConfig, cert: FilteredCertificate,
     lw = cfg.weights
     w_init = init_batch.weight_vector(lw.ce_weight)
     w_dec = dec_batch.weight_vector(lw.ce_weight)
-    X = dec_batch.states
 
     mode = {"vanilla": "plain", "lip-reg": "plain",
             "pgd": "adv", "lip-neighbor": "neighbor"}[cfg.method]
     lam = {"vanilla": lw.lambda_dec, "lip-reg": lw.lambda_dec,
            "pgd": lw.lambda_dec_adv, "lip-neighbor": lw.lambda_dec_neighbor}[cfg.method]
 
-    dec_val, dec_cg, dec_pg, _, new_vs = _descent_core(
-        cert, policy, env, X, w_dec, mode, delta=cfg.delta, pgd_cfg=cfg.pgd_cfg,
-        rng=rng, lip_iters=cfg.spectral_iters, spectral_vs=spectral_vs,
-        want_grads=want_grads,
+    dec_val, dec_cg, dec_pg, _, new_vs = loss_dec_grads(
+        cert, policy, env, dec_batch, mode, w_dec, delta=cfg.delta,
+        pgd_cfg=cfg.pgd_cfg, rng=rng, spectral_iters=cfg.spectral_iters,
+        spectral_vs=spectral_vs,
     )
-
-    if want_grads:
-        init_val, init_cg, _ = loss_init_grads(cert, init_batch.states, w_init)
-    else:
-        init_val = loss_init(cert, init_batch.states, w_init)
-
+    init_val, init_cg, _ = loss_init_grads(cert, init_batch.states, w_init)
     value = lw.lambda_init * init_val + lam * dec_val
-
-    lip_val = 0.0
-    lip_cg = None
-    if cfg.method == "lip-reg":
-        if want_grads:
-            lip_val, lip_cg, new_vs = loss_lip_global_grads(
-                cert.net, lw.tau, cfg.spectral_iters, spectral_vs
-            )
-        else:
-            lip_val = loss_lip_global(cert.net, lw.tau, cfg.spectral_iters)
-        value += lw.lambda_lip_global * lip_val
-
-    if not want_grads:
-        return value, None, None, new_vs
 
     cert_g = zero_grads(cert.net)
     accumulate(cert_g, init_cg, scale=lw.lambda_init)
     accumulate(cert_g, dec_cg, scale=lam)
-    if lip_cg is not None:
+    if cfg.method == "lip-reg":
+        lip_val, lip_cg, new_vs = loss_lip_global_grads(
+            cert.net, lw.tau, cfg.spectral_iters, spectral_vs
+        )
+        value += lw.lambda_lip_global * lip_val
         accumulate(cert_g, lip_cg, scale=lw.lambda_lip_global)
     policy_g = zero_grads(policy)
     accumulate(policy_g, dec_pg, scale=lam)

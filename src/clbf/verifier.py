@@ -21,7 +21,7 @@ import numpy as np
 
 from .adversary import PgdConfig, pgd_maximize_batch
 from .boxes import Box
-from .certificate import FilteredCertificate
+from .certificate import FilteredCertificate, clipped_bounds, value_bounds_arrays
 from .envs import EnvSpec
 from .nets import (Mlp, forward_batch, forward_tape, ibp_bounds, input_grad,
                    input_jacobian)
@@ -71,13 +71,15 @@ class BnbConfig:
         return self
 
 
-def ibp_policy_bounds(policy: Mlp, B: Box, control_box: Box | None = None) -> Box:
-    """Sound bounds on the clamped policy output over a state box."""
-    lo, hi = ibp_bounds(policy, B.lo, B.hi)
+def ibp_policy_bounds(policy: Mlp, lo: np.ndarray, hi: np.ndarray,
+                      control_box: Box | None = None):
+    """Sound (lo, hi) bounds on the clamped policy output over state boxes;
+    accepts (n,) or batched (k, n) bounds, like ibp_bounds."""
+    u_lo, u_hi = ibp_bounds(policy, lo, hi)
     if control_box is not None:
-        lo = np.clip(lo, control_box.lo, control_box.hi)
-        hi = np.clip(hi, control_box.lo, control_box.hi)
-    return Box(lo, hi)
+        u_lo = np.clip(u_lo, control_box.lo, control_box.hi)
+        u_hi = np.clip(u_hi, control_box.lo, control_box.hi)
+    return u_lo, u_hi
 
 
 # ---------------------------------------------------------------------------
@@ -144,8 +146,6 @@ def check_init(cert: FilteredCertificate, env: EnvSpec,
     A box passes when its sound filtered upper bound is below beta; a sampled
     point with filtered value above beta is an exact counterexample.
     """
-    from .certificate import value_bounds_arrays
-
     cfg = (cfg or BnbConfig()).validate()
     p = cert.params
     queue = _BoxQueue(list(env.init_boxes))
@@ -233,36 +233,6 @@ def check_safety(cert: FilteredCertificate, env: EnvSpec,
 # robust decrease check
 
 
-def _clipped_upper_batch(cert: FilteredCertificate, lo: np.ndarray,
-                         hi: np.ndarray) -> np.ndarray:
-    """Sound upper bound on the filtered value over each box, feeding only
-    the unmasked part of a box through the network (batched)."""
-    env, p = cert.env, cert.params
-    k = lo.shape[0]
-    out = np.full(k, -np.inf)
-    g_int = env.goal_intersects(lo, hi)
-    u_int = env.unsafe_intersects(lo, hi)
-    out[g_int] = np.maximum(out[g_int], p.goal_mask)
-    out[u_int] = np.maximum(out[u_int], p.unsafe_mask)
-    plain = ~g_int & ~u_int
-    if np.any(plain):
-        _, n_hi = ibp_bounds(cert.net, lo[plain], hi[plain])
-        out[plain] = n_hi[:, 0]
-    # boxes that straddle a mask boundary: tile the unmasked part exactly
-    hard = ~plain
-    if np.any(hard):
-        piece_lo, piece_hi, owner = [], [], []
-        for i in np.flatnonzero(hard):
-            for piece in env.unmasked_pieces(Box(lo[i], hi[i])):
-                piece_lo.append(piece.lo)
-                piece_hi.append(piece.hi)
-                owner.append(i)
-        if owner:
-            _, n_hi = ibp_bounds(cert.net, np.stack(piece_lo), np.stack(piece_hi))
-            np.maximum.at(out, np.asarray(owner), n_hi[:, 0])
-    return out
-
-
 def check_robust_decrease(cert: FilteredCertificate, policy: Mlp, env: EnvSpec,
                           delta: float, epsilon: float,
                           cfg: BnbConfig | None = None) -> Verdict:
@@ -297,11 +267,9 @@ def check_robust_decrease(cert: FilteredCertificate, policy: Mlp, env: EnvSpec,
         if not np.any(live):
             continue
         lo_l, hi_l = lo[live], hi[live]
-        u_lo, u_hi = ibp_bounds(policy, lo_l, hi_l)
-        u_lo = np.clip(u_lo, env.control_box.lo, env.control_box.hi)
-        u_hi = np.clip(u_hi, env.control_box.lo, env.control_box.hi)
+        u_lo, u_hi = ibp_policy_bounds(policy, lo_l, hi_l, env.control_box)
         n_lo, n_hi = env.step_interval_arrays(lo_l, hi_l, u_lo, u_hi)
-        rhs_hi = _clipped_upper_batch(cert, n_lo - delta, n_hi + delta)
+        _, rhs_hi = clipped_bounds(cert, n_lo - delta, n_hi + delta)
         ok = r_lo[live, 0] - rhs_hi >= epsilon
         if np.all(ok):
             continue
@@ -436,8 +404,8 @@ def _violation_grad(cert, policy, env, X, delta, inner_pgd, rng):
         Y = nxt
     tape_x = forward_tape(cert.net, X)
     gVx = input_grad(cert.net, tape_x, np.ones((X.shape[0], 1)))
-    unmasked = ~(env.in_goal(Y) | env.in_unsafe(Y))
     tape_y = forward_tape(cert.net, Y)
+    _, unmasked = cert.apply_masks(Y, tape_y.output[:, 0])
     gVy = input_grad(cert.net, tape_y, unmasked[:, None].astype(float))
     A, B = env.step_jac(X, U_raw)
     g = -gVx + np.einsum("kij,ki->kj", A, gVy)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from clbf.boxes import Box
-from clbf.certificate import ClbfParams, FilteredCertificate, filtered_bounds_clipped, value_bounds
+from clbf.certificate import ClbfParams, FilteredCertificate, clipped_bounds, value_bounds_arrays
 
 from conftest import small_cert
 
@@ -38,9 +38,10 @@ def test_value_masks_docking_goal_precedence(docking):
 def test_value_bounds_fully_masked(pendulum):
     cert = small_cert(pendulum)
     g = Box(np.array([-0.1, -0.1]), np.array([0.1, 0.1]))
-    assert value_bounds(cert, g) == (-10.0, -10.0)
     u = Box(np.array([0.62, 0.1]), np.array([0.68, 0.3]))
-    assert value_bounds(cert, u) == (1.2, 1.2)
+    lo, hi = value_bounds_arrays(cert, np.stack([g.lo, u.lo]), np.stack([g.hi, u.hi]))
+    assert (lo[0], hi[0]) == (-10.0, -10.0)
+    assert (lo[1], hi[1]) == (1.2, 1.2)
 
 
 def test_value_bounds_sound_by_sampling(pendulum, docking, rng):
@@ -50,7 +51,7 @@ def test_value_bounds_sound_by_sampling(pendulum, docking, rng):
             c = rng.uniform(env.domain.lo, env.domain.hi)
             r = rng.uniform(0.0, 0.3, env.state_dim)
             B = Box(np.maximum(c - r, env.domain.lo), np.minimum(c + r, env.domain.hi))
-            lo, hi = value_bounds(cert, B)
+            (lo,), (hi,) = value_bounds_arrays(cert, B.lo[None], B.hi[None])
             pts = B.sample(rng, 200)
             vals = cert.value(pts)
             assert np.all(vals >= lo - 1e-10) and np.all(vals <= hi + 1e-10)
@@ -62,11 +63,11 @@ def test_value_bounds_monotone_refinement(pendulum, rng):
         c = rng.uniform(-0.6, 0.6, 2)
         r = rng.uniform(0.05, 0.3, 2)
         B = Box(c - r, c + r)
-        lo, hi = value_bounds(cert, B)
         for d in range(2):
             b1, b2 = B.split(d)
-            lo1, hi1 = value_bounds(cert, b1)
-            lo2, hi2 = value_bounds(cert, b2)
+            (lo, lo1, lo2), (hi, hi1, hi2) = value_bounds_arrays(
+                cert, np.stack([B.lo, b1.lo, b2.lo]), np.stack([B.hi, b1.hi, b2.hi])
+            )
             assert min(lo1, lo2) >= lo - 1e-12
             assert max(hi1, hi2) <= hi + 1e-12
 
@@ -76,8 +77,8 @@ def test_clipped_bounds_tighter_and_sound(pendulum, rng):
     # straddles the goal boundary: clipped bound must not feed the goal
     # interior through the net, but stays sound for the filtered value
     B = Box(np.array([0.15, -0.1]), np.array([0.3, 0.1]))
-    lo_c, hi_c = filtered_bounds_clipped(cert, B)
-    lo_v, hi_v = value_bounds(cert, B)
+    (lo_c,), (hi_c,) = clipped_bounds(cert, B.lo[None], B.hi[None])
+    (lo_v,), (hi_v,) = value_bounds_arrays(cert, B.lo[None], B.hi[None])
     assert lo_c >= lo_v - 1e-12 and hi_c <= hi_v + 1e-12
     pts = B.sample(rng, 2000)
     vals = cert.value(pts)
@@ -87,4 +88,5 @@ def test_clipped_bounds_tighter_and_sound(pendulum, rng):
 def test_clipped_bounds_entirely_unsafe(docking):
     cert = small_cert(docking)
     B = Box(np.array([2.1, 0.0, 0.0, 0.0]), np.array([2.4, 0.5, 0.2, 0.2]))
-    assert filtered_bounds_clipped(cert, B) == (1.2, 1.2)
+    (lo,), (hi,) = clipped_bounds(cert, B.lo[None], B.hi[None])
+    assert (lo, hi) == (1.2, 1.2)

@@ -8,22 +8,14 @@ from clbf.losses import (
     Batch,
     LossWeights,
     TotalLossConfig,
-    loss_dec,
-    loss_dec_adv,
-    loss_dec_adv_grads,
     loss_dec_grads,
-    loss_dec_neighbor,
-    loss_dec_neighbor_grads,
-    loss_init,
     loss_init_grads,
-    loss_lip_global,
     loss_lip_global_grads,
-    total_loss,
     total_loss_grads,
 )
 from clbf.nets import Mlp, init_mlp, scalar_value
 
-from conftest import fd_param_grads, rel_err, small_cert, small_policy
+from conftest import fd_input_grads, fd_param_grads, rel_err, small_cert, small_policy
 
 
 def const_cert(env, values_net):
@@ -48,7 +40,7 @@ def test_loss_init_hand_values(pendulum):
         w = np.array([1.0, 0.0])
         cert.net.weights[0] = w[None, :]
         states = np.array([[v, 0.0] for v in vals])
-        assert loss_init(cert, states) == pytest.approx(want)
+        assert loss_init_grads(cert, states)[0] == pytest.approx(want)
 
 
 def test_loss_init_gradients_match_fd(pendulum, rng):
@@ -58,7 +50,7 @@ def test_loss_init_gradients_match_fd(pendulum, rng):
     X = rng.uniform(-0.3, 0.3, (6, 2))
 
     def f():
-        return loss_init(cert, X)
+        return loss_init_grads(cert, X)[0]
 
     val, cg, gX = loss_init_grads(cert, X)
     assert val == pytest.approx(f())
@@ -95,14 +87,6 @@ class TinyEnvWrapper:
         return A, B
 
 
-def make_value_ladder_cert(env_like, values_x, values_next):
-    """Certificate mapping x -> v(x) linearly so that chosen states have the
-    wanted current/next values: v(t) = a t + b with v(x)=vx, v(x/2)=vnext."""
-    # with f(x) = 0.5 x we need a*x + b = vx and a*x/2 + b = vnext
-    # => a = 2 (vx - vnext) / x, b = vx - a x
-    return None  # handled inline in the test below
-
-
 def test_loss_dec_hand_cases():
     env = TinyEnvWrapper()
     params = ClbfParams(epsilon=0.01)
@@ -114,7 +98,7 @@ def test_loss_dec_hand_cases():
         cert = FilteredCertificate(affine_scalar_net([a], b), params, env)
         batch = Batch(np.array([[x]]))
         policy = affine_scalar_net([0.0], 0.0)
-        assert loss_dec(cert, policy, env, batch) == pytest.approx(want, abs=1e-12)
+        assert loss_dec_grads(cert, policy, env, batch)[0] == pytest.approx(want, abs=1e-12)
 
 
 def test_loss_dec_precondition_filter():
@@ -123,7 +107,7 @@ def test_loss_dec_precondition_filter():
     # v(x) = 1.3 > beta at x, so the state is excluded even though the value rises
     cert = FilteredCertificate(affine_scalar_net([0.0], 1.3), params, env)
     policy = affine_scalar_net([0.0], 0.0)
-    assert loss_dec(cert, policy, env, Batch(np.array([[1.0]]))) == 0.0
+    assert loss_dec_grads(cert, policy, env, Batch(np.array([[1.0]])))[0] == 0.0
 
 
 def test_loss_dec_neighbor_hand_cases():
@@ -138,7 +122,8 @@ def test_loss_dec_neighbor_hand_cases():
         b = vx - a * x
         cert = FilteredCertificate(affine_scalar_net([a], b), params, env)
         policy = affine_scalar_net([0.0], 0.0)
-        got = loss_dec_neighbor(cert, policy, env, Batch(np.array([[x]])), L_p, delta)
+        got = loss_dec_grads(cert, policy, env, Batch(np.array([[x]])), "neighbor",
+                             delta=delta, L_p=L_p)[0]
         assert got == pytest.approx(want, abs=1e-12)
 
 
@@ -147,17 +132,17 @@ def test_loss_dec_neighbor_delta_zero_equals_dec(pendulum, rng):
     policy = small_policy(pendulum, seed=6)
     batch = Batch(pendulum.sample_states(rng, 64))
     L = lipschitz_bound_lp(cert.net, np.inf)
-    assert loss_dec_neighbor(cert, policy, pendulum, batch, L, 0.0) == pytest.approx(
-        loss_dec(cert, policy, pendulum, batch)
-    )
+    got = loss_dec_grads(cert, policy, pendulum, batch, "neighbor", delta=0.0, L_p=L)[0]
+    assert got == pytest.approx(loss_dec_grads(cert, policy, pendulum, batch)[0])
 
 
 def test_loss_dec_adv_delta_zero_equals_dec(pendulum, rng):
     cert = small_cert(pendulum, seed=5)
     policy = small_policy(pendulum, seed=6)
     batch = Batch(pendulum.sample_states(rng, 64))
-    got = loss_dec_adv(cert, policy, pendulum, batch, PgdConfig(delta=0.0))
-    assert got == pytest.approx(loss_dec(cert, policy, pendulum, batch))
+    got = loss_dec_grads(cert, policy, pendulum, batch, "adv", delta=0.0,
+                         pgd_cfg=PgdConfig(delta=0.0))[0]
+    assert got == pytest.approx(loss_dec_grads(cert, policy, pendulum, batch)[0])
 
 
 def test_loss_dec_adv_linear_corner_case():
@@ -168,7 +153,8 @@ def test_loss_dec_adv_linear_corner_case():
     policy = affine_scalar_net([0.0], 0.0)
     batch = Batch(np.array([[1.0]]))
     delta = 0.1
-    got = loss_dec_adv(cert, policy, env, batch, PgdConfig(delta=delta))
+    got = loss_dec_grads(cert, policy, env, batch, "adv", delta=delta,
+                         pgd_cfg=PgdConfig(delta=delta))[0]
     # V(x)=1, worst next value = 0.5 + 0.1, residual = eps - (1 - 0.6)
     assert got == pytest.approx(max(0.0, 0.01 - (1.0 - 0.6)), abs=1e-9)
 
@@ -178,11 +164,11 @@ def test_loss_dec_adv_dominates_dec(pendulum, rng):
         cert = small_cert(pendulum, seed=seed)
         policy = small_policy(pendulum, seed=seed + 100)
         batch = Batch(pendulum.sample_states(rng, 64))
-        adv = loss_dec_adv(
-            cert, policy, pendulum, batch, PgdConfig(delta=0.01),
-            np.random.default_rng(0),
-        )
-        assert adv >= loss_dec(cert, policy, pendulum, batch) - 1e-12
+        adv = loss_dec_grads(
+            cert, policy, pendulum, batch, "adv", delta=0.01,
+            pgd_cfg=PgdConfig(delta=0.01), rng=np.random.default_rng(0),
+        )[0]
+        assert adv >= loss_dec_grads(cert, policy, pendulum, batch)[0] - 1e-12
 
 
 def test_loss_dec_adv_nondecreasing_in_delta(pendulum, rng):
@@ -191,21 +177,21 @@ def test_loss_dec_adv_nondecreasing_in_delta(pendulum, rng):
     batch = Batch(pendulum.sample_states(rng, 64))
     prev = -1.0
     for delta in (0.0, 0.002, 0.005, 0.01, 0.02):
-        got = loss_dec_adv(
-            cert, policy, pendulum, batch, PgdConfig(delta=delta),
-            np.random.default_rng(0),
-        )
+        got = loss_dec_grads(
+            cert, policy, pendulum, batch, "adv", delta=delta,
+            pgd_cfg=PgdConfig(delta=delta), rng=np.random.default_rng(0),
+        )[0]
         assert got >= prev - 1e-9
         prev = got
 
 
 def test_loss_lip_global_hand_cases():
     net = Mlp([2 * np.eye(2), 3 * np.eye(2)], [np.zeros(2), np.zeros(2)])
-    assert loss_lip_global(net, 10.0) == pytest.approx(0.0)
-    assert loss_lip_global(net, 4.0) == pytest.approx(2.0)
-    assert loss_lip_global(net, 6.0) == pytest.approx(0.0, abs=1e-9)
+    assert loss_lip_global_grads(net, 10.0)[0] == pytest.approx(0.0)
+    assert loss_lip_global_grads(net, 4.0)[0] == pytest.approx(2.0)
+    assert loss_lip_global_grads(net, 6.0)[0] == pytest.approx(0.0, abs=1e-9)
     with pytest.raises(ValueError):
-        loss_lip_global(net, 0.0)
+        loss_lip_global_grads(net, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -232,18 +218,16 @@ def test_loss_dec_gradients_match_fd(pendulum, rng):
     cert, policy, batch = _dec_fd_setup(pendulum, rng, 21)
 
     def f():
-        return loss_dec(cert, policy, pendulum, batch)
+        return loss_dec_grads(cert, policy, pendulum, batch)[0]
 
-    val, cg, pg, gX = loss_dec_grads(cert, policy, pendulum, batch)
+    val, cg, pg, gX, _ = loss_dec_grads(cert, policy, pendulum, batch)
     assert val == pytest.approx(f())
     assert val > 0  # hinge active somewhere, otherwise the check is vacuous
     assert rel_err(cg, fd_param_grads(f, cert.net.params())) < 1e-4
     assert rel_err(pg, fd_param_grads(f, policy.params())) < 1e-4
 
     def fx(X):
-        return loss_dec(cert, policy, pendulum, Batch(X))
-
-    from conftest import fd_input_grads
+        return loss_dec_grads(cert, policy, pendulum, Batch(X))[0]
 
     assert rel_err([gX], [fd_input_grads(fx, batch.states)]) < 1e-4
 
@@ -253,10 +237,12 @@ def test_loss_dec_adv_gradients_match_fd(pendulum, rng):
     cfg = PgdConfig(delta=0.01, steps=10, restarts=2)
 
     def f():
-        return loss_dec_adv(cert, policy, pendulum, batch, cfg, np.random.default_rng(5))
+        return loss_dec_grads(cert, policy, pendulum, batch, "adv", delta=cfg.delta,
+                              pgd_cfg=cfg, rng=np.random.default_rng(5))[0]
 
-    val, cg, pg, gX = loss_dec_adv_grads(
-        cert, policy, pendulum, batch, cfg, np.random.default_rng(5)
+    val, cg, pg, gX, _ = loss_dec_grads(
+        cert, policy, pendulum, batch, "adv", delta=cfg.delta, pgd_cfg=cfg,
+        rng=np.random.default_rng(5),
     )
     assert val == pytest.approx(f())
     assert val > 0
@@ -264,9 +250,8 @@ def test_loss_dec_adv_gradients_match_fd(pendulum, rng):
     assert rel_err(pg, fd_param_grads(f, policy.params())) < 1e-4
 
     def fx(X):
-        return loss_dec_adv(cert, policy, pendulum, Batch(X), cfg, np.random.default_rng(5))
-
-    from conftest import fd_input_grads
+        return loss_dec_grads(cert, policy, pendulum, Batch(X), "adv", delta=cfg.delta,
+                              pgd_cfg=cfg, rng=np.random.default_rng(5))[0]
 
     assert rel_err([gX], [fd_input_grads(fx, batch.states)]) < 1e-4
 
@@ -277,22 +262,29 @@ def test_loss_dec_neighbor_gradients_match_fd(pendulum, rng):
 
     def f():
         L = lipschitz_bound_lp(cert.net, np.inf, iters=300)
-        return loss_dec_neighbor(cert, policy, pendulum, batch, L, delta)
+        return loss_dec_grads(cert, policy, pendulum, batch, "neighbor",
+                              delta=delta, L_p=L)[0]
 
-    val, cg, pg, gX = loss_dec_neighbor_grads(
-        cert, policy, pendulum, batch, delta, spectral_iters=300
+    val, cg, pg, gX, _ = loss_dec_grads(
+        cert, policy, pendulum, batch, "neighbor", delta=delta, spectral_iters=300
     )
     assert val == pytest.approx(f())
     assert val > 0
     assert rel_err(cg, fd_param_grads(f, cert.net.params())) < 1e-4
     assert rel_err(pg, fd_param_grads(f, policy.params())) < 1e-4
 
+    def fx(X):
+        return loss_dec_grads(cert, policy, pendulum, Batch(X), "neighbor",
+                              delta=delta, spectral_iters=300)[0]
+
+    assert rel_err([gX], [fd_input_grads(fx, batch.states)]) < 1e-4
+
 
 def test_loss_lip_global_gradients_match_fd(rng):
     net = init_mlp([2, 8, 6, 1], rng)
 
     def f():
-        return loss_lip_global(net, 0.5, iters=300)
+        return loss_lip_global_grads(net, 0.5, iters=300)[0]
 
     val, cg, _ = loss_lip_global_grads(net, 0.5, iters=300)
     assert val == pytest.approx(f())
@@ -317,7 +309,7 @@ def test_zero_neighbor_loss_implies_ball_descent(rng):
     X = rng.uniform(0.3, 1.0, (512, 1))
     delta = 0.02
     L = lipschitz_bound_lp(net, np.inf)
-    assert loss_dec_neighbor(cert, policy, env, Batch(X), L, delta) == 0.0
+    assert loss_dec_grads(cert, policy, env, Batch(X), "neighbor", delta=delta, L_p=L)[0] == 0.0
     # exhaustive ball sampling: raw value everywhere in the ball drops enough
     for x in X[:64]:
         nxt = 0.5 * x
@@ -340,7 +332,7 @@ def test_total_loss_all_zero(pendulum):
     cfg = TotalLossConfig("vanilla", LossWeights(tau=100.0))
     init_b = Batch(np.array([[0.5]]))
     dec_b = Batch(np.array([[1.0]]))
-    assert total_loss(cfg, cert, policy, env, init_b, dec_b) == pytest.approx(0.0)
+    assert total_loss_grads(cfg, cert, policy, env, init_b, dec_b)[0] == pytest.approx(0.0)
 
 
 def test_total_loss_vanilla_weighted_sum():
@@ -355,7 +347,7 @@ def test_total_loss_vanilla_weighted_sum():
     init_b = Batch(np.array([[1.5]]))
     dec_b = Batch(np.array([[0.4], [0.018]]))
     want = 1.0 * 0.5 + 10.0 * (0.01 - 0.009)
-    got = total_loss(cfg, cert, policy, env, init_b, dec_b)
+    got = total_loss_grads(cfg, cert, policy, env, init_b, dec_b)[0]
     assert got == pytest.approx(want, abs=1e-12)
 
 
@@ -366,10 +358,10 @@ def test_total_loss_counterexample_weighting():
     policy = affine_scalar_net([0.0], 0.0)
     x = 0.018  # contributes 0.001 to the dec hinge
     base = TotalLossConfig("vanilla", LossWeights(ce_weight=100.0))
-    plain = total_loss(base, cert, policy, env, Batch(np.zeros((0, 1))),
-                       Batch(np.array([[x]])))
-    tagged = total_loss(base, cert, policy, env, Batch(np.zeros((0, 1))),
-                        Batch(np.array([[x]]), np.array([True])))
+    plain = total_loss_grads(base, cert, policy, env, Batch(np.zeros((0, 1))),
+                             Batch(np.array([[x]])))[0]
+    tagged = total_loss_grads(base, cert, policy, env, Batch(np.zeros((0, 1))),
+                              Batch(np.array([[x]]), np.array([True])))[0]
     assert tagged == pytest.approx(100.0 * plain)
 
 
@@ -393,8 +385,8 @@ def test_total_loss_gradients_match_fd(pendulum, rng):
                               spectral_iters=300)
 
         def f():
-            return total_loss(cfg, cert, policy, pendulum, init_b, dec_b,
-                              np.random.default_rng(9))
+            return total_loss_grads(cfg, cert, policy, pendulum, init_b, dec_b,
+                                    np.random.default_rng(9))[0]
 
         val, cg, pg, _ = total_loss_grads(cfg, cert, policy, pendulum, init_b,
                                           dec_b, np.random.default_rng(9))

@@ -39,3 +39,20 @@ def test_certificate_dimension_mismatch_is_rejected(pendulum, tmp_path):
     path = save_model(tmp_path / "m.clbf", small_policy(pendulum), cert)
     with pytest.raises(ValueError, match="certificate dimensions"):
         load_model(path)
+
+
+def test_unknown_env_name_is_rejected(pendulum, tmp_path):
+    path = save_model(tmp_path / "m.clbf", small_policy(pendulum), small_cert(pendulum))
+    doc = json.loads(path.read_text())
+    doc["env"] = "no-such-env"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError, match="unknown environment"):
+        load_model(path)
+
+
+def test_policy_dimension_mismatch_is_rejected(pendulum, tmp_path):
+    policy = init_mlp([pendulum.state_dim, 8, pendulum.control_dim + 1],
+                      np.random.default_rng(0))
+    path = save_model(tmp_path / "m.clbf", policy, small_cert(pendulum))
+    with pytest.raises(ValueError, match="policy dimensions"):
+        load_model(path)
