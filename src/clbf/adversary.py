@@ -8,7 +8,7 @@ falls below the ball center.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -96,7 +96,5 @@ def attack_step(cert, policy: Mlp, env, X: np.ndarray, delta: float,
     nxt = env.step(X, U)
     if delta == 0.0:
         return nxt
-    pcfg = PgdConfig(delta=delta) if cfg is None else PgdConfig(
-        steps=cfg.steps, step_size=cfg.step_size, delta=delta, restarts=cfg.restarts
-    )
+    pcfg = PgdConfig(delta=delta) if cfg is None else replace(cfg, delta=delta)
     return pgd_maximize_batch(cert.net, nxt, pcfg, rng)

@@ -56,9 +56,6 @@ class Box:
             return bool(np.all(x >= self.lo) and np.all(x <= self.hi))
         return np.all((x >= self.lo) & (x <= self.hi), axis=1)
 
-    def contains_box(self, other: "Box") -> bool:
-        return bool(np.all(other.lo >= self.lo) and np.all(other.hi <= self.hi))
-
     def intersects(self, other: "Box") -> bool:
         """Closed-set overlap test (shared faces count as intersection)."""
         return bool(np.all(self.lo <= other.hi) and np.all(other.lo <= self.hi))

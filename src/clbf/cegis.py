@@ -155,7 +155,7 @@ def warm_start(env: EnvSpec, config: TrainConfig,
     cfg = config.resolved()
     diag = {}
     policy = init_mlp([env.state_dim, *cfg.policy_hidden, env.control_dim], rng)
-    region = cfg_sample_region(env)
+    region = env.domain if env.safe_box is None else env.safe_box
     X = region.sample(rng, cfg.teacher_samples)
     U_t = teacher_control(env, X)
 
@@ -201,16 +201,6 @@ def warm_start(env: EnvSpec, config: TrainConfig,
             break
     diag["warmstart_loss"] = float(val)
     return policy, cert, diag
-
-
-def cfg_sample_region(env: EnvSpec):
-    """Teacher regression region: the whole verification-relevant space."""
-    from .boxes import Box
-
-    if env.name == "docking2d":
-        return Box(np.array([-2.0, -2.0, -0.5, -0.5]),
-                   np.array([2.0, 2.0, 0.5, 0.5]))
-    return env.domain
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,7 @@ inside the step.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -80,17 +80,18 @@ def trig_interval(lo: float, hi: float):
 
 @dataclass
 class EnvSpec:
-    """A discrete-time control system plus its task-set geometry.
+    """A discrete-time control system plus its task sets.
 
     step / step_jac / step_interval_arrays are batched over the leading axis.
     step_jac returns the Jacobians of the total (clamp-included) transition.
-    unmasked_pieces(box) tiles the part of a box outside the goal and unsafe
-    sets, where the certificate network (not a mask) determines the value.
-    Left as None it becomes box minus goal_boxes and unsafe_boxes, which is
-    right whenever those lists cover the sets exactly. docking_env passes its
-    own: its unsafe set is the complement of the safe band, and unsafe_boxes
-    tiles that complement only inside domain, so the default would leave
-    unmasked whatever part of a box lies outside domain.
+    The goal set is the union of goal_boxes. The unsafe set is the union of
+    unsafe_boxes or, when safe_box is given, everything outside safe_box
+    (unsafe_boxes then tiles it within domain, for sampling). The set
+    predicates, unmasked_pieces(box) (a tiling of the part of a box outside
+    both sets, where the network rather than a mask gives the value) and
+    eligible_cover = unmasked_pieces(domain) are derived from these boxes when
+    left None. They stay settable because perfbench/synth.py passes them
+    by keyword.
     """
 
     name: str
@@ -105,19 +106,41 @@ class EnvSpec:
     step: Callable[[np.ndarray, np.ndarray], np.ndarray]
     step_jac: Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]
     step_interval_arrays: Callable[..., tuple[np.ndarray, np.ndarray]]
-    in_goal: Callable[[np.ndarray], np.ndarray]
-    in_unsafe: Callable[[np.ndarray], np.ndarray]
-    goal_intersects: Callable[[np.ndarray, np.ndarray], np.ndarray]
-    goal_contains: Callable[[np.ndarray, np.ndarray], np.ndarray]
-    unsafe_intersects: Callable[[np.ndarray, np.ndarray], np.ndarray]
-    unsafe_contains: Callable[[np.ndarray, np.ndarray], np.ndarray]
-    eligible_cover: list[Box] = field(default_factory=list)
+    safe_box: Box | None = None
+    in_goal: Callable[[np.ndarray], np.ndarray] | None = None
+    in_unsafe: Callable[[np.ndarray], np.ndarray] | None = None
+    goal_intersects: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
+    goal_contains: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
+    unsafe_intersects: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
+    unsafe_contains: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
+    eligible_cover: list[Box] | None = None
     unmasked_pieces: Callable[[Box], list[Box]] | None = None
 
     def __post_init__(self):
-        if self.unmasked_pieces is None:
-            cuts = self.goal_boxes + self.unsafe_boxes
-            self.unmasked_pieces = lambda box: subtract_boxes([box], cuts)
+        goal, unsafe, safe = self.goal_boxes, self.unsafe_boxes, self.safe_box
+        derived = dict(
+            in_goal=lambda x: _in_union(goal, x),
+            goal_intersects=lambda lo, hi: _boxes_intersect(goal, lo, hi),
+            goal_contains=lambda lo, hi: _boxes_contain(goal, lo, hi),
+            in_unsafe=lambda x: _in_union(unsafe, x),
+            unsafe_intersects=lambda lo, hi: _boxes_intersect(unsafe, lo, hi),
+            unsafe_contains=lambda lo, hi: _boxes_contain(unsafe, lo, hi),
+            unmasked_pieces=lambda box: subtract_boxes([box], goal + unsafe),
+        )
+        if safe is not None:
+            # a box meets the complement of safe iff it is not inside safe,
+            # and lies in it iff it misses safe
+            derived.update(
+                in_unsafe=lambda x: ~_in_union([safe], x),
+                unsafe_intersects=lambda lo, hi: ~_boxes_contain([safe], lo, hi),
+                unsafe_contains=lambda lo, hi: ~_boxes_intersect([safe], lo, hi),
+                unmasked_pieces=lambda box: _safe_pieces(box, safe, goal),
+            )
+        for name, fn in derived.items():
+            if getattr(self, name) is None:
+                setattr(self, name, fn)
+        if self.eligible_cover is None:
+            self.eligible_cover = self.unmasked_pieces(self.domain)
 
     def step_interval(self, B: Box, U: Box) -> Box:
         lo, hi = self.step_interval_arrays(
@@ -151,6 +174,11 @@ class EnvSpec:
             keep = ~self.in_goal(cand) & ~self.in_unsafe(cand)
             out = np.concatenate([out, cand[keep]])
         return out[:k]
+
+
+def _safe_pieces(box: Box, safe: Box, goal: list[Box]) -> list[Box]:
+    inner = box.intersect(safe)
+    return [] if inner is None else subtract_boxes([inner], goal)
 
 
 def _in_union(boxes: list[Box], x: np.ndarray) -> np.ndarray:
@@ -264,13 +292,6 @@ def pendulum_env(constants: dict | None = None) -> EnvSpec:
         step=step,
         step_jac=step_jac,
         step_interval_arrays=step_interval_arrays,
-        in_goal=lambda x: _in_union(goal, x),
-        in_unsafe=lambda x: _in_union(unsafe, x),
-        goal_intersects=lambda lo, hi: _boxes_intersect(goal, lo, hi),
-        goal_contains=lambda lo, hi: _boxes_contain(goal, lo, hi),
-        unsafe_intersects=lambda lo, hi: _boxes_intersect(unsafe, lo, hi),
-        unsafe_contains=lambda lo, hi: _boxes_contain(unsafe, lo, hi),
-        eligible_cover=subtract_boxes([domain], goal + unsafe),
     )
 
 
@@ -366,28 +387,6 @@ def docking_env(constants: dict | None = None) -> EnvSpec:
         np.array([-2.5, -2.5, -0.75, -0.75]), np.array([2.5, 2.5, 0.75, 0.75])
     )
 
-    def in_unsafe(x):
-        x = np.atleast_2d(np.asarray(x, dtype=float))
-        return ~np.all((x >= safe.lo) & (x <= safe.hi), axis=1)
-
-    def unsafe_intersects(lo, hi):
-        # a box meets the unsafe set iff it is not contained in the safe band
-        lo = np.atleast_2d(lo)
-        hi = np.atleast_2d(hi)
-        return ~(np.all(lo >= safe.lo, axis=1) & np.all(hi <= safe.hi, axis=1))
-
-    def unsafe_contains(lo, hi):
-        # entirely unsafe iff disjoint from the safe band
-        lo = np.atleast_2d(lo)
-        hi = np.atleast_2d(hi)
-        return np.any((hi < safe.lo) | (lo > safe.hi), axis=1)
-
-    def unmasked_pieces(box: Box) -> list[Box]:
-        inner = box.intersect(safe)
-        if inner is None:
-            return []
-        return subtract_boxes([inner], goal)
-
     return EnvSpec(
         name="docking2d",
         state_dim=4,
@@ -403,14 +402,7 @@ def docking_env(constants: dict | None = None) -> EnvSpec:
         step=step,
         step_jac=step_jac,
         step_interval_arrays=step_interval_arrays,
-        in_goal=lambda x: _in_union(goal, x),
-        in_unsafe=in_unsafe,
-        goal_intersects=lambda lo, hi: _boxes_intersect(goal, lo, hi),
-        goal_contains=lambda lo, hi: _boxes_contain(goal, lo, hi),
-        unsafe_intersects=unsafe_intersects,
-        unsafe_contains=unsafe_contains,
-        unmasked_pieces=unmasked_pieces,
-        eligible_cover=subtract_boxes([safe], goal),
+        safe_box=safe,
     )
 
 

@@ -24,14 +24,6 @@ OUTCOME_TIMEOUT = "timed_out"
 
 
 @dataclass
-class RolloutResult:
-    outcome: str
-    step: int  # step at which the outcome occurred (or the horizon)
-    mode: str
-    delta: float
-
-
-@dataclass
 class Campaign:
     n_states: int = 10_000
     horizon: int = 200
@@ -80,20 +72,6 @@ def rollout_batch(policy: Mlp, cert: FilteredCertificate, env: EnvSpec,
     outcomes = np.where(outcome == 0, OUTCOME_GOAL,
                         np.where(outcome == 1, OUTCOME_UNSAFE, OUTCOME_TIMEOUT))
     return outcomes, steps
-
-
-def rollout(policy: Mlp, cert: FilteredCertificate, env: EnvSpec,
-            x0: np.ndarray, mode: str, delta: float, horizon: int = 200,
-            rng: np.random.Generator | None = None) -> RolloutResult:
-    """Single-trajectory wrapper around rollout_batch."""
-    x0 = np.asarray(x0, dtype=float)
-    if not env.in_init(x0[None])[0] or env.in_goal(x0[None])[0]:
-        raise ValueError("x0 must lie in the initial set outside the goal")
-    if rng is None:
-        rng = np.random.default_rng(0)
-    outcomes, steps = rollout_batch(policy, cert, env, x0[None], mode, delta,
-                                    horizon, rng)
-    return RolloutResult(str(outcomes[0]), int(steps[0]), mode, delta)
 
 
 def sample_initial_states(env: EnvSpec, n: int, rng: np.random.Generator) -> np.ndarray:

@@ -108,6 +108,11 @@ def loss_init_grads(cert: FilteredCertificate, init_states: np.ndarray,
 # descent loss
 
 
+def _check_pgd_radius(delta: float, pgd_cfg: PgdConfig | None):
+    if pgd_cfg is not None and pgd_cfg.delta != delta:
+        raise ValueError(f"pgd_cfg.delta={pgd_cfg.delta} differs from delta={delta}")
+
+
 def loss_dec_grads(cert: FilteredCertificate, policy: Mlp, env: EnvSpec,
                    batch: Batch, mode: str = "plain",
                    weights: np.ndarray | None = None,
@@ -126,8 +131,11 @@ def loss_dec_grads(cert: FilteredCertificate, policy: Mlp, env: EnvSpec,
     given L_p is a constant; None recomputes it from the current weights by
     power iteration and includes its gradient term.
 
+    A given pgd_cfg must state the same radius as delta.
+
     Returns (value, cert_grads, policy_grads, state_grads, spectral_vs).
     """
+    _check_pgd_radius(delta, pgd_cfg)
     p = cert.params
     X = batch.states
     w = np.ones(X.shape[0]) if weights is None else weights
@@ -155,9 +163,6 @@ def loss_dec_grads(cert: FilteredCertificate, policy: Mlp, env: EnvSpec,
 
     if mode == "adv" and delta > 0.0:
         cfg = pgd_cfg if pgd_cfg is not None else PgdConfig(delta=delta)
-        if cfg.delta != delta:
-            cfg = PgdConfig(steps=cfg.steps, step_size=cfg.step_size,
-                            delta=delta, restarts=cfg.restarts)
         Y_pgd = pgd_maximize_batch(cert.net, NXT, cfg, rng)
         v_pgd, _ = cert.apply_masks(Y_pgd, cert.raw(Y_pgd))
         v_nom, _ = cert.apply_masks(NXT, cert.raw(NXT))
@@ -230,6 +235,7 @@ class TotalLossConfig:
         self.weights.validate()
         if self.method == "pgd" and self.delta < 0:
             raise ValueError("pgd method needs delta >= 0")
+        _check_pgd_radius(self.delta, self.pgd_cfg)
         return self
 
 

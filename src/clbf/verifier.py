@@ -15,7 +15,7 @@ lexicographically smallest violating box wins, so verdicts are reproducible.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -308,9 +308,7 @@ def _exact_ball_max(cert: FilteredCertificate, env: EnvSpec, nxt: np.ndarray,
     best_y = nxt.copy()
     best_v = cert.value(nxt)
     if delta > 0:
-        pgd_cfg = PgdConfig(steps=inner_pgd.steps, step_size=inner_pgd.step_size,
-                            delta=delta, restarts=inner_pgd.restarts)
-        y = pgd_maximize_batch(cert.net, nxt, pgd_cfg, rng)
+        y = pgd_maximize_batch(cert.net, nxt, replace(inner_pgd, delta=delta), rng)
         v = cert.value(y)
         better = v > best_v
         best_v = np.where(better, v, best_v)

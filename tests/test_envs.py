@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from clbf.boxes import Box, subtract_boxes
 from clbf.envs import (
@@ -277,15 +279,11 @@ def test_constant_overrides():
 
 def _bare_env(goal, unsafe, **kw):
     domain = Box(np.array([-1.0, -1.0]), np.array([1.0, 1.0]))
-    nowhere = lambda *a: np.zeros(np.atleast_2d(a[0]).shape[0], dtype=bool)
     return EnvSpec(
         name="bare", state_dim=2, control_dim=1,
         domain=domain, control_box=Box(np.array([-1.0]), np.array([1.0])),
         init_boxes=[domain], goal_boxes=goal, unsafe_boxes=unsafe,
         constants={}, step=None, step_jac=None, step_interval_arrays=None,
-        in_goal=nowhere, in_unsafe=nowhere,
-        goal_intersects=nowhere, goal_contains=nowhere,
-        unsafe_intersects=nowhere, unsafe_contains=nowhere,
         eligible_cover=[domain], **kw,
     )
 
@@ -307,3 +305,78 @@ def test_unmasked_pieces_default_and_override():
 
     mine = lambda b: []
     assert _bare_env(goal, unsafe, unmasked_pieces=mine).unmasked_pieces is mine
+
+
+# ---------------------------------------------------------------------------
+# set geometry derived from goal boxes, unsafe boxes and the safe box
+
+
+GEOMETRY_ENVS = {name: make_env(name) for name in ("pendulum", "docking2d")}
+
+
+@st.composite
+def env_and_box(draw):
+    """An environment, a box within 1.2x its domain, and a sampling seed.
+
+    Some boxes are drawn inside one goal, unsafe or safe box, so that every
+    predicate takes both values often enough to be exercised.
+    """
+    env = GEOMETRY_ENVS[draw(st.sampled_from(sorted(GEOMETRY_ENVS)))]
+    n = env.state_dim
+    region = Box(env.domain.center - 0.6 * env.domain.width,
+                 env.domain.center + 0.6 * env.domain.width)
+    safe = [] if env.safe_box is None else [env.safe_box]
+    anchor = draw(st.sampled_from([None, *env.goal_boxes, *env.unsafe_boxes, *safe]))
+    if anchor is not None and draw(st.booleans()):
+        region = region.intersect(anchor)
+    fracs = draw(st.lists(st.floats(0.0, 1.0), min_size=2 * n, max_size=2 * n))
+    f = np.sort(np.array(fracs).reshape(2, n), axis=0)
+    box = Box(region.lo + f[0] * region.width, region.lo + f[1] * region.width)
+    return env, box, draw(st.integers(0, 2**32 - 1))
+
+
+def _box_points(box, seed, k=200):
+    """Uniform points of the box, some coordinates pinned to its faces."""
+    rng = np.random.default_rng(seed)
+    pts = box.sample(rng, k)
+    face = rng.integers(0, 3, pts.shape)
+    pts = np.where(face == 1, box.lo, pts)
+    return np.where(face == 2, box.hi, pts)
+
+
+@settings(max_examples=200, deadline=None)
+@given(env_and_box())
+def test_box_predicates_agree_with_points(case):
+    env, box, seed = case
+    pts = _box_points(box, seed)
+    lo, hi = box.lo[None], box.hi[None]
+    for inside, meets, holds in (
+        (env.in_goal, env.goal_intersects, env.goal_contains),
+        (env.in_unsafe, env.unsafe_intersects, env.unsafe_contains),
+    ):
+        hit = inside(pts)
+        contains, intersects = holds(lo, hi)[0], meets(lo, hi)[0]
+        if contains:
+            assert intersects
+            assert np.all(hit)
+        if not intersects:
+            assert not np.any(hit)
+
+
+@settings(max_examples=200, deadline=None)
+@given(env_and_box())
+def test_unmasked_pieces_tile_box_minus_sets(case):
+    env, box, seed = case
+    pieces = env.unmasked_pieces(box)
+    for p in pieces:
+        assert np.all(p.lo >= box.lo) and np.all(p.hi <= box.hi)
+    if pieces:
+        centres = np.stack([p.center for p in pieces])
+        assert not np.any(env.in_goal(centres) | env.in_unsafe(centres))
+    pts = _box_points(box, seed)
+    free = pts[~env.in_goal(pts) & ~env.in_unsafe(pts)]
+    covered = np.zeros(free.shape[0], dtype=bool)
+    for p in pieces:
+        covered |= p.contains(free)
+    assert np.all(covered)
+

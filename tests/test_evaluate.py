@@ -1,0 +1,81 @@
+import numpy as np
+import pytest
+
+from clbf.boxes import Box
+from clbf.certificate import ClbfParams, FilteredCertificate
+from clbf.envs import EnvSpec
+from clbf.evaluate import (
+    OUTCOME_GOAL,
+    OUTCOME_TIMEOUT,
+    OUTCOME_UNSAFE,
+    Campaign,
+    rollout_batch,
+    run_campaign,
+    wilson_interval,
+)
+from clbf.nets import Mlp
+
+from conftest import small_cert, small_policy
+
+
+# ---------------------------------------------------------------------------
+# wilson_interval
+
+
+def test_wilson_interval_reference_values():
+    assert wilson_interval(0, 0) == (0.0, 1.0)
+    lo, hi = wilson_interval(50, 100)
+    assert lo == pytest.approx(0.40383, abs=1e-5)
+    assert hi == pytest.approx(0.59617, abs=1e-5)
+
+
+def test_wilson_interval_stays_in_unit_range_at_the_extremes():
+    for n in (1, 7, 1000):
+        for s in (0, n):
+            lo, hi = wilson_interval(s, n)
+            assert 0.0 <= lo <= s / n <= hi <= 1.0
+        assert wilson_interval(0, n)[0] == pytest.approx(0.0, abs=1e-12)
+        assert wilson_interval(n, n)[1] == pytest.approx(1.0, abs=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# campaigns and rollouts
+
+
+def test_run_campaign_is_deterministic_given_its_seed(pendulum):
+    cert = small_cert(pendulum, seed=2)
+    policy = small_policy(pendulum, seed=3)
+    campaign = Campaign(n_states=64, horizon=10, seed=4,
+                        modes=[("adversarial", 0.01), ("random", 0.05)])
+    rows = run_campaign(policy, cert, pendulum, campaign)
+    # every row has both outcomes, so it depends on the sampled states
+    assert len(rows) == 2 and all(0 < r.successes < r.n for r in rows)
+    assert rows == run_campaign(policy, cert, pendulum, campaign)
+
+
+def halving_env_1d():
+    """x' = x / 2 with a goal [0, 0.5] that overlaps the unsafe set [0.25, 1]."""
+    domain = Box(np.array([-4.0]), np.array([4.0]))
+    return EnvSpec(
+        name="halving1d", state_dim=1, control_dim=1,
+        domain=domain, control_box=Box(np.array([-1.0]), np.array([1.0])),
+        init_boxes=[domain],
+        goal_boxes=[Box(np.array([0.0]), np.array([0.5]))],
+        unsafe_boxes=[Box(np.array([0.25]), np.array([1.0]))],
+        constants={}, step=lambda X, U: 0.5 * np.atleast_2d(X),
+        step_jac=None, step_interval_arrays=None,
+    )
+
+
+def test_rollout_goal_entry_wins_over_unsafe_entry():
+    env = halving_env_1d()
+    policy = Mlp([np.zeros((1, 1))], [np.zeros(1)])
+    cert = FilteredCertificate(Mlp([np.zeros((1, 1))], [np.zeros(1)]),
+                               ClbfParams(), env)
+    # 0.6 -> 0.3 lies in both sets; 1.8 -> 0.9 only in the unsafe set;
+    # -4 halves towards 0 from below and never enters either set
+    X0 = np.array([[0.6], [1.8], [-4.0]])
+    outcomes, steps = rollout_batch(policy, cert, env, X0, "random", 0.0, 5,
+                                    np.random.default_rng(0))
+    assert outcomes.tolist() == [OUTCOME_GOAL, OUTCOME_UNSAFE, OUTCOME_TIMEOUT]
+    assert steps.tolist() == [1, 1, 5]

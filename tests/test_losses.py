@@ -185,6 +185,17 @@ def test_loss_dec_adv_nondecreasing_in_delta(pendulum, rng):
         prev = got
 
 
+def test_loss_dec_rejects_mismatched_pgd_radius(pendulum, rng):
+    cert = small_cert(pendulum, seed=3)
+    policy = small_policy(pendulum, seed=4)
+    batch = Batch(pendulum.sample_states(rng, 8))
+    cfg = PgdConfig(delta=0.01)
+    with pytest.raises(ValueError, match="delta"):
+        loss_dec_grads(cert, policy, pendulum, batch, "adv", pgd_cfg=cfg)
+    with pytest.raises(ValueError, match="delta"):
+        loss_dec_grads(cert, policy, pendulum, batch, "adv", delta=0.02, pgd_cfg=cfg)
+
+
 def test_loss_lip_global_hand_cases():
     net = Mlp([2 * np.eye(2), 3 * np.eye(2)], [np.zeros(2), np.zeros(2)])
     assert loss_lip_global_grads(net, 10.0)[0] == pytest.approx(0.0)
@@ -368,6 +379,13 @@ def test_total_loss_counterexample_weighting():
 def test_total_loss_rejects_unknown_method():
     with pytest.raises(ValueError):
         TotalLossConfig("sgd", LossWeights()).validate()
+
+
+def test_total_loss_rejects_mismatched_pgd_radius():
+    cfg = TotalLossConfig("pgd", LossWeights(), delta=0.01,
+                          pgd_cfg=PgdConfig(delta=0.02))
+    with pytest.raises(ValueError, match="delta"):
+        cfg.validate()
 
 
 def test_total_loss_gradients_match_fd(pendulum, rng):

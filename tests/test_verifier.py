@@ -32,8 +32,6 @@ def synth_env_1d(lo=0.5, hi=1.0):
     """f(x, u) = 0.5 x on the box [lo, hi]; no goal or unsafe set."""
     domain = Box(np.array([lo]), np.array([hi]))
     control = Box(np.array([-1.0]), np.array([1.0]))
-    no = lambda x: np.zeros(np.atleast_2d(x).shape[0], dtype=bool)
-    no_box = lambda l, h: np.zeros(np.atleast_2d(l).shape[0], dtype=bool)
 
     def step(X, U):
         return 0.5 * np.atleast_2d(np.asarray(X, dtype=float))
@@ -51,11 +49,6 @@ def synth_env_1d(lo=0.5, hi=1.0):
         init_boxes=[domain], goal_boxes=[], unsafe_boxes=[],
         constants={}, step=step, step_jac=step_jac,
         step_interval_arrays=step_interval_arrays,
-        in_goal=no, in_unsafe=no,
-        goal_intersects=no_box, goal_contains=no_box,
-        unsafe_intersects=no_box, unsafe_contains=no_box,
-        unmasked_pieces=lambda b: [b],
-        eligible_cover=[domain],
     )
 
 
