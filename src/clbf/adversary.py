@@ -39,6 +39,7 @@ def pgd_maximize_batch(
     centers: np.ndarray,
     cfg: PgdConfig,
     rng: np.random.Generator | None = None,
+    active: np.ndarray | None = None,
 ) -> np.ndarray:
     """Approximate per-row maximizers of the net over l-inf balls.
 
@@ -46,6 +47,10 @@ def pgd_maximize_batch(
     center + delta]. Restarts draw their starting points sequentially from
     rng, so with a fixed generator seed the first restarts of a longer run
     coincide with a shorter one.
+
+    With a boolean mask `active`, only the active rows are ascended and the
+    others return their centers. Starts are still drawn for every row, so
+    the generator ends in the same state as after the unmasked call.
     """
     cfg.validate()
     centers = np.atleast_2d(np.asarray(centers, dtype=float))
@@ -53,6 +58,21 @@ def pgd_maximize_batch(
         return centers.copy()
     if rng is None:
         rng = np.random.default_rng(0)
+    starts = [rng.uniform(centers - cfg.delta, centers + cfg.delta)
+              for _ in range(cfg.restarts - 1)]
+    if active is None:
+        return _ascend(net, centers, starts, cfg)
+    out = centers.copy()
+    rows = np.flatnonzero(active)
+    if rows.size:
+        out[rows] = _ascend(net, centers[rows], [s[rows] for s in starts], cfg)
+    return out
+
+
+def _ascend(net: Mlp, centers: np.ndarray, starts: list[np.ndarray],
+            cfg: PgdConfig) -> np.ndarray:
+    """The ascent of pgd_maximize_batch from the centers, then from each of
+    the drawn starts; returns the best iterate of every row."""
     step = cfg.step_size if cfg.step_size is not None else cfg.delta / 4.0
     lo = centers - cfg.delta
     hi = centers + cfg.delta
@@ -65,8 +85,7 @@ def pgd_maximize_batch(
     best_x = centers.copy()
     # restart 0 starts at the centers, so this pass is also its first step
     best_v, g = value_and_input_grad(net, centers)
-    for restart in range(cfg.restarts):
-        x = centers if restart == 0 else rng.uniform(lo, hi)
+    for restart, x in enumerate([centers, *starts]):
         for i in range(cfg.steps):
             if restart or i:
                 v, g = value_and_input_grad(net, x)

@@ -211,13 +211,16 @@ def resample_counterexamples(env: EnvSpec, states: list[np.ndarray], m: int,
                              radius: float, rng: np.random.Generator,
                              init_condition: bool) -> np.ndarray:
     """m uniform samples in the l-inf ball around each counterexample,
-    clipped into the relevant region and filtered to trainable states.
-    The counterexample itself is always kept."""
+    clipped into the relevant region and filtered to trainable states. An
+    init counterexample's region is the first initial box that contains it;
+    a decrease counterexample's is the domain. The counterexample itself is
+    always kept."""
     out = []
     for ce in states:
         pts = ce + rng.uniform(-radius, radius, (m, len(ce)))
         if init_condition:
-            box = env.init_boxes[0]
+            box = next((b for b in env.init_boxes if b.contains(ce)),
+                       env.init_boxes[0])
             pts = box.clip(pts)
         else:
             pts = env.domain.clip(pts)

@@ -9,7 +9,7 @@ vectorised across all rollouts and deterministic given their seed.
 from __future__ import annotations
 
 import io
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -34,12 +34,15 @@ class Campaign:
 
 def rollout_batch(policy: Mlp, cert: FilteredCertificate, env: EnvSpec,
                   X0: np.ndarray, mode: str, delta: float, horizon: int,
-                  rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+                  rng: np.random.Generator, pgd: PgdConfig | None = None
+                  ) -> tuple[np.ndarray, np.ndarray]:
     """Simulate all rollouts together; returns (outcomes, steps) arrays.
 
     mode "adversarial": each next state is replaced by the certificate
-    maximizer in its delta-ball. mode "random": uniform per-coordinate noise
-    in [-delta, delta]. Goal entry is checked before unsafe entry.
+    maximizer in its delta-ball, found by PGD with the settings of `pgd`
+    (defaults if None) at radius delta. mode "random": uniform
+    per-coordinate noise in [-delta, delta]. Goal entry is checked before
+    unsafe entry.
     """
     if mode not in ("adversarial", "random"):
         raise ValueError(f"unknown perturbation mode {mode!r}")
@@ -48,7 +51,7 @@ def rollout_batch(policy: Mlp, cert: FilteredCertificate, env: EnvSpec,
     outcome = np.full(k, -1, dtype=np.int8)  # -1 running, 0 goal, 1 unsafe
     steps = np.full(k, horizon, dtype=np.int64)
     active = np.arange(k)
-    pgd_cfg = PgdConfig(delta=delta)
+    pgd_cfg = replace(pgd or PgdConfig(), delta=delta)
     for t in range(1, horizon + 1):
         if active.size == 0:
             break
@@ -115,7 +118,8 @@ def run_campaign(policy: Mlp, cert: FilteredCertificate, env: EnvSpec,
     rows = []
     for (mode, delta), ss in zip(campaign.modes, mode_ss):
         outcomes, _ = rollout_batch(policy, cert, env, X0, mode, delta,
-                                    campaign.horizon, np.random.default_rng(ss))
+                                    campaign.horizon, np.random.default_rng(ss),
+                                    campaign.pgd)
         s = int(np.sum(outcomes == OUTCOME_GOAL))
         lo, hi = wilson_interval(s, campaign.n_states)
         rows.append(CampaignRow(mode, delta, campaign.n_states, s,

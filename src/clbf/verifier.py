@@ -9,6 +9,13 @@ a Proved box admits no violation, a reported witness violates its condition
 under exact point evaluation (re-checked before reporting), and anything
 else is returned as Unknown residue with its volume fraction.
 
+The decrease hunt screens its points with the same interval bound: a point x
+whose delta-ball around f(x, pi(x)) has filtered upper bound ub with
+epsilon - (V(x) - ub) < 0 cannot yield a witness, because every ball point
+the hunt evaluates (PGD iterates, a point in the unsafe set) has value at
+most ub. Only the remaining points get the inner PGD, so the screen saves
+work without changing what is found.
+
 The queue is processed in deterministic FIFO chunk order; within a chunk the
 lexicographically smallest violating box wins, so verdicts are reproducible.
 """
@@ -47,6 +54,8 @@ class Verdict:
     unknown_volume_fraction: float = 0.0
     boxes_processed: int = 0
     note: str = ""
+    hunted_rows: int = 0  # decrease: points checked exactly by the hunt
+    pgd_rows: int = 0     # decrease: those of them the screen passed to PGD
 
     @property
     def proved(self) -> bool:
@@ -255,6 +264,7 @@ def check_robust_decrease(cert: FilteredCertificate, policy: Mlp, env: EnvSpec,
     residual: list[Box] = []
     witnesses: list[Witness] = []
     chunk_idx = 0
+    hunted_rows = pgd_rows = 0
 
     while queue and processed < cfg.max_boxes and len(witnesses) < cfg.ce_limit:
         lo, hi = queue.pop(cfg.chunk)
@@ -277,8 +287,10 @@ def check_robust_decrease(cert: FilteredCertificate, policy: Mlp, env: EnvSpec,
         order = _lex_order(lo_f)
         lo_f, hi_f = lo_f[order], hi_f[order]
 
-        found = _hunt_decrease_ce(cert, policy, env, lo_f, hi_f, delta,
-                                  epsilon, cfg, rng)
+        found, hunted, pgd = _hunt_decrease_ce(cert, policy, env, lo_f, hi_f,
+                                               delta, epsilon, cfg, rng)
+        hunted_rows += hunted
+        pgd_rows += pgd
         remaining = np.ones(lo_f.shape[0], dtype=bool)
         for i, w in found:
             witnesses.append(w)
@@ -295,27 +307,29 @@ def check_robust_decrease(cert: FilteredCertificate, policy: Mlp, env: EnvSpec,
 
     residual.extend(queue.drain_boxes())
     note = f"delta={delta} epsilon={epsilon}"
-    return _finish(witnesses, residual, total_vol, processed, "decrease", note)
+    verdict = _finish(witnesses, residual, total_vol, processed, "decrease", note)
+    verdict.hunted_rows, verdict.pgd_rows = hunted_rows, pgd_rows
+    return verdict
 
 
 def _exact_ball_max(cert: FilteredCertificate, env: EnvSpec, nxt: np.ndarray,
-                    delta: float, inner_pgd: PgdConfig, rng):
-    """Concrete lower bound on max filtered V over the delta-ball per row,
-    together with the ball point attaining it. Sound: only evaluates real
-    ball points."""
+                    delta: float, inner_pgd: PgdConfig, rng, active: np.ndarray):
+    """Concrete lower bound on max filtered V over the delta-ball of each
+    active row, together with the ball point attaining it; inactive rows
+    keep their center. Sound: only evaluates real ball points."""
     p = cert.params
-    k = nxt.shape[0]
     best_y = nxt.copy()
     best_v = cert.value(nxt)
     if delta > 0:
-        y = pgd_maximize_batch(cert.net, nxt, replace(inner_pgd, delta=delta), rng)
+        y = pgd_maximize_batch(cert.net, nxt, replace(inner_pgd, delta=delta),
+                               rng, active)
         v = cert.value(y)
         better = v > best_v
         best_v = np.where(better, v, best_v)
         best_y[better] = y[better]
     # a ball reaching into the unsafe set realizes the unsafe mask
     ball_lo, ball_hi = nxt - delta, nxt + delta
-    hits = env.unsafe_intersects(ball_lo, ball_hi) & (p.unsafe_mask > best_v)
+    hits = active & env.unsafe_intersects(ball_lo, ball_hi) & (p.unsafe_mask > best_v)
     for i in np.flatnonzero(hits):
         y_u = _point_in_unsafe(env, Box(ball_lo[i], ball_hi[i]))
         if y_u is not None:
@@ -325,31 +339,37 @@ def _exact_ball_max(cert: FilteredCertificate, env: EnvSpec, nxt: np.ndarray,
 
 
 def _point_in_unsafe(env: EnvSpec, ball: Box) -> np.ndarray | None:
-    """A concrete point of the ball inside the unsafe set, if one exists."""
+    """A concrete point of the ball that takes the unsafe mask (inside the
+    unsafe set and outside the goal, whose mask takes precedence), if one
+    is found."""
+
+    def masked_unsafe(y):
+        return env.in_unsafe(y[None])[0] and not env.in_goal(y[None])[0]
+
     for ub in env.unsafe_boxes:
         inter = ball.intersect(ub)
-        if inter is not None:
-            y = inter.center
-            if env.in_unsafe(y[None])[0]:
-                return y
+        if inter is not None and masked_unsafe(inter.center):
+            return inter.center
     # the ball may exit the tiled region (e.g. beyond the verification
     # domain); try pushing single coordinates to the ball extremes
     for d in range(ball.dim):
         for val in (ball.lo[d], ball.hi[d]):
             y = ball.center.copy()
             y[d] = val
-            if env.in_unsafe(y[None])[0]:
+            if masked_unsafe(y):
                 return y
     return None
 
 
 def _hunt_decrease_ce(cert, policy, env, lo, hi, delta, epsilon, cfg, rng):
     """Exact counterexample search inside failed boxes: box centers plus a
-    short sign-ascent on the violation. Returns [(row_index, Witness)]."""
+    short sign-ascent on the violation. Returns ([(row_index, Witness)],
+    points checked exactly, points of them passed to the inner PGD)."""
     if lo.shape[0] == 0:
-        return []
+        return [], 0, 0
     X = 0.5 * (lo + hi)
     found = []
+    hunted = pgd = 0
     checked = [X]
     # sign ascent on g(x) = eps - V(x) + V(y*(x)) with the inner point frozen
     x = X.copy()
@@ -359,8 +379,10 @@ def _hunt_decrease_ce(cert, policy, env, lo, hi, delta, epsilon, cfg, rng):
         x = np.clip(x + step * np.sign(g), lo, hi)
         checked.append(x.copy())
     for X_try in checked:
-        viol, ball_pts = _exact_violation(cert, policy, env, X_try, delta,
-                                          epsilon, cfg.inner_pgd, rng)
+        viol, ball_pts, pgd_rows = _exact_violation(
+            cert, policy, env, X_try, delta, epsilon, cfg.inner_pgd, rng)
+        hunted += X_try.shape[0]
+        pgd += pgd_rows
         for i in np.flatnonzero(viol >= WITNESS_SLACK):
             w = Witness(X_try[i].copy(), "decrease", float(viol[i]),
                         ball_pts[i].copy())
@@ -370,23 +392,35 @@ def _hunt_decrease_ce(cert, policy, env, lo, hi, delta, epsilon, cfg, rng):
             break
     # deterministic: earliest row (boxes arrive lexicographically sorted)
     found.sort(key=lambda t: t[0])
-    return found
+    return found, hunted, pgd
 
 
 def _exact_violation(cert, policy, env, X, delta, epsilon, inner_pgd, rng):
-    """Exact violation of the robust decrease condition at concrete states.
+    """Exact violation of the robust decrease condition at concrete states,
+    with the ball points realizing it and the number of rows sent to PGD.
 
     Ineligible rows (inside goal, filtered value above beta) report -inf.
+    For delta > 0 the inner search is screened by the interval upper bound
+    ub of the filtered value over each ball: PGD's best iterate and the
+    unsafe mask are both values at ball points, so neither exceeds ub, and a
+    row with epsilon - (V(x) - ub) < 0 cannot reach WITNESS_SLACK (a margin
+    far above the rounding error of ub). Such rows skip PGD and keep the
+    value at their ball center, which leaves every witness unchanged.
     """
     p = cert.params
     U = env.clamp_control(forward_batch(policy, X))
     nxt = env.step(X, U)
     v_x = cert.value(X)
     eligible = ~env.in_goal(X) & (v_x <= p.beta)
-    best_v, best_y = _exact_ball_max(cert, env, nxt, delta, inner_pgd, rng)
+    active = eligible.copy()
+    if delta > 0:
+        rows = np.flatnonzero(eligible)
+        _, ub = clipped_bounds(cert, nxt[rows] - delta, nxt[rows] + delta)
+        active[rows] = epsilon - (v_x[rows] - ub) >= 0
+    best_v, best_y = _exact_ball_max(cert, env, nxt, delta, inner_pgd, rng, active)
     viol = epsilon - (v_x - best_v)
     viol = np.where(eligible, viol, -np.inf)
-    return viol, best_y
+    return viol, best_y, int(np.count_nonzero(active)) if delta > 0 else 0
 
 
 def _violation_grad(cert, policy, env, X, delta, inner_pgd, rng):

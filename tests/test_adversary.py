@@ -144,3 +144,38 @@ def test_matches_reference_loop_with_one_gradient_pass_per_step(restarts, monkey
     got = pgd_maximize_batch(net, centers, cfg, np.random.default_rng(9))
     assert np.array_equal(got, want)
     assert len(calls) == restarts * cfg.steps
+
+
+def test_active_mask_keeps_rng_stream_and_active_rows():
+    net = init_mlp([2, 32, 16, 1], np.random.default_rng(5))
+    centers = np.random.default_rng(6).uniform(-1, 1, (64, 2))
+    active = np.random.default_rng(7).random(64) < 0.3
+    cfg = PgdConfig(steps=7, delta=0.05, restarts=3)
+    rng_full, rng_masked = np.random.default_rng(9), np.random.default_rng(9)
+    want = pgd_maximize_batch(net, centers, cfg, rng_full)
+    got = pgd_maximize_batch(net, centers, cfg, rng_masked, active)
+    assert rng_masked.bit_generator.state == rng_full.bit_generator.state
+    assert 0 < active.sum() < 64
+    # subsets of rows may round differently in BLAS, hence the tolerance
+    np.testing.assert_allclose(got[active], want[active], rtol=0, atol=1e-12)
+    assert np.array_equal(got[~active], centers[~active])
+
+
+def test_all_false_active_makes_no_gradient_pass(monkeypatch):
+    net = init_mlp([2, 16, 1], np.random.default_rng(5))
+    centers = np.random.default_rng(6).uniform(-1, 1, (8, 2))
+    cfg = PgdConfig(steps=4, delta=0.05, restarts=2)
+    rng_full, rng_masked = np.random.default_rng(3), np.random.default_rng(3)
+    pgd_maximize_batch(net, centers, cfg, rng_full)
+
+    calls = []
+
+    def counted(net, X):
+        calls.append(X.shape[0])
+        return value_and_input_grad(net, X)
+
+    monkeypatch.setattr(clbf.adversary, "value_and_input_grad", counted)
+    got = pgd_maximize_batch(net, centers, cfg, rng_masked, np.zeros(8, bool))
+    assert calls == []
+    assert np.array_equal(got, centers)
+    assert rng_masked.bit_generator.state == rng_full.bit_generator.state

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+import clbf.evaluate
+from clbf.adversary import PgdConfig
 from clbf.boxes import Box
 from clbf.certificate import ClbfParams, FilteredCertificate
 from clbf.envs import EnvSpec
@@ -79,3 +81,22 @@ def test_rollout_goal_entry_wins_over_unsafe_entry():
                                     np.random.default_rng(0))
     assert outcomes.tolist() == [OUTCOME_GOAL, OUTCOME_UNSAFE, OUTCOME_TIMEOUT]
     assert steps.tolist() == [1, 1, 5]
+
+
+def test_campaign_pgd_settings_reach_the_adversary(pendulum, monkeypatch):
+    cert = small_cert(pendulum, seed=2)
+    policy = small_policy(pendulum, seed=3)
+    seen = []
+
+    def recording(net, centers, cfg, rng=None, active=None):
+        seen.append(cfg)
+        return centers.copy()
+
+    monkeypatch.setattr(clbf.evaluate, "pgd_maximize_batch", recording)
+    campaign = Campaign(n_states=4, horizon=2, seed=0,
+                        modes=[("adversarial", 0.02)],
+                        pgd=PgdConfig(steps=1, step_size=0.003, restarts=1))
+    run_campaign(policy, cert, pendulum, campaign)
+    assert seen and all(
+        cfg == PgdConfig(steps=1, step_size=0.003, delta=0.02, restarts=1)
+        for cfg in seen)

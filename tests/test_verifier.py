@@ -1,12 +1,20 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import clbf.verifier
+from clbf.adversary import PgdConfig, pgd_maximize_batch
 from clbf.boxes import Box
-from clbf.certificate import ClbfParams, FilteredCertificate
-from clbf.envs import EnvSpec
+from clbf.certificate import ClbfParams, FilteredCertificate, clipped_bounds
+from clbf.envs import EnvSpec, make_env
 from clbf.nets import Mlp, forward_batch, ibp_bounds, init_mlp
 from clbf.verifier import (
     BnbConfig,
+    _exact_ball_max,
+    _point_in_unsafe,
     bisect_largest_passing,
     certify_delta,
     check_init,
@@ -195,7 +203,7 @@ def test_decrease_unknown_on_budget(pendulum):
     policy = small_policy(pendulum, seed=3)
     v = check_robust_decrease(cert, policy, pendulum, 0.0, 5e-3,
                               BnbConfig(max_boxes=3, chunk=1, outer_pgd_steps=0,
-                                        inner_pgd=__import__("clbf.adversary", fromlist=["PgdConfig"]).PgdConfig(steps=1, restarts=1)))
+                                        inner_pgd=PgdConfig(steps=1, restarts=1)))
     assert v.status in ("unknown", "counterexample")
 
 
@@ -240,6 +248,111 @@ def test_proved_boxes_sound_by_sampling(rng):
     ball = nxt + rng.uniform(-delta, delta, (1000, 1))
     viol = eps - (cert.value(X) - cert.value(ball))
     assert np.all(viol <= 1e-9)
+
+
+# ---------------------------------------------------------------------------
+# the interval screen of the decrease hunt
+
+
+def unscreened_exact_violation(cert, policy, env, X, delta, epsilon, inner_pgd,
+                               rng):
+    """_exact_violation without the interval screen: the inner PGD and the
+    unsafe-point search run on every row."""
+    p = cert.params
+    U = env.clamp_control(forward_batch(policy, X))
+    nxt = env.step(X, U)
+    v_x = cert.value(X)
+    eligible = ~env.in_goal(X) & (v_x <= p.beta)
+    best_y = nxt.copy()
+    best_v = cert.value(nxt)
+    if delta > 0:
+        y = pgd_maximize_batch(cert.net, nxt, replace(inner_pgd, delta=delta), rng)
+        v = cert.value(y)
+        better = v > best_v
+        best_v = np.where(better, v, best_v)
+        best_y[better] = y[better]
+    ball_lo, ball_hi = nxt - delta, nxt + delta
+    hits = env.unsafe_intersects(ball_lo, ball_hi) & (p.unsafe_mask > best_v)
+    for i in np.flatnonzero(hits):
+        y_u = _point_in_unsafe(env, Box(ball_lo[i], ball_hi[i]))
+        if y_u is not None:
+            best_y[i] = y_u
+            best_v[i] = p.unsafe_mask
+    viol = np.where(eligible, epsilon - (v_x - best_v), -np.inf)
+    return viol, best_y, X.shape[0] if delta > 0 else 0
+
+
+# (env, seed): seeded random pairs whose hunts run for many rounds and find
+# several witnesses; on pendulum the screen removes most rows from PGD
+@pytest.mark.parametrize("env_name,seed", [("pendulum", 7), ("docking2d", 2)])
+@pytest.mark.parametrize("delta", [0.01, 0.05])
+def test_screened_hunt_matches_unscreened_hunt(env_name, seed, delta, monkeypatch):
+    env = make_env(env_name)
+    cert = small_cert(env, seed=seed)
+    policy = small_policy(env, seed=seed + 10)
+    cfg = BnbConfig(max_boxes=1500, ce_limit=64, chunk=256, seed=seed)
+    got = check_robust_decrease(cert, policy, env, delta, 5e-3, cfg)
+    monkeypatch.setattr(clbf.verifier, "_exact_violation",
+                        unscreened_exact_violation)
+    want = check_robust_decrease(cert, policy, env, delta, 5e-3, cfg)
+
+    assert got.status == want.status == "counterexample"
+    assert got.boxes_processed == want.boxes_processed
+    assert len(got.unknown_boxes) == len(want.unknown_boxes)
+    assert len(got.witnesses) == len(want.witnesses) > 1
+    for g, w in zip(got.witnesses, want.witnesses):
+        # BLAS may round a subset of rows differently, hence the tolerance
+        np.testing.assert_allclose(g.state, w.state, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(g.ball_point, w.ball_point, rtol=0, atol=1e-12)
+        assert g.violation == pytest.approx(w.violation, rel=0, abs=1e-12)
+    assert got.hunted_rows == want.hunted_rows == want.pgd_rows > 0
+    assert 0 < got.pgd_rows <= want.pgd_rows
+    if env_name == "pendulum":
+        assert got.pgd_rows < want.pgd_rows / 2
+
+
+def test_hunt_counts_are_zero_without_pgd(pendulum):
+    cert = small_cert(pendulum, seed=7)
+    policy = small_policy(pendulum, seed=17)
+    v = check_robust_decrease(cert, policy, pendulum, 0.0, 5e-3,
+                              BnbConfig(max_boxes=300, ce_limit=64, chunk=64))
+    assert v.hunted_rows > 0 and v.pgd_rows == 0
+
+
+def test_point_in_unsafe_skips_points_the_goal_mask_overrides(docking):
+    # docking's goal bounds position only, so fast states near the origin
+    # are in both sets and take the goal mask
+    ball = Box(np.array([-0.05, -0.05, 0.55, -0.05]),
+               np.array([0.05, 0.05, 0.65, 0.05]))
+    assert np.all(docking.in_unsafe(ball.sample(np.random.default_rng(0), 50)))
+    assert _point_in_unsafe(docking, ball) is None
+    wider = Box(ball.lo, ball.hi + np.array([0.4, 0.0, 0.0, 0.0]))
+    y = _point_in_unsafe(docking, wider)
+    assert docking.in_unsafe(y[None])[0] and not docking.in_goal(y[None])[0]
+
+
+SCREEN_ENVS = {name: make_env(name) for name in ("pendulum", "docking2d")}
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(sorted(SCREEN_ENVS)), st.integers(0, 3),
+       st.floats(1e-3, 0.3), st.integers(0, 2**32 - 1))
+def test_exact_ball_max_never_exceeds_the_interval_bound(env_name, cert_seed,
+                                                         delta, seed):
+    env = SCREEN_ENVS[env_name]
+    cert = small_cert(env, seed=cert_seed)
+    rng = np.random.default_rng(seed)
+    # centres within 1.2x the domain, so balls reach into every set
+    half = 0.6 * env.domain.width
+    nxt = rng.uniform(env.domain.center - half, env.domain.center + half,
+                      (16, env.state_dim))
+    best_v, best_y = _exact_ball_max(cert, env, nxt, delta,
+                                     PgdConfig(steps=10, restarts=2), rng,
+                                     np.ones(16, bool))
+    _, ub = clipped_bounds(cert, nxt - delta, nxt + delta)
+    assert np.all(best_v <= ub)
+    assert np.all((best_y >= nxt - delta) & (best_y <= nxt + delta))
+    assert np.array_equal(best_v, cert.value(best_y))
 
 
 # ---------------------------------------------------------------------------
