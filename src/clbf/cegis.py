@@ -19,7 +19,8 @@ from .adversary import PgdConfig
 from .certificate import ClbfParams, FilteredCertificate
 from .envs import EnvSpec, make_env
 from .losses import Batch, LossWeights, TotalLossConfig, total_loss_grads
-from .nets import Adam, Mlp, forward_batch, init_mlp, lipschitz_upper_bound_l2
+from .nets import (Adam, Mlp, backward, forward_batch, forward_tape, init_mlp,
+                   lipschitz_upper_bound_l2)
 from .verifier import BnbConfig, Verdict, check_init, check_robust_decrease, check_safety
 
 ENV_DEFAULTS = {
@@ -48,8 +49,6 @@ class TrainConfig:
     # loss weights
     lambda_init: float = 1.0
     lambda_dec: float = 10.0
-    lambda_dec_adv: float = 10.0
-    lambda_dec_neighbor: float = 10.0
     lambda_lip_global: float = 1.0
     ce_weight: float = 100.0
     # architecture
@@ -103,8 +102,7 @@ class TrainConfig:
                           unsafe_mask=self.unsafe_mask).validate()
 
     def loss_weights(self) -> LossWeights:
-        return LossWeights(self.lambda_init, self.lambda_dec, self.lambda_dec_adv,
-                           self.lambda_dec_neighbor, self.lambda_lip_global,
+        return LossWeights(self.lambda_init, self.lambda_dec, self.lambda_lip_global,
                            self.tau, self.ce_weight).validate()
 
     def pgd_config(self) -> PgdConfig:
@@ -161,7 +159,6 @@ def warm_start(env: EnvSpec, config: TrainConfig,
 
     opt = Adam(lr=1e-3)
     mse = np.inf
-    from .nets import backward, forward_tape
 
     for step in range(4000):
         idx = rng.integers(0, X.shape[0], cfg.batch_size)

@@ -340,9 +340,10 @@ def docking_matrices(m: float, n: float, T: float) -> tuple[np.ndarray, np.ndarr
 def docking_env(constants: dict | None = None) -> EnvSpec:
     """Planar spacecraft docking, state (x, y, vx, vy), thrust in [-1, 1]^2.
 
-    The transition is affine: next = A x + B clamp(u). The goal set
-    constrains position only; the unsafe set is everything outside the safe
-    band [-2, 2]^2 x [-0.5, 0.5]^2. Verification uses the bounding box
+    The transition is affine: next = A x + B clamp(u). The goal set is the
+    position box [-0.35, 0.35]^2 at any velocity inside the safe band, so it
+    does not meet the unsafe set, which is everything outside the safe band
+    [-2, 2]^2 x [-0.5, 0.5]^2. Verification uses the bounding box
     [-2.5, 2.5]^2 x [-0.75, 0.75]^2 as a compact stand-in for R^4.
     """
     c = dict(DOCKING_CONSTANTS)
@@ -379,9 +380,8 @@ def docking_env(constants: dict | None = None) -> EnvSpec:
         rad = x_rad @ absA.T + u_rad @ absB.T
         return mid - rad, mid + rad
 
-    inf = np.inf
     safe = Box(np.array([-2.0, -2.0, -0.5, -0.5]), np.array([2.0, 2.0, 0.5, 0.5]))
-    goal = [Box(np.array([-0.35, -0.35, -inf, -inf]), np.array([0.35, 0.35, inf, inf]))]
+    goal = [Box(np.array([-0.35, -0.35, -0.5, -0.5]), np.array([0.35, 0.35, 0.5, 0.5]))]
     init = [Box(np.array([-1.0, -1.0, 0.0, 0.0]), np.array([1.0, 1.0, 0.0, 0.0]))]
     domain = Box(
         np.array([-2.5, -2.5, -0.75, -0.75]), np.array([2.5, 2.5, 0.75, 0.75])

@@ -44,16 +44,13 @@ class LossWeights:
     """Loss coefficients, Lipschitz budget and counterexample multiplier."""
 
     lambda_init: float = 1.0
-    lambda_dec: float = 10.0
-    lambda_dec_adv: float = 10.0
-    lambda_dec_neighbor: float = 10.0
+    lambda_dec: float = 10.0  # the descent term, whichever objective the method uses
     lambda_lip_global: float = 1.0
     tau: float = 3.0
     ce_weight: float = 100.0
 
     def validate(self):
-        for name in ("lambda_init", "lambda_dec", "lambda_dec_adv",
-                     "lambda_dec_neighbor", "lambda_lip_global"):
+        for name in ("lambda_init", "lambda_dec", "lambda_lip_global"):
             v = getattr(self, name)
             if not np.isfinite(v) or v < 0:
                 raise ValueError(f"{name} must be finite and >= 0")
@@ -256,8 +253,6 @@ def total_loss_grads(cfg: TotalLossConfig, cert: FilteredCertificate,
 
     mode = {"vanilla": "plain", "lip-reg": "plain",
             "pgd": "adv", "lip-neighbor": "neighbor"}[cfg.method]
-    lam = {"vanilla": lw.lambda_dec, "lip-reg": lw.lambda_dec,
-           "pgd": lw.lambda_dec_adv, "lip-neighbor": lw.lambda_dec_neighbor}[cfg.method]
 
     dec_val, dec_cg, dec_pg, _, new_vs = loss_dec_grads(
         cert, policy, env, dec_batch, mode, w_dec, delta=cfg.delta,
@@ -265,11 +260,11 @@ def total_loss_grads(cfg: TotalLossConfig, cert: FilteredCertificate,
         spectral_vs=spectral_vs,
     )
     init_val, init_cg, _ = loss_init_grads(cert, init_batch.states, w_init)
-    value = lw.lambda_init * init_val + lam * dec_val
+    value = lw.lambda_init * init_val + lw.lambda_dec * dec_val
 
     cert_g = zero_grads(cert.net)
     accumulate(cert_g, init_cg, scale=lw.lambda_init)
-    accumulate(cert_g, dec_cg, scale=lam)
+    accumulate(cert_g, dec_cg, scale=lw.lambda_dec)
     if cfg.method == "lip-reg":
         lip_val, lip_cg, new_vs = loss_lip_global_grads(
             cert.net, lw.tau, cfg.spectral_iters, spectral_vs
@@ -277,5 +272,5 @@ def total_loss_grads(cfg: TotalLossConfig, cert: FilteredCertificate,
         value += lw.lambda_lip_global * lip_val
         accumulate(cert_g, lip_cg, scale=lw.lambda_lip_global)
     policy_g = zero_grads(policy)
-    accumulate(policy_g, dec_pg, scale=lam)
+    accumulate(policy_g, dec_pg, scale=lw.lambda_dec)
     return value, cert_g, policy_g, new_vs

@@ -2,12 +2,14 @@
 
 Three checks: the initial-set cap V <= beta, the robust decrease condition
 over the delta-inflated next-state ball, and the unsafe-set threshold (which
-the filtered certificate satisfies by construction). Interval bounds prove
-boxes; concrete sampling inside failed boxes hunts for exact counterexamples;
-bisection on the widest dimension refines the rest. Every verdict is sound:
-a Proved box admits no violation, a reported witness violates its condition
-under exact point evaluation (re-checked before reporting), and anything
-else is returned as Unknown residue with its volume fraction.
+the filtered certificate satisfies by construction). The two box checks share
+one loop, _branch_and_bound, and differ only in their refute step: interval
+bounds prove boxes, and concrete points inside the failed boxes are checked
+for exact counterexamples. A box that yields a witness is refuted and dropped;
+the other failed boxes are bisected on their widest dimension. Every verdict
+is sound: a Proved box admits no violation, a reported witness violates its
+condition under exact point evaluation (re-checked before reporting), and
+anything else is returned as Unknown residue with its volume fraction.
 
 The decrease hunt screens its points with the same interval bound: a point x
 whose delta-ball around f(x, pi(x)) has filtered upper bound ub with
@@ -22,7 +24,8 @@ lexicographically smallest violating box wins, so verdicts are reproducible.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from collections import deque
+from dataclasses import InitVar, dataclass, field, replace
 
 import numpy as np
 
@@ -48,7 +51,9 @@ class Witness:
 class Verdict:
     status: str  # "proved" | "counterexample" | "unknown"
     condition: str
-    witness: Witness | None = None
+    # a first witness may also be passed in this position, as in
+    # Verdict(status, condition, w, [w]); it is stored only in witnesses
+    first: InitVar[Witness | None] = None
     witnesses: list[Witness] = field(default_factory=list)
     unknown_boxes: list[Box] = field(default_factory=list)
     unknown_volume_fraction: float = 0.0
@@ -56,6 +61,18 @@ class Verdict:
     note: str = ""
     hunted_rows: int = 0  # decrease: points checked exactly by the hunt
     pgd_rows: int = 0     # decrease: those of them the screen passed to PGD
+
+    def __post_init__(self, first):
+        if first is None:
+            return
+        if not self.witnesses:
+            self.witnesses = [first]
+        elif self.witnesses[0] is not first:
+            raise ValueError("the first witness must be witnesses[0]")
+
+    @property
+    def witness(self) -> Witness | None:
+        return self.witnesses[0] if self.witnesses else None
 
     @property
     def proved(self) -> bool:
@@ -92,39 +109,7 @@ def ibp_policy_bounds(policy: Mlp, lo: np.ndarray, hi: np.ndarray,
 
 
 # ---------------------------------------------------------------------------
-# queue plumbing
-
-
-class _BoxQueue:
-    """FIFO queue of box chunks stored as (k, n) bound arrays."""
-
-    def __init__(self, boxes: list[Box]):
-        self._chunks = []
-        if boxes:
-            lo = np.stack([b.lo for b in boxes])
-            hi = np.stack([b.hi for b in boxes])
-            self._chunks.append((lo, hi))
-
-    def push(self, lo: np.ndarray, hi: np.ndarray):
-        if lo.shape[0]:
-            self._chunks.append((lo, hi))
-
-    def pop(self, k: int):
-        lo, hi = self._chunks.pop(0)
-        if lo.shape[0] > k:
-            self._chunks.insert(0, (lo[k:], hi[k:]))
-            lo, hi = lo[:k], hi[:k]
-        return lo, hi
-
-    def drain_boxes(self) -> list[Box]:
-        out = []
-        for lo, hi in self._chunks:
-            out.extend(Box(l, h) for l, h in zip(lo, hi))
-        self._chunks.clear()
-        return out
-
-    def __bool__(self):
-        return bool(self._chunks)
+# the shared branch-and-bound loop
 
 
 def _split_widest(lo, hi, splittable):
@@ -140,8 +125,64 @@ def _split_widest(lo, hi, splittable):
     return np.concatenate([lo, lo2]), np.concatenate([hi1, hi])
 
 
-def _lex_order(lo: np.ndarray) -> np.ndarray:
-    return np.lexsort(lo.T[::-1])
+def _lex_sorted(lo: np.ndarray, hi: np.ndarray):
+    """The boxes in lexicographic order of their lower corners."""
+    order = np.lexsort(lo.T[::-1])
+    return lo[order], hi[order]
+
+
+def _branch_and_bound(roots: list[Box], cfg: BnbConfig, condition: str,
+                      refute, note: str = "") -> Verdict:
+    """Prove a condition over the union of roots by bisection.
+
+    refute(lo, hi, round) takes one chunk of boxes (round counts chunks from
+    1) and returns (failed_lo, failed_hi, [(row, Witness)]): the boxes its
+    bound does not prove, lexicographically ordered, and the witnesses found
+    in them, by ascending row. The loop takes witnesses up to cfg.ce_limit
+    and drops the box of each one taken; it bisects the other failed boxes
+    along their widest side above cfg.min_width and keeps the rest, and the
+    queue left at a stop, as Unknown residue.
+    """
+    queue = deque()
+    if roots:
+        queue.append((np.stack([b.lo for b in roots]), np.stack([b.hi for b in roots])))
+    processed = rounds = 0
+    residual: list[Box] = []
+    witnesses: list[Witness] = []
+
+    while queue and processed < cfg.max_boxes and len(witnesses) < cfg.ce_limit:
+        lo, hi = queue.popleft()
+        if lo.shape[0] > cfg.chunk:
+            queue.appendleft((lo[cfg.chunk:], hi[cfg.chunk:]))
+            lo, hi = lo[:cfg.chunk], hi[:cfg.chunk]
+        processed += lo.shape[0]
+        rounds += 1
+        lo_f, hi_f, found = refute(lo, hi, rounds)
+        unrefuted = np.ones(lo_f.shape[0], dtype=bool)
+        for i, w in found[:cfg.ce_limit - len(witnesses)]:
+            witnesses.append(w)
+            unrefuted[i] = False
+        lo_f, hi_f = lo_f[unrefuted], hi_f[unrefuted]
+        splittable = (hi_f - lo_f) > cfg.min_width
+        can_split = np.any(splittable, axis=1)
+        residual.extend(Box(l, h) for l, h in zip(lo_f[~can_split], hi_f[~can_split]))
+        if np.any(can_split):
+            queue.append(_split_widest(lo_f[can_split], hi_f[can_split],
+                                       splittable[can_split]))
+
+    for lo, hi in queue:
+        residual.extend(Box(l, h) for l, h in zip(lo, hi))
+    status = "counterexample" if witnesses else "unknown" if residual else "proved"
+    total_vol = sum(b.volume() for b in roots)
+    return Verdict(status, condition, witnesses=witnesses, unknown_boxes=residual,
+                   unknown_volume_fraction=_vol_fraction(residual, total_vol),
+                   boxes_processed=processed, note=note)
+
+
+def _vol_fraction(residual, total_vol):
+    if not residual or total_vol <= 0:
+        return 0.0
+    return min(1.0, sum(b.volume() for b in residual) / total_vol)
 
 
 # ---------------------------------------------------------------------------
@@ -152,64 +193,22 @@ def check_init(cert: FilteredCertificate, env: EnvSpec,
                cfg: BnbConfig | None = None) -> Verdict:
     """Branch-and-bound proof of V(x) <= beta over the initial set.
 
-    A box passes when its sound filtered upper bound is below beta; a sampled
-    point with filtered value above beta is an exact counterexample.
+    A box passes when its sound filtered upper bound is below beta; a failed
+    box whose center has filtered value above beta is refuted by it.
     """
     cfg = (cfg or BnbConfig()).validate()
-    p = cert.params
-    queue = _BoxQueue(list(env.init_boxes))
-    total_vol = sum(b.volume() for b in env.init_boxes)
-    processed = 0
-    residual: list[Box] = []
-    witnesses: list[Witness] = []
+    beta = cert.params.beta
 
-    while queue and processed < cfg.max_boxes and len(witnesses) < cfg.ce_limit:
-        lo, hi = queue.pop(cfg.chunk)
-        processed += lo.shape[0]
+    def refute(lo, hi, _round):
         _, v_hi = value_bounds_arrays(cert, lo, hi)
-        fail = v_hi > p.beta
-        if not np.any(fail):
-            continue
-        lo_f, hi_f = lo[fail], hi[fail]
-        # exact check at centers, in lexicographic box order for determinism
-        order = _lex_order(lo_f)
-        lo_f, hi_f = lo_f[order], hi_f[order]
-        centers = 0.5 * (lo_f + hi_f)
-        vals = cert.value(centers)
-        bad = vals - p.beta >= WITNESS_SLACK
-        for i in np.flatnonzero(bad):
-            witnesses.append(
-                Witness(centers[i].copy(), "init", float(vals[i] - p.beta))
-            )
-            if len(witnesses) >= cfg.ce_limit:
-                break
-        splittable = (hi_f - lo_f) > cfg.min_width
-        can_split = np.any(splittable, axis=1)
-        residual.extend(
-            Box(l, h) for l, h in zip(lo_f[~can_split], hi_f[~can_split])
-        )
-        if np.any(can_split):
-            queue.push(*_split_widest(lo_f[can_split], hi_f[can_split],
-                                      splittable[can_split]))
+        fail = v_hi > beta
+        lo, hi = _lex_sorted(lo[fail], hi[fail])
+        centers = 0.5 * (lo + hi)
+        excess = cert.value(centers) - beta
+        return lo, hi, [(int(i), Witness(centers[i].copy(), "init", float(excess[i])))
+                        for i in np.flatnonzero(excess >= WITNESS_SLACK)]
 
-    residual.extend(queue.drain_boxes())
-    return _finish(witnesses, residual, total_vol, processed, "init")
-
-
-def _finish(witnesses, residual, total_vol, processed, condition, note=""):
-    if witnesses:
-        return Verdict("counterexample", condition, witnesses[0], witnesses,
-                       residual, _vol_fraction(residual, total_vol), processed, note)
-    if residual:
-        return Verdict("unknown", condition, None, [], residual,
-                       _vol_fraction(residual, total_vol), processed, note)
-    return Verdict("proved", condition, boxes_processed=processed, note=note)
-
-
-def _vol_fraction(residual, total_vol):
-    if not residual or total_vol <= 0:
-        return 0.0
-    return min(1.0, sum(b.volume() for b in residual) / total_vol)
+    return _branch_and_bound(list(env.init_boxes), cfg, "init", refute)
 
 
 # ---------------------------------------------------------------------------
@@ -234,7 +233,7 @@ def check_safety(cert: FilteredCertificate, env: EnvSpec,
     bad = int(np.argmin(vals)) if len(vals) else 0
     w = Witness(pts[bad].copy() if len(vals) else np.zeros(env.state_dim),
                 "safety", float(p.alpha - (vals[bad] if len(vals) else p.unsafe_mask)))
-    return Verdict("counterexample", "safety", w, [w],
+    return Verdict("counterexample", "safety", witnesses=[w],
                    note="unsafe_mask below alpha" if p.unsafe_mask < p.alpha else "")
 
 
@@ -258,56 +257,29 @@ def check_robust_decrease(cert: FilteredCertificate, policy: Mlp, env: EnvSpec,
         raise ValueError("delta must be non-negative")
     cfg = (cfg or BnbConfig()).validate()
     p = cert.params
-    queue = _BoxQueue(list(env.eligible_cover))
-    total_vol = sum(b.volume() for b in env.eligible_cover)
-    processed = 0
-    residual: list[Box] = []
-    witnesses: list[Witness] = []
-    chunk_idx = 0
     hunted_rows = pgd_rows = 0
 
-    while queue and processed < cfg.max_boxes and len(witnesses) < cfg.ce_limit:
-        lo, hi = queue.pop(cfg.chunk)
-        processed += lo.shape[0]
-        chunk_idx += 1
-        rng = np.random.default_rng((cfg.seed, chunk_idx))
-
+    def refute(lo, hi, round_):
+        nonlocal hunted_rows, pgd_rows
         r_lo, _ = ibp_bounds(cert.net, lo, hi)
         live = r_lo[:, 0] <= p.beta  # otherwise no eligible state in the box
         if not np.any(live):
-            continue
-        lo_l, hi_l = lo[live], hi[live]
-        u_lo, u_hi = ibp_policy_bounds(policy, lo_l, hi_l, env.control_box)
-        n_lo, n_hi = env.step_interval_arrays(lo_l, hi_l, u_lo, u_hi)
+            return lo[:0], hi[:0], []
+        lo, hi = lo[live], hi[live]
+        u_lo, u_hi = ibp_policy_bounds(policy, lo, hi, env.control_box)
+        n_lo, n_hi = env.step_interval_arrays(lo, hi, u_lo, u_hi)
         _, rhs_hi = clipped_bounds(cert, n_lo - delta, n_hi + delta)
-        ok = r_lo[live, 0] - rhs_hi >= epsilon
-        if np.all(ok):
-            continue
-        lo_f, hi_f = lo_l[~ok], hi_l[~ok]
-        order = _lex_order(lo_f)
-        lo_f, hi_f = lo_f[order], hi_f[order]
-
-        found, hunted, pgd = _hunt_decrease_ce(cert, policy, env, lo_f, hi_f,
+        fail = ~(r_lo[live, 0] - rhs_hi >= epsilon)
+        lo, hi = _lex_sorted(lo[fail], hi[fail])
+        rng = np.random.default_rng((cfg.seed, round_))
+        found, hunted, pgd = _hunt_decrease_ce(cert, policy, env, lo, hi,
                                                delta, epsilon, cfg, rng)
         hunted_rows += hunted
         pgd_rows += pgd
-        remaining = np.ones(lo_f.shape[0], dtype=bool)
-        for i, w in found:
-            witnesses.append(w)
-            remaining[i] = False
-            if len(witnesses) >= cfg.ce_limit:
-                break
-        lo_f, hi_f = lo_f[remaining], hi_f[remaining]
-        splittable = (hi_f - lo_f) > cfg.min_width
-        can_split = np.any(splittable, axis=1)
-        residual.extend(Box(l, h) for l, h in zip(lo_f[~can_split], hi_f[~can_split]))
-        if np.any(can_split):
-            queue.push(*_split_widest(lo_f[can_split], hi_f[can_split],
-                                      splittable[can_split]))
+        return lo, hi, found
 
-    residual.extend(queue.drain_boxes())
-    note = f"delta={delta} epsilon={epsilon}"
-    verdict = _finish(witnesses, residual, total_vol, processed, "decrease", note)
+    verdict = _branch_and_bound(list(env.eligible_cover), cfg, "decrease", refute,
+                                f"delta={delta} epsilon={epsilon}")
     verdict.hunted_rows, verdict.pgd_rows = hunted_rows, pgd_rows
     return verdict
 

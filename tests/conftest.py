@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
+from clbf.boxes import Box
 from clbf.certificate import ClbfParams, FilteredCertificate
-from clbf.envs import make_env
+from clbf.envs import EnvSpec, make_env
 from clbf.nets import init_mlp
 
 
@@ -19,6 +20,20 @@ def pendulum():
 @pytest.fixture(scope="session")
 def docking():
     return make_env("docking2d")
+
+
+def halving_env_1d():
+    """x' = x / 2 with a goal [0, 0.5] that overlaps the unsafe set [0.25, 1]."""
+    domain = Box(np.array([-4.0]), np.array([4.0]))
+    return EnvSpec(
+        name="halving1d", state_dim=1, control_dim=1,
+        domain=domain, control_box=Box(np.array([-1.0]), np.array([1.0])),
+        init_boxes=[domain],
+        goal_boxes=[Box(np.array([0.0]), np.array([0.5]))],
+        unsafe_boxes=[Box(np.array([0.25]), np.array([1.0]))],
+        constants={}, step=lambda X, U: 0.5 * np.atleast_2d(X),
+        step_jac=None, step_interval_arrays=None,
+    )
 
 
 def small_cert(env, seed=0, dims=(16, 8)):

@@ -1,7 +1,7 @@
 import numpy as np
 
 from clbf.boxes import Box
-from clbf.cegis import resample_counterexamples
+from clbf.cegis import TrainConfig, cegis_run, resample_counterexamples
 from clbf.envs import EnvSpec
 
 
@@ -31,3 +31,12 @@ def test_init_resampling_stays_in_the_counterexamples_own_box():
     assert np.all((second >= -2.0) & (second <= -1.4))
     # the ball reaches past the box's inner face, so clipping was needed
     assert np.any(first == 1.0) and np.any(second == -2.0)
+
+
+def test_docking_run_proves_safety():
+    # docking's goal lies inside the safe band, so the unsafe set takes the
+    # unsafe mask everywhere and the safety check holds by construction
+    cfg = TrainConfig(env_name="docking2d", epochs_per_iter=2, warmstart_epochs=2,
+                      max_iters=1, teacher_samples=2000, max_boxes=2000)
+    result = cegis_run(cfg)
+    assert result.verdicts["safety"].proved

@@ -4,7 +4,7 @@ import pytest
 from clbf.boxes import Box
 from clbf.certificate import ClbfParams, FilteredCertificate, clipped_bounds, value_bounds_arrays
 
-from conftest import small_cert
+from conftest import halving_env_1d, small_cert
 
 
 def test_params_validation():
@@ -27,11 +27,11 @@ def test_value_masks(pendulum):
     assert cert.value_one(x) == pytest.approx(float(cert.raw(x[None])[0]))
 
 
-def test_value_masks_docking_goal_precedence(docking):
-    # goal position with unsafe velocity: goal mask wins by the documented
-    # precedence (the literal set definitions overlap there)
-    cert = small_cert(docking)
-    x = np.array([0.0, 0.0, 0.6, 0.0])
+def test_value_masks_goal_precedence():
+    # a state in both the goal and the unsafe set: the goal mask wins by the
+    # documented precedence
+    cert = small_cert(halving_env_1d())
+    x = np.array([0.3])
     assert cert.value_one(x) == -10.0
 
 

@@ -123,9 +123,11 @@ def test_goal_and_init_disjoint_from_unsafe(pendulum, docking, rng):
     for env in (pendulum, docking):
         init_pts = env.sample_init(rng, 2000)
         assert not np.any(env.in_unsafe(init_pts))
-    # pendulum goal is disjoint from unsafe as well
-    g = pendulum.goal_boxes[0].sample(rng, 2000)
-    assert not np.any(pendulum.in_unsafe(g))
+    # both goals are disjoint from unsafe as well
+    for env in (pendulum, docking):
+        g = env.goal_boxes[0]
+        assert not np.any(env.in_unsafe(g.sample(rng, 2000)))
+        assert not env.unsafe_intersects(g.lo[None], g.hi[None])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -212,7 +214,8 @@ def test_docking_affinity(docking, rng):
 
 def test_docking_set_geometry(docking):
     env = docking
-    assert env.in_goal(np.array([[0.35, -0.35, 0.7, -0.7]]))[0]  # any velocity
+    assert env.in_goal(np.array([[0.35, -0.35, 0.5, -0.5]]))[0]
+    assert not env.in_goal(np.array([[0.35, -0.35, 0.7, -0.7]]))[0]  # unsafe velocity
     assert not env.in_goal(np.array([[0.36, 0.0, 0.0, 0.0]]))[0]
     assert env.in_unsafe(np.array([[2.01, 0.0, 0.0, 0.0]]))[0]
     assert env.in_unsafe(np.array([[0.0, 0.0, 0.51, 0.0]]))[0]
@@ -373,6 +376,12 @@ def test_unmasked_pieces_tile_box_minus_sets(case):
     if pieces:
         centres = np.stack([p.center for p in pieces])
         assert not np.any(env.in_goal(centres) | env.in_unsafe(centres))
+        # pairwise-disjoint interiors: every pair is separated in some dimension
+        lo = np.stack([p.lo for p in pieces])
+        hi = np.stack([p.hi for p in pieces])
+        overlap = np.all(np.minimum(hi[:, None], hi[None]) > np.maximum(lo[:, None], lo[None]),
+                         axis=2)
+        assert not np.any(overlap & ~np.eye(len(pieces), dtype=bool))
     pts = _box_points(box, seed)
     free = pts[~env.in_goal(pts) & ~env.in_unsafe(pts)]
     covered = np.zeros(free.shape[0], dtype=bool)

@@ -3,9 +3,7 @@ import pytest
 
 import clbf.evaluate
 from clbf.adversary import PgdConfig
-from clbf.boxes import Box
 from clbf.certificate import ClbfParams, FilteredCertificate
-from clbf.envs import EnvSpec
 from clbf.evaluate import (
     OUTCOME_GOAL,
     OUTCOME_TIMEOUT,
@@ -17,7 +15,7 @@ from clbf.evaluate import (
 )
 from clbf.nets import Mlp
 
-from conftest import small_cert, small_policy
+from conftest import halving_env_1d, small_cert, small_policy
 
 
 # ---------------------------------------------------------------------------
@@ -53,20 +51,6 @@ def test_run_campaign_is_deterministic_given_its_seed(pendulum):
     # every row has both outcomes, so it depends on the sampled states
     assert len(rows) == 2 and all(0 < r.successes < r.n for r in rows)
     assert rows == run_campaign(policy, cert, pendulum, campaign)
-
-
-def halving_env_1d():
-    """x' = x / 2 with a goal [0, 0.5] that overlaps the unsafe set [0.25, 1]."""
-    domain = Box(np.array([-4.0]), np.array([4.0]))
-    return EnvSpec(
-        name="halving1d", state_dim=1, control_dim=1,
-        domain=domain, control_box=Box(np.array([-1.0]), np.array([1.0])),
-        init_boxes=[domain],
-        goal_boxes=[Box(np.array([0.0]), np.array([0.5]))],
-        unsafe_boxes=[Box(np.array([0.25]), np.array([1.0]))],
-        constants={}, step=lambda X, U: 0.5 * np.atleast_2d(X),
-        step_jac=None, step_interval_arrays=None,
-    )
 
 
 def test_rollout_goal_entry_wins_over_unsafe_entry():

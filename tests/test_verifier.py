@@ -13,6 +13,9 @@ from clbf.envs import EnvSpec, make_env
 from clbf.nets import Mlp, forward_batch, ibp_bounds, init_mlp
 from clbf.verifier import (
     BnbConfig,
+    Verdict,
+    Witness,
+    _branch_and_bound,
     _exact_ball_max,
     _point_in_unsafe,
     bisect_largest_passing,
@@ -23,7 +26,7 @@ from clbf.verifier import (
     ibp_policy_bounds,
 )
 
-from conftest import small_cert, small_policy
+from conftest import halving_env_1d, small_cert, small_policy
 
 
 def constant_net(value, n_in=2):
@@ -111,6 +114,17 @@ def test_check_init_budget_exhaustion_is_unknown(pendulum):
     assert v.status in ("unknown", "counterexample")
     if v.status == "unknown":
         assert v.unknown_boxes and v.unknown_volume_fraction > 0
+
+
+def test_check_init_drops_refuted_boxes(pendulum):
+    # an output bias raised by 1.0 puts beta under V on much of the initial
+    # set; each witness is the center of its box, which leaves the residue
+    cert = small_cert(pendulum, seed=0)
+    cert.net.biases[-1] = cert.net.biases[-1] + 1.0
+    v = check_init(cert, pendulum, BnbConfig(max_boxes=20_000, ce_limit=8))
+    assert v.status == "counterexample" and len(v.witnesses) == 8
+    states = np.stack([w.state for w in v.witnesses])
+    assert not any(np.any(b.contains(states)) for b in v.unknown_boxes)
 
 
 # ---------------------------------------------------------------------------
@@ -228,6 +242,50 @@ def test_decrease_delta_ball_touching_unsafe_is_refuted(pendulum):
     assert v.status == "counterexample"
 
 
+def test_decrease_drops_refuted_boxes(pendulum):
+    cert = small_cert(pendulum, seed=7)
+    policy = small_policy(pendulum, seed=17)
+    v = check_robust_decrease(cert, policy, pendulum, 0.01, 5e-3,
+                              BnbConfig(max_boxes=1500, ce_limit=8))
+    assert v.status == "counterexample" and len(v.witnesses) == 8
+    assert v.unknown_boxes
+    # the hunt's ascent is clipped to its box, so a witness may lie on a face
+    # shared with a neighbour; none lies inside an unknown box
+    for w in v.witnesses:
+        assert not any(np.all((b.lo < w.state) & (w.state < b.hi))
+                       for b in v.unknown_boxes)
+
+
+def test_branch_and_bound_drops_only_the_boxes_of_taken_witnesses():
+    roots = [Box(np.array([0.0]), np.array([1.0])), Box(np.array([1.0]), np.array([2.0]))]
+    rounds = []
+
+    def refute(lo, hi, round_):
+        rounds.append(round_)
+        centers = 0.5 * (lo + hi)
+        return lo, hi, [(i, Witness(centers[i], "init", 1.0)) for i in range(lo.shape[0])]
+
+    v = _branch_and_bound(roots, BnbConfig(ce_limit=1), "init", refute)
+    assert rounds == [1]
+    assert v.status == "counterexample" and v.boxes_processed == 2
+    assert [w.state.tolist() for w in v.witnesses] == [[0.5]]
+    # the first box is refuted and dropped; the second, whose witness is past
+    # the limit, is bisected and left unknown
+    assert [(b.lo.tolist(), b.hi.tolist()) for b in v.unknown_boxes] == [
+        ([1.0], [1.5]), ([1.5], [2.0])]
+    assert v.unknown_volume_fraction == 0.5
+
+
+def test_verdict_witness_is_the_first_of_witnesses():
+    w, w2 = (Witness(np.zeros(1), "init", 1.0), Witness(np.ones(1), "init", 2.0))
+    assert Verdict("proved", "init").witness is None
+    assert Verdict("counterexample", "init", witnesses=[w, w2]).witness is w
+    assert Verdict("counterexample", "init", w).witnesses == [w]
+    assert Verdict("counterexample", "init", w, [w, w2]).witnesses == [w, w2]
+    with pytest.raises(ValueError):
+        Verdict("counterexample", "init", w2, [w, w2])
+
+
 def test_refinement_monotone_proved_never_flips(pendulum):
     env = synth_env_1d()
     cert = FilteredCertificate(abs_net(), ClbfParams(epsilon=0.1), env)
@@ -319,16 +377,16 @@ def test_hunt_counts_are_zero_without_pgd(pendulum):
     assert v.hunted_rows > 0 and v.pgd_rows == 0
 
 
-def test_point_in_unsafe_skips_points_the_goal_mask_overrides(docking):
-    # docking's goal bounds position only, so fast states near the origin
-    # are in both sets and take the goal mask
-    ball = Box(np.array([-0.05, -0.05, 0.55, -0.05]),
-               np.array([0.05, 0.05, 0.65, 0.05]))
-    assert np.all(docking.in_unsafe(ball.sample(np.random.default_rng(0), 50)))
-    assert _point_in_unsafe(docking, ball) is None
-    wider = Box(ball.lo, ball.hi + np.array([0.4, 0.0, 0.0, 0.0]))
-    y = _point_in_unsafe(docking, wider)
-    assert docking.in_unsafe(y[None])[0] and not docking.in_goal(y[None])[0]
+def test_point_in_unsafe_skips_points_the_goal_mask_overrides():
+    # the goal [0, 0.5] overlaps the unsafe set [0.25, 1]; states in both
+    # take the goal mask
+    env = halving_env_1d()
+    ball = Box(np.array([0.3]), np.array([0.45]))
+    assert np.all(env.in_unsafe(ball.sample(np.random.default_rng(0), 50)))
+    assert _point_in_unsafe(env, ball) is None
+    wider = Box(ball.lo, ball.hi + np.array([0.4]))
+    y = _point_in_unsafe(env, wider)
+    assert env.in_unsafe(y[None])[0] and not env.in_goal(y[None])[0]
 
 
 SCREEN_ENVS = {name: make_env(name) for name in ("pendulum", "docking2d")}
