@@ -18,7 +18,7 @@ import numpy as np
 from .adversary import PgdConfig
 from .certificate import ClbfParams, FilteredCertificate
 from .envs import EnvSpec, make_env
-from .losses import Batch, LossWeights, TotalLossConfig, total_loss_grads
+from .losses import METHODS, Batch, LossWeights, TotalLossConfig, total_loss_grads
 from .nets import (Adam, Mlp, backward, forward_batch, forward_tape, init_mlp,
                    lipschitz_upper_bound_l2)
 from .verifier import BnbConfig, Verdict, check_init, check_robust_decrease, check_safety
@@ -77,10 +77,13 @@ class TrainConfig:
     # pgd
     pgd_steps: int = 20
     pgd_restarts: int = 3
-    # certification
-    certify_delta_hi: float = 0.05
 
     def resolved(self) -> "TrainConfig":
+        if self.env_name not in ENV_DEFAULTS:
+            raise ValueError(f"unknown environment {self.env_name!r}; "
+                             f"choose from {sorted(ENV_DEFAULTS)}")
+        if self.method not in METHODS:
+            raise ValueError(f"unknown method {self.method!r}; choose from {METHODS}")
         d = ENV_DEFAULTS[self.env_name]
         out = replace(self)
         if out.epsilon is None:
@@ -97,8 +100,7 @@ class TrainConfig:
 
     def clbf_params(self) -> ClbfParams:
         return ClbfParams(alpha=self.alpha, beta=self.beta, epsilon=self.epsilon,
-                          c=self.goal_mask, delta=self.delta, p=np.inf,
-                          goal_mask=self.goal_mask,
+                          delta=self.delta, goal_mask=self.goal_mask,
                           unsafe_mask=self.unsafe_mask).validate()
 
     def loss_weights(self) -> LossWeights:
@@ -184,7 +186,7 @@ def warm_start(env: EnvSpec, config: TrainConfig,
     tl_cfg = TotalLossConfig(cfg.method, cfg.loss_weights(), cfg.delta,
                              cfg.pgd_config(), cfg.train_spectral_iters)
     opt_c = Adam(lr=cfg.lr)
-    vs = None
+    vs, val = None, np.nan  # no loss is measured when warmstart_epochs is 0
     for _ in range(cfg.warmstart_epochs):
         init_b = Batch(env.sample_init(rng, cfg.batch_size))
         dec_b = Batch(env.sample_states(rng, cfg.batch_size))

@@ -22,30 +22,26 @@ class ClbfParams:
     """Scalar parameters of the certificate and its robustness contract.
 
     alpha: threshold exceeded on unsafe states; beta: cap on initial states;
-    epsilon: required per-step decrease; c: global lower bound (equals the
-    goal mask); delta: perturbation radius; p: norm tag (only inf for now).
+    epsilon: required per-step decrease; delta: l-inf perturbation radius;
+    goal_mask: value on the goal set, the certificate's global lower bound.
     """
 
     alpha: float = 1.2
     beta: float = 1.0
     epsilon: float = 5e-3
-    c: float = -10.0
     delta: float = 0.0
-    p: float = np.inf
     goal_mask: float = -10.0
     unsafe_mask: float = 1.2
 
     def validate(self):
-        if not (self.alpha > self.beta > self.c):
-            raise ValueError("need alpha > beta > c")
+        if not (self.alpha > self.beta > self.goal_mask):
+            raise ValueError("need alpha > beta > goal_mask")
         if self.epsilon <= 0:
             raise ValueError("epsilon must be positive")
         if self.delta < 0:
             raise ValueError("delta must be non-negative")
         if self.unsafe_mask < self.alpha:
             raise ValueError("unsafe_mask must be >= alpha")
-        if self.goal_mask != self.c:
-            raise ValueError("goal_mask must equal the lower bound c")
         return self
 
 
@@ -62,15 +58,16 @@ class FilteredCertificate:
         return scalar_value(self.net, np.atleast_2d(X))
 
     def apply_masks(self, X: np.ndarray, raw: np.ndarray):
-        """Filter raw network values at states X: goal_mask on the goal set
-        (taking precedence), unsafe_mask on the unsafe set, raw elsewhere.
+        """Filter raw network values at states X: goal_mask on the goal set,
+        unsafe_mask on the unsafe set (EnvSpec keeps the two disjoint), raw
+        elsewhere.
 
         Returns (filtered values, mask of the states where raw applies).
         """
         in_unsafe = self.env.in_unsafe(X)
         in_goal = self.env.in_goal(X)
-        v = np.where(in_unsafe, self.params.unsafe_mask, raw)
-        v = np.where(in_goal, self.params.goal_mask, v)
+        v = np.where(in_goal, self.params.goal_mask,
+                     np.where(in_unsafe, self.params.unsafe_mask, raw))
         return v, ~(in_goal | in_unsafe)
 
     def value(self, X: np.ndarray) -> np.ndarray:

@@ -86,8 +86,9 @@ class EnvSpec:
     step_jac returns the Jacobians of the total (clamp-included) transition.
     The goal set is the union of goal_boxes. The unsafe set is the union of
     unsafe_boxes or, when safe_box is given, everything outside safe_box
-    (unsafe_boxes then tiles it within domain, for sampling). The set
-    predicates, unmasked_pieces(box) (a tiling of the part of a box outside
+    (unsafe_boxes then tiles it within domain, for sampling). The two sets
+    are disjoint: a goal box that meets the unsafe set raises ValueError.
+    The set predicates, unmasked_pieces(box) (a tiling of the part of a box outside
     both sets, where the network rather than a mask gives the value) and
     eligible_cover = unmasked_pieces(domain) are derived from these boxes when
     left None. They stay settable because perfbench/synth.py passes them
@@ -139,6 +140,9 @@ class EnvSpec:
         for name, fn in derived.items():
             if getattr(self, name) is None:
                 setattr(self, name, fn)
+        for g in goal:
+            if self.unsafe_intersects(g.lo, g.hi)[0]:
+                raise ValueError(f"goal box {g} meets the unsafe set")
         if self.eligible_cover is None:
             self.eligible_cover = self.unmasked_pieces(self.domain)
 

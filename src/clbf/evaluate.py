@@ -2,8 +2,9 @@
 
 A rollout applies either certificate-maximizing adversarial perturbations or
 uniform random noise to each computed next state, and terminates on goal
-entry (which takes precedence), unsafe entry, or the horizon. Campaigns are
-vectorised across all rollouts and deterministic given their seed.
+entry, unsafe entry (EnvSpec keeps the two sets disjoint), or the horizon.
+Campaigns are vectorised across all rollouts and deterministic given their
+seed.
 """
 
 from __future__ import annotations
@@ -41,8 +42,7 @@ def rollout_batch(policy: Mlp, cert: FilteredCertificate, env: EnvSpec,
     mode "adversarial": each next state is replaced by the certificate
     maximizer in its delta-ball, found by PGD with the settings of `pgd`
     (defaults if None) at radius delta. mode "random": uniform
-    per-coordinate noise in [-delta, delta]. Goal entry is checked before
-    unsafe entry.
+    per-coordinate noise in [-delta, delta].
     """
     if mode not in ("adversarial", "random"):
         raise ValueError(f"unknown perturbation mode {mode!r}")
@@ -65,7 +65,7 @@ def rollout_batch(policy: Mlp, cert: FilteredCertificate, env: EnvSpec,
                 nxt = nxt + rng.uniform(-delta, delta, nxt.shape)
         X[active] = nxt
         in_goal = env.in_goal(nxt)
-        in_unsafe = env.in_unsafe(nxt) & ~in_goal
+        in_unsafe = env.in_unsafe(nxt)
         done = in_goal | in_unsafe
         if np.any(done):
             idx = active[done]

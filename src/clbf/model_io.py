@@ -7,6 +7,7 @@ training-time weights bit for bit. The conventional extension is .clbf.
 from __future__ import annotations
 
 import json
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -15,7 +16,7 @@ from .certificate import ClbfParams, FilteredCertificate
 from .envs import make_env
 from .nets import Mlp
 
-FORMAT_TAG = "clbf-model/1"
+FORMAT_TAG = "clbf-model/2"
 
 
 def _net_doc(net: Mlp) -> dict:
@@ -38,25 +39,12 @@ def _net_from_doc(doc: dict) -> Mlp:
     return Mlp(weights, biases)
 
 
-def _params_doc(p: ClbfParams) -> dict:
-    d = {k: getattr(p, k) for k in
-         ("alpha", "beta", "epsilon", "c", "delta", "goal_mask", "unsafe_mask")}
-    d["p"] = "inf" if p.p == np.inf else p.p
-    return d
-
-
-def _params_from_doc(d: dict) -> ClbfParams:
-    p = dict(d)
-    p["p"] = np.inf if p.get("p") == "inf" else float(p.get("p", np.inf))
-    return ClbfParams(**p)
-
-
 def _model_doc(policy: Mlp, cert: FilteredCertificate) -> dict:
     return {
         "format": FORMAT_TAG,
         "env": cert.env.name,
         "env_constants": cert.env.constants,
-        "clbf_params": _params_doc(cert.params),
+        "clbf_params": asdict(cert.params),
         "policy": _net_doc(policy),
         "certificate": _net_doc(cert.net),
     }
@@ -75,7 +63,7 @@ def load_model(path: str | Path) -> tuple[Mlp, FilteredCertificate]:
     env = make_env(doc["env"], doc.get("env_constants"))
     policy = _net_from_doc(doc["policy"])
     cert_net = _net_from_doc(doc["certificate"])
-    params = _params_from_doc(doc["clbf_params"])
+    params = ClbfParams(**doc["clbf_params"])
     if policy.n_in != env.state_dim or policy.n_out != env.control_dim:
         raise ValueError("policy dimensions do not match the environment")
     if cert_net.n_in != env.state_dim or cert_net.n_out != 1:

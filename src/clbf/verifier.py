@@ -1,8 +1,8 @@
 """Sound branch-and-bound verification of the robust certificate conditions.
 
 Three checks: the initial-set cap V <= beta, the robust decrease condition
-over the delta-inflated next-state ball, and the unsafe-set threshold (which
-the filtered certificate satisfies by construction). The two box checks share
+over the delta-inflated next-state ball, and the unsafe-set threshold
+(exact: every unsafe state takes the unsafe mask). The two box checks share
 one loop, _branch_and_bound, and differ only in their refute step: interval
 bounds prove boxes, and concrete points inside the failed boxes are checked
 for exact counterexamples. A box that yields a witness is refuted and dropped;
@@ -92,6 +92,10 @@ class BnbConfig:
     def validate(self):
         if self.max_boxes < 1:
             raise ValueError("max_boxes must be >= 1")
+        if self.ce_limit < 1:
+            raise ValueError("ce_limit must be >= 1")
+        if self.chunk < 1:
+            raise ValueError("chunk must be >= 1")
         if np.any(np.asarray(self.min_width) <= 0):
             raise ValueError("min_width must be positive")
         return self
@@ -215,26 +219,21 @@ def check_init(cert: FilteredCertificate, env: EnvSpec,
 # safety check
 
 
-def check_safety(cert: FilteredCertificate, env: EnvSpec,
-                 n_samples: int = 1000, seed: int = 0) -> Verdict:
-    """The filtered certificate satisfies V >= alpha on the unsafe set by
-    construction when unsafe_mask >= alpha; verify the constant and spot
-    check the filtering over sampled unsafe states."""
+def check_safety(cert: FilteredCertificate, env: EnvSpec) -> Verdict:
+    """Exact check of V >= alpha on the unsafe set, where V is unsafe_mask
+    (EnvSpec keeps the goal out of it). A counterexample's witness is the
+    centre of the first unsafe box, re-checked to be unsafe and below alpha."""
     p = cert.params
     if not env.unsafe_boxes:
         return Verdict("proved", "safety", note="empty unsafe set")
-    rng = np.random.default_rng(seed)
-    per_box = max(1, n_samples // len(env.unsafe_boxes))
-    pts = np.concatenate([b.sample(rng, per_box) for b in env.unsafe_boxes])
-    pts = pts[env.in_unsafe(pts)]
-    vals = cert.value(pts)
-    if p.unsafe_mask >= p.alpha and np.all(vals >= p.alpha):
+    if p.unsafe_mask >= p.alpha:
         return Verdict("proved", "safety", note=f"unsafe_mask={p.unsafe_mask} >= alpha={p.alpha}")
-    bad = int(np.argmin(vals)) if len(vals) else 0
-    w = Witness(pts[bad].copy() if len(vals) else np.zeros(env.state_dim),
-                "safety", float(p.alpha - (vals[bad] if len(vals) else p.unsafe_mask)))
-    return Verdict("counterexample", "safety", witnesses=[w],
-                   note="unsafe_mask below alpha" if p.unsafe_mask < p.alpha else "")
+    x = env.unsafe_boxes[0].center
+    excess = p.alpha - cert.value(x[None])[0]
+    if not (env.in_unsafe(x[None])[0] and excess >= WITNESS_SLACK):
+        return Verdict("unknown", "safety", note="witness re-check failed")
+    return Verdict("counterexample", "safety", witnesses=[Witness(x, "safety", float(excess))],
+                   note="unsafe_mask below alpha")
 
 
 # ---------------------------------------------------------------------------
@@ -311,16 +310,10 @@ def _exact_ball_max(cert: FilteredCertificate, env: EnvSpec, nxt: np.ndarray,
 
 
 def _point_in_unsafe(env: EnvSpec, ball: Box) -> np.ndarray | None:
-    """A concrete point of the ball that takes the unsafe mask (inside the
-    unsafe set and outside the goal, whose mask takes precedence), if one
-    is found."""
-
-    def masked_unsafe(y):
-        return env.in_unsafe(y[None])[0] and not env.in_goal(y[None])[0]
-
+    """A concrete point of the ball in the unsafe set, if one is found."""
     for ub in env.unsafe_boxes:
         inter = ball.intersect(ub)
-        if inter is not None and masked_unsafe(inter.center):
+        if inter is not None and env.in_unsafe(inter.center[None])[0]:
             return inter.center
     # the ball may exit the tiled region (e.g. beyond the verification
     # domain); try pushing single coordinates to the ball extremes
@@ -328,7 +321,7 @@ def _point_in_unsafe(env: EnvSpec, ball: Box) -> np.ndarray | None:
         for val in (ball.lo[d], ball.hi[d]):
             y = ball.center.copy()
             y[d] = val
-            if masked_unsafe(y):
+            if env.in_unsafe(y[None])[0]:
                 return y
     return None
 

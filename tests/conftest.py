@@ -22,14 +22,14 @@ def docking():
     return make_env("docking2d")
 
 
-def halving_env_1d():
-    """x' = x / 2 with a goal [0, 0.5] that overlaps the unsafe set [0.25, 1]."""
+def halving_env_1d(goal_hi=0.2):
+    """x' = x / 2 with the goal [0, goal_hi] and the unsafe set [0.25, 1]."""
     domain = Box(np.array([-4.0]), np.array([4.0]))
     return EnvSpec(
         name="halving1d", state_dim=1, control_dim=1,
         domain=domain, control_box=Box(np.array([-1.0]), np.array([1.0])),
         init_boxes=[domain],
-        goal_boxes=[Box(np.array([0.0]), np.array([0.5]))],
+        goal_boxes=[Box(np.array([0.0]), np.array([goal_hi]))],
         unsafe_boxes=[Box(np.array([0.25]), np.array([1.0]))],
         constants={}, step=lambda X, U: 0.5 * np.atleast_2d(X),
         step_jac=None, step_interval_arrays=None,

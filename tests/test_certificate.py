@@ -4,7 +4,7 @@ import pytest
 from clbf.boxes import Box
 from clbf.certificate import ClbfParams, FilteredCertificate, clipped_bounds, value_bounds_arrays
 
-from conftest import halving_env_1d, small_cert
+from conftest import small_cert
 
 
 def test_params_validation():
@@ -16,7 +16,7 @@ def test_params_validation():
     with pytest.raises(ValueError):
         ClbfParams(unsafe_mask=1.0).validate()  # below alpha
     with pytest.raises(ValueError):
-        ClbfParams(goal_mask=-9.0).validate()  # mask must equal c
+        ClbfParams(goal_mask=1.0).validate()  # beta <= goal_mask
 
 
 def test_value_masks(pendulum):
@@ -25,14 +25,6 @@ def test_value_masks(pendulum):
     assert cert.value_one(np.array([0.65, 0.5])) == 1.2   # unsafe
     x = np.array([0.4, -0.4])
     assert cert.value_one(x) == pytest.approx(float(cert.raw(x[None])[0]))
-
-
-def test_value_masks_goal_precedence():
-    # a state in both the goal and the unsafe set: the goal mask wins by the
-    # documented precedence
-    cert = small_cert(halving_env_1d())
-    x = np.array([0.3])
-    assert cert.value_one(x) == -10.0
 
 
 def test_value_bounds_fully_masked(pendulum):

@@ -13,6 +13,8 @@ from clbf.envs import (
     trig_interval,
 )
 
+from conftest import halving_env_1d
+
 
 # ---------------------------------------------------------------------------
 # trig ranges
@@ -289,6 +291,17 @@ def _bare_env(goal, unsafe, **kw):
         constants={}, step=None, step_jac=None, step_interval_arrays=None,
         eligible_cover=[domain], **kw,
     )
+
+
+def test_goal_meeting_the_unsafe_set_is_rejected():
+    # one shared face suffices: x = 0.25 would be in both sets
+    with pytest.raises(ValueError, match="meets the unsafe set"):
+        halving_env_1d(goal_hi=0.25)
+    # with a safe box, the goal must lie inside it; its boundary is safe
+    safe = Box(np.array([-0.9, -0.9]), np.array([0.9, 0.9]))
+    with pytest.raises(ValueError, match="meets the unsafe set"):
+        _bare_env([Box(np.array([0.5, 0.5]), np.array([0.95, 0.9]))], [], safe_box=safe)
+    _bare_env([Box(np.array([0.5, 0.5]), np.array([0.9, 0.9]))], [], safe_box=safe)
 
 
 def _as_pairs(boxes):

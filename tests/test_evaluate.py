@@ -53,14 +53,14 @@ def test_run_campaign_is_deterministic_given_its_seed(pendulum):
     assert rows == run_campaign(policy, cert, pendulum, campaign)
 
 
-def test_rollout_goal_entry_wins_over_unsafe_entry():
+def test_rollout_stops_on_goal_and_unsafe_entry():
     env = halving_env_1d()
     policy = Mlp([np.zeros((1, 1))], [np.zeros(1)])
     cert = FilteredCertificate(Mlp([np.zeros((1, 1))], [np.zeros(1)]),
                                ClbfParams(), env)
-    # 0.6 -> 0.3 lies in both sets; 1.8 -> 0.9 only in the unsafe set;
+    # 0.3 -> 0.15 lies in the goal; 1.8 -> 0.9 in the unsafe set;
     # -4 halves towards 0 from below and never enters either set
-    X0 = np.array([[0.6], [1.8], [-4.0]])
+    X0 = np.array([[0.3], [1.8], [-4.0]])
     outcomes, steps = rollout_batch(policy, cert, env, X0, "random", 0.0, 5,
                                     np.random.default_rng(0))
     assert outcomes.tolist() == [OUTCOME_GOAL, OUTCOME_UNSAFE, OUTCOME_TIMEOUT]

@@ -68,6 +68,18 @@ def zero_policy(n_in=1, n_out=1):
 
 
 # ---------------------------------------------------------------------------
+# config
+
+
+def test_bnb_config_validation():
+    BnbConfig().validate()
+    for bad in (dict(max_boxes=0), dict(min_width=0.0), dict(ce_limit=0),
+                dict(chunk=0)):
+        with pytest.raises(ValueError, match=next(iter(bad))):
+            BnbConfig(**bad).validate()
+
+
+# ---------------------------------------------------------------------------
 # check_init
 
 
@@ -131,18 +143,27 @@ def test_check_init_drops_refuted_boxes(pendulum):
 # check_safety
 
 
-def test_check_safety_by_construction(pendulum):
-    cert = small_cert(pendulum)
-    v = check_safety(cert, pendulum)
-    assert v.proved
+def test_check_safety_by_construction(pendulum, docking):
+    for env in (pendulum, docking):
+        cert = small_cert(env)
+        v = check_safety(cert, env)
+        assert v.proved
 
 
-def test_check_safety_rejects_low_mask(pendulum):
+def test_check_safety_rejects_low_mask(pendulum, docking):
     params = ClbfParams(unsafe_mask=1.0)  # below alpha; caught as a verdict
-    cert = FilteredCertificate(constant_net(0.0), params, pendulum)
-    v = check_safety(cert, pendulum)
-    assert v.status == "counterexample"
-    assert v.witness.condition == "safety"
+    for env in (pendulum, docking):
+        cert = FilteredCertificate(constant_net(0.0, env.state_dim), params, env)
+        v = check_safety(cert, env)
+        assert v.status == "counterexample"
+        assert v.witness.condition == "safety"
+        x = v.witness.state[None]
+        assert env.in_unsafe(x)[0] and cert.value(x)[0] < params.alpha
+        assert v.witness.violation == pytest.approx(params.alpha - 1.0)
+    # a state that fails the witness re-check is not reported
+    blind = replace(pendulum, in_unsafe=lambda x: np.zeros(len(np.atleast_2d(x)), bool))
+    cert = FilteredCertificate(constant_net(0.0), params, blind)
+    assert check_safety(cert, blind).status == "unknown"
 
 
 def test_unsafe_points_evaluate_to_mask(pendulum, rng):
@@ -377,16 +398,14 @@ def test_hunt_counts_are_zero_without_pgd(pendulum):
     assert v.hunted_rows > 0 and v.pgd_rows == 0
 
 
-def test_point_in_unsafe_skips_points_the_goal_mask_overrides():
-    # the goal [0, 0.5] overlaps the unsafe set [0.25, 1]; states in both
-    # take the goal mask
+def test_point_in_unsafe_finds_a_point_of_the_unsafe_set():
+    # goal [0, 0.2], unsafe set [0.25, 1]
     env = halving_env_1d()
-    ball = Box(np.array([0.3]), np.array([0.45]))
-    assert np.all(env.in_unsafe(ball.sample(np.random.default_rng(0), 50)))
-    assert _point_in_unsafe(env, ball) is None
-    wider = Box(ball.lo, ball.hi + np.array([0.4]))
-    y = _point_in_unsafe(env, wider)
-    assert env.in_unsafe(y[None])[0] and not env.in_goal(y[None])[0]
+    assert _point_in_unsafe(env, Box(np.array([0.0]), np.array([0.2]))) is None
+    for ball in (Box(np.array([0.1]), np.array([0.3])),
+                 Box(np.array([0.3]), np.array([0.85]))):
+        y = _point_in_unsafe(env, ball)
+        assert env.in_unsafe(y[None])[0] and ball.contains(y[None])[0]
 
 
 SCREEN_ENVS = {name: make_env(name) for name in ("pendulum", "docking2d")}
