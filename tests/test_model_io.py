@@ -24,14 +24,15 @@ def test_round_trip_is_bit_exact(pendulum, tmp_path):
     assert model_bytes(policy2, cert2) == model_bytes(policy, cert)
 
 
-@pytest.mark.parametrize("tag", ["clbf-model/0", "clbf-model/1"])
-def test_wrong_format_tag_is_rejected(pendulum, tmp_path, tag):
+def test_wrong_format_tag_is_rejected(pendulum, tmp_path):
     path = save_model(tmp_path / "m.clbf", small_policy(pendulum), small_cert(pendulum))
-    doc = json.loads(path.read_text())
-    doc["format"] = tag
-    path.write_text(json.dumps(doc))
-    with pytest.raises(ValueError, match="format"):
-        load_model(path)
+    for tag in ("clbf-model/0", "clbf-model/1"):
+        doc = json.loads(path.read_text())
+        doc["format"] = tag
+        bad = tmp_path / "bad.clbf"
+        bad.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match="format"):
+            load_model(bad)
 
 
 def test_certificate_dimension_mismatch_is_rejected(pendulum, tmp_path):
