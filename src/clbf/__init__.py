@@ -8,7 +8,6 @@ empirical robustness under adversarial and random state perturbations.
 from .boxes import Box, subtract_box, subtract_boxes
 from .certificate import ClbfParams, FilteredCertificate, value_bounds_arrays
 from .envs import EnvSpec, docking_env, make_env, pendulum_env, trig_interval
-from .lipschitz import lipschitz_bound_lp, norm_conversion_constant, robust_margin
 from .nets import (
     Adam,
     Mlp,
@@ -18,8 +17,8 @@ from .nets import (
     forward_tape,
     ibp_bounds,
     init_mlp,
-    lipschitz_upper_bound_l2,
-    spectral_norm,
+    linf_lipschitz_bound,
+    spectral_product_grads,
 )
 from .adversary import PgdConfig, attack_step, pgd_maximize
 from .losses import (

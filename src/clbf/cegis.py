@@ -20,7 +20,7 @@ from .certificate import ClbfParams, FilteredCertificate
 from .envs import EnvSpec, make_env
 from .losses import METHODS, Batch, LossWeights, TotalLossConfig, total_loss_grads
 from .nets import (Adam, Mlp, backward, forward_batch, forward_tape, init_mlp,
-                   lipschitz_upper_bound_l2)
+                   spectral_product_grads)
 from .verifier import BnbConfig, Verdict, check_init, check_robust_decrease, check_safety
 
 ENV_DEFAULTS = {
@@ -357,7 +357,7 @@ def tau_search(config: TrainConfig, resolution: float = 0.25,
     if not vanilla.success:
         info["reason"] = "vanilla run did not converge; no feasible upper bound"
         return None, None, info
-    tau_hi = lipschitz_upper_bound_l2(vanilla.cert.net)
+    tau_hi = spectral_product_grads(vanilla.cert.net)[0]
     info["tau_hi"] = tau_hi
 
     def converges(tau):

@@ -9,7 +9,6 @@ seed.
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -125,49 +124,3 @@ def run_campaign(policy: Mlp, cert: FilteredCertificate, env: EnvSpec,
         rows.append(CampaignRow(mode, delta, campaign.n_states, s,
                                 s / campaign.n_states, lo, hi))
     return rows
-
-
-CAMPAIGN_CSV_HEADER = "mode,delta,n,successes,rate,wilson_lo,wilson_hi"
-
-
-def campaign_csv(rows: list[CampaignRow]) -> str:
-    out = io.StringIO()
-    out.write(CAMPAIGN_CSV_HEADER + "\n")
-    for r in rows:
-        out.write(f"{r.mode},{r.delta!r},{r.n},{r.successes},"
-                  f"{r.rate!r},{r.wilson_lo!r},{r.wilson_hi!r}\n")
-    return out.getvalue()
-
-
-def campaign_svg(rows: list[CampaignRow], title: str = "success rate") -> str:
-    """Minimal dependency-free bar chart of success rates."""
-    width, height, pad = 640, 360, 50
-    n = max(1, len(rows))
-    bar_w = (width - 2 * pad) / n
-    parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}">',
-        f'<text x="{width/2:.0f}" y="20" text-anchor="middle" '
-        f'font-family="sans-serif" font-size="14">{title}</text>',
-        f'<line x1="{pad}" y1="{height-pad}" x2="{width-pad}" y2="{height-pad}" '
-        'stroke="black"/>',
-        f'<line x1="{pad}" y1="{pad}" x2="{pad}" y2="{height-pad}" stroke="black"/>',
-    ]
-    for i, r in enumerate(rows):
-        h = r.rate * (height - 2 * pad)
-        x = pad + i * bar_w + 0.15 * bar_w
-        y = height - pad - h
-        parts.append(
-            f'<rect x="{x:.1f}" y="{y:.1f}" width="{0.7*bar_w:.1f}" '
-            f'height="{h:.1f}" fill="#4878a8"/>'
-        )
-        label = f"{r.mode[:3]} {r.delta:g}"
-        parts.append(
-            f'<text x="{x + 0.35*bar_w:.1f}" y="{height-pad+16}" '
-            f'text-anchor="middle" font-family="sans-serif" font-size="11">{label}</text>'
-        )
-        parts.append(
-            f'<text x="{x + 0.35*bar_w:.1f}" y="{y-4:.1f}" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="11">{100*r.rate:.1f}%</text>'
-        )
-    parts.append("</svg>")
-    return "\n".join(parts)

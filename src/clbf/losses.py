@@ -26,12 +26,12 @@ import numpy as np
 from .adversary import PgdConfig, pgd_maximize_batch
 from .certificate import FilteredCertificate
 from .envs import EnvSpec
-from .lipschitz import norm_conversion_constant
 from .nets import (
     Mlp,
     accumulate,
     backward,
     forward_tape,
+    linf_lipschitz_bound,
     spectral_product_grads,
     zero_grads,
 )
@@ -125,8 +125,8 @@ def loss_dec_grads(cert: FilteredCertificate, policy: Mlp, env: EnvSpec,
     kept only when its filtered value beats the nominal one; the PGD offset
     is treated as frozen), or "neighbor" (nominal next state plus the slack
     L_p * delta, which covers the whole delta-ball). In "neighbor" mode a
-    given L_p is a constant; None recomputes it from the current weights by
-    power iteration and includes its gradient term.
+    given L_p is a constant; None recomputes it from the current weights
+    with linf_lipschitz_bound and includes its gradient term.
 
     A given pgd_cfg must state the same radius as delta.
 
@@ -151,12 +151,7 @@ def loss_dec_grads(cert: FilteredCertificate, policy: Mlp, env: EnvSpec,
     if mode != "neighbor":
         L_p = 0.0
     elif L_p is None:
-        K = norm_conversion_constant(np.inf, cert.net.n_in, cert.net.n_out)
-        prod, prod_grads, new_vs = spectral_product_grads(
-            cert.net, spectral_iters, spectral_vs
-        )
-        L_p = K * prod
-        dLp = [K * g for g in prod_grads]
+        L_p, dLp, new_vs = linf_lipschitz_bound(cert.net, spectral_iters, spectral_vs)
 
     if mode == "adv" and delta > 0.0:
         cfg = pgd_cfg if pgd_cfg is not None else PgdConfig(delta=delta)
@@ -186,9 +181,7 @@ def loss_dec_grads(cert: FilteredCertificate, policy: Mlp, env: EnvSpec,
     g_y, gy = backward(cert.net, tape_y, up_y)
     accumulate(cert_g, g_y)
     if dLp is not None and delta > 0.0:
-        scale = delta * coef.sum()
-        for k, gW in enumerate(dLp):
-            cert_g[2 * k] += scale * gW
+        accumulate(cert_g, dLp, scale=delta * coef.sum())
 
     # policy and states: through the dynamics Jacobian at the (clamped)
     # control; the policy's reverse pass also yields its input gradient
@@ -206,12 +199,8 @@ def loss_lip_global_grads(net: Mlp, tau: float, iters: int = 50,
     if tau <= 0:
         raise ValueError("tau must be positive")
     prod, prod_grads, new_vs = spectral_product_grads(net, iters, vs)
-    value = max(0.0, prod - tau)
-    grads = zero_grads(net)
-    if prod > tau:
-        for k, gW in enumerate(prod_grads):
-            grads[2 * k] += gW
-    return value, grads, new_vs
+    grads = prod_grads if prod > tau else zero_grads(net)
+    return max(0.0, prod - tau), grads, new_vs
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,7 @@ training-time weights bit for bit. The conventional extension is .clbf.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import numpy as np
@@ -63,7 +63,11 @@ def load_model(path: str | Path) -> tuple[Mlp, FilteredCertificate]:
     env = make_env(doc["env"], doc.get("env_constants"))
     policy = _net_from_doc(doc["policy"])
     cert_net = _net_from_doc(doc["certificate"])
-    params = ClbfParams(**doc["clbf_params"])
+    given, known = set(doc["clbf_params"]), {f.name for f in fields(ClbfParams)}
+    if given != known:
+        raise ValueError(f"clbf_params: unknown keys {sorted(given - known)}, "
+                         f"missing keys {sorted(known - given)}")
+    params = ClbfParams(**doc["clbf_params"]).validate()
     if policy.n_in != env.state_dim or policy.n_out != env.control_dim:
         raise ValueError("policy dimensions do not match the environment")
     if cert_net.n_in != env.state_dim or cert_net.n_out != 1:

@@ -2,10 +2,11 @@
 
 Forward evaluation, exact reverse-mode gradients (parameters and inputs,
 plus an input-only reverse pass for callers that discard the parameter
-gradients, such as PGD), interval bound propagation, spectral-norm power
-iteration, and a first-order adaptive-moment optimizer. Everything is
-float64 numpy; batches are (k, n) arrays. No general computation graphs: the
-architecture is a fixed affine/ReLU chain, so backprop is hand-chained.
+gradients, such as PGD), interval bound propagation, the spectral-norm
+product with its l-inf Lipschitz bound, and a first-order adaptive-moment
+optimizer. Everything is float64 numpy; batches are (k, n) arrays. No
+general computation graphs: the architecture is a fixed affine/ReLU chain,
+so backprop is hand-chained.
 """
 
 from __future__ import annotations
@@ -221,11 +222,7 @@ def ibp_bounds(net: Mlp, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np
 
 
 # ---------------------------------------------------------------------------
-# spectral norms
-
-
-def spectral_norm(W: np.ndarray, iters: int = 50, v0: np.ndarray | None = None) -> float:
-    return spectral_norm_vectors(W, iters, v0)[0]
+# spectral norms and the Lipschitz bound
 
 
 def spectral_norm_vectors(
@@ -261,35 +258,49 @@ def spectral_norm_vectors(
     return float(sigma), u, v
 
 
-def lipschitz_upper_bound_l2(net: Mlp, iters: int = 50) -> float:
-    """Product of layer spectral norms: global l2 Lipschitz upper bound."""
-    prod = 1.0
-    for W in net.weights:
-        prod *= spectral_norm(W, iters)
-    return prod
-
-
 def spectral_product_grads(
     net: Mlp, iters: int = 50, vs: list[np.ndarray] | None = None
 ) -> tuple[float, list[np.ndarray], list[np.ndarray]]:
-    """Product of spectral norms with d(product)/dW_k via frozen u_k v_k^T.
+    """Product of the layer spectral norms, its gradients and warm-start vectors.
 
-    Passing previous right singular vectors in vs warm-starts power iteration
-    (a few iterations then suffice per training step). Returns the product,
-    per-weight gradients, and the updated vectors.
+    The true product bounds the net's l2 Lipschitz constant; this is its
+    power-iteration estimate, which approaches it from below. It is a
+    training term only: the verifier never relies on it. d(product)/dW_k is
+    taken through the frozen singular vectors u_k v_k^T. Passing previous
+    right singular vectors in vs warm-starts power iteration (a few
+    iterations then suffice per training step). Returns the product, its
+    gradients in net.params() layout (zero for the biases), and the updated
+    vectors.
     """
-    sigmas, grads, new_vs = [], [], []
-    for k, W in enumerate(net.weights):
-        v0 = vs[k] if vs is not None else None
-        sigma, u, v = spectral_norm_vectors(W, iters, v0)
-        sigmas.append(sigma)
-        grads.append(np.outer(u, v))
-        new_vs.append(v)
-    prod = float(np.prod(sigmas))
-    for k, sigma in enumerate(sigmas):
+    vs = vs if vs is not None else [None] * len(net.weights)
+    triples = [spectral_norm_vectors(W, iters, v0) for W, v0 in zip(net.weights, vs)]
+    prod = float(np.prod([sigma for sigma, _, _ in triples]))
+    grads = []
+    for (sigma, u, v), b in zip(triples, net.biases):
         rest = prod / sigma if sigma > 0 else 0.0
-        grads[k] = rest * grads[k]
-    return prod, grads, new_vs
+        grads += [rest * np.outer(u, v), np.zeros_like(b)]
+    return prod, grads, [v for _, _, v in triples]
+
+
+def linf_lipschitz_bound(
+    net: Mlp, iters: int = 50, vs: list[np.ndarray] | None = None
+) -> tuple[float, list[np.ndarray], list[np.ndarray]]:
+    """sqrt(n_in) times the spectral product: the l-inf Lipschitz bound of a
+    scalar-output net, with its gradients and warm-start vectors as in
+    spectral_product_grads (and, like it, a power-iteration estimate from
+    below).
+
+    With one output, |f(x) - f(y)| <= L_2 ||x - y||_2 <= L_2 sqrt(n_in)
+    ||x - y||_inf. Several outputs are rejected: the general-output factor
+    sqrt(n_in / n_out) undershoots (W = [[1], [0]] has l-inf quotient 1,
+    above sqrt(1/2) times its product of 1).
+    """
+    if net.n_out != 1:
+        raise ValueError(f"the l-inf bound needs a scalar-output net, "
+                         f"got {net.n_out} outputs")
+    prod, grads, new_vs = spectral_product_grads(net, iters, vs)
+    K = float(np.sqrt(net.n_in))
+    return K * prod, [K * g for g in grads], new_vs
 
 
 # ---------------------------------------------------------------------------

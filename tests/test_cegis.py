@@ -3,8 +3,11 @@ import pytest
 
 import clbf.cegis
 from clbf.boxes import Box
-from clbf.cegis import TrainConfig, cegis_run, resample_counterexamples
+from clbf.cegis import (CegisResult, TrainConfig, cegis_run, resample_counterexamples,
+                        tau_search)
+from clbf.certificate import ClbfParams, FilteredCertificate
 from clbf.envs import EnvSpec
+from clbf.nets import Mlp
 from clbf.verifier import Verdict
 
 
@@ -34,6 +37,17 @@ def test_init_resampling_stays_in_the_counterexamples_own_box():
     assert np.all((second >= -2.0) & (second <= -1.4))
     # the ball reaches past the box's inner face, so clipping was needed
     assert np.any(first == 1.0) and np.any(second == -2.0)
+
+
+def test_decrease_resampling_drops_goal_states(pendulum):
+    # just outside the goal's face theta = 0.2: the ball reaches into the goal
+    ce = np.array([0.2 + 1e-4, 0.0])
+    pts = resample_counterexamples(pendulum, [ce], 200, 1e-3, np.random.default_rng(0),
+                                   init_condition=False)
+    assert np.array_equal(pts[0], ce)
+    assert 1 < len(pts) < 201  # the filter dropped some points, not all
+    assert np.all(pendulum.domain.contains(pts))
+    assert not np.any(pendulum.in_goal(pts)) and not np.any(pendulum.in_unsafe(pts))
 
 
 def test_docking_run_proves_safety():
@@ -113,3 +127,62 @@ def test_status_stalled(monkeypatch):
     assert [r["iteration"] for r in result.iterations] == [1, 2]
     assert all(r["ce_count"] == 0 for r in result.iterations)
     assert result.verdicts["init"].proved and result.verdicts["safety"].proved
+
+
+def test_status_certified(monkeypatch):
+    proved = {c: Verdict("proved", c) for c in ("init", "safety", "decrease")}
+    monkeypatch.setattr(clbf.cegis, "check_init", lambda cert, env, cfg: proved["init"])
+    monkeypatch.setattr(clbf.cegis, "check_safety", lambda cert, env: proved["safety"])
+    monkeypatch.setattr(clbf.cegis, "check_robust_decrease",
+                        lambda cert, policy, env, *args: proved["decrease"])
+    result = cegis_run(tiny_config(max_iters=3))
+    assert result.status == "certified" and result.success
+    [row] = result.iterations
+    assert row["iteration"] == 1 and row["ce_count"] == 0
+    assert result.verdicts == proved
+
+
+# ---------------------------------------------------------------------------
+# tau search
+
+
+def fake_cegis_run(pendulum, vanilla_ok=True, tau_min=2.5):
+    """A run that succeeds for vanilla (if vanilla_ok) with a net whose
+    spectral product is 6, and for lip-reg iff tau >= tau_min."""
+    net = Mlp([2 * np.eye(2), 3 * np.eye(2)], [np.zeros(2), np.zeros(2)])
+
+    def run(cfg, env=None):
+        ok = vanilla_ok if cfg.method == "vanilla" else cfg.tau >= tau_min
+        cert = FilteredCertificate(net, ClbfParams(), pendulum)
+        status = "certified" if ok else "max_iters"
+        return CegisResult(net, cert, ok, status, config=cfg)
+
+    return run
+
+
+def test_tau_search_bisects_below_the_vanilla_product(monkeypatch, pendulum):
+    monkeypatch.setattr(clbf.cegis, "cegis_run", fake_cegis_run(pendulum))
+    tau, run, info = tau_search(TrainConfig(), resolution=0.25, env=pendulum)
+    assert info["vanilla_status"] == "certified"
+    assert info["tau_hi"] == pytest.approx(6.0)
+    assert info["probes"][0] == (info["tau_hi"], "certified")
+    assert 2.5 <= tau < 2.75
+    assert run.success and run.config.method == "lip-reg" and run.config.tau == tau
+    assert all((t >= 2.5) == (status == "certified") for t, status in info["probes"])
+
+
+def test_tau_search_without_a_converged_vanilla_run(monkeypatch, pendulum):
+    monkeypatch.setattr(clbf.cegis, "cegis_run",
+                        fake_cegis_run(pendulum, vanilla_ok=False))
+    tau, run, info = tau_search(TrainConfig(), env=pendulum)
+    assert tau is None and run is None
+    assert info["vanilla_status"] == "max_iters" and info["probes"] == []
+    assert "vanilla run did not converge" in info["reason"]
+
+
+def test_tau_search_with_an_infeasible_upper_bound(monkeypatch, pendulum):
+    monkeypatch.setattr(clbf.cegis, "cegis_run", fake_cegis_run(pendulum, tau_min=10.0))
+    tau, run, info = tau_search(TrainConfig(), env=pendulum)
+    assert tau is None and run is None
+    assert info["probes"] == [(pytest.approx(6.0), "max_iters")]
+    assert "infeasible" in info["reason"]

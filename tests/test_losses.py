@@ -3,7 +3,6 @@ import pytest
 
 from clbf.adversary import PgdConfig
 from clbf.certificate import ClbfParams, FilteredCertificate
-from clbf.lipschitz import lipschitz_bound_lp
 from clbf.losses import (
     Batch,
     LossWeights,
@@ -13,7 +12,7 @@ from clbf.losses import (
     loss_lip_global_grads,
     total_loss_grads,
 )
-from clbf.nets import Mlp, init_mlp, scalar_value
+from clbf.nets import Mlp, init_mlp, linf_lipschitz_bound, scalar_value
 
 from conftest import fd_input_grads, fd_param_grads, rel_err, small_cert, small_policy
 
@@ -131,7 +130,7 @@ def test_loss_dec_neighbor_delta_zero_equals_dec(pendulum, rng):
     cert = small_cert(pendulum, seed=5)
     policy = small_policy(pendulum, seed=6)
     batch = Batch(pendulum.sample_states(rng, 64))
-    L = lipschitz_bound_lp(cert.net, np.inf)
+    L = linf_lipschitz_bound(cert.net)[0]
     got = loss_dec_grads(cert, policy, pendulum, batch, "neighbor", delta=0.0, L_p=L)[0]
     assert got == pytest.approx(loss_dec_grads(cert, policy, pendulum, batch)[0])
 
@@ -272,7 +271,7 @@ def test_loss_dec_neighbor_gradients_match_fd(pendulum, rng):
     delta = 0.01
 
     def f():
-        L = lipschitz_bound_lp(cert.net, np.inf, iters=300)
+        L = linf_lipschitz_bound(cert.net, iters=300)[0]
         return loss_dec_grads(cert, policy, pendulum, batch, "neighbor",
                               delta=delta, L_p=L)[0]
 
@@ -319,7 +318,7 @@ def test_zero_neighbor_loss_implies_ball_descent(rng):
     policy = affine_scalar_net([0.0], 0.0)
     X = rng.uniform(0.3, 1.0, (512, 1))
     delta = 0.02
-    L = lipschitz_bound_lp(net, np.inf)
+    L = linf_lipschitz_bound(net)[0]
     assert loss_dec_grads(cert, policy, env, Batch(X), "neighbor", delta=delta, L_p=L)[0] == 0.0
     # exhaustive ball sampling: raw value everywhere in the ball drops enough
     for x in X[:64]:

@@ -58,3 +58,32 @@ def test_policy_dimension_mismatch_is_rejected(pendulum, tmp_path):
     path = save_model(tmp_path / "m.clbf", policy, small_cert(pendulum))
     with pytest.raises(ValueError, match="policy dimensions"):
         load_model(path)
+
+
+def _saved_doc(env, tmp_path):
+    path = save_model(tmp_path / "m.clbf", small_policy(env), small_cert(env))
+    return path, json.loads(path.read_text())
+
+
+def test_unknown_params_key_is_rejected(pendulum, tmp_path):
+    path, doc = _saved_doc(pendulum, tmp_path)
+    doc["clbf_params"]["alpa"] = doc["clbf_params"].pop("alpha")
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError, match=r"unknown keys \['alpa'\]"):
+        load_model(path)
+
+
+def test_missing_params_key_is_rejected(pendulum, tmp_path):
+    path, doc = _saved_doc(pendulum, tmp_path)
+    del doc["clbf_params"]["beta"]
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError, match=r"missing keys \['beta'\]"):
+        load_model(path)
+
+
+def test_invalid_params_value_is_rejected(pendulum, tmp_path):
+    path, doc = _saved_doc(pendulum, tmp_path)
+    doc["clbf_params"]["unsafe_mask"] = 0.5  # below alpha = 1.2
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError, match="unsafe_mask must be >= alpha"):
+        load_model(path)

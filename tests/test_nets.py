@@ -12,9 +12,8 @@ from clbf.nets import (
     init_mlp,
     input_grad,
     input_jacobian,
-    lipschitz_upper_bound_l2,
-    spectral_norm,
     spectral_norm_vectors,
+    spectral_product_grads,
 )
 
 from conftest import fd_param_grads, rel_err
@@ -145,12 +144,12 @@ def test_piecewise_affine_within_activation_pattern(rng):
 
 
 def test_spectral_norm_basics():
-    assert spectral_norm(np.eye(3)) == pytest.approx(1.0)
-    assert spectral_norm(np.diag([3.0, 1.0])) == pytest.approx(3.0)
+    assert spectral_norm_vectors(np.eye(3))[0] == pytest.approx(1.0)
+    assert spectral_norm_vectors(np.diag([3.0, 1.0]))[0] == pytest.approx(3.0)
     with pytest.raises(ValueError):
-        spectral_norm(np.zeros((0, 0)))
+        spectral_norm_vectors(np.zeros((0, 0)))
     with pytest.raises(ValueError):
-        spectral_norm(np.eye(2), iters=0)
+        spectral_norm_vectors(np.eye(2), iters=0)
 
 
 def test_spectral_norm_matches_eigendecomposition(rng):
@@ -159,7 +158,8 @@ def test_spectral_norm_matches_eigendecomposition(rng):
     for _ in range(5):
         W = rng.normal(size=(20, 20))
         sigma_true = float(np.sqrt(np.linalg.eigvalsh(W.T @ W).max()))
-        assert spectral_norm(W, iters=5000) == pytest.approx(sigma_true, abs=1e-5)
+        sigma = spectral_norm_vectors(W, iters=5000)[0]
+        assert sigma == pytest.approx(sigma_true, abs=1e-5)
 
 
 def test_spectral_norm_well_separated_converges_fast():
@@ -167,7 +167,7 @@ def test_spectral_norm_well_separated_converges_fast():
     U, _ = np.linalg.qr(rng.normal(size=(10, 10)))
     V, _ = np.linalg.qr(rng.normal(size=(10, 10)))
     W = U @ np.diag([5.0, 2.0, 1.0, 0.5, 0.4, 0.3, 0.2, 0.1, 0.05, 0.01]) @ V.T
-    assert spectral_norm(W, iters=50) == pytest.approx(5.0, abs=1e-6)
+    assert spectral_norm_vectors(W, iters=50)[0] == pytest.approx(5.0, abs=1e-6)
 
 
 def test_spectral_norm_monotone_and_bounded(rng):
@@ -175,7 +175,7 @@ def test_spectral_norm_monotone_and_bounded(rng):
     sigma_true = float(np.linalg.svd(W, compute_uv=False)[0])
     prev = 0.0
     for iters in (1, 2, 5, 10, 30, 60):
-        s = spectral_norm(W, iters=iters)
+        s = spectral_norm_vectors(W, iters=iters)[0]
         assert s >= prev - 1e-12
         assert s <= sigma_true + 1e-12
         prev = s
@@ -183,8 +183,9 @@ def test_spectral_norm_monotone_and_bounded(rng):
 
 def test_spectral_norm_scaling(rng):
     W = rng.normal(size=(7, 5))
-    s = spectral_norm(W, iters=60)
-    assert spectral_norm(-2.5 * W, iters=60) == pytest.approx(2.5 * s, abs=1e-8)
+    s = spectral_norm_vectors(W, iters=60)[0]
+    s_scaled = spectral_norm_vectors(-2.5 * W, iters=60)[0]
+    assert s_scaled == pytest.approx(2.5 * s, abs=1e-8)
 
 
 def test_spectral_norm_gradient_direction(rng):
@@ -193,19 +194,33 @@ def test_spectral_norm_gradient_direction(rng):
     h = 1e-6
     G = np.outer(u, v)
     W2 = W + h * G
-    assert spectral_norm(W2, iters=100) - sigma == pytest.approx(h, rel=1e-3)
+    sigma2 = spectral_norm_vectors(W2, iters=100)[0]
+    assert sigma2 - sigma == pytest.approx(h, rel=1e-3)
 
 
 def test_lipschitz_upper_bound_product():
     net = Mlp([2 * np.eye(2), 3 * np.eye(2)], [np.zeros(2), np.zeros(2)])
-    assert lipschitz_upper_bound_l2(net) == pytest.approx(6.0)
+    assert spectral_product_grads(net)[0] == pytest.approx(6.0)
     net = Mlp([np.diag([3.0, 1.0])], [np.zeros(2)])
-    assert lipschitz_upper_bound_l2(net) == pytest.approx(3.0)
+    assert spectral_product_grads(net)[0] == pytest.approx(3.0)
+
+
+def test_spectral_product_grads_follow_the_params_layout(rng):
+    net = init_mlp([3, 5, 4, 1], rng)
+    prod, grads, vs = spectral_product_grads(net, iters=100)
+    assert [g.shape for g in grads] == [p.shape for p in net.params()]
+    assert all(not g.any() for g in grads[1::2])  # biases do not enter
+    for W, G, v in zip(net.weights, grads[0::2], vs):
+        sigma, u, v_k = spectral_norm_vectors(W, iters=100)
+        assert np.allclose(G, prod / sigma * np.outer(u, v_k))
+        assert np.array_equal(v, v_k)
+    # warm start from the returned vectors: one more iteration, same product
+    assert spectral_product_grads(net, 1, vs)[0] == pytest.approx(prod, rel=1e-9)
 
 
 def test_lipschitz_bound_dominates_sampled_quotients(rng):
     net = init_mlp([3, 24, 12, 2], rng)
-    bound = lipschitz_upper_bound_l2(net)
+    bound = spectral_product_grads(net)[0]
     X = rng.uniform(-2, 2, (100_000, 3))
     Y = rng.uniform(-2, 2, (100_000, 3))
     num = np.linalg.norm(forward_batch(net, X) - forward_batch(net, Y), axis=1)
