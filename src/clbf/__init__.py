@@ -7,12 +7,11 @@ empirical robustness under adversarial and random state perturbations.
 
 from .boxes import Box, subtract_box, subtract_boxes
 from .certificate import ClbfParams, FilteredCertificate, value_bounds_arrays
-from .envs import EnvSpec, docking_env, make_env, pendulum_env, trig_interval
+from .envs import EnvSpec, docking_env, make_env, pendulum_env
 from .nets import (
     Adam,
     Mlp,
     backward,
-    forward,
     forward_batch,
     forward_tape,
     ibp_bounds,
@@ -20,7 +19,7 @@ from .nets import (
     linf_lipschitz_bound,
     spectral_product_grads,
 )
-from .adversary import PgdConfig, attack_step, pgd_maximize
+from .adversary import PgdConfig
 from .losses import (
     Batch,
     LossWeights,

@@ -8,7 +8,7 @@ falls below the ball center.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -94,26 +94,3 @@ def _ascend(net: Mlp, centers: np.ndarray, starts: list[np.ndarray],
         keep_best(x, forward_batch(net, x)[:, 0])
     return best_x
 
-
-def pgd_maximize(
-    net: Mlp,
-    center: np.ndarray,
-    cfg: PgdConfig,
-    rng: np.random.Generator | None = None,
-) -> np.ndarray:
-    """Single-state convenience wrapper around pgd_maximize_batch."""
-    return pgd_maximize_batch(net, np.asarray(center)[None, :], cfg, rng)[0]
-
-
-def attack_step(cert, policy: Mlp, env, X: np.ndarray, delta: float,
-                cfg: PgdConfig | None = None,
-                rng: np.random.Generator | None = None) -> np.ndarray:
-    """Worst-case realized next states: the certificate maximizer in the
-    delta-ball around the nominal transition f(x, pi(x))."""
-    X = np.atleast_2d(np.asarray(X, dtype=float))
-    U = env.clamp_control(forward_batch(policy, X))
-    nxt = env.step(X, U)
-    if delta == 0.0:
-        return nxt
-    pcfg = PgdConfig(delta=delta) if cfg is None else replace(cfg, delta=delta)
-    return pgd_maximize_batch(cert.net, nxt, pcfg, rng)

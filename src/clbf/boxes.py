@@ -56,29 +56,12 @@ class Box:
             return bool(np.all(x >= self.lo) and np.all(x <= self.hi))
         return np.all((x >= self.lo) & (x <= self.hi), axis=1)
 
-    def intersects(self, other: "Box") -> bool:
-        """Closed-set overlap test (shared faces count as intersection)."""
-        return bool(np.all(self.lo <= other.hi) and np.all(other.lo <= self.hi))
-
     def intersect(self, other: "Box") -> "Box | None":
         lo = np.maximum(self.lo, other.lo)
         hi = np.minimum(self.hi, other.hi)
         if np.any(lo > hi):
             return None
         return Box(lo, hi)
-
-    def inflate(self, delta: float) -> "Box":
-        """Minkowski sum with the l-inf ball of radius delta (exact)."""
-        return Box(self.lo - delta, self.hi + delta)
-
-    def split(self, dim: int) -> tuple["Box", "Box"]:
-        """Bisect along one dimension."""
-        mid = 0.5 * (self.lo[dim] + self.hi[dim])
-        lo2 = self.lo.copy()
-        hi1 = self.hi.copy()
-        hi1[dim] = mid
-        lo2[dim] = mid
-        return Box(self.lo, hi1), Box(lo2, self.hi)
 
     def sample(self, rng: np.random.Generator, k: int) -> np.ndarray:
         """k points uniform in the box; degenerate dims return the fixed value."""

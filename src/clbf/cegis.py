@@ -111,6 +111,10 @@ class TrainConfig:
         return PgdConfig(steps=self.pgd_steps, delta=self.delta,
                          restarts=self.pgd_restarts)
 
+    def loss_config(self) -> TotalLossConfig:
+        return TotalLossConfig(self.method, self.loss_weights(), self.delta,
+                               self.pgd_config(), self.train_spectral_iters)
+
     def bnb_config(self, max_boxes: int | None = None) -> BnbConfig:
         return BnbConfig(max_boxes=max_boxes or self.max_boxes,
                          min_width=self.min_width, ce_limit=self.ce_limit,
@@ -183,8 +187,7 @@ def warm_start(env: EnvSpec, config: TrainConfig,
         cfg.clbf_params(), env,
     )
     # pre-train the certificate with the policy frozen
-    tl_cfg = TotalLossConfig(cfg.method, cfg.loss_weights(), cfg.delta,
-                             cfg.pgd_config(), cfg.train_spectral_iters)
+    tl_cfg = cfg.loss_config()
     opt_c = Adam(lr=cfg.lr)
     vs, val = None, np.nan  # no loss is measured when warmstart_epochs is 0
     for _ in range(cfg.warmstart_epochs):
@@ -247,8 +250,7 @@ def cegis_run(config: TrainConfig, env: EnvSpec | None = None) -> CegisResult:
     result = CegisResult(policy, cert, False, "running", warmstart=ws_diag,
                          config=cfg)
 
-    tl_cfg = TotalLossConfig(cfg.method, cfg.loss_weights(), cfg.delta,
-                             cfg.pgd_config(), cfg.train_spectral_iters)
+    tl_cfg = cfg.loss_config()
     opt = Adam(lr=cfg.lr)
     params = cert.net.params() + policy.params()
     D_ce_init = np.empty((0, env.state_dim))

@@ -53,6 +53,10 @@ class FilteredCertificate:
     params: ClbfParams
     env: EnvSpec
 
+    def __post_init__(self):
+        if self.net.n_in != self.env.state_dim or self.net.n_out != 1:
+            raise ValueError("certificate dimensions do not match the environment")
+
     def raw(self, X: np.ndarray) -> np.ndarray:
         """Unmasked network values, batched."""
         return scalar_value(self.net, np.atleast_2d(X))
@@ -74,9 +78,6 @@ class FilteredCertificate:
         """Filtered values, batched (see apply_masks)."""
         X = np.atleast_2d(np.asarray(X, dtype=float))
         return self.apply_masks(X, scalar_value(self.net, X))[0]
-
-    def value_one(self, x: np.ndarray) -> float:
-        return float(self.value(np.asarray(x)[None, :])[0])
 
 
 def value_bounds_arrays(

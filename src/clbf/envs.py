@@ -47,33 +47,6 @@ def sin_range(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return out_lo, out_hi
 
 
-def cos_range(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Exact range of cos over [lo, hi]; critical points at multiples of pi."""
-    lo = np.asarray(lo, dtype=float)
-    hi = np.asarray(hi, dtype=float)
-    c_lo, c_hi = np.cos(lo), np.cos(hi)
-    out_lo = np.minimum(c_lo, c_hi)
-    out_hi = np.maximum(c_lo, c_hi)
-    two_pi = 2.0 * np.pi
-    has_max = np.ceil(lo / two_pi) <= np.floor(hi / two_pi)
-    has_min = np.ceil((lo - np.pi) / two_pi) <= np.floor((hi - np.pi) / two_pi)
-    out_hi = np.where(has_max, 1.0, out_hi)
-    out_lo = np.where(has_min, -1.0, out_lo)
-    return out_lo, out_hi
-
-
-def trig_interval(lo: float, hi: float):
-    """Exact ranges of sin and cos over [lo, hi] radians.
-
-    Returns ((sin_min, sin_max), (cos_min, cos_max)).
-    """
-    if hi < lo:
-        raise ValueError("trig_interval requires hi >= lo")
-    s_lo, s_hi = sin_range(np.array([lo]), np.array([hi]))
-    c_lo, c_hi = cos_range(np.array([lo]), np.array([hi]))
-    return (float(s_lo[0]), float(s_hi[0])), (float(c_lo[0]), float(c_hi[0]))
-
-
 # ---------------------------------------------------------------------------
 # environment spec
 
@@ -85,9 +58,11 @@ class EnvSpec:
     step / step_jac / step_interval_arrays are batched over the leading axis.
     step_jac returns the Jacobians of the total (clamp-included) transition.
     The goal set is the union of goal_boxes. The unsafe set is the union of
-    unsafe_boxes or, when safe_box is given, everything outside safe_box
-    (unsafe_boxes then tiles it within domain, for sampling). The two sets
-    are disjoint: a goal box that meets the unsafe set raises ValueError.
+    unsafe_boxes or, when safe_box is given, everything outside safe_box;
+    unsafe_boxes then tiles it within domain, and check_safety takes its
+    witness from the first of them while the decrease check searches them for
+    an unsafe point of a perturbation ball. The two sets are disjoint: a goal
+    box that meets the unsafe set raises ValueError.
     The set predicates, unmasked_pieces(box) (a tiling of the part of a box outside
     both sets, where the network rather than a mask gives the value) and
     eligible_cover = unmasked_pieces(domain) are derived from these boxes when
@@ -145,12 +120,6 @@ class EnvSpec:
                 raise ValueError(f"goal box {g} meets the unsafe set")
         if self.eligible_cover is None:
             self.eligible_cover = self.unmasked_pieces(self.domain)
-
-    def step_interval(self, B: Box, U: Box) -> Box:
-        lo, hi = self.step_interval_arrays(
-            B.lo[None], B.hi[None], U.lo[None], U.hi[None]
-        )
-        return Box(lo[0], hi[0])
 
     def in_init(self, x: np.ndarray) -> np.ndarray:
         return _in_union(self.init_boxes, x)

@@ -21,6 +21,7 @@ from .nets import Mlp, forward_batch
 OUTCOME_GOAL = "reached_goal"
 OUTCOME_UNSAFE = "entered_unsafe"
 OUTCOME_TIMEOUT = "timed_out"
+WILSON_Z = 1.96  # two-sided 95 percent normal quantile
 
 
 @dataclass
@@ -86,8 +87,9 @@ def sample_initial_states(env: EnvSpec, n: int, rng: np.random.Generator) -> np.
     return out[:n]
 
 
-def wilson_interval(successes: int, n: int, z: float = 1.96) -> tuple[float, float]:
+def wilson_interval(successes: int, n: int) -> tuple[float, float]:
     """95 percent score interval for a binomial proportion."""
+    z = WILSON_Z
     if n == 0:
         return 0.0, 1.0
     phat = successes / n

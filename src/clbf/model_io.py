@@ -60,6 +60,9 @@ def load_model(path: str | Path) -> tuple[Mlp, FilteredCertificate]:
     doc = json.loads(Path(path).read_text())
     if doc.get("format") != FORMAT_TAG:
         raise ValueError(f"unsupported model format: {doc.get('format')!r}")
+    missing = [k for k in ("env", "clbf_params", "policy", "certificate") if k not in doc]
+    if missing:
+        raise ValueError(f"model document lacks sections {missing}")
     env = make_env(doc["env"], doc.get("env_constants"))
     policy = _net_from_doc(doc["policy"])
     cert_net = _net_from_doc(doc["certificate"])
@@ -70,8 +73,6 @@ def load_model(path: str | Path) -> tuple[Mlp, FilteredCertificate]:
     params = ClbfParams(**doc["clbf_params"]).validate()
     if policy.n_in != env.state_dim or policy.n_out != env.control_dim:
         raise ValueError("policy dimensions do not match the environment")
-    if cert_net.n_in != env.state_dim or cert_net.n_out != 1:
-        raise ValueError("certificate dimensions do not match the environment")
     return policy, FilteredCertificate(cert_net, params, env)
 
 

@@ -85,14 +85,6 @@ def accumulate(grads: list[np.ndarray], incr: list[np.ndarray], scale: float = 1
 # forward / backward
 
 
-def forward(net: Mlp, x: np.ndarray) -> np.ndarray:
-    """Evaluate one state; returns the output vector (shape (n_out,))."""
-    x = np.asarray(x, dtype=float)
-    if x.shape != (net.n_in,):
-        raise ValueError(f"expected input of dim {net.n_in}, got shape {x.shape}")
-    return forward_batch(net, x[None, :])[0]
-
-
 def forward_batch(net: Mlp, X: np.ndarray) -> np.ndarray:
     X = np.asarray(X, dtype=float)
     if X.ndim != 2 or X.shape[1] != net.n_in:
@@ -199,12 +191,10 @@ def input_jacobian(net: Mlp, X: np.ndarray) -> np.ndarray:
 
 
 def ibp_bounds(net: Mlp, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Sound output bounds over input boxes; accepts (n,) or batched (k, n)."""
+    """Sound output bounds (k, n_out) over the input boxes given as (k, n)
+    lower and upper corners."""
     lo = np.asarray(lo, dtype=float)
     hi = np.asarray(hi, dtype=float)
-    single = lo.ndim == 1
-    if single:
-        lo, hi = lo[None, :], hi[None, :]
     mid = 0.5 * (lo + hi)
     rad = 0.5 * (hi - lo)
     last = len(net.weights) - 1
@@ -215,10 +205,7 @@ def ibp_bounds(net: Mlp, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np
             z_lo = np.maximum(mid - rad, 0.0)
             z_hi = np.maximum(mid + rad, 0.0)
             mid, rad = 0.5 * (z_lo + z_hi), 0.5 * (z_hi - z_lo)
-    out_lo, out_hi = mid - rad, mid + rad
-    if single:
-        return out_lo[0], out_hi[0]
-    return out_lo, out_hi
+    return mid - rad, mid + rad
 
 
 # ---------------------------------------------------------------------------

@@ -103,8 +103,8 @@ class BnbConfig:
 
 def ibp_policy_bounds(policy: Mlp, lo: np.ndarray, hi: np.ndarray,
                       control_box: Box | None = None):
-    """Sound (lo, hi) bounds on the clamped policy output over state boxes;
-    accepts (n,) or batched (k, n) bounds, like ibp_bounds."""
+    """Sound (lo, hi) bounds (k, m) on the clamped policy output over the
+    state boxes given as (k, n) lower and upper corners, as in ibp_bounds."""
     u_lo, u_hi = ibp_bounds(policy, lo, hi)
     if control_box is not None:
         u_lo = np.clip(u_lo, control_box.lo, control_box.hi)

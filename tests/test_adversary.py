@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import clbf.adversary
-from clbf.adversary import PgdConfig, attack_step, pgd_maximize, pgd_maximize_batch
+from clbf.adversary import PgdConfig, pgd_maximize_batch
 from clbf.nets import Mlp, forward_batch, init_mlp, scalar_value, value_and_input_grad
 
 from conftest import small_cert, small_policy
@@ -23,14 +23,14 @@ def test_config_validation():
 
 def test_zero_radius_returns_center(rng):
     net = init_mlp([2, 8, 1], rng)
-    c = rng.uniform(-1, 1, 2)
-    assert np.array_equal(pgd_maximize(net, c, PgdConfig(delta=0.0)), c)
+    c = rng.uniform(-1, 1, (1, 2))
+    assert np.array_equal(pgd_maximize_batch(net, c, PgdConfig(delta=0.0)), c)
 
 
 def test_linear_net_reaches_corner():
     net = linear_net([1.0, -2.0])
-    y = pgd_maximize(net, np.zeros(2), PgdConfig(delta=0.1))
-    assert np.allclose(y, [0.1, -0.1], atol=1e-12)
+    y = pgd_maximize_batch(net, np.zeros((1, 2)), PgdConfig(delta=0.1))
+    assert np.allclose(y, [[0.1, -0.1]], atol=1e-12)
 
 
 def test_projection_and_ascent(rng):
@@ -67,27 +67,30 @@ def test_close_to_grid_search(rng):
         GX, GY = np.meshgrid(g, g)
         grid = center + np.stack([GX.ravel(), GY.ravel()], axis=1)
         grid_max = scalar_value(net, grid).max()
-        y = pgd_maximize(net, center, PgdConfig(delta=delta), np.random.default_rng(1))
-        assert scalar_value(net, y[None])[0] >= grid_max - 1e-3
+        y = pgd_maximize_batch(net, center[None], PgdConfig(delta=delta),
+                               np.random.default_rng(1))
+        assert scalar_value(net, y)[0] >= grid_max - 1e-3
+
+
+def nominal_next_states(env, policy, X):
+    return env.step(X, env.clamp_control(forward_batch(policy, X)))
 
 
 def test_attack_step_zero_delta_is_nominal(pendulum, rng):
     cert = small_cert(pendulum)
-    policy = small_policy(pendulum)
-    X = rng.uniform(-0.3, 0.3, (10, 2))
-    got = attack_step(cert, policy, pendulum, X, 0.0)
-    U = pendulum.clamp_control(forward_batch(policy, X))
-    assert np.allclose(got, pendulum.step(X, U))
+    nominal = nominal_next_states(pendulum, small_policy(pendulum),
+                                  rng.uniform(-0.3, 0.3, (10, 2)))
+    got = pgd_maximize_batch(cert.net, nominal, PgdConfig(delta=0.0))
+    assert np.allclose(got, nominal)
 
 
 def test_attack_step_stays_in_ball(pendulum, rng):
     cert = small_cert(pendulum)
-    policy = small_policy(pendulum)
-    X = rng.uniform(-0.3, 0.3, (10, 2))
+    nominal = nominal_next_states(pendulum, small_policy(pendulum),
+                                  rng.uniform(-0.3, 0.3, (10, 2)))
     delta = 0.02
-    got = attack_step(cert, policy, pendulum, X, delta, rng=np.random.default_rng(3))
-    U = pendulum.clamp_control(forward_batch(policy, X))
-    nominal = pendulum.step(X, U)
+    got = pgd_maximize_batch(cert.net, nominal, PgdConfig(delta=delta),
+                             np.random.default_rng(3))
     assert np.abs(got - nominal).max() <= delta + 1e-12
 
 
@@ -96,12 +99,10 @@ def test_attack_saturates_monotone_coordinate(pendulum):
     cert = small_cert(pendulum)
     cert.net.weights[:] = [np.array([[1.0, 0.0]]), ]
     cert.net.biases[:] = [np.zeros(1)]
-    policy = small_policy(pendulum)
-    x = np.array([[0.1, 0.1]])
+    nominal = nominal_next_states(pendulum, small_policy(pendulum),
+                                  np.array([[0.1, 0.1]]))
     delta = 0.01
-    U = pendulum.clamp_control(forward_batch(policy, x))
-    nominal = pendulum.step(x, U)
-    got = attack_step(cert, policy, pendulum, x, delta)
+    got = pgd_maximize_batch(cert.net, nominal, PgdConfig(delta=delta))
     assert got[0, 0] == pytest.approx(nominal[0, 0] + delta)
 
 

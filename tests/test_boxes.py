@@ -15,17 +15,9 @@ def test_contains_and_intersects():
     assert not b.contains(np.array([1.5, 1.0]))
     batch = np.array([[0.1, 0.1], [2.0, 0.1]])
     assert list(b.contains(batch)) == [True, False]
-    assert b.intersects(Box(np.array([1.0, 1.0]), np.array([3.0, 3.0])))  # shared face
-    assert not b.intersects(Box(np.array([1.1, 0.0]), np.array([2.0, 1.0])))
-
-
-def test_split_and_inflate():
-    b = Box(np.array([0.0, 0.0]), np.array([4.0, 1.0]))
-    left, right = b.split(0)
-    assert left.hi[0] == 2.0 and right.lo[0] == 2.0
-    assert np.allclose(left.volume() + right.volume(), b.volume())
-    infl = b.inflate(0.5)
-    assert np.allclose(infl.lo, [-0.5, -0.5]) and np.allclose(infl.hi, [4.5, 1.5])
+    face = b.intersect(Box(np.array([1.0, 1.0]), np.array([3.0, 3.0])))  # shared face
+    assert np.array_equal(face.lo, [1.0, 1.0]) and np.array_equal(face.hi, [1.0, 2.0])
+    assert b.intersect(Box(np.array([1.1, 0.0]), np.array([2.0, 1.0]))) is None
 
 
 def test_subtract_box_tiles_exactly(rng):

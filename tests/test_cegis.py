@@ -149,7 +149,7 @@ def test_status_certified(monkeypatch):
 def fake_cegis_run(pendulum, vanilla_ok=True, tau_min=2.5):
     """A run that succeeds for vanilla (if vanilla_ok) with a net whose
     spectral product is 6, and for lip-reg iff tau >= tau_min."""
-    net = Mlp([2 * np.eye(2), 3 * np.eye(2)], [np.zeros(2), np.zeros(2)])
+    net = Mlp([2 * np.eye(2), np.array([[3.0, 0.0]])], [np.zeros(2), np.zeros(1)])
 
     def run(cfg, env=None):
         ok = vanilla_ok if cfg.method == "vanilla" else cfg.tau >= tau_min

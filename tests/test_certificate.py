@@ -3,6 +3,7 @@ import pytest
 
 from clbf.boxes import Box
 from clbf.certificate import ClbfParams, FilteredCertificate, clipped_bounds, value_bounds_arrays
+from clbf.nets import init_mlp
 
 from conftest import small_cert
 
@@ -19,12 +20,19 @@ def test_params_validation():
         ClbfParams(goal_mask=1.0).validate()  # beta <= goal_mask
 
 
+def test_net_dimensions_must_match_the_environment(pendulum):
+    rng = np.random.default_rng(0)
+    for dims in ([2, 4, 3], [3, 4, 1]):  # several outputs; wrong input width
+        with pytest.raises(ValueError, match="certificate dimensions"):
+            FilteredCertificate(init_mlp(dims, rng), ClbfParams(), pendulum)
+
+
 def test_value_masks(pendulum):
     cert = small_cert(pendulum)
-    assert cert.value_one(np.array([0.0, 0.0])) == -10.0  # goal
-    assert cert.value_one(np.array([0.65, 0.5])) == 1.2   # unsafe
-    x = np.array([0.4, -0.4])
-    assert cert.value_one(x) == pytest.approx(float(cert.raw(x[None])[0]))
+    goal, unsafe, plain = cert.value(np.array([[0.0, 0.0], [0.65, 0.5], [0.4, -0.4]]))
+    assert goal == -10.0
+    assert unsafe == 1.2
+    assert plain == pytest.approx(float(cert.raw(np.array([[0.4, -0.4]]))[0]))
 
 
 def test_value_bounds_fully_masked(pendulum):
@@ -54,12 +62,13 @@ def test_value_bounds_monotone_refinement(pendulum, rng):
     for _ in range(50):
         c = rng.uniform(-0.6, 0.6, 2)
         r = rng.uniform(0.05, 0.3, 2)
-        B = Box(c - r, c + r)
+        lo_b, hi_b = c - r, c + r
         for d in range(2):
-            b1, b2 = B.split(d)
-            (lo, lo1, lo2), (hi, hi1, hi2) = value_bounds_arrays(
-                cert, np.stack([B.lo, b1.lo, b2.lo]), np.stack([B.hi, b1.hi, b2.hi])
-            )
+            # the box and its two halves along d
+            los = np.stack([lo_b, lo_b, lo_b])
+            his = np.stack([hi_b, hi_b, hi_b])
+            his[1, d] = los[2, d] = 0.5 * (lo_b[d] + hi_b[d])
+            (lo, lo1, lo2), (hi, hi1, hi2) = value_bounds_arrays(cert, los, his)
             assert min(lo1, lo2) >= lo - 1e-12
             assert max(hi1, hi2) <= hi + 1e-12
 

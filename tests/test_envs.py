@@ -4,14 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from clbf.boxes import Box, subtract_boxes
-from clbf.envs import (
-    EnvSpec,
-    cos_range,
-    docking_matrices,
-    make_env,
-    sin_range,
-    trig_interval,
-)
+from clbf.envs import EnvSpec, docking_matrices, make_env, sin_range
 
 from conftest import halving_env_1d
 
@@ -21,37 +14,24 @@ from conftest import halving_env_1d
 
 
 def test_trig_interval_quarter_period():
-    (s_lo, s_hi), _ = trig_interval(0.0, np.pi / 2)
+    (s_lo,), (s_hi,) = sin_range(np.array([0.0]), np.array([np.pi / 2]))
     assert s_lo == pytest.approx(0.0) and s_hi == pytest.approx(1.0)
 
 
 def test_trig_interval_monotone_segment():
-    (s_lo, s_hi), _ = trig_interval(-0.1, 0.1)
+    (s_lo,), (s_hi,) = sin_range(np.array([-0.1]), np.array([0.1]))
     assert s_lo == pytest.approx(-0.0998334, abs=1e-7)
     assert s_hi == pytest.approx(0.0998334, abs=1e-7)
-
-
-def test_trig_interval_full_cos_swing():
-    _, (c_lo, c_hi) = trig_interval(-np.pi, np.pi)
-    assert c_lo == pytest.approx(-1.0) and c_hi == pytest.approx(1.0)
-
-
-def test_trig_interval_rejects_reversed():
-    with pytest.raises(ValueError):
-        trig_interval(1.0, 0.0)
 
 
 def test_trig_ranges_sound_by_sampling(rng):
     los = rng.uniform(-10, 10, 200)
     his = los + rng.uniform(0, 8, 200)
     s_lo, s_hi = sin_range(los, his)
-    c_lo, c_hi = cos_range(los, his)
     for i in range(200):
         ts = np.linspace(los[i], his[i], 500)
         assert np.sin(ts).min() >= s_lo[i] - 1e-12
         assert np.sin(ts).max() <= s_hi[i] + 1e-12
-        assert np.cos(ts).min() >= c_lo[i] - 1e-12
-        assert np.cos(ts).max() <= c_hi[i] + 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -88,9 +68,9 @@ def test_pendulum_clamps_torque(pendulum):
 def test_pendulum_step_interval_reference(pendulum):
     B = Box(np.array([-0.1, 0.0]), np.array([0.1, 0.0]))
     U = Box(np.array([0.0]), np.array([0.0]))
-    img = pendulum.step_interval(B, U)
-    assert img.lo[1] == pytest.approx(-0.0748751, abs=1e-7)
-    assert img.hi[1] == pytest.approx(0.0748751, abs=1e-7)
+    lo, hi = pendulum.step_interval_arrays(B.lo[None], B.hi[None], U.lo[None], U.hi[None])
+    assert lo[0, 1] == pytest.approx(-0.0748751, abs=1e-7)
+    assert hi[0, 1] == pytest.approx(0.0748751, abs=1e-7)
 
 
 def test_pendulum_jacobian_matches_fd(pendulum, rng):
@@ -235,9 +215,10 @@ def test_docking_interval_is_exact_affine_image(docking, rng):
         r_u = rng.uniform(0, 0.3, 2)
         B = Box(c_x - r_x, c_x + r_x)
         U = Box(c_u - r_u, c_u + r_u)
-        img = docking.step_interval(B, U)
+        lo, hi = docking.step_interval_arrays(B.lo[None], B.hi[None],
+                                              U.lo[None], U.hi[None])
         want_width = np.abs(A) @ B.width + np.abs(Bu) @ U.width
-        assert np.allclose(img.width, want_width, atol=1e-10)
+        assert np.allclose(hi[0] - lo[0], want_width, atol=1e-10)
 
 
 def test_step_interval_soundness_dense_sampling(pendulum, docking, rng):
@@ -251,19 +232,20 @@ def test_step_interval_soundness_dense_sampling(pendulum, docking, rng):
             cu = rng.uniform(-1, 1, env.control_dim)
             ru = rng.uniform(0, 0.5, env.control_dim)
             U = Box(np.clip(cu - ru, -1, 1), np.clip(cu + ru, -1, 1))
-            img = env.step_interval(B, U)
+            lo, hi = env.step_interval_arrays(B.lo[None], B.hi[None],
+                                              U.lo[None], U.hi[None])
             X = B.sample(rng, 100)
             Uc = U.sample(rng, 100)
             nxt = env.step(X, Uc)
-            assert np.all(nxt >= img.lo - 1e-10) and np.all(nxt <= img.hi + 1e-10)
+            assert np.all(nxt >= lo - 1e-10) and np.all(nxt <= hi + 1e-10)
 
 
 def test_degenerate_boxes_give_point_image(docking, rng):
     x = rng.uniform(-1, 1, 4)
     u = rng.uniform(-1, 1, 2)
-    img = docking.step_interval(Box(x, x), Box(u, u))
-    nxt = docking.step(x[None], u[None])[0]
-    assert np.allclose(img.lo, nxt) and np.allclose(img.hi, nxt)
+    lo, hi = docking.step_interval_arrays(x[None], x[None], u[None], u[None])
+    nxt = docking.step(x[None], u[None])
+    assert np.allclose(lo, nxt) and np.allclose(hi, nxt)
 
 
 def test_make_env_rejects_unknown():

@@ -65,6 +65,15 @@ def _saved_doc(env, tmp_path):
     return path, json.loads(path.read_text())
 
 
+def test_missing_section_is_rejected(pendulum, tmp_path):
+    for section in ("env", "clbf_params", "policy", "certificate"):
+        path, doc = _saved_doc(pendulum, tmp_path)
+        del doc[section]
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match=section):
+            load_model(path)
+
+
 def test_unknown_params_key_is_rejected(pendulum, tmp_path):
     path, doc = _saved_doc(pendulum, tmp_path)
     doc["clbf_params"]["alpa"] = doc["clbf_params"].pop("alpha")

@@ -5,7 +5,6 @@ from clbf.nets import (
     Adam,
     Mlp,
     backward,
-    forward,
     forward_batch,
     forward_tape,
     ibp_bounds,
@@ -36,7 +35,7 @@ def naive_forward(net, x):
 
 def test_forward_identity_layer():
     net = Mlp([np.eye(2)], [np.zeros(2)])
-    assert np.allclose(forward(net, np.array([0.3, -0.5])), [0.3, -0.5])
+    assert np.allclose(forward_batch(net, np.array([[0.3, -0.5]]))[0], [0.3, -0.5])
 
 
 def test_forward_hand_evaluation():
@@ -44,20 +43,21 @@ def test_forward_hand_evaluation():
         [np.array([[1.0, -1.0]]), np.array([[2.0]])],
         [np.zeros(1), np.zeros(1)],
     )
-    assert forward(net, np.array([1.0, 0.0]))[0] == pytest.approx(2.0)
+    assert forward_batch(net, np.array([[1.0, 0.0]]))[0, 0] == pytest.approx(2.0)
 
 
 def test_forward_matches_naive_oracle(rng):
     net = init_mlp([4, 16, 8, 3], rng)
     for _ in range(5):
         x = rng.uniform(-1, 1, 4)
-        assert np.allclose(forward(net, x), naive_forward(net, x), atol=1e-12)
+        assert np.allclose(forward_batch(net, x[None])[0], naive_forward(net, x),
+                           atol=1e-12)
 
 
 def test_forward_dimension_mismatch():
     net = Mlp([np.eye(2)], [np.zeros(2)])
     with pytest.raises(ValueError):
-        forward(net, np.array([1.0, 2.0, 3.0]))
+        forward_batch(net, np.array([[1.0, 2.0, 3.0]]))
 
 
 def test_backward_affine_cases():
@@ -139,7 +139,7 @@ def test_piecewise_affine_within_activation_pattern(rng):
     if all(np.array_equal(p, q) for p, q in zip(pattern(x), pattern(y))):
         lam = 0.37
         mid = lam * x + (1 - lam) * y
-        f = lambda z: forward(net, z)[0]
+        f = lambda z: forward_batch(net, z[None])[0, 0]
         assert f(mid) == pytest.approx(lam * f(x) + (1 - lam) * f(y), abs=1e-10)
 
 
@@ -235,7 +235,7 @@ def test_ibp_bounds_sound_by_sampling(rng):
         center = rng.uniform(-1, 1, 3)
         rad = rng.uniform(0.01, 0.5, 3)
         lo, hi = center - rad, center + rad
-        out_lo, out_hi = ibp_bounds(net, lo, hi)
+        out_lo, out_hi = ibp_bounds(net, lo[None], hi[None])
         pts = rng.uniform(lo, hi, (2000, 3))
         Y = forward_batch(net, pts)
         assert np.all(Y >= out_lo - 1e-12) and np.all(Y <= out_hi + 1e-12)
@@ -244,8 +244,8 @@ def test_ibp_bounds_sound_by_sampling(rng):
 def test_ibp_degenerate_box_is_point_evaluation(rng):
     net = init_mlp([2, 8, 1], rng)
     x = rng.uniform(-1, 1, 2)
-    lo, hi = ibp_bounds(net, x, x)
-    y = forward(net, x)
+    lo, hi = ibp_bounds(net, x[None], x[None])
+    y = forward_batch(net, x[None])
     assert np.allclose(lo, y) and np.allclose(hi, y)
 
 

@@ -180,15 +180,15 @@ def test_policy_bounds_relu_example():
     net = Mlp([np.array([[1.0, -1.0]]), np.array([[1.0]])],
                [np.zeros(1), np.zeros(1)])
     B = Box(np.zeros(2), np.ones(2))
-    lo, hi = ibp_policy_bounds(net, B.lo, B.hi)
-    assert lo[0] == pytest.approx(0.0) and hi[0] == pytest.approx(1.0)
+    lo, hi = ibp_policy_bounds(net, B.lo[None], B.hi[None])
+    assert lo[0, 0] == pytest.approx(0.0) and hi[0, 0] == pytest.approx(1.0)
 
 
 def test_policy_bounds_degenerate_box(rng):
     net = init_mlp([2, 8, 1], rng)
     x = rng.uniform(-1, 1, 2)
-    lo, hi = ibp_policy_bounds(net, x, x)
-    y = forward_batch(net, x[None])[0]
+    lo, hi = ibp_policy_bounds(net, x[None], x[None])
+    y = forward_batch(net, x[None])
     assert np.allclose(lo, y) and np.allclose(hi, y)
 
 
@@ -198,7 +198,7 @@ def test_policy_bounds_sound_and_clamped(pendulum, rng):
         c = rng.uniform(-0.5, 0.5, 2)
         r = rng.uniform(0.01, 0.3, 2)
         B = Box(c - r, c + r)
-        lo, hi = ibp_policy_bounds(net, B.lo, B.hi, pendulum.control_box)
+        lo, hi = ibp_policy_bounds(net, B.lo[None], B.hi[None], pendulum.control_box)
         pts = B.sample(rng, 500)
         u = np.clip(forward_batch(net, pts), -1, 1)
         assert np.all(u >= lo - 1e-12) and np.all(u <= hi + 1e-12)
