@@ -3,7 +3,11 @@
 Used both to harden training (worst-case next states) and to attack trained
 controllers during empirical evaluation. Ascent is on the raw network; the
 best value seen across iterates and restarts is returned, so the result never
-falls below the ball center.
+falls below the ball center. A row stops ascending once a step leaves it
+where it was (a ball corner, or a zero gradient): from a fixed point every
+later step repeats the same value and gradient and cannot improve the best,
+so stopping changes the result only by the BLAS rounding of the smaller
+batches that the rows still moving make.
 """
 
 from __future__ import annotations
@@ -44,13 +48,19 @@ def pgd_maximize_batch(
     """Approximate per-row maximizers of the net over l-inf balls.
 
     Sign-gradient ascent with exact projection onto [center - delta,
-    center + delta]. Restarts draw their starting points sequentially from
-    rng, so with a fixed generator seed the first restarts of a longer run
-    coincide with a shorter one.
+    center + delta], first from the centers, then from one random start per
+    further restart; returns the best iterate of every row. Restarts draw
+    their starting points sequentially from rng, so with a fixed generator
+    seed the first restarts of a longer run coincide with a shorter one.
 
-    With a boolean mask `active`, only the active rows are ascended and the
+    A row whose step leaves its iterate unchanged has reached a fixed point
+    and stops for the rest of its restart: every later step would repeat its
+    value and gradient, and only strict improvements replace the best. With
+    a boolean mask `active`, only the active rows ascend at all and the
     others return their centers. Starts are still drawn for every row, so
-    the generator ends in the same state as after the unmasked call.
+    the generator ends in the same state as after the unmasked call. The
+    result is that of ascending every row to the end, up to the BLAS
+    rounding of the smaller batches of rows still live.
     """
     cfg.validate()
     centers = np.atleast_2d(np.asarray(centers, dtype=float))
@@ -60,37 +70,27 @@ def pgd_maximize_batch(
         rng = np.random.default_rng(0)
     starts = [rng.uniform(centers - cfg.delta, centers + cfg.delta)
               for _ in range(cfg.restarts - 1)]
-    if active is None:
-        return _ascend(net, centers, starts, cfg)
-    out = centers.copy()
-    rows = np.flatnonzero(active)
-    if rows.size:
-        out[rows] = _ascend(net, centers[rows], [s[rows] for s in starts], cfg)
-    return out
-
-
-def _ascend(net: Mlp, centers: np.ndarray, starts: list[np.ndarray],
-            cfg: PgdConfig) -> np.ndarray:
-    """The ascent of pgd_maximize_batch from the centers, then from each of
-    the drawn starts; returns the best iterate of every row."""
+    rows = np.arange(len(centers)) if active is None else np.flatnonzero(active)
     step = cfg.step_size if cfg.step_size is not None else cfg.delta / 4.0
-    lo = centers - cfg.delta
-    hi = centers + cfg.delta
-
-    def keep_best(x, v):
-        improve = v > best_v
-        best_v[improve] = v[improve]
-        best_x[improve] = x[improve]
-
     best_x = centers.copy()
-    # restart 0 starts at the centers, so this pass is also its first step
-    best_v, g = value_and_input_grad(net, centers)
-    for restart, x in enumerate([centers, *starts]):
-        for i in range(cfg.steps):
-            if restart or i:
-                v, g = value_and_input_grad(net, x)
-                keep_best(x, v)
-            x = np.clip(x + step * np.sign(g), lo, hi)
-        keep_best(x, forward_batch(net, x)[:, 0])
-    return best_x
+    best_v = np.full(len(centers), -np.inf)
 
+    def keep_best(live, x, v):
+        improve = v > best_v[live]
+        best_v[live[improve]] = v[improve]
+        best_x[live[improve]] = x[improve]
+
+    for start in [centers, *starts]:
+        live, x = rows, start[rows]
+        lo, hi = centers[live] - cfg.delta, centers[live] + cfg.delta
+        for _ in range(cfg.steps):
+            if not live.size:
+                break
+            v, g = value_and_input_grad(net, x)
+            keep_best(live, x, v)
+            x_next = np.clip(x + step * np.sign(g), lo, hi)
+            moved = (x_next != x).any(axis=1)
+            live, x, lo, hi = live[moved], x_next[moved], lo[moved], hi[moved]
+        if live.size:
+            keep_best(live, x, forward_batch(net, x)[:, 0])
+    return best_x

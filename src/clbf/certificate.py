@@ -45,7 +45,7 @@ class ClbfParams:
         return self
 
 
-@dataclass
+@dataclass(frozen=True)
 class FilteredCertificate:
     """Certificate network with goal/unsafe masking over an environment."""
 

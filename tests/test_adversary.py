@@ -106,26 +106,44 @@ def test_attack_saturates_monotone_coordinate(pendulum):
     assert got[0, 0] == pytest.approx(nominal[0, 0] + delta)
 
 
-def reference_pgd(net, centers, cfg, rng):
+def reference_pgd(net, centers, cfg, rng, live_pairs=None):
     """The ascent loop as first written: a value-and-gradient pass at the
-    centers, steps+1 of them per restart."""
+    centers, steps+1 of them per restart. With a list `live_pairs`, appends
+    per step the number of rows not yet at a fixed point: at the first step
+    or moved by the step before."""
     step = cfg.step_size if cfg.step_size is not None else cfg.delta / 4.0
     lo, hi = centers - cfg.delta, centers + cfg.delta
     best_x = centers.copy()
     best_v, _ = value_and_input_grad(net, centers)
     for restart in range(cfg.restarts):
         x = centers.copy() if restart == 0 else rng.uniform(lo, hi)
+        prev = None
         for _ in range(cfg.steps):
+            if live_pairs is not None:
+                live_pairs.append(len(x) if prev is None else int((x != prev).any(axis=1).sum()))
             v, g = value_and_input_grad(net, x)
             improve = v > best_v
             best_v = np.where(improve, v, best_v)
             best_x[improve] = x[improve]
-            x = np.clip(x + step * np.sign(g), lo, hi)
+            prev, x = x, np.clip(x + step * np.sign(g), lo, hi)
         v, _ = value_and_input_grad(net, x)
         improve = v > best_v
         best_v = np.where(improve, v, best_v)
         best_x[improve] = x[improve]
     return best_x
+
+
+def counting(monkeypatch):
+    """Send the ascent's gradient passes through a recorder; returns the
+    list of their row counts."""
+    calls = []
+
+    def counted(net, X):
+        calls.append(X.shape[0])
+        return value_and_input_grad(net, X)
+
+    monkeypatch.setattr(clbf.adversary, "value_and_input_grad", counted)
+    return calls
 
 
 @pytest.mark.parametrize("restarts", [1, 3])
@@ -135,13 +153,7 @@ def test_matches_reference_loop_with_one_gradient_pass_per_step(restarts, monkey
     cfg = PgdConfig(steps=7, delta=0.05, restarts=restarts)
     want = reference_pgd(net, centers, cfg, np.random.default_rng(9))
 
-    calls = []
-
-    def counted(net, X):
-        calls.append(X.shape[0])
-        return value_and_input_grad(net, X)
-
-    monkeypatch.setattr(clbf.adversary, "value_and_input_grad", counted)
+    calls = counting(monkeypatch)
     got = pgd_maximize_batch(net, centers, cfg, np.random.default_rng(9))
     assert np.array_equal(got, want)
     assert len(calls) == restarts * cfg.steps
@@ -169,14 +181,67 @@ def test_all_false_active_makes_no_gradient_pass(monkeypatch):
     rng_full, rng_masked = np.random.default_rng(3), np.random.default_rng(3)
     pgd_maximize_batch(net, centers, cfg, rng_full)
 
-    calls = []
-
-    def counted(net, X):
-        calls.append(X.shape[0])
-        return value_and_input_grad(net, X)
-
-    monkeypatch.setattr(clbf.adversary, "value_and_input_grad", counted)
+    calls = counting(monkeypatch)
     got = pgd_maximize_batch(net, centers, cfg, rng_masked, np.zeros(8, bool))
     assert calls == []
     assert np.array_equal(got, centers)
     assert rng_masked.bit_generator.state == rng_full.bit_generator.state
+
+
+class DyadicStarts:
+    """Stands in for the generator: restart starts on a grid of delta / 4
+    steps, so they stay exactly representable like the centers."""
+
+    def __init__(self, seed):
+        self.rng = np.random.default_rng(seed)
+
+    def uniform(self, lo, hi):
+        return lo + (hi - lo) * self.rng.integers(0, 9, np.shape(lo)) / 8
+
+
+def exact_case():
+    """A net with small-integer weights, centers on a 1/8 grid and delta =
+    1/16: every sum in the ascent is exact, so no BLAS blocking can change
+    a bit, whichever rows share a batch."""
+    rng = np.random.default_rng(5)
+    dims = [2, 16, 8, 1]
+    net = Mlp([rng.integers(-3, 4, (m, n)).astype(float) for n, m in zip(dims, dims[1:])],
+              [rng.integers(-4, 5, m) / 4.0 for m in dims[1:]])
+    centers = rng.integers(-8, 9, (64, 2)) / 8.0
+    return net, centers
+
+
+@pytest.mark.parametrize("restarts", [1, 3])
+@pytest.mark.parametrize("masked", [False, True])
+def test_exact_arithmetic_matches_reference_bit_for_bit(restarts, masked):
+    net, centers = exact_case()
+    cfg = PgdConfig(steps=12, delta=1 / 16, restarts=restarts)
+    want = reference_pgd(net, centers, cfg, DyadicStarts(9))
+    active = np.arange(len(centers)) % 3 != 0 if masked else None
+    got = pgd_maximize_batch(net, centers, cfg, DyadicStarts(9), active)
+    if masked:
+        want[~active] = centers[~active]
+    assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("restarts", [1, 3])
+def test_gradient_rows_are_the_pairs_not_at_a_fixed_point(restarts, monkeypatch):
+    net, centers = exact_case()
+    cfg = PgdConfig(steps=12, delta=1 / 16, restarts=restarts)
+    live_pairs = []
+    reference_pgd(net, centers, cfg, DyadicStarts(9), live_pairs)
+    calls = counting(monkeypatch)
+    pgd_maximize_batch(net, centers, cfg, DyadicStarts(9))
+    assert sum(calls) == sum(live_pairs)
+    assert sum(calls) < restarts * cfg.steps * len(centers)  # some rows stopped
+
+
+def test_linear_net_stops_at_the_corner(monkeypatch):
+    # steps 0-3 reach the corner, the pass at step 4 finds it fixed
+    net = linear_net([1.0, -2.0])
+    centers = np.random.default_rng(2).integers(-8, 9, (10, 2)) / 8.0
+    delta = 1 / 8
+    calls = counting(monkeypatch)
+    y = pgd_maximize_batch(net, centers, PgdConfig(steps=20, delta=delta, restarts=1))
+    assert np.array_equal(y, centers + [delta, -delta])
+    assert calls == [10] * 5

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -25,6 +27,12 @@ def test_net_dimensions_must_match_the_environment(pendulum):
     for dims in ([2, 4, 3], [3, 4, 1]):  # several outputs; wrong input width
         with pytest.raises(ValueError, match="certificate dimensions"):
             FilteredCertificate(init_mlp(dims, rng), ClbfParams(), pendulum)
+
+
+def test_fields_cannot_be_reassigned_past_the_dimension_check(pendulum):
+    cert = small_cert(pendulum)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        cert.net = init_mlp([pendulum.state_dim + 1, 8, 1], np.random.default_rng(0))
 
 
 def test_value_masks(pendulum):

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from clbf.model_io import load_model, model_bytes, save_model
+from clbf.model_io import _net_doc, load_model, model_bytes, save_model
 from clbf.nets import init_mlp
 
 from conftest import small_cert, small_policy
@@ -36,9 +36,10 @@ def test_wrong_format_tag_is_rejected(pendulum, tmp_path):
 
 
 def test_certificate_dimension_mismatch_is_rejected(pendulum, tmp_path):
-    cert = small_cert(pendulum)
-    cert.net = init_mlp([pendulum.state_dim + 1, 8, 1], np.random.default_rng(0))
-    path = save_model(tmp_path / "m.clbf", small_policy(pendulum), cert)
+    path, doc = _saved_doc(pendulum, tmp_path)
+    wide = init_mlp([pendulum.state_dim + 1, 8, 1], np.random.default_rng(0))
+    doc["certificate"] = _net_doc(wide)
+    path.write_text(json.dumps(doc))
     with pytest.raises(ValueError, match="certificate dimensions"):
         load_model(path)
 
