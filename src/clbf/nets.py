@@ -174,10 +174,10 @@ def value_and_input_grad(net: Mlp, X: np.ndarray) -> tuple[np.ndarray, np.ndarra
     return tape.output[:, 0], input_grad(net, tape, np.ones((X.shape[0], 1)))
 
 
-def input_jacobian(net: Mlp, X: np.ndarray) -> np.ndarray:
-    """Full Jacobian dy/dx, shape (k, n_out, n_in); one reverse pass per output."""
-    k = X.shape[0]
-    tape = forward_tape(net, X)
+def input_jacobian(net: Mlp, tape: Tape) -> np.ndarray:
+    """Full Jacobian dy/dx (k, n_out, n_in) at the rows of a recorded forward
+    pass: one input-only reverse pass per output, no forward pass."""
+    k = tape.output.shape[0]
     J = np.empty((k, net.n_out, net.n_in))
     for j in range(net.n_out):
         gY = np.zeros((k, net.n_out))

@@ -16,7 +16,9 @@ whose delta-ball around f(x, pi(x)) has filtered upper bound ub with
 epsilon - (V(x) - ub) < 0 cannot yield a witness, because every ball point
 the hunt evaluates (PGD iterates, a point in the unsafe set) has value at
 most ub. Only the remaining points get the inner PGD, so the screen saves
-work without changing what is found.
+work without changing what is found. Each hunted point set is evaluated once
+through the policy and the certificate, and the ascent step and the exact
+check share that evaluation.
 
 The queue is processed in deterministic FIFO chunk order; within a chunk the
 lexicographically smallest violating box wins, so verdicts are reproducible.
@@ -98,6 +100,9 @@ class BnbConfig:
             raise ValueError("chunk must be >= 1")
         if np.any(np.asarray(self.min_width) <= 0):
             raise ValueError("min_width must be positive")
+        if self.outer_pgd_steps < 0:
+            raise ValueError("outer_pgd_steps must be >= 0")
+        self.inner_pgd.validate()
         return self
 
 
@@ -332,20 +337,26 @@ def _hunt_decrease_ce(cert, policy, env, lo, hi, delta, epsilon, cfg, rng):
     points checked exactly, points of them passed to the inner PGD)."""
     if lo.shape[0] == 0:
         return [], 0, 0
-    X = 0.5 * (lo + hi)
-    found = []
-    hunted = pgd = 0
-    checked = [X]
-    # sign ascent on g(x) = eps - V(x) + V(y*(x)) with the inner point frozen
-    x = X.copy()
+    found, hunted, pgd = [], 0, 0
+    # sign ascent on g(x) = eps - V(x) + V(y*(x)) with the inner point frozen;
+    # each point set keeps only (x, next state, raw V(x)) for the exact
+    # checks, so at most one policy tape is alive at a time
+    x = 0.5 * (lo + hi)
     step = (hi - lo) / (2.0 * max(1, cfg.outer_pgd_steps))
-    for _ in range(cfg.outer_pgd_steps):
-        g = _violation_grad(cert, policy, env, x, delta, cfg.inner_pgd, rng)
-        x = np.clip(x + step * np.sign(g), lo, hi)
-        checked.append(x.copy())
-    for X_try in checked:
+    checked = []
+    for k in range(cfg.outer_pgd_steps + 1):
+        tape_pi = forward_tape(policy, x)
+        nxt = env.step(x, env.clamp_control(tape_pi.output))
+        tape_x = forward_tape(cert.net, x)
+        checked.append((x, nxt, tape_x.output[:, 0]))
+        if k < cfg.outer_pgd_steps:
+            g = _violation_grad(cert, policy, env, x, nxt, tape_pi, tape_x,
+                                delta, cfg.inner_pgd, rng)
+            x = np.clip(x + step * np.sign(g), lo, hi)
+        del tape_pi, tape_x
+    for X_try, nxt, raw_x in checked:
         viol, ball_pts, pgd_rows = _exact_violation(
-            cert, policy, env, X_try, delta, epsilon, cfg.inner_pgd, rng)
+            cert, env, X_try, nxt, raw_x, delta, epsilon, cfg.inner_pgd, rng)
         hunted += X_try.shape[0]
         pgd += pgd_rows
         for i in np.flatnonzero(viol >= WITNESS_SLACK):
@@ -360,9 +371,10 @@ def _hunt_decrease_ce(cert, policy, env, lo, hi, delta, epsilon, cfg, rng):
     return found, hunted, pgd
 
 
-def _exact_violation(cert, policy, env, X, delta, epsilon, inner_pgd, rng):
-    """Exact violation of the robust decrease condition at concrete states,
-    with the ball points realizing it and the number of rows sent to PGD.
+def _exact_violation(cert, env, X, nxt, raw_x, delta, epsilon, inner_pgd, rng):
+    """Exact violation of the robust decrease condition at states X, given
+    their next states nxt and raw values raw_x, with the ball points
+    realizing it and the number of rows sent to PGD.
 
     Ineligible rows (inside goal, filtered value above beta) report -inf.
     For delta > 0 the inner search is screened by the interval upper bound
@@ -373,9 +385,7 @@ def _exact_violation(cert, policy, env, X, delta, epsilon, inner_pgd, rng):
     value at their ball center, which leaves every witness unchanged.
     """
     p = cert.params
-    U = env.clamp_control(forward_batch(policy, X))
-    nxt = env.step(X, U)
-    v_x = cert.value(X)
+    v_x, _ = cert.apply_masks(X, raw_x)
     eligible = ~env.in_goal(X) & (v_x <= p.beta)
     active = eligible.copy()
     if delta > 0:
@@ -388,44 +398,36 @@ def _exact_violation(cert, policy, env, X, delta, epsilon, inner_pgd, rng):
     return viol, best_y, int(np.count_nonzero(active)) if delta > 0 else 0
 
 
-def _violation_grad(cert, policy, env, X, delta, inner_pgd, rng):
-    """Gradient of the violation w.r.t. x (inner maximizer frozen)."""
-    tape_pi = forward_tape(policy, X)
-    U_raw = tape_pi.output
-    nxt = env.step(X, U_raw)
+def _violation_grad(cert, policy, env, X, nxt, tape_pi, tape_x, delta,
+                    inner_pgd, rng):
+    """Gradient of the violation w.r.t. x (inner maximizer frozen), from tapes."""
     if delta > 0:
         pgd_cfg = PgdConfig(steps=max(5, inner_pgd.steps // 2), delta=delta,
                             restarts=1)
         Y = pgd_maximize_batch(cert.net, nxt, pgd_cfg, rng)
     else:
         Y = nxt
-    tape_x = forward_tape(cert.net, X)
     gVx = input_grad(cert.net, tape_x, np.ones((X.shape[0], 1)))
     tape_y = forward_tape(cert.net, Y)
     _, unmasked = cert.apply_masks(Y, tape_y.output[:, 0])
     gVy = input_grad(cert.net, tape_y, unmasked[:, None].astype(float))
-    A, B = env.step_jac(X, U_raw)
+    A, B = env.step_jac(X, tape_pi.output)
     g = -gVx + np.einsum("kij,ki->kj", A, gVy)
-    J_pi = input_jacobian(policy, X)
     gu = np.einsum("kij,ki->kj", B, gVy)
-    g = g + np.einsum("kmj,km->kj", J_pi, gu)
-    return g
+    return g + np.einsum("kmj,km->kj", input_jacobian(policy, tape_pi), gu)
 
 
 def _recheck_decrease(cert, policy, env, w: Witness, delta, epsilon) -> bool:
     """Witness contract: exact re-evaluation confirms the violation."""
     x = w.state[None]
-    if env.in_goal(x)[0]:
+    v_x = cert.value(x)[0]
+    if env.in_goal(x)[0] or v_x > cert.params.beta:
         return False
-    if cert.value(x)[0] > cert.params.beta:
-        return False
-    U = env.clamp_control(forward_batch(policy, x))
-    nxt = env.step(x, U)[0]
+    nxt = env.step(x, env.clamp_control(forward_batch(policy, x)))[0]
     y = w.ball_point
     if np.abs(y - nxt).max() > delta + 1e-12:
         return False
-    measured = epsilon - (cert.value(x)[0] - cert.value(y[None])[0])
-    return measured >= WITNESS_SLACK
+    return epsilon - (v_x - cert.value(y[None])[0]) >= WITNESS_SLACK
 
 
 # ---------------------------------------------------------------------------

@@ -118,7 +118,7 @@ def test_input_grad_is_bit_identical_to_backward(dims):
         _, gX = backward(net, tape, gY)
         assert np.array_equal(input_grad(net, tape, gY), gX)
 
-    J = input_jacobian(net, X)
+    J = input_jacobian(net, tape)
     for j in range(net.n_out):
         gY = np.zeros((X.shape[0], net.n_out))
         gY[:, j] = 1.0

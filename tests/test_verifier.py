@@ -5,19 +5,23 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import clbf.nets
 import clbf.verifier
 from clbf.adversary import PgdConfig, pgd_maximize_batch
 from clbf.boxes import Box
 from clbf.certificate import ClbfParams, FilteredCertificate, clipped_bounds
 from clbf.envs import EnvSpec, make_env
-from clbf.nets import Mlp, forward_batch, ibp_bounds, init_mlp
+from clbf.nets import (Mlp, forward_batch, forward_tape, ibp_bounds, init_mlp,
+                       input_grad)
 from clbf.verifier import (
+    WITNESS_SLACK,
     BnbConfig,
     Verdict,
     Witness,
     _branch_and_bound,
     _exact_ball_max,
     _point_in_unsafe,
+    _recheck_decrease,
     bisect_largest_passing,
     certify_delta,
     check_init,
@@ -73,10 +77,27 @@ def zero_policy(n_in=1, n_out=1):
 
 def test_bnb_config_validation():
     BnbConfig().validate()
+    BnbConfig(outer_pgd_steps=0).validate()
     for bad in (dict(max_boxes=0), dict(min_width=0.0), dict(ce_limit=0),
-                dict(chunk=0)):
+                dict(chunk=0), dict(outer_pgd_steps=-1)):
         with pytest.raises(ValueError, match=next(iter(bad))):
             BnbConfig(**bad).validate()
+    for bad_pgd in (PgdConfig(steps=0), PgdConfig(restarts=0)):
+        with pytest.raises(ValueError, match="steps|restarts"):
+            BnbConfig(inner_pgd=bad_pgd).validate()
+
+
+def test_bad_inner_pgd_is_rejected_before_any_box_work(pendulum, monkeypatch):
+    # delta = 0 never runs the inner PGD, so only validate() can catch it
+    def no_bounds(*args):
+        raise AssertionError("interval work before validation")
+
+    monkeypatch.setattr(clbf.verifier, "ibp_bounds", no_bounds)
+    cert, policy = small_cert(pendulum), small_policy(pendulum)
+    for delta in (0.0, 0.01):
+        with pytest.raises(ValueError, match="steps"):
+            check_robust_decrease(cert, policy, pendulum, delta, 5e-3,
+                                  BnbConfig(inner_pgd=PgdConfig(steps=0)))
 
 
 # ---------------------------------------------------------------------------
@@ -333,14 +354,12 @@ def test_proved_boxes_sound_by_sampling(rng):
 # the interval screen of the decrease hunt
 
 
-def unscreened_exact_violation(cert, policy, env, X, delta, epsilon, inner_pgd,
-                               rng):
+def unscreened_exact_violation(cert, env, X, nxt, raw_x, delta, epsilon,
+                               inner_pgd, rng):
     """_exact_violation without the interval screen: the inner PGD and the
     unsafe-point search run on every row."""
     p = cert.params
-    U = env.clamp_control(forward_batch(policy, X))
-    nxt = env.step(X, U)
-    v_x = cert.value(X)
+    v_x, _ = cert.apply_masks(X, raw_x)
     eligible = ~env.in_goal(X) & (v_x <= p.beta)
     best_y = nxt.copy()
     best_v = cert.value(nxt)
@@ -388,6 +407,162 @@ def test_screened_hunt_matches_unscreened_hunt(env_name, seed, delta, monkeypatc
     assert 0 < got.pgd_rows <= want.pgd_rows
     if env_name == "pendulum":
         assert got.pgd_rows < want.pgd_rows / 2
+
+
+# ---------------------------------------------------------------------------
+# one evaluation per hunted point set
+
+
+def two_phase_violation_grad(cert, policy, env, X, delta, inner_pgd, rng):
+    """The ascent gradient with its own policy passes: a forward pass for the
+    next states, and the Jacobian from a fresh tape, one input_grad per
+    output."""
+    tape_pi = forward_tape(policy, X)
+    nxt = env.step(X, tape_pi.output)
+    if delta > 0:
+        pgd_cfg = PgdConfig(steps=max(5, inner_pgd.steps // 2), delta=delta,
+                            restarts=1)
+        Y = pgd_maximize_batch(cert.net, nxt, pgd_cfg, rng)
+    else:
+        Y = nxt
+    tape_x = forward_tape(cert.net, X)
+    gVx = input_grad(cert.net, tape_x, np.ones((X.shape[0], 1)))
+    tape_y = forward_tape(cert.net, Y)
+    _, unmasked = cert.apply_masks(Y, tape_y.output[:, 0])
+    gVy = input_grad(cert.net, tape_y, unmasked[:, None].astype(float))
+    A, B = env.step_jac(X, tape_pi.output)
+    g = -gVx + np.einsum("kij,ki->kj", A, gVy)
+    tape_j = forward_tape(policy, X)
+    J_pi = np.empty((X.shape[0], policy.n_out, policy.n_in))
+    for j in range(policy.n_out):
+        gY = np.zeros((X.shape[0], policy.n_out))
+        gY[:, j] = 1.0
+        J_pi[:, j, :] = input_grad(policy, tape_j, gY)
+    gu = np.einsum("kij,ki->kj", B, gVy)
+    return g + np.einsum("kmj,km->kj", J_pi, gu)
+
+
+def two_phase_exact_violation(cert, policy, env, X, delta, epsilon, inner_pgd,
+                              rng):
+    """The screened exact check with its own policy and certificate passes."""
+    p = cert.params
+    nxt = env.step(X, env.clamp_control(forward_batch(policy, X)))
+    v_x = cert.value(X)
+    eligible = ~env.in_goal(X) & (v_x <= p.beta)
+    active = eligible.copy()
+    if delta > 0:
+        rows = np.flatnonzero(eligible)
+        _, ub = clipped_bounds(cert, nxt[rows] - delta, nxt[rows] + delta)
+        active[rows] = epsilon - (v_x[rows] - ub) >= 0
+    best_v, best_y = _exact_ball_max(cert, env, nxt, delta, inner_pgd, rng, active)
+    viol = np.where(eligible, epsilon - (v_x - best_v), -np.inf)
+    return viol, best_y, int(np.count_nonzero(active)) if delta > 0 else 0
+
+
+def two_phase_hunt(cert, policy, env, lo, hi, delta, epsilon, cfg, rng):
+    """The decrease hunt in two phases: the whole sign ascent first, then the
+    exact checks of its point sets, each phase with its own passes."""
+    if lo.shape[0] == 0:
+        return [], 0, 0
+    x = 0.5 * (lo + hi)
+    checked = [x.copy()]
+    step = (hi - lo) / (2.0 * max(1, cfg.outer_pgd_steps))
+    for _ in range(cfg.outer_pgd_steps):
+        g = two_phase_violation_grad(cert, policy, env, x, delta, cfg.inner_pgd, rng)
+        x = np.clip(x + step * np.sign(g), lo, hi)
+        checked.append(x.copy())
+    found, hunted, pgd = [], 0, 0
+    for X_try in checked:
+        viol, ball_pts, pgd_rows = two_phase_exact_violation(
+            cert, policy, env, X_try, delta, epsilon, cfg.inner_pgd, rng)
+        hunted += X_try.shape[0]
+        pgd += pgd_rows
+        for i in np.flatnonzero(viol >= WITNESS_SLACK):
+            w = Witness(X_try[i].copy(), "decrease", float(viol[i]),
+                        ball_pts[i].copy())
+            if _recheck_decrease(cert, policy, env, w, delta, epsilon):
+                found.append((int(i), w))
+        if found:
+            break
+    found.sort(key=lambda t: t[0])
+    return found, hunted, pgd
+
+
+@pytest.mark.parametrize("env_name,seed", [("pendulum", 7), ("docking2d", 2)])
+@pytest.mark.parametrize("delta", [0.0, 0.01])
+def test_shared_hunt_matches_two_phase_hunt(env_name, seed, delta, monkeypatch):
+    env = make_env(env_name)
+    cert = small_cert(env, seed=seed)
+    policy = small_policy(env, seed=seed + 10)
+    cfg = BnbConfig(max_boxes=1500, ce_limit=64, chunk=256, seed=seed)
+
+    def recording(hunt, rng_states):
+        def hunt_and_record(*args):
+            found = hunt(*args)
+            rng_states.append(args[-1].bit_generator.state)
+            return found
+        return hunt_and_record
+
+    got_rng, want_rng = [], []
+    monkeypatch.setattr(clbf.verifier, "_hunt_decrease_ce",
+                        recording(clbf.verifier._hunt_decrease_ce, got_rng))
+    got = check_robust_decrease(cert, policy, env, delta, 5e-3, cfg)
+    monkeypatch.setattr(clbf.verifier, "_hunt_decrease_ce",
+                        recording(two_phase_hunt, want_rng))
+    want = check_robust_decrease(cert, policy, env, delta, 5e-3, cfg)
+
+    # the same random stream, drawn in the same order
+    assert got_rng == want_rng
+    assert got.status == want.status == "counterexample"
+    assert got.boxes_processed == want.boxes_processed
+    assert len(got.unknown_boxes) == len(want.unknown_boxes)
+    assert len(got.witnesses) == len(want.witnesses) > 1
+    for g, w in zip(got.witnesses, want.witnesses):
+        assert np.array_equal(g.state, w.state)
+        assert np.array_equal(g.ball_point, w.ball_point)
+        assert g.violation == w.violation
+    assert got.hunted_rows == want.hunted_rows > 0
+    assert got.pgd_rows == want.pgd_rows
+
+
+def test_hunt_sends_each_point_set_through_the_policy_once(pendulum, monkeypatch):
+    cert = small_cert(pendulum, seed=7)
+    policy = small_policy(pendulum, seed=17)
+    cfg = BnbConfig(max_boxes=1500, ce_limit=64, chunk=256, seed=7)
+    policy_rows, nets_policy_rows, boxes, rechecks, jacobians = [], [], [], [], []
+
+    def count_policy_rows(fn, rows):
+        def counted(net, X):
+            if net is policy:
+                rows.append(X.shape[0])
+            return fn(net, X)
+        return counted
+
+    def count_calls(fn, calls, rows_of=None):
+        def counted(*args):
+            calls.append(rows_of(args) if rows_of else 1)
+            return fn(*args)
+        return counted
+
+    # calls from inside nets (input_jacobian, value_and_input_grad) look
+    # these names up in clbf.nets
+    for name in ("forward_tape", "forward_batch"):
+        monkeypatch.setattr(clbf.verifier, name, count_policy_rows(
+            getattr(clbf.verifier, name), policy_rows))
+        monkeypatch.setattr(clbf.nets, name, count_policy_rows(
+            getattr(clbf.nets, name), nets_policy_rows))
+    monkeypatch.setattr(clbf.verifier, "_hunt_decrease_ce", count_calls(
+        clbf.verifier._hunt_decrease_ce, boxes, lambda args: args[3].shape[0]))
+    monkeypatch.setattr(clbf.verifier, "_recheck_decrease", count_calls(
+        clbf.verifier._recheck_decrease, rechecks))
+    monkeypatch.setattr(clbf.verifier, "input_jacobian", count_calls(
+        clbf.verifier.input_jacobian, jacobians))
+    v = check_robust_decrease(cert, policy, pendulum, 0.01, 5e-3, cfg)
+
+    assert v.status == "counterexample" and len(rechecks) > 0
+    assert len(jacobians) > 0
+    assert sum(policy_rows) == (cfg.outer_pgd_steps + 1) * sum(boxes) + len(rechecks)
+    assert nets_policy_rows == []
 
 
 def test_hunt_counts_are_zero_without_pgd(pendulum):
@@ -474,3 +649,33 @@ def test_certify_delta_requires_preconditions(pendulum):
     policy = small_policy(pendulum)
     delta, info = certify_delta(cert, policy, pendulum)
     assert delta == 0.0 and "precondition" in info["reason"]
+
+
+def test_certify_delta_reports_a_decrease_failure_at_zero():
+    env = synth_env_1d()
+    # v(x) = -|x| rises along x' = 0.5 x, so the check fails already at delta=0
+    neg_abs = Mlp([np.array([[1.0], [-1.0]]), np.array([[-1.0, -1.0]])],
+                  [np.zeros(2), np.zeros(1)])
+    cert = FilteredCertificate(neg_abs, ClbfParams(epsilon=0.1), env)
+    delta, info = certify_delta(cert, zero_policy(), env)
+    assert delta == 0.0
+    assert info["reason"] == "decrease condition fails at delta=0"
+    assert info["history"] == [(0.0, "counterexample")]
+
+
+def test_certify_delta_bisects_a_monotone_decrease_check(monkeypatch):
+    env = synth_env_1d()
+    cert = FilteredCertificate(abs_net(), ClbfParams(epsilon=0.1), env)
+    thresh, tol = 0.0123, 1e-4
+
+    def stub(cert, policy, env, delta, epsilon, cfg=None):
+        return Verdict("proved" if delta <= thresh else "unknown", "decrease")
+
+    monkeypatch.setattr(clbf.verifier, "check_robust_decrease", stub)
+    delta, info = certify_delta(cert, zero_policy(), env, delta_hi=0.05, tol=tol)
+    assert thresh - tol <= delta <= thresh
+    assert "reason" not in info
+    history = info["history"]
+    assert history[0] == (0.0, "proved") and history[1] == (0.05, "unknown")
+    assert all(d <= delta for d, status in history if status == "proved")
+    assert all(d > delta for d, status in history if status != "proved")
