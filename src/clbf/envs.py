@@ -95,10 +95,10 @@ class EnvSpec:
     def __post_init__(self):
         goal, unsafe, safe = self.goal_boxes, self.unsafe_boxes, self.safe_box
         derived = dict(
-            in_goal=lambda x: _in_union(goal, x),
+            in_goal=lambda x: _boxes_contain(goal, x, x),
             goal_intersects=lambda lo, hi: _boxes_intersect(goal, lo, hi),
             goal_contains=lambda lo, hi: _boxes_contain(goal, lo, hi),
-            in_unsafe=lambda x: _in_union(unsafe, x),
+            in_unsafe=lambda x: _boxes_contain(unsafe, x, x),
             unsafe_intersects=lambda lo, hi: _boxes_intersect(unsafe, lo, hi),
             unsafe_contains=lambda lo, hi: _boxes_contain(unsafe, lo, hi),
             unmasked_pieces=lambda box: subtract_boxes([box], goal + unsafe),
@@ -107,7 +107,7 @@ class EnvSpec:
             # a box meets the complement of safe iff it is not inside safe,
             # and lies in it iff it misses safe
             derived.update(
-                in_unsafe=lambda x: ~_in_union([safe], x),
+                in_unsafe=lambda x: ~_boxes_contain([safe], x, x),
                 unsafe_intersects=lambda lo, hi: ~_boxes_contain([safe], lo, hi),
                 unsafe_contains=lambda lo, hi: ~_boxes_intersect([safe], lo, hi),
                 unmasked_pieces=lambda box: _safe_pieces(box, safe, goal),
@@ -122,7 +122,7 @@ class EnvSpec:
             self.eligible_cover = self.unmasked_pieces(self.domain)
 
     def in_init(self, x: np.ndarray) -> np.ndarray:
-        return _in_union(self.init_boxes, x)
+        return _boxes_contain(self.init_boxes, x, x)
 
     def clamp_control(self, u: np.ndarray) -> np.ndarray:
         return np.clip(u, self.control_box.lo, self.control_box.hi)
@@ -154,14 +154,6 @@ def _safe_pieces(box: Box, safe: Box, goal: list[Box]) -> list[Box]:
     return [] if inner is None else subtract_boxes([inner], goal)
 
 
-def _in_union(boxes: list[Box], x: np.ndarray) -> np.ndarray:
-    x = np.atleast_2d(np.asarray(x, dtype=float))
-    hit = np.zeros(x.shape[0], dtype=bool)
-    for b in boxes:
-        hit |= np.all((x >= b.lo) & (x <= b.hi), axis=1)
-    return hit
-
-
 def _boxes_intersect(boxes: list[Box], lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     lo = np.atleast_2d(lo)
     hi = np.atleast_2d(hi)
@@ -180,6 +172,13 @@ def _boxes_contain(boxes: list[Box], lo: np.ndarray, hi: np.ndarray) -> np.ndarr
     return hit
 
 
+def _constants(defaults: dict, given: dict | None) -> dict:
+    """The defaults overridden by the given constants, which must be known."""
+    if unknown := set(given or ()) - set(defaults):
+        raise ValueError(f"unknown constants {sorted(unknown)}; known: {sorted(defaults)}")
+    return {**defaults, **(given or {})}
+
+
 # ---------------------------------------------------------------------------
 # pendulum
 
@@ -195,9 +194,7 @@ def pendulum_env(constants: dict | None = None) -> EnvSpec:
 
     The state is neither wrapped nor clamped.
     """
-    c = dict(PENDULUM_CONSTANTS)
-    if constants:
-        c.update(constants)
+    c = _constants(PENDULUM_CONSTANTS, constants)
     g, m, l, b, T = c["g"], c["m"], c["l"], c["b"], c["T"]
     c1 = 1.0 - b
     c2 = 1.5 * g / (2.0 * l) * T
@@ -319,9 +316,7 @@ def docking_env(constants: dict | None = None) -> EnvSpec:
     [-2, 2]^2 x [-0.5, 0.5]^2. Verification uses the bounding box
     [-2.5, 2.5]^2 x [-0.75, 0.75]^2 as a compact stand-in for R^4.
     """
-    c = dict(DOCKING_CONSTANTS)
-    if constants:
-        c.update(constants)
+    c = _constants(DOCKING_CONSTANTS, constants)
     A, Bu = docking_matrices(c["m"], c["n"], c["T"])
     absA, absB = np.abs(A), np.abs(Bu)
 

@@ -29,14 +29,20 @@ def _net_doc(net: Mlp) -> dict:
     }
 
 
-def _net_from_doc(doc: dict) -> Mlp:
+def _require(doc: dict, keys: tuple, what: str):
+    if missing := [k for k in keys if k not in doc]:
+        raise ValueError(f"{what} lacks sections {missing}")
+
+
+def _net_from_doc(doc: dict, name: str) -> Mlp:
+    _require(doc, ("dims", "weights", "biases"), f"{name} net")
     dims = doc["dims"]
-    weights, biases = [], []
-    for k, (n_in, n_out) in enumerate(zip(dims[:-1], dims[1:])):
-        W = np.array(doc["weights"][k], dtype=float).reshape(n_out, n_in)
-        weights.append(W)
-        biases.append(np.array(doc["biases"][k], dtype=float))
-    return Mlp(weights, biases)
+    if not len(doc["weights"]) == len(doc["biases"]) == len(dims) - 1:
+        raise ValueError(f"{name} net: dims {dims} need {len(dims) - 1} "
+                         "weight and bias lists each")
+    weights = [np.array(W, dtype=float).reshape(n_out, n_in)
+               for W, n_in, n_out in zip(doc["weights"], dims[:-1], dims[1:])]
+    return Mlp(weights, [np.array(b, dtype=float) for b in doc["biases"]])
 
 
 def _model_doc(policy: Mlp, cert: FilteredCertificate) -> dict:
@@ -60,12 +66,10 @@ def load_model(path: str | Path) -> tuple[Mlp, FilteredCertificate]:
     doc = json.loads(Path(path).read_text())
     if doc.get("format") != FORMAT_TAG:
         raise ValueError(f"unsupported model format: {doc.get('format')!r}")
-    missing = [k for k in ("env", "clbf_params", "policy", "certificate") if k not in doc]
-    if missing:
-        raise ValueError(f"model document lacks sections {missing}")
+    _require(doc, ("env", "clbf_params", "policy", "certificate"), "model document")
     env = make_env(doc["env"], doc.get("env_constants"))
-    policy = _net_from_doc(doc["policy"])
-    cert_net = _net_from_doc(doc["certificate"])
+    policy = _net_from_doc(doc["policy"], "policy")
+    cert_net = _net_from_doc(doc["certificate"], "certificate")
     given, known = set(doc["clbf_params"]), {f.name for f in fields(ClbfParams)}
     if given != known:
         raise ValueError(f"clbf_params: unknown keys {sorted(given - known)}, "

@@ -16,9 +16,9 @@ whose delta-ball around f(x, pi(x)) has filtered upper bound ub with
 epsilon - (V(x) - ub) < 0 cannot yield a witness, because every ball point
 the hunt evaluates (PGD iterates, a point in the unsafe set) has value at
 most ub. Only the remaining points get the inner PGD, so the screen saves
-work without changing what is found. Each hunted point set is evaluated once
-through the policy and the certificate, and the ascent step and the exact
-check share that evaluation.
+work without changing what is found. The hunt checks the box centres and
+each sign-ascent iterate as it is made, and stops at the first point set with
+a witness; the ascent step and the exact check share one evaluation of a set.
 
 The queue is processed in deterministic FIFO chunk order; within a chunk the
 lexicographically smallest violating box wins, so verdicts are reproducible.
@@ -299,10 +299,11 @@ def _exact_ball_max(cert: FilteredCertificate, env: EnvSpec, nxt: np.ndarray,
     if delta > 0:
         y = pgd_maximize_batch(cert.net, nxt, replace(inner_pgd, delta=delta),
                                rng, active)
-        v = cert.value(y)
-        better = v > best_v
-        best_v = np.where(better, v, best_v)
-        best_y[better] = y[better]
+        rows = np.flatnonzero(active)  # the rows that can have moved
+        v = cert.value(y[rows])
+        up = v > best_v[rows]
+        best_v[rows[up]] = v[up]
+        best_y[rows[up]] = y[rows[up]]
     # a ball reaching into the unsafe set realizes the unsafe mask
     ball_lo, ball_hi = nxt - delta, nxt + delta
     hits = active & env.unsafe_intersects(ball_lo, ball_hi) & (p.unsafe_mask > best_v)
@@ -332,43 +333,41 @@ def _point_in_unsafe(env: EnvSpec, ball: Box) -> np.ndarray | None:
 
 
 def _hunt_decrease_ce(cert, policy, env, lo, hi, delta, epsilon, cfg, rng):
-    """Exact counterexample search inside failed boxes: box centers plus a
-    short sign-ascent on the violation. Returns ([(row_index, Witness)],
-    points checked exactly, points of them passed to the inner PGD)."""
+    """Exact counterexample search inside failed boxes: the box centers, then
+    the iterates of a short sign-ascent on the violation. Each point set is
+    checked as it is made and the hunt stops at the first set with a witness.
+    Returns ([(row_index, Witness)] by ascending row, points checked exactly,
+    points of them passed to the inner PGD)."""
     if lo.shape[0] == 0:
         return [], 0, 0
-    found, hunted, pgd = [], 0, 0
+    hunted = pgd = 0
     # sign ascent on g(x) = eps - V(x) + V(y*(x)) with the inner point frozen;
-    # each point set keeps only (x, next state, raw V(x)) for the exact
-    # checks, so at most one policy tape is alive at a time
+    # the ascent step and the exact check share one evaluation of each point
+    # set, and its tapes are dropped before the check
     x = 0.5 * (lo + hi)
     step = (hi - lo) / (2.0 * max(1, cfg.outer_pgd_steps))
-    checked = []
     for k in range(cfg.outer_pgd_steps + 1):
+        last = k == cfg.outer_pgd_steps
         tape_pi = forward_tape(policy, x)
         nxt = env.step(x, env.clamp_control(tape_pi.output))
         tape_x = forward_tape(cert.net, x)
-        checked.append((x, nxt, tape_x.output[:, 0]))
-        if k < cfg.outer_pgd_steps:
+        raw_x = tape_x.output[:, 0]
+        if not last:
             g = _violation_grad(cert, policy, env, x, nxt, tape_pi, tape_x,
                                 delta, cfg.inner_pgd, rng)
-            x = np.clip(x + step * np.sign(g), lo, hi)
         del tape_pi, tape_x
-    for X_try, nxt, raw_x in checked:
         viol, ball_pts, pgd_rows = _exact_violation(
-            cert, env, X_try, nxt, raw_x, delta, epsilon, cfg.inner_pgd, rng)
-        hunted += X_try.shape[0]
+            cert, env, x, nxt, raw_x, delta, epsilon, cfg.inner_pgd, rng)
+        hunted += x.shape[0]
         pgd += pgd_rows
+        found = []
         for i in np.flatnonzero(viol >= WITNESS_SLACK):
-            w = Witness(X_try[i].copy(), "decrease", float(viol[i]),
-                        ball_pts[i].copy())
+            w = Witness(x[i].copy(), "decrease", float(viol[i]), ball_pts[i].copy())
             if _recheck_decrease(cert, policy, env, w, delta, epsilon):
                 found.append((int(i), w))
-        if found:
-            break
-    # deterministic: earliest row (boxes arrive lexicographically sorted)
-    found.sort(key=lambda t: t[0])
-    return found, hunted, pgd
+        if found or last:
+            return found, hunted, pgd
+        x = np.clip(x + step * np.sign(g), lo, hi)
 
 
 def _exact_violation(cert, env, X, nxt, raw_x, delta, epsilon, inner_pgd, rng):

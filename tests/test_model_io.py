@@ -97,3 +97,36 @@ def test_invalid_params_value_is_rejected(pendulum, tmp_path):
     path.write_text(json.dumps(doc))
     with pytest.raises(ValueError, match="unsafe_mask must be >= alpha"):
         load_model(path)
+
+
+def test_unknown_env_constant_is_rejected(pendulum, tmp_path):
+    path, doc = _saved_doc(pendulum, tmp_path)
+    doc["env_constants"]["gg"] = doc["env_constants"].pop("g")
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError, match=r"unknown constants \['gg'\]"):
+        load_model(path)
+
+
+@pytest.mark.parametrize("net", ["policy", "certificate"])
+@pytest.mark.parametrize("key", ["dims", "weights", "biases"])
+def test_net_section_without_a_key_is_rejected(pendulum, tmp_path, net, key):
+    path, doc = _saved_doc(pendulum, tmp_path)
+    del doc[net][key]
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError, match=rf"{net} net lacks sections \['{key}'\]"):
+        load_model(path)
+
+
+@pytest.mark.parametrize("key", ["weights", "biases"])
+@pytest.mark.parametrize("change", ["one_short", "one_extra"])
+def test_net_section_with_a_wrong_layer_count_is_rejected(pendulum, tmp_path,
+                                                          key, change):
+    path, doc = _saved_doc(pendulum, tmp_path)
+    lists = doc["certificate"][key]
+    if change == "one_short":
+        lists.pop()
+    else:
+        lists.append(list(lists[-1]))
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError, match="weight and bias lists"):
+        load_model(path)

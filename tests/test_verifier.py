@@ -525,6 +525,14 @@ def test_shared_hunt_matches_two_phase_hunt(env_name, seed, delta, monkeypatch):
     assert got.pgd_rows == want.pgd_rows
 
 
+def count_calls(fn, calls, rows_of=None):
+    """fn, appending to calls the rows of each call's arguments (or 1)."""
+    def counted(*args):
+        calls.append(rows_of(args) if rows_of else 1)
+        return fn(*args)
+    return counted
+
+
 def test_hunt_sends_each_point_set_through_the_policy_once(pendulum, monkeypatch):
     cert = small_cert(pendulum, seed=7)
     policy = small_policy(pendulum, seed=17)
@@ -536,12 +544,6 @@ def test_hunt_sends_each_point_set_through_the_policy_once(pendulum, monkeypatch
             if net is policy:
                 rows.append(X.shape[0])
             return fn(net, X)
-        return counted
-
-    def count_calls(fn, calls, rows_of=None):
-        def counted(*args):
-            calls.append(rows_of(args) if rows_of else 1)
-            return fn(*args)
         return counted
 
     # calls from inside nets (input_jacobian, value_and_input_grad) look
@@ -561,8 +563,27 @@ def test_hunt_sends_each_point_set_through_the_policy_once(pendulum, monkeypatch
 
     assert v.status == "counterexample" and len(rechecks) > 0
     assert len(jacobians) > 0
-    assert sum(policy_rows) == (cfg.outer_pgd_steps + 1) * sum(boxes) + len(rechecks)
+    assert sum(policy_rows) == v.hunted_rows + len(rechecks)
+    # a hunt stops at its first point set with a witness
+    assert v.hunted_rows < (cfg.outer_pgd_steps + 1) * sum(boxes)
     assert nets_policy_rows == []
+
+
+@pytest.mark.parametrize("delta", [0.0, 0.05])
+def test_hunt_stops_at_the_first_point_set_with_a_witness(delta, monkeypatch):
+    # a constant certificate never decreases, so every box centre violates
+    env = synth_env_1d()
+    cert = FilteredCertificate(constant_net(0.9, n_in=1), ClbfParams(), env)
+    boxes, grads = [], []
+    monkeypatch.setattr(clbf.verifier, "_hunt_decrease_ce", count_calls(
+        clbf.verifier._hunt_decrease_ce, boxes, lambda args: args[3].shape[0]))
+    monkeypatch.setattr(clbf.verifier, "_violation_grad", count_calls(
+        clbf.verifier._violation_grad, grads, lambda args: args[3].shape[0]))
+    v = check_robust_decrease(cert, zero_policy(), env, delta, 1e-3)
+
+    assert v.status == "counterexample" and len(boxes) > 0
+    assert v.hunted_rows == sum(boxes)
+    assert grads == boxes
 
 
 def test_hunt_counts_are_zero_without_pgd(pendulum):
