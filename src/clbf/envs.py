@@ -55,7 +55,8 @@ def sin_range(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 class EnvSpec:
     """A discrete-time control system plus its task sets.
 
-    step / step_jac / step_interval_arrays are batched over the leading axis.
+    step / step_jac / step_interval_arrays are batched over the leading axis
+    and clamp the control (or its bounds) to control_box themselves.
     step_jac returns the Jacobians of the total (clamp-included) transition.
     The goal set is the union of goal_boxes. The unsafe set is the union of
     unsafe_boxes or, when safe_box is given, everything outside safe_box;

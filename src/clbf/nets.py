@@ -26,6 +26,9 @@ class Mlp:
     def __post_init__(self):
         if not self.weights:
             raise ValueError("empty network")
+        if len(self.biases) != len(self.weights):
+            raise ValueError(f"{len(self.weights)} weight matrices but "
+                             f"{len(self.biases)} bias vectors")
         for k in range(len(self.weights) - 1):
             if self.weights[k + 1].shape[1] != self.weights[k].shape[0]:
                 raise ValueError(

@@ -17,8 +17,11 @@ epsilon - (V(x) - ub) < 0 cannot yield a witness, because every ball point
 the hunt evaluates (PGD iterates, a point in the unsafe set) has value at
 most ub. Only the remaining points get the inner PGD, so the screen saves
 work without changing what is found. The hunt checks the box centres and
-each sign-ascent iterate as it is made, and stops at the first point set with
-a witness; the ascent step and the exact check share one evaluation of a set.
+the iterates of a sign ascent on the nominal violation
+epsilon - V(x) + V(f(x, pi(x))) as they are made, and stops at the first
+point set with a witness. The ascent only chooses where to look: the
+delta-ball is searched once per point set, by the exact check, and the
+ascent step and the exact check share one evaluation of a set.
 
 The queue is processed in deterministic FIFO chunk order; within a chunk the
 lexicographically smallest violating box wins, so verdicts are reproducible.
@@ -104,17 +107,6 @@ class BnbConfig:
             raise ValueError("outer_pgd_steps must be >= 0")
         self.inner_pgd.validate()
         return self
-
-
-def ibp_policy_bounds(policy: Mlp, lo: np.ndarray, hi: np.ndarray,
-                      control_box: Box | None = None):
-    """Sound (lo, hi) bounds (k, m) on the clamped policy output over the
-    state boxes given as (k, n) lower and upper corners, as in ibp_bounds."""
-    u_lo, u_hi = ibp_bounds(policy, lo, hi)
-    if control_box is not None:
-        u_lo = np.clip(u_lo, control_box.lo, control_box.hi)
-        u_hi = np.clip(u_hi, control_box.lo, control_box.hi)
-    return u_lo, u_hi
 
 
 # ---------------------------------------------------------------------------
@@ -270,8 +262,8 @@ def check_robust_decrease(cert: FilteredCertificate, policy: Mlp, env: EnvSpec,
         if not np.any(live):
             return lo[:0], hi[:0], []
         lo, hi = lo[live], hi[live]
-        u_lo, u_hi = ibp_policy_bounds(policy, lo, hi, env.control_box)
-        n_lo, n_hi = env.step_interval_arrays(lo, hi, u_lo, u_hi)
+        # step_interval_arrays clamps the control bounds itself
+        n_lo, n_hi = env.step_interval_arrays(lo, hi, *ibp_bounds(policy, lo, hi))
         _, rhs_hi = clipped_bounds(cert, n_lo - delta, n_hi + delta)
         fail = ~(r_lo[live, 0] - rhs_hi >= epsilon)
         lo, hi = _lex_sorted(lo[fail], hi[fail])
@@ -334,16 +326,17 @@ def _point_in_unsafe(env: EnvSpec, ball: Box) -> np.ndarray | None:
 
 def _hunt_decrease_ce(cert, policy, env, lo, hi, delta, epsilon, cfg, rng):
     """Exact counterexample search inside failed boxes: the box centers, then
-    the iterates of a short sign-ascent on the violation. Each point set is
-    checked as it is made and the hunt stops at the first set with a witness.
-    Returns ([(row_index, Witness)] by ascending row, points checked exactly,
-    points of them passed to the inner PGD)."""
+    the iterates of a short sign ascent on the nominal violation. Each point
+    set is checked as it is made and the hunt stops at the first set with a
+    witness. Returns ([(row_index, Witness)] by ascending row, points checked
+    exactly, points of them passed to the inner PGD)."""
     if lo.shape[0] == 0:
         return [], 0, 0
     hunted = pgd = 0
-    # sign ascent on g(x) = eps - V(x) + V(y*(x)) with the inner point frozen;
-    # the ascent step and the exact check share one evaluation of each point
-    # set, and its tapes are dropped before the check
+    # sign ascent on g(x) = eps - V(x) + V(f(x, pi(x))), the violation at
+    # delta = 0; the delta-ball is searched only by the exact check. The
+    # ascent step and the check share one evaluation of each point set, and
+    # its tapes are dropped before the check
     x = 0.5 * (lo + hi)
     step = (hi - lo) / (2.0 * max(1, cfg.outer_pgd_steps))
     for k in range(cfg.outer_pgd_steps + 1):
@@ -353,8 +346,7 @@ def _hunt_decrease_ce(cert, policy, env, lo, hi, delta, epsilon, cfg, rng):
         tape_x = forward_tape(cert.net, x)
         raw_x = tape_x.output[:, 0]
         if not last:
-            g = _violation_grad(cert, policy, env, x, nxt, tape_pi, tape_x,
-                                delta, cfg.inner_pgd, rng)
+            g = _violation_grad(cert, policy, env, x, nxt, tape_pi, tape_x)
         del tape_pi, tape_x
         viol, ball_pts, pgd_rows = _exact_violation(
             cert, env, x, nxt, raw_x, delta, epsilon, cfg.inner_pgd, rng)
@@ -397,18 +389,12 @@ def _exact_violation(cert, env, X, nxt, raw_x, delta, epsilon, inner_pgd, rng):
     return viol, best_y, int(np.count_nonzero(active)) if delta > 0 else 0
 
 
-def _violation_grad(cert, policy, env, X, nxt, tape_pi, tape_x, delta,
-                    inner_pgd, rng):
-    """Gradient of the violation w.r.t. x (inner maximizer frozen), from tapes."""
-    if delta > 0:
-        pgd_cfg = PgdConfig(steps=max(5, inner_pgd.steps // 2), delta=delta,
-                            restarts=1)
-        Y = pgd_maximize_batch(cert.net, nxt, pgd_cfg, rng)
-    else:
-        Y = nxt
+def _violation_grad(cert, policy, env, X, nxt, tape_pi, tape_x):
+    """Gradient w.r.t. x of the nominal violation eps - V(x) + V(f(x, pi(x))),
+    from the tapes of X under the certificate and the policy."""
     gVx = input_grad(cert.net, tape_x, np.ones((X.shape[0], 1)))
-    tape_y = forward_tape(cert.net, Y)
-    _, unmasked = cert.apply_masks(Y, tape_y.output[:, 0])
+    tape_y = forward_tape(cert.net, nxt)
+    _, unmasked = cert.apply_masks(nxt, tape_y.output[:, 0])
     gVy = input_grad(cert.net, tape_y, unmasked[:, None].astype(float))
     A, B = env.step_jac(X, tape_pi.output)
     g = -gVx + np.einsum("kij,ki->kj", A, gVy)

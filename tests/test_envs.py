@@ -114,6 +114,18 @@ def test_goal_and_init_disjoint_from_unsafe(pendulum, docking, rng):
         assert not env.unsafe_intersects(g.lo[None], g.hi[None])[0]
 
 
+def test_sample_init_over_two_boxes():
+    # initial boxes of length 0.5 and 1.5 in the halving env's domain [-4, 4]
+    env = halving_env_1d()
+    env.init_boxes = [Box(np.array([-4.0]), np.array([-3.5])),
+                      Box(np.array([2.0]), np.array([3.5]))]
+    pts = env.sample_init(np.random.default_rng(3), 4000)
+    assert pts.shape == (4000, 1) and np.all(env.in_init(pts))
+    assert np.array_equal(pts, env.sample_init(np.random.default_rng(3), 4000))
+    # volume shares 1/4 and 3/4; a multinomial count has std ~27 here
+    assert abs(np.count_nonzero(pts[:, 0] < 0) - 1000) < 150
+
+
 # ---------------------------------------------------------------------------
 # docking
 

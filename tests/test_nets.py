@@ -60,6 +60,15 @@ def test_forward_dimension_mismatch():
         forward_batch(net, np.array([[1.0, 2.0, 3.0]]))
 
 
+def test_weight_and_bias_counts_must_match():
+    W1, W2 = np.ones((3, 2)), np.ones((1, 3))
+    b1, b2 = np.zeros(3), np.zeros(1)
+    assert Mlp([W1, W2], [b1, b2]).dims == [2, 3, 1]
+    for biases in ([b1], [b1, b2, np.zeros(1)]):  # missing, surplus
+        with pytest.raises(ValueError, match="bias"):
+            Mlp([W1, W2], biases)
+
+
 def test_backward_affine_cases():
     net = Mlp([np.array([[3.0]])], [np.zeros(1)])
     tape = forward_tape(net, np.array([[1.0]]))

@@ -27,7 +27,6 @@ from clbf.verifier import (
     check_init,
     check_robust_decrease,
     check_safety,
-    ibp_policy_bounds,
 )
 
 from conftest import halving_env_1d, small_cert, small_policy
@@ -194,36 +193,49 @@ def test_unsafe_points_evaluate_to_mask(pendulum, rng):
 
 
 # ---------------------------------------------------------------------------
-# ibp_policy_bounds
+# policy bounds (ibp_bounds) feeding the interval step
 
 
 def test_policy_bounds_relu_example():
     net = Mlp([np.array([[1.0, -1.0]]), np.array([[1.0]])],
                [np.zeros(1), np.zeros(1)])
     B = Box(np.zeros(2), np.ones(2))
-    lo, hi = ibp_policy_bounds(net, B.lo[None], B.hi[None])
+    lo, hi = ibp_bounds(net, B.lo[None], B.hi[None])
     assert lo[0, 0] == pytest.approx(0.0) and hi[0, 0] == pytest.approx(1.0)
 
 
 def test_policy_bounds_degenerate_box(rng):
     net = init_mlp([2, 8, 1], rng)
     x = rng.uniform(-1, 1, 2)
-    lo, hi = ibp_policy_bounds(net, x[None], x[None])
+    lo, hi = ibp_bounds(net, x[None], x[None])
     y = forward_batch(net, x[None])
     assert np.allclose(lo, y) and np.allclose(hi, y)
 
 
-def test_policy_bounds_sound_and_clamped(pendulum, rng):
-    net = init_mlp([2, 16, 8, 1], rng)
-    for _ in range(20):
-        c = rng.uniform(-0.5, 0.5, 2)
-        r = rng.uniform(0.01, 0.3, 2)
-        B = Box(c - r, c + r)
-        lo, hi = ibp_policy_bounds(net, B.lo[None], B.hi[None], pendulum.control_box)
-        pts = B.sample(rng, 500)
-        u = np.clip(forward_batch(net, pts), -1, 1)
-        assert np.all(u >= lo - 1e-12) and np.all(u <= hi + 1e-12)
-        assert np.all(lo >= -1) and np.all(hi <= 1)
+def test_policy_bounds_sound_and_clamped(pendulum, docking, rng):
+    # the decrease check passes unclamped policy bounds to step_interval_arrays,
+    # which clamps them to the control box itself
+    clamped = 0
+    for env in (pendulum, docking):
+        net = init_mlp([env.state_dim, 16, 8, env.control_dim], rng)
+        net.weights[-1] = 20.0 * net.weights[-1]  # outputs leave the control box
+        for _ in range(20):
+            c = rng.uniform(env.domain.lo, env.domain.hi)
+            r = rng.uniform(0.01, 0.1, env.state_dim) * env.domain.width
+            lo, hi = (c - r)[None], (c + r)[None]
+            u_lo, u_hi = ibp_bounds(net, lo, hi)
+            pts = Box(lo[0], hi[0]).sample(rng, 500)
+            u = forward_batch(net, pts)
+            assert np.all(u >= u_lo - 1e-12) and np.all(u <= u_hi + 1e-12)
+            clamped += np.count_nonzero(np.abs(u) > 1)
+            n_lo, n_hi = env.step_interval_arrays(lo, hi, u_lo, u_hi)
+            nxt = env.step(pts, u)
+            assert np.all(nxt >= n_lo - 1e-10) and np.all(nxt <= n_hi + 1e-10)
+            # clamping the bounds first changes nothing
+            c_lo, c_hi = env.step_interval_arrays(
+                lo, hi, env.clamp_control(u_lo), env.clamp_control(u_hi))
+            assert np.array_equal(n_lo, c_lo) and np.array_equal(n_hi, c_hi)
+    assert clamped > 0
 
 
 # ---------------------------------------------------------------------------
@@ -413,18 +425,12 @@ def test_screened_hunt_matches_unscreened_hunt(env_name, seed, delta, monkeypatc
 # one evaluation per hunted point set
 
 
-def two_phase_violation_grad(cert, policy, env, X, delta, inner_pgd, rng):
-    """The ascent gradient with its own policy passes: a forward pass for the
-    next states, and the Jacobian from a fresh tape, one input_grad per
-    output."""
+def two_phase_violation_grad(cert, policy, env, X):
+    """The nominal ascent gradient with its own policy passes: a forward pass
+    for the next states, and the Jacobian from a fresh tape, one input_grad
+    per output."""
     tape_pi = forward_tape(policy, X)
-    nxt = env.step(X, tape_pi.output)
-    if delta > 0:
-        pgd_cfg = PgdConfig(steps=max(5, inner_pgd.steps // 2), delta=delta,
-                            restarts=1)
-        Y = pgd_maximize_batch(cert.net, nxt, pgd_cfg, rng)
-    else:
-        Y = nxt
+    Y = env.step(X, tape_pi.output)
     tape_x = forward_tape(cert.net, X)
     gVx = input_grad(cert.net, tape_x, np.ones((X.shape[0], 1)))
     tape_y = forward_tape(cert.net, Y)
@@ -468,7 +474,7 @@ def two_phase_hunt(cert, policy, env, lo, hi, delta, epsilon, cfg, rng):
     checked = [x.copy()]
     step = (hi - lo) / (2.0 * max(1, cfg.outer_pgd_steps))
     for _ in range(cfg.outer_pgd_steps):
-        g = two_phase_violation_grad(cert, policy, env, x, delta, cfg.inner_pgd, rng)
+        g = two_phase_violation_grad(cert, policy, env, x)
         x = np.clip(x + step * np.sign(g), lo, hi)
         checked.append(x.copy())
     found, hunted, pgd = [], 0, 0
@@ -586,6 +592,24 @@ def test_hunt_stops_at_the_first_point_set_with_a_witness(delta, monkeypatch):
     assert grads == boxes
 
 
+def test_inner_pgd_ascends_only_the_rows_the_screen_passes(pendulum, monkeypatch):
+    # the hunt searches each delta-ball once, in the exact check; the ascent
+    # climbs the nominal violation and runs no PGD of its own
+    cert = small_cert(pendulum, seed=7)
+    policy = small_policy(pendulum, seed=17)
+    cfg = BnbConfig(max_boxes=1500, ce_limit=64, chunk=256, seed=7)
+    ascended = []
+
+    def counted(net, centers, cfg, rng=None, active=None):
+        ascended.append(len(centers) if active is None else np.count_nonzero(active))
+        return pgd_maximize_batch(net, centers, cfg, rng, active)
+
+    monkeypatch.setattr(clbf.verifier, "pgd_maximize_batch", counted)
+    v = check_robust_decrease(cert, policy, pendulum, 0.01, 5e-3, cfg)
+    assert v.status == "counterexample" and v.pgd_rows > 0
+    assert sum(ascended) == v.pgd_rows
+
+
 def test_hunt_counts_are_zero_without_pgd(pendulum):
     cert = small_cert(pendulum, seed=7)
     policy = small_policy(pendulum, seed=17)
@@ -602,6 +626,43 @@ def test_point_in_unsafe_finds_a_point_of_the_unsafe_set():
                  Box(np.array([0.3]), np.array([0.85]))):
         y = _point_in_unsafe(env, ball)
         assert env.in_unsafe(y[None])[0] and ball.contains(y[None])[0]
+
+
+def test_point_in_unsafe_pushes_a_coordinate_beyond_the_domain(docking):
+    # a ball past the verification domain meets no unsafe tile, but it lies
+    # outside the safe band, so a ball point is still unsafe
+    ball = Box(np.array([2.55, 0.0, 0.0, 0.0]), np.array([2.65, 0.1, 0.1, 0.1]))
+    assert all(ball.intersect(ub) is None for ub in docking.unsafe_boxes)
+    y = _point_in_unsafe(docking, ball)
+    assert docking.in_unsafe(y[None])[0] and ball.contains(y[None])[0]
+
+
+def rising_at_left_net():
+    """v(x) = 0.9 + 10 relu(-x - 3): 0.9 on [-3, 4], above beta left of -3.01."""
+    return Mlp([np.array([[-1.0]]), np.array([[10.0]])],
+               [np.array([-3.0]), np.array([0.9])])
+
+
+def test_recheck_decrease_rejects_forged_witnesses():
+    # x' = x / 2 with the goal [0, 0.2] and the unsafe set [0.25, 1]
+    env = halving_env_1d()
+    cert = FilteredCertificate(rising_at_left_net(), ClbfParams(), env)
+    delta, eps = 0.01, 10.0
+
+    def witness(x, y):
+        return Witness(np.array([x]), "decrease", 1.0, np.array([y]))
+
+    def recheck(w, epsilon=eps):
+        return _recheck_decrease(cert, zero_policy(), env, w, delta, epsilon)
+
+    # V(-2) = V(-1) = 0.9, so the violation is epsilon
+    assert recheck(witness(-2.0, -1.0 + delta))
+    assert not recheck(witness(0.1, 0.05))                # state in the goal
+    assert cert.value(np.array([[-3.5]]))[0] > cert.params.beta
+    assert not recheck(witness(-3.5, -1.75))              # V above beta
+    assert not recheck(witness(-2.0, -1.0 + 2 * delta))  # outside the ball
+    assert recheck(witness(-2.0, -1.0), WITNESS_SLACK)
+    assert not recheck(witness(-2.0, -1.0), WITNESS_SLACK / 2)  # below slack
 
 
 SCREEN_ENVS = {name: make_env(name) for name in ("pendulum", "docking2d")}
