@@ -6,7 +6,7 @@ empirical robustness under adversarial and random state perturbations.
 """
 
 from .boxes import Box, subtract_box, subtract_boxes
-from .certificate import ClbfParams, FilteredCertificate, value_bounds_arrays
+from .certificate import ClbfParams, FilteredCertificate, filtered_upper_bound
 from .envs import EnvSpec, docking_env, make_env, pendulum_env
 from .nets import (
     Adam,

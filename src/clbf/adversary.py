@@ -22,15 +22,12 @@ from .nets import Mlp, forward_batch, value_and_input_grad
 @dataclass
 class PgdConfig:
     steps: int = 20
-    step_size: float | None = None  # defaults to delta / 4
     delta: float = 0.0
     restarts: int = 3  # first restart starts at the center, rest random
 
     def validate(self):
         if self.steps < 1:
             raise ValueError("steps must be >= 1")
-        if self.step_size is not None and self.step_size <= 0:
-            raise ValueError("step_size must be positive")
         if self.delta < 0:
             raise ValueError("delta must be non-negative")
         if self.restarts < 1:
@@ -47,11 +44,12 @@ def pgd_maximize_batch(
 ) -> np.ndarray:
     """Approximate per-row maximizers of the net over l-inf balls.
 
-    Sign-gradient ascent with exact projection onto [center - delta,
-    center + delta], first from the centers, then from one random start per
-    further restart; returns the best iterate of every row. Restarts draw
-    their starting points sequentially from rng, so with a fixed generator
-    seed the first restarts of a longer run coincide with a shorter one.
+    Sign-gradient ascent with step delta / 4 and exact projection onto
+    [center - delta, center + delta], first from the centers, then from one
+    random start per further restart; returns the best iterate of every row.
+    Restarts draw their starting points sequentially from rng, so with a
+    fixed generator seed the first restarts of a longer run coincide with a
+    shorter one.
 
     A row whose step leaves its iterate unchanged has reached a fixed point
     and stops for the rest of its restart: every later step would repeat its
@@ -71,7 +69,7 @@ def pgd_maximize_batch(
     starts = [rng.uniform(centers - cfg.delta, centers + cfg.delta)
               for _ in range(cfg.restarts - 1)]
     rows = np.arange(len(centers)) if active is None else np.flatnonzero(active)
-    step = cfg.step_size if cfg.step_size is not None else cfg.delta / 4.0
+    step = cfg.delta / 4.0
     best_x = centers.copy()
     best_v = np.full(len(centers), -np.inf)
 

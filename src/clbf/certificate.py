@@ -3,7 +3,9 @@
 The certificate is a scalar ReLU network whose output is overridden on the
 task sets: goal states evaluate to a fixed low mask, unsafe states to a fixed
 high mask. Filtering discharges the barrier condition by construction, so no
-training samples are needed inside the unsafe set.
+training samples are needed inside the unsafe set. The verifier bounds the
+filtered value over boxes from above with one routine, filtered_upper_bound;
+no check needs a lower bound of it.
 """
 
 from __future__ import annotations
@@ -80,68 +82,27 @@ class FilteredCertificate:
         return self.apply_masks(X, scalar_value(self.net, X))[0]
 
 
-def value_bounds_arrays(
+def filtered_upper_bound(
     cert: FilteredCertificate, lo: np.ndarray, hi: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Sound bounds on the filtered value over each of (k, n) boxes.
+) -> np.ndarray:
+    """Sound upper bound on the filtered value over each of (k, n) boxes.
 
-    Mask values of any intersected set are included, and unless a box is
-    entirely masked the whole box is fed through the network. Conservative
-    when a box straddles set boundaries, but child boxes of a bisection never
-    yield looser bounds than their parent, so refining a box in check_init
-    never loses ground; test_value_bounds_monotone_refinement checks this.
-    That is why this routine stays next to the tighter clipped_bounds: the
-    tiled bound is not monotone under bisection. On 3,000 random pendulum boxes
-    (seeded [2, 16, 8, 1] certificate), 160 of the 12,000 bisection children
-    had tiled bounds looser than their parent's.
+    The mask value of each set a box meets counts, and the network is bounded
+    only on the part of the box outside the masked sets, tiled exactly by
+    env.unmasked_pieces. Every tile lies inside its box and the same mask
+    values count, so at each box this bound is at most the whole-box bound
+    (the network's interval bound over the whole box, raised to the masks of
+    the sets it meets), up to float rounding.
     """
     env, p = cert.env, cert.params
-    k = lo.shape[0]
-    goal_hit = env.goal_intersects(lo, hi)
-    goal_all = env.goal_contains(lo, hi)
-    unsafe_hit = env.unsafe_intersects(lo, hi)
-    unsafe_all = env.unsafe_contains(lo, hi)
-    fully_masked = goal_all | unsafe_all
-
-    out_lo = np.full(k, np.inf)
-    out_hi = np.full(k, -np.inf)
-    need_net = ~fully_masked
-    if np.any(need_net):
-        n_lo, n_hi = ibp_bounds(cert.net, lo[need_net], hi[need_net])
-        out_lo[need_net] = n_lo[:, 0]
-        out_hi[need_net] = n_hi[:, 0]
-    out_lo = np.where(goal_hit, np.minimum(out_lo, p.goal_mask), out_lo)
-    out_hi = np.where(goal_hit, np.maximum(out_hi, p.goal_mask), out_hi)
-    out_lo = np.where(unsafe_hit, np.minimum(out_lo, p.unsafe_mask), out_lo)
-    out_hi = np.where(unsafe_hit, np.maximum(out_hi, p.unsafe_mask), out_hi)
-    return out_lo, out_hi
-
-
-def clipped_bounds(
-    cert: FilteredCertificate, lo: np.ndarray, hi: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Tighter sound bounds on the filtered value over each of (k, n) boxes:
-    the network is only evaluated on the part of a box outside the masked
-    sets (tiled exactly), masks cover the rest.
-
-    Used by the verifier for next-state boxes, where the whole-box treatment
-    of value_bounds_arrays would drag goal-adjacent regions through the
-    network.
-    """
-    env, p = cert.env, cert.params
-    k = lo.shape[0]
     g_int = env.goal_intersects(lo, hi)
     u_int = env.unsafe_intersects(lo, hi)
-    out_lo = np.full(k, np.inf)
-    out_hi = np.full(k, -np.inf)
-    out_lo[g_int] = out_hi[g_int] = p.goal_mask
-    out_lo[u_int] = np.minimum(out_lo[u_int], p.unsafe_mask)
-    out_hi[u_int] = np.maximum(out_hi[u_int], p.unsafe_mask)
+    out = np.full(lo.shape[0], -np.inf)
+    out[g_int] = p.goal_mask
+    out[u_int] = np.maximum(out[u_int], p.unsafe_mask)
     plain = ~g_int & ~u_int
     if np.any(plain):
-        n_lo, n_hi = ibp_bounds(cert.net, lo[plain], hi[plain])
-        out_lo[plain] = n_lo[:, 0]
-        out_hi[plain] = n_hi[:, 0]
+        out[plain] = ibp_bounds(cert.net, lo[plain], hi[plain])[1][:, 0]
     # boxes that straddle a mask boundary: tile the unmasked part exactly
     piece_lo, piece_hi, owner = [], [], []
     for i in np.flatnonzero(~plain):
@@ -150,7 +111,6 @@ def clipped_bounds(
             piece_hi.append(piece.hi)
             owner.append(i)
     if owner:
-        n_lo, n_hi = ibp_bounds(cert.net, np.stack(piece_lo), np.stack(piece_hi))
-        np.minimum.at(out_lo, np.asarray(owner), n_lo[:, 0])
-        np.maximum.at(out_hi, np.asarray(owner), n_hi[:, 0])
-    return out_lo, out_hi
+        n_hi = ibp_bounds(cert.net, np.stack(piece_lo), np.stack(piece_hi))[1]
+        np.maximum.at(out, np.asarray(owner), n_hi[:, 0])
+    return out

@@ -56,8 +56,7 @@ def rollout_batch(policy: Mlp, cert: FilteredCertificate, env: EnvSpec,
         if active.size == 0:
             break
         Xa = X[active]
-        U = env.clamp_control(forward_batch(policy, Xa))
-        nxt = env.step(Xa, U)
+        nxt = env.step(Xa, forward_batch(policy, Xa))  # step clamps the control
         if delta > 0.0:
             if mode == "adversarial":
                 nxt = pgd_maximize_batch(cert.net, nxt, pgd_cfg, rng)

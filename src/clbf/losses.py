@@ -219,8 +219,8 @@ class TotalLossConfig:
         if self.method not in METHODS:
             raise ValueError(f"unknown method {self.method!r}; choose from {METHODS}")
         self.weights.validate()
-        if self.method == "pgd" and self.delta < 0:
-            raise ValueError("pgd method needs delta >= 0")
+        if self.delta < 0:
+            raise ValueError("delta must be non-negative")
         _check_pgd_radius(self.delta, self.pgd_cfg)
         return self
 

@@ -205,9 +205,14 @@ def ibp_bounds(net: Mlp, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np
         mid = mid @ W.T + b
         rad = rad @ np.abs(W).T
         if k != last:
+            # the ReLU image, in place: two fewer (k, width) arrays alive
             z_lo = np.maximum(mid - rad, 0.0)
-            z_hi = np.maximum(mid + rad, 0.0)
-            mid, rad = 0.5 * (z_lo + z_hi), 0.5 * (z_hi - z_lo)
+            z_hi = np.maximum(mid + rad, 0.0, out=mid)
+            rad = np.subtract(z_hi, z_lo, out=rad)
+            rad *= 0.5
+            mid = z_hi
+            mid += z_lo
+            mid *= 0.5
     return mid - rad, mid + rad
 
 

@@ -5,11 +5,13 @@ over the delta-inflated next-state ball, and the unsafe-set threshold
 (exact: every unsafe state takes the unsafe mask). The two box checks share
 one loop, _branch_and_bound, and differ only in their refute step: interval
 bounds prove boxes, and concrete points inside the failed boxes are checked
-for exact counterexamples. A box that yields a witness is refuted and dropped;
-the other failed boxes are bisected on their widest dimension. Every verdict
-is sound: a Proved box admits no violation, a reported witness violates its
-condition under exact point evaluation (re-checked before reporting), and
-anything else is returned as Unknown residue with its volume fraction.
+for exact counterexamples; both bound the filtered value from above with
+certificate.filtered_upper_bound. A box that yields a witness is refuted and
+dropped; the other failed boxes are bisected on their widest dimension. Every
+verdict is sound: a Proved box admits no violation, a reported witness
+violates its condition under exact point evaluation (re-checked before
+reporting), and anything else is returned as Unknown residue with its volume
+fraction.
 
 The decrease hunt screens its points with the same interval bound: a point x
 whose delta-ball around f(x, pi(x)) has filtered upper bound ub with
@@ -36,7 +38,7 @@ import numpy as np
 
 from .adversary import PgdConfig, pgd_maximize_batch
 from .boxes import Box
-from .certificate import FilteredCertificate, clipped_bounds, value_bounds_arrays
+from .certificate import FilteredCertificate, filtered_upper_bound
 from .envs import EnvSpec
 from .nets import (Mlp, forward_batch, forward_tape, ibp_bounds, input_grad,
                    input_jacobian)
@@ -194,15 +196,18 @@ def check_init(cert: FilteredCertificate, env: EnvSpec,
                cfg: BnbConfig | None = None) -> Verdict:
     """Branch-and-bound proof of V(x) <= beta over the initial set.
 
-    A box passes when its sound filtered upper bound is below beta; a failed
-    box whose center has filtered value above beta is refuted by it.
+    A box passes when filtered_upper_bound, the decrease check's bound, is
+    at most beta; a failed box whose center has filtered value above beta is
+    refuted by it. A proved box is never split, and at each box this tiled
+    bound is at most the whole-box bound up to float rounding (see
+    filtered_upper_bound). So the search tree is a subtree of the whole-box
+    bound's: never more boxes, and every box that bound proves is proved.
     """
     cfg = (cfg or BnbConfig()).validate()
     beta = cert.params.beta
 
     def refute(lo, hi, _round):
-        _, v_hi = value_bounds_arrays(cert, lo, hi)
-        fail = v_hi > beta
+        fail = filtered_upper_bound(cert, lo, hi) > beta
         lo, hi = _lex_sorted(lo[fail], hi[fail])
         centers = 0.5 * (lo + hi)
         excess = cert.value(centers) - beta
@@ -246,8 +251,8 @@ def check_robust_decrease(cert: FilteredCertificate, policy: Mlp, env: EnvSpec,
     Eligible states lie outside the goal with filtered value at most beta.
     The root cover tiles the domain minus the goal and unsafe sets exactly,
     so the left side uses raw network bounds (a conservative superset on the
-    shared faces). Box test: raw lower bound of V over B minus the clipped
-    filtered upper bound over the inflated interval image must reach epsilon.
+    shared faces). Box test: raw lower bound of V over B minus the filtered
+    upper bound over the inflated interval image must reach epsilon.
     """
     if delta < 0:
         raise ValueError("delta must be non-negative")
@@ -264,7 +269,7 @@ def check_robust_decrease(cert: FilteredCertificate, policy: Mlp, env: EnvSpec,
         lo, hi = lo[live], hi[live]
         # step_interval_arrays clamps the control bounds itself
         n_lo, n_hi = env.step_interval_arrays(lo, hi, *ibp_bounds(policy, lo, hi))
-        _, rhs_hi = clipped_bounds(cert, n_lo - delta, n_hi + delta)
+        rhs_hi = filtered_upper_bound(cert, n_lo - delta, n_hi + delta)
         fail = ~(r_lo[live, 0] - rhs_hi >= epsilon)
         lo, hi = _lex_sorted(lo[fail], hi[fail])
         rng = np.random.default_rng((cfg.seed, round_))
@@ -342,7 +347,7 @@ def _hunt_decrease_ce(cert, policy, env, lo, hi, delta, epsilon, cfg, rng):
     for k in range(cfg.outer_pgd_steps + 1):
         last = k == cfg.outer_pgd_steps
         tape_pi = forward_tape(policy, x)
-        nxt = env.step(x, env.clamp_control(tape_pi.output))
+        nxt = env.step(x, tape_pi.output)  # step clamps the control
         tape_x = forward_tape(cert.net, x)
         raw_x = tape_x.output[:, 0]
         if not last:
@@ -381,7 +386,7 @@ def _exact_violation(cert, env, X, nxt, raw_x, delta, epsilon, inner_pgd, rng):
     active = eligible.copy()
     if delta > 0:
         rows = np.flatnonzero(eligible)
-        _, ub = clipped_bounds(cert, nxt[rows] - delta, nxt[rows] + delta)
+        ub = filtered_upper_bound(cert, nxt[rows] - delta, nxt[rows] + delta)
         active[rows] = epsilon - (v_x[rows] - ub) >= 0
     best_v, best_y = _exact_ball_max(cert, env, nxt, delta, inner_pgd, rng, active)
     viol = epsilon - (v_x - best_v)
@@ -408,7 +413,7 @@ def _recheck_decrease(cert, policy, env, w: Witness, delta, epsilon) -> bool:
     v_x = cert.value(x)[0]
     if env.in_goal(x)[0] or v_x > cert.params.beta:
         return False
-    nxt = env.step(x, env.clamp_control(forward_batch(policy, x)))[0]
+    nxt = env.step(x, forward_batch(policy, x))[0]
     y = w.ball_point
     if np.abs(y - nxt).max() > delta + 1e-12:
         return False

@@ -4,7 +4,7 @@ import pytest
 from clbf.boxes import Box
 from clbf.certificate import ClbfParams, FilteredCertificate
 from clbf.envs import EnvSpec, make_env
-from clbf.nets import init_mlp
+from clbf.nets import ibp_bounds, init_mlp
 
 
 @pytest.fixture
@@ -40,6 +40,17 @@ def small_cert(env, seed=0, dims=(16, 8)):
     rng = np.random.default_rng(seed)
     net = init_mlp([env.state_dim, *dims, 1], rng)
     return FilteredCertificate(net, ClbfParams(), env)
+
+
+def whole_box_upper_bound(cert, lo, hi):
+    """The filtered upper bound with the whole box through the network: the
+    raw interval bound unless the box lies inside a masked set, raised to the
+    mask of each set the box meets."""
+    env, p = cert.env, cert.params
+    fully_masked = env.goal_contains(lo, hi) | env.unsafe_contains(lo, hi)
+    out = np.where(fully_masked, -np.inf, ibp_bounds(cert.net, lo, hi)[1][:, 0])
+    out = np.where(env.goal_intersects(lo, hi), np.maximum(out, p.goal_mask), out)
+    return np.where(env.unsafe_intersects(lo, hi), np.maximum(out, p.unsafe_mask), out)
 
 
 def small_policy(env, seed=1, dims=(8, 8)):

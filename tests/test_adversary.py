@@ -111,7 +111,7 @@ def reference_pgd(net, centers, cfg, rng, live_pairs=None):
     centers, steps+1 of them per restart. With a list `live_pairs`, appends
     per step the number of rows not yet at a fixed point: at the first step
     or moved by the step before."""
-    step = cfg.step_size if cfg.step_size is not None else cfg.delta / 4.0
+    step = cfg.delta / 4.0
     lo, hi = centers - cfg.delta, centers + cfg.delta
     best_x = centers.copy()
     best_v, _ = value_and_input_grad(net, centers)

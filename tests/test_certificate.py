@@ -2,12 +2,15 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from clbf.boxes import Box
-from clbf.certificate import ClbfParams, FilteredCertificate, clipped_bounds, value_bounds_arrays
+from clbf.certificate import ClbfParams, FilteredCertificate, filtered_upper_bound
+from clbf.envs import make_env
 from clbf.nets import init_mlp
 
-from conftest import small_cert
+from conftest import small_cert, whole_box_upper_bound
 
 
 def test_params_validation():
@@ -47,9 +50,8 @@ def test_value_bounds_fully_masked(pendulum):
     cert = small_cert(pendulum)
     g = Box(np.array([-0.1, -0.1]), np.array([0.1, 0.1]))
     u = Box(np.array([0.62, 0.1]), np.array([0.68, 0.3]))
-    lo, hi = value_bounds_arrays(cert, np.stack([g.lo, u.lo]), np.stack([g.hi, u.hi]))
-    assert (lo[0], hi[0]) == (-10.0, -10.0)
-    assert (lo[1], hi[1]) == (1.2, 1.2)
+    hi = filtered_upper_bound(cert, np.stack([g.lo, u.lo]), np.stack([g.hi, u.hi]))
+    assert (hi[0], hi[1]) == (-10.0, 1.2)
 
 
 def test_value_bounds_sound_by_sampling(pendulum, docking, rng):
@@ -59,43 +61,47 @@ def test_value_bounds_sound_by_sampling(pendulum, docking, rng):
             c = rng.uniform(env.domain.lo, env.domain.hi)
             r = rng.uniform(0.0, 0.3, env.state_dim)
             B = Box(np.maximum(c - r, env.domain.lo), np.minimum(c + r, env.domain.hi))
-            (lo,), (hi,) = value_bounds_arrays(cert, B.lo[None], B.hi[None])
+            (hi,) = filtered_upper_bound(cert, B.lo[None], B.hi[None])
             pts = B.sample(rng, 200)
-            vals = cert.value(pts)
-            assert np.all(vals >= lo - 1e-10) and np.all(vals <= hi + 1e-10)
+            assert np.all(cert.value(pts) <= hi + 1e-10)
 
 
-def test_value_bounds_monotone_refinement(pendulum, rng):
-    cert = small_cert(pendulum)
-    for _ in range(50):
-        c = rng.uniform(-0.6, 0.6, 2)
-        r = rng.uniform(0.05, 0.3, 2)
-        lo_b, hi_b = c - r, c + r
-        for d in range(2):
-            # the box and its two halves along d
-            los = np.stack([lo_b, lo_b, lo_b])
-            his = np.stack([hi_b, hi_b, hi_b])
-            his[1, d] = los[2, d] = 0.5 * (lo_b[d] + hi_b[d])
-            (lo, lo1, lo2), (hi, hi1, hi2) = value_bounds_arrays(cert, los, his)
-            assert min(lo1, lo2) >= lo - 1e-12
-            assert max(hi1, hi2) <= hi + 1e-12
+BOUND_ENVS = {name: make_env(name) for name in ("pendulum", "docking2d")}
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(sorted(BOUND_ENVS)), st.integers(0, 3),
+       st.floats(0.01, 0.5), st.integers(0, 2**32 - 1))
+def test_filtered_upper_bound_at_most_the_whole_box_bound(env_name, cert_seed,
+                                                          max_half, seed):
+    # check_init splits only the boxes its bound fails, so this ordering at
+    # every box makes its tree under the tiled bound a subtree of the tree
+    # under the whole-box bound
+    env = BOUND_ENVS[env_name]
+    cert = small_cert(env, seed=cert_seed)
+    rng = np.random.default_rng(seed)
+    c = rng.uniform(env.domain.lo, env.domain.hi, (32, env.state_dim))
+    r = rng.uniform(0.0, max_half, (32, env.state_dim)) * env.domain.width
+    lo = np.maximum(c - r, env.domain.lo)
+    hi = np.minimum(c + r, env.domain.hi)
+    assert np.all(filtered_upper_bound(cert, lo, hi)
+                  <= whole_box_upper_bound(cert, lo, hi) + 1e-12)
 
 
 def test_clipped_bounds_tighter_and_sound(pendulum, rng):
     cert = small_cert(pendulum)
-    # straddles the goal boundary: clipped bound must not feed the goal
+    # straddles the goal boundary: the tiled bound must not feed the goal
     # interior through the net, but stays sound for the filtered value
     B = Box(np.array([0.15, -0.1]), np.array([0.3, 0.1]))
-    (lo_c,), (hi_c,) = clipped_bounds(cert, B.lo[None], B.hi[None])
-    (lo_v,), (hi_v,) = value_bounds_arrays(cert, B.lo[None], B.hi[None])
-    assert lo_c >= lo_v - 1e-12 and hi_c <= hi_v + 1e-12
+    (hi_c,) = filtered_upper_bound(cert, B.lo[None], B.hi[None])
+    (hi_v,) = whole_box_upper_bound(cert, B.lo[None], B.hi[None])
+    assert hi_c <= hi_v + 1e-12
     pts = B.sample(rng, 2000)
-    vals = cert.value(pts)
-    assert np.all(vals >= lo_c - 1e-10) and np.all(vals <= hi_c + 1e-10)
+    assert np.all(cert.value(pts) <= hi_c + 1e-10)
 
 
 def test_clipped_bounds_entirely_unsafe(docking):
     cert = small_cert(docking)
     B = Box(np.array([2.1, 0.0, 0.0, 0.0]), np.array([2.4, 0.5, 0.2, 0.2]))
-    (lo,), (hi,) = clipped_bounds(cert, B.lo[None], B.hi[None])
-    assert (lo, hi) == (1.2, 1.2)
+    (hi,) = filtered_upper_bound(cert, B.lo[None], B.hi[None])
+    assert hi == 1.2

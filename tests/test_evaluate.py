@@ -79,8 +79,8 @@ def test_campaign_pgd_settings_reach_the_adversary(pendulum, monkeypatch):
     monkeypatch.setattr(clbf.evaluate, "pgd_maximize_batch", recording)
     campaign = Campaign(n_states=4, horizon=2, seed=0,
                         modes=[("adversarial", 0.02)],
-                        pgd=PgdConfig(steps=1, step_size=0.003, restarts=1))
+                        pgd=PgdConfig(steps=1, restarts=1))
     run_campaign(policy, cert, pendulum, campaign)
     assert seen and all(
-        cfg == PgdConfig(steps=1, step_size=0.003, delta=0.02, restarts=1)
+        cfg == PgdConfig(steps=1, delta=0.02, restarts=1)
         for cfg in seen)

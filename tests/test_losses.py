@@ -380,6 +380,14 @@ def test_total_loss_rejects_unknown_method():
         TotalLossConfig("sgd", LossWeights()).validate()
 
 
+@pytest.mark.parametrize("method", ["vanilla", "lip-reg", "pgd", "lip-neighbor"])
+def test_total_loss_rejects_negative_delta(method):
+    # a negative radius would loosen the descent condition (the neighbour
+    # slack -L_p * delta turns positive), whatever the method
+    with pytest.raises(ValueError, match="delta"):
+        TotalLossConfig(method, LossWeights(), -0.1).validate()
+
+
 def test_total_loss_rejects_mismatched_pgd_radius():
     cfg = TotalLossConfig("pgd", LossWeights(), delta=0.01,
                           pgd_cfg=PgdConfig(delta=0.02))

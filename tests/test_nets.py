@@ -250,6 +250,31 @@ def test_ibp_bounds_sound_by_sampling(rng):
         assert np.all(Y >= out_lo - 1e-12) and np.all(Y <= out_hi + 1e-12)
 
 
+def reference_ibp(net, lo, hi):
+    """Interval propagation as first written, a fresh array at every step."""
+    mid, rad = 0.5 * (lo + hi), 0.5 * (hi - lo)
+    last = len(net.weights) - 1
+    for k, (W, b) in enumerate(zip(net.weights, net.biases)):
+        mid = mid @ W.T + b
+        rad = rad @ np.abs(W).T
+        if k != last:
+            z_lo = np.maximum(mid - rad, 0.0)
+            z_hi = np.maximum(mid + rad, 0.0)
+            mid, rad = 0.5 * (z_lo + z_hi), 0.5 * (z_hi - z_lo)
+    return mid - rad, mid + rad
+
+
+def test_ibp_bounds_in_place_matches_reference_bit_for_bit(rng):
+    for dims in ([2, 64, 32, 16, 1], [2, 128, 128, 1], [4, 8, 3], [3, 1]):
+        net = init_mlp(dims, rng)
+        lo = rng.normal(size=(37, dims[0]))
+        hi = lo + rng.uniform(0.0, 1.0, lo.shape)
+        lo0, hi0 = lo.copy(), hi.copy()
+        for got, want in zip(ibp_bounds(net, lo, hi), reference_ibp(net, lo, hi)):
+            assert np.array_equal(got, want)
+        assert np.array_equal(lo, lo0) and np.array_equal(hi, hi0)
+
+
 def test_ibp_degenerate_box_is_point_evaluation(rng):
     net = init_mlp([2, 8, 1], rng)
     x = rng.uniform(-1, 1, 2)

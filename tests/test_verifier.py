@@ -9,7 +9,7 @@ import clbf.nets
 import clbf.verifier
 from clbf.adversary import PgdConfig, pgd_maximize_batch
 from clbf.boxes import Box
-from clbf.certificate import ClbfParams, FilteredCertificate, clipped_bounds
+from clbf.certificate import ClbfParams, FilteredCertificate, filtered_upper_bound
 from clbf.envs import EnvSpec, make_env
 from clbf.nets import (Mlp, forward_batch, forward_tape, ibp_bounds, init_mlp,
                        input_grad)
@@ -29,7 +29,7 @@ from clbf.verifier import (
     check_safety,
 )
 
-from conftest import halving_env_1d, small_cert, small_policy
+from conftest import halving_env_1d, small_cert, small_policy, whole_box_upper_bound
 
 
 def constant_net(value, n_in=2):
@@ -157,6 +157,30 @@ def test_check_init_drops_refuted_boxes(pendulum):
     assert v.status == "counterexample" and len(v.witnesses) == 8
     states = np.stack([w.state for w in v.witnesses])
     assert not any(np.any(b.contains(states)) for b in v.unknown_boxes)
+
+
+@pytest.mark.parametrize("env_name", ["pendulum", "docking2d"])
+def test_check_init_tiled_bound_never_processes_more_boxes(env_name, monkeypatch):
+    # check_init splits only failed boxes, and the tiled bound is at most the
+    # whole-box bound at each box, so the whole-box run is never smaller; a
+    # raised output bias gives witnesses
+    env = make_env(env_name)
+    cfg = BnbConfig(max_boxes=20_000, ce_limit=8)
+
+    def certs():
+        for seed in range(4):
+            for shift in (0.0, 1.0):
+                cert = small_cert(env, seed=seed, dims=(32, 16))
+                cert.net.biases[-1] = cert.net.biases[-1] + shift
+                yield cert
+
+    tiled = [check_init(cert, env, cfg) for cert in certs()]
+    monkeypatch.setattr(clbf.verifier, "filtered_upper_bound", whole_box_upper_bound)
+    whole = [check_init(cert, env, cfg) for cert in certs()]
+    assert any(t.status == "counterexample" for t in tiled)
+    for t, w in zip(tiled, whole):
+        assert t.status == w.status and len(t.witnesses) == len(w.witnesses)
+        assert t.boxes_processed <= w.boxes_processed
 
 
 # ---------------------------------------------------------------------------
@@ -458,7 +482,7 @@ def two_phase_exact_violation(cert, policy, env, X, delta, epsilon, inner_pgd,
     active = eligible.copy()
     if delta > 0:
         rows = np.flatnonzero(eligible)
-        _, ub = clipped_bounds(cert, nxt[rows] - delta, nxt[rows] + delta)
+        ub = filtered_upper_bound(cert, nxt[rows] - delta, nxt[rows] + delta)
         active[rows] = epsilon - (v_x[rows] - ub) >= 0
     best_v, best_y = _exact_ball_max(cert, env, nxt, delta, inner_pgd, rng, active)
     viol = np.where(eligible, epsilon - (v_x - best_v), -np.inf)
@@ -683,7 +707,7 @@ def test_exact_ball_max_never_exceeds_the_interval_bound(env_name, cert_seed,
     best_v, best_y = _exact_ball_max(cert, env, nxt, delta,
                                      PgdConfig(steps=10, restarts=2), rng,
                                      np.ones(16, bool))
-    _, ub = clipped_bounds(cert, nxt - delta, nxt + delta)
+    ub = filtered_upper_bound(cert, nxt - delta, nxt + delta)
     assert np.all(best_v <= ub)
     assert np.all((best_y >= nxt - delta) & (best_y <= nxt + delta))
     assert np.array_equal(best_v, cert.value(best_y))
