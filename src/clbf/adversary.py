@@ -1,13 +1,16 @@
 """Projected gradient ascent on the certificate value inside an l-inf ball.
 
 Used both to harden training (worst-case next states) and to attack trained
-controllers during empirical evaluation. Ascent is on the raw network; the
-best value seen across iterates and restarts is returned, so the result never
-falls below the ball center. A row stops ascending once a step leaves it
-where it was (a ball corner, or a zero gradient): from a fixed point every
-later step repeats the same value and gradient and cannot improve the best,
-so stopping changes the result only by the BLAS rounding of the smaller
-batches that the rows still moving make.
+controllers during empirical evaluation. Training and the verifier's
+counterexample hunt pass an `active` mask from one shared interval screen,
+certificate.decrease_may_fail, so only balls where the descent condition can
+fail are searched. Ascent is on the raw network; the best value seen across
+iterates and restarts is returned, so the result never falls below the ball
+center. A row stops ascending once a step leaves it where it was (a ball
+corner, or a zero gradient): from a fixed point every later step repeats the
+same value and gradient and cannot improve the best, so stopping changes the
+result only by the BLAS rounding of the smaller batches that the rows still
+moving make.
 """
 
 from __future__ import annotations

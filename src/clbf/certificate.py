@@ -5,7 +5,9 @@ task sets: goal states evaluate to a fixed low mask, unsafe states to a fixed
 high mask. Filtering discharges the barrier condition by construction, so no
 training samples are needed inside the unsafe set. The verifier bounds the
 filtered value over boxes from above with one routine, filtered_upper_bound;
-no check needs a lower bound of it.
+no check needs a lower bound of it. The same bound over a delta-ball screens
+the descent condition (decrease_may_fail) for the verifier's counterexample
+hunt and for adversarial training alike.
 """
 
 from __future__ import annotations
@@ -114,3 +116,22 @@ def filtered_upper_bound(
         n_hi = ibp_bounds(cert.net, np.stack(piece_lo), np.stack(piece_hi))[1]
         np.maximum.at(out, np.asarray(owner), n_hi[:, 0])
     return out
+
+
+def decrease_may_fail(cert: FilteredCertificate, eligible: np.ndarray,
+                      v_x: np.ndarray, nxt: np.ndarray, delta: float,
+                      epsilon: float) -> np.ndarray:
+    """The eligible rows whose descent hinge epsilon - (v_x - V(y)) can be
+    non-negative at some y in the delta-ball around their next state nxt.
+
+    The test is epsilon - (v_x - ub) >= 0, with ub the filtered_upper_bound
+    of the ball. Every ball point's filtered value is at most ub, so at every
+    other row the hinge is negative throughout the ball (up to the rounding
+    of ub): no search of that ball can find a violation or move a hinge
+    loss. Only the eligible rows are bounded.
+    """
+    may_fail = np.zeros(len(eligible), dtype=bool)
+    rows = np.flatnonzero(eligible)
+    ub = filtered_upper_bound(cert, nxt[rows] - delta, nxt[rows] + delta)
+    may_fail[rows] = epsilon - (v_x[rows] - ub) >= 0
+    return may_fail

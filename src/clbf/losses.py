@@ -15,6 +15,15 @@ certificate parameters, the policy parameters and (where meaningful) the
 batch states. Gradients flow through the dynamics Jacobian into the policy;
 for the adversarial objective they flow through the certificate at the
 attacked point but not through the search that found it.
+
+The adversarial objective searches the delta-ball (PGD) only on the rows
+that certificate.decrease_may_fail passes, the interval screen the
+verifier's counterexample hunt uses: eligible rows whose hinge can be
+positive somewhere in the ball. At every other row the hinge is zero
+throughout the ball (up to the rounding of the interval bound), so
+whichever ball point is used there adds nothing to the value or to any
+gradient; the search is skipped and the nominal next state kept.
+Ineligible rows count nothing and get no search either.
 """
 
 from __future__ import annotations
@@ -24,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .adversary import PgdConfig, pgd_maximize_batch
-from .certificate import FilteredCertificate
+from .certificate import FilteredCertificate, decrease_may_fail
 from .envs import EnvSpec
 from .nets import (
     Mlp,
@@ -123,7 +132,9 @@ def loss_dec_grads(cert: FilteredCertificate, policy: Mlp, env: EnvSpec,
 
     mode: "plain" (nominal next state), "adv" (PGD point in the delta-ball,
     kept only when its filtered value beats the nominal one; the PGD offset
-    is treated as frozen), or "neighbor" (nominal next state plus the slack
+    is treated as frozen; PGD runs only on the rows decrease_may_fail
+    passes, as elsewhere the hinge and its gradients are zero at every ball
+    point), or "neighbor" (nominal next state plus the slack
     L_p * delta, which covers the whole delta-ball). In "neighbor" mode a
     given L_p is a constant; None recomputes it from the current weights
     with linf_lipschitz_bound and includes its gradient term.
@@ -155,7 +166,8 @@ def loss_dec_grads(cert: FilteredCertificate, policy: Mlp, env: EnvSpec,
 
     if mode == "adv" and delta > 0.0:
         cfg = pgd_cfg if pgd_cfg is not None else PgdConfig(delta=delta)
-        Y_pgd = pgd_maximize_batch(cert.net, NXT, cfg, rng)
+        may_fail = decrease_may_fail(cert, eligible, V_x, NXT, delta, p.epsilon)
+        Y_pgd = pgd_maximize_batch(cert.net, NXT, cfg, rng, may_fail)
         v_pgd, _ = cert.apply_masks(Y_pgd, cert.raw(Y_pgd))
         v_nom, _ = cert.apply_masks(NXT, cert.raw(NXT))
         use_pgd = v_pgd >= v_nom  # keep the stronger candidate per state

@@ -13,17 +13,19 @@ violates its condition under exact point evaluation (re-checked before
 reporting), and anything else is returned as Unknown residue with its volume
 fraction.
 
-The decrease hunt screens its points with the same interval bound: a point x
-whose delta-ball around f(x, pi(x)) has filtered upper bound ub with
-epsilon - (V(x) - ub) < 0 cannot yield a witness, because every ball point
-the hunt evaluates (PGD iterates, a point in the unsafe set) has value at
-most ub. Only the remaining points get the inner PGD, so the screen saves
-work without changing what is found. The hunt checks the box centres and
-the iterates of a sign ascent on the nominal violation
-epsilon - V(x) + V(f(x, pi(x))) as they are made, and stops at the first
-point set with a witness. The ascent only chooses where to look: the
-delta-ball is searched once per point set, by the exact check, and the
-ascent step and the exact check share one evaluation of a set.
+The decrease hunt screens its points with the same interval bound, through
+certificate.decrease_may_fail, the screen that adversarial training
+(losses.loss_dec_grads) also uses: a point x whose delta-ball around
+f(x, pi(x)) has filtered upper bound ub with epsilon - (V(x) - ub) < 0
+cannot yield a witness, because every ball point the hunt evaluates (PGD
+iterates, a point in the unsafe set) has value at most ub. Only the
+remaining points get the inner PGD, so the screen saves work without
+changing what is found. The hunt checks the box centres and the iterates of
+a sign ascent on the nominal violation epsilon - V(x) + V(f(x, pi(x))) as
+they are made, and stops at the first point set with a witness. The ascent
+only chooses where to look: the delta-ball is searched once per point set,
+by the exact check, and the ascent step and the exact check share one
+evaluation of a set.
 
 The queue is processed in deterministic FIFO chunk order; within a chunk the
 lexicographically smallest violating box wins, so verdicts are reproducible.
@@ -38,7 +40,8 @@ import numpy as np
 
 from .adversary import PgdConfig, pgd_maximize_batch
 from .boxes import Box
-from .certificate import FilteredCertificate, filtered_upper_bound
+from .certificate import (FilteredCertificate, decrease_may_fail,
+                          filtered_upper_bound)
 from .envs import EnvSpec
 from .nets import (Mlp, forward_batch, forward_tape, ibp_bounds, input_grad,
                    input_jacobian)
@@ -151,6 +154,7 @@ def _branch_and_bound(roots: list[Box], cfg: BnbConfig, condition: str,
         queue.append((np.stack([b.lo for b in roots]), np.stack([b.hi for b in roots])))
     processed = rounds = 0
     residual: list[Box] = []
+    residual_arrays = []  # the same boxes as (lo, hi) arrays, for their volume
     witnesses: list[Witness] = []
 
     while queue and processed < cfg.max_boxes and len(witnesses) < cfg.ce_limit:
@@ -168,24 +172,35 @@ def _branch_and_bound(roots: list[Box], cfg: BnbConfig, condition: str,
         lo_f, hi_f = lo_f[unrefuted], hi_f[unrefuted]
         splittable = (hi_f - lo_f) > cfg.min_width
         can_split = np.any(splittable, axis=1)
-        residual.extend(Box(l, h) for l, h in zip(lo_f[~can_split], hi_f[~can_split]))
+        lo_r, hi_r = lo_f[~can_split], hi_f[~can_split]
+        residual.extend(Box(l, h) for l, h in zip(lo_r, hi_r))
+        residual_arrays.append((lo_r, hi_r))
         if np.any(can_split):
             queue.append(_split_widest(lo_f[can_split], hi_f[can_split],
                                        splittable[can_split]))
 
     for lo, hi in queue:
         residual.extend(Box(l, h) for l, h in zip(lo, hi))
+    residual_arrays.extend(queue)
     status = "counterexample" if witnesses else "unknown" if residual else "proved"
     total_vol = sum(b.volume() for b in roots)
     return Verdict(status, condition, witnesses=witnesses, unknown_boxes=residual,
-                   unknown_volume_fraction=_vol_fraction(residual, total_vol),
+                   unknown_volume_fraction=_vol_fraction(residual_arrays, total_vol),
                    boxes_processed=processed, note=note)
 
 
-def _vol_fraction(residual, total_vol):
-    if not residual or total_vol <= 0:
+def _vol_fraction(box_arrays, total_vol):
+    """Share of total_vol in the boxes of the (lo, hi) arrays, bit for bit the
+    built-in sum of their Box.volume: per box the product of its positive
+    widths, taken left to right (0 if none is positive)."""
+    if total_vol <= 0:
         return 0.0
-    return min(1.0, sum(b.volume() for b in residual) / total_vol)
+    w = np.concatenate([hi - lo for lo, hi in box_arrays])
+    vol = np.ones(w.shape[0])
+    for d in range(w.shape[1]):
+        vol *= np.where(w[:, d] > 0, w[:, d], 1.0)
+    vol[~np.any(w > 0, axis=1)] = 0.0
+    return min(1.0, sum(vol.tolist()) / total_vol)
 
 
 # ---------------------------------------------------------------------------
@@ -373,21 +388,19 @@ def _exact_violation(cert, env, X, nxt, raw_x, delta, epsilon, inner_pgd, rng):
     realizing it and the number of rows sent to PGD.
 
     Ineligible rows (inside goal, filtered value above beta) report -inf.
-    For delta > 0 the inner search is screened by the interval upper bound
-    ub of the filtered value over each ball: PGD's best iterate and the
-    unsafe mask are both values at ball points, so neither exceeds ub, and a
-    row with epsilon - (V(x) - ub) < 0 cannot reach WITNESS_SLACK (a margin
-    far above the rounding error of ub). Such rows skip PGD and keep the
-    value at their ball center, which leaves every witness unchanged.
+    For delta > 0 the inner search runs only on the rows that
+    certificate.decrease_may_fail passes, the screen that adversarial
+    training shares: PGD's best iterate and the unsafe mask are both values
+    at ball points, so neither exceeds the ball's interval upper bound ub,
+    and a row with epsilon - (V(x) - ub) < 0 cannot reach WITNESS_SLACK (a
+    margin far above the rounding error of ub). Such rows skip PGD and keep
+    the value at their ball center, which leaves every witness unchanged.
     """
     p = cert.params
     v_x, _ = cert.apply_masks(X, raw_x)
     eligible = ~env.in_goal(X) & (v_x <= p.beta)
-    active = eligible.copy()
-    if delta > 0:
-        rows = np.flatnonzero(eligible)
-        ub = filtered_upper_bound(cert, nxt[rows] - delta, nxt[rows] + delta)
-        active[rows] = epsilon - (v_x[rows] - ub) >= 0
+    active = (decrease_may_fail(cert, eligible, v_x, nxt, delta, epsilon)
+              if delta > 0 else eligible)
     best_v, best_y = _exact_ball_max(cert, env, nxt, delta, inner_pgd, rng, active)
     viol = epsilon - (v_x - best_v)
     viol = np.where(eligible, viol, -np.inf)

@@ -1,10 +1,16 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from clbf.boxes import Box
 from clbf.certificate import ClbfParams, FilteredCertificate
 from clbf.envs import EnvSpec, make_env
 from clbf.nets import ibp_bounds, init_mlp
+
+# CI runs with --hypothesis-profile=ci: the examples are derived from each
+# test, not drawn at random, so a failure in CI reproduces anywhere. Local
+# runs keep the default, randomized profile.
+settings.register_profile("ci", derandomize=True, database=None)
 
 
 @pytest.fixture
@@ -51,6 +57,17 @@ def whole_box_upper_bound(cert, lo, hi):
     out = np.where(fully_masked, -np.inf, ibp_bounds(cert.net, lo, hi)[1][:, 0])
     out = np.where(env.goal_intersects(lo, hi), np.maximum(out, p.goal_mask), out)
     return np.where(env.unsafe_intersects(lo, hi), np.maximum(out, p.unsafe_mask), out)
+
+
+class DyadicStarts:
+    """Stands in for the generator in PGD: restart starts on a grid of
+    delta / 4 steps, so they stay exactly representable like the centers."""
+
+    def __init__(self, seed):
+        self.rng = np.random.default_rng(seed)
+
+    def uniform(self, lo, hi):
+        return lo + (hi - lo) * self.rng.integers(0, 9, np.shape(lo)) / 8
 
 
 def small_policy(env, seed=1, dims=(8, 8)):

@@ -5,7 +5,7 @@ import clbf.adversary
 from clbf.adversary import PgdConfig, pgd_maximize_batch
 from clbf.nets import Mlp, forward_batch, init_mlp, scalar_value, value_and_input_grad
 
-from conftest import small_cert, small_policy
+from conftest import DyadicStarts, small_cert, small_policy
 
 
 def linear_net(w):
@@ -186,17 +186,6 @@ def test_all_false_active_makes_no_gradient_pass(monkeypatch):
     assert calls == []
     assert np.array_equal(got, centers)
     assert rng_masked.bit_generator.state == rng_full.bit_generator.state
-
-
-class DyadicStarts:
-    """Stands in for the generator: restart starts on a grid of delta / 4
-    steps, so they stay exactly representable like the centers."""
-
-    def __init__(self, seed):
-        self.rng = np.random.default_rng(seed)
-
-    def uniform(self, lo, hi):
-        return lo + (hi - lo) * self.rng.integers(0, 9, np.shape(lo)) / 8
 
 
 def exact_case():

@@ -88,6 +88,51 @@ def test_filtered_upper_bound_at_most_the_whole_box_bound(env_name, cert_seed,
                   <= whole_box_upper_bound(cert, lo, hi) + 1e-12)
 
 
+def ball_centres(env, mode, rng, k):
+    """k centres: anywhere within 1.2x the domain ("domain"), or on a face of
+    a goal box ("goal") or of a box bounding the unsafe set ("unsafe"), so
+    that balls around them straddle that boundary."""
+    if mode == "domain":
+        half = 0.6 * env.domain.width
+        return rng.uniform(env.domain.center - half, env.domain.center + half,
+                           (k, env.state_dim))
+    boxes = env.goal_boxes if mode == "goal" else [
+        *env.unsafe_boxes, *([env.safe_box] if env.safe_box else [])]
+    picks = [boxes[i] for i in rng.integers(0, len(boxes), k)]
+    c = np.stack([rng.uniform(b.lo, b.hi) for b in picks])
+    d = rng.integers(0, env.state_dim, k)
+    on_hi = rng.random(k) < 0.5
+    c[np.arange(k), d] = [(b.hi if up else b.lo)[j]
+                          for b, up, j in zip(picks, on_hi, d)]
+    return c
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(sorted(BOUND_ENVS)), st.integers(0, 7),
+       st.floats(-0.5, 0.5), st.sampled_from(["domain", "goal", "unsafe"]),
+       st.floats(0.0, 0.05, exclude_min=True), st.integers(0, 2**32 - 1))
+def test_delta_ball_bound_covers_ball_points_and_corners(env_name, cert_seed,
+                                                         shift, mode, delta,
+                                                         seed):
+    # the premise of the decrease screen: no point of a delta-ball has a
+    # filtered value above the ball's filtered_upper_bound. The bound is not
+    # rounded outward, so it may sit ulps below a value: a ball narrower
+    # than the spacing of floats at its centre (delta 5e-324 on docking2d)
+    # gives a bound 3 ulps under the net's value there in a batch of 80
+    env = BOUND_ENVS[env_name]
+    cert = small_cert(env, seed=cert_seed)
+    cert.net.biases[-1][0] += shift
+    rng = np.random.default_rng(seed)
+    c = ball_centres(env, mode, rng, 8)
+    ub = filtered_upper_bound(cert, c - delta, c + delta)
+    n = env.state_dim
+    corners = np.array(np.meshgrid(*[[-1.0, 1.0]] * n)).reshape(n, -1).T
+    for centre, bound in zip(c, ub):
+        pts = np.concatenate([centre + delta * corners,
+                              rng.uniform(centre - delta, centre + delta, (64, n))])
+        assert np.all(cert.value(pts) <= bound + 1e-12)
+
+
 def test_clipped_bounds_tighter_and_sound(pendulum, rng):
     cert = small_cert(pendulum)
     # straddles the goal boundary: the tiled bound must not feed the goal

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
-from clbf.adversary import PgdConfig
-from clbf.certificate import ClbfParams, FilteredCertificate
+import clbf.adversary
+import clbf.losses
+from clbf.adversary import PgdConfig, pgd_maximize_batch
+from clbf.certificate import ClbfParams, FilteredCertificate, filtered_upper_bound
 from clbf.losses import (
     Batch,
     LossWeights,
@@ -12,9 +14,11 @@ from clbf.losses import (
     loss_lip_global_grads,
     total_loss_grads,
 )
-from clbf.nets import Mlp, init_mlp, linf_lipschitz_bound, scalar_value
+from clbf.nets import (Mlp, forward_batch, init_mlp, linf_lipschitz_bound,
+                       scalar_value, value_and_input_grad)
 
-from conftest import fd_input_grads, fd_param_grads, rel_err, small_cert, small_policy
+from conftest import (DyadicStarts, fd_input_grads, fd_param_grads, rel_err, small_cert,
+                      small_policy)
 
 
 def const_cert(env, values_net):
@@ -75,6 +79,12 @@ class TinyEnvWrapper:
 
     def in_unsafe(self, x):
         return np.zeros(np.atleast_2d(x).shape[0], dtype=bool)
+
+    def goal_intersects(self, lo, hi):
+        return np.zeros(np.atleast_2d(lo).shape[0], dtype=bool)
+
+    def unsafe_intersects(self, lo, hi):
+        return np.zeros(np.atleast_2d(lo).shape[0], dtype=bool)
 
     def step(self, X, U):
         return 0.5 * np.atleast_2d(X)
@@ -144,18 +154,27 @@ def test_loss_dec_adv_delta_zero_equals_dec(pendulum, rng):
     assert got == pytest.approx(loss_dec_grads(cert, policy, pendulum, batch)[0])
 
 
-def test_loss_dec_adv_linear_corner_case():
-    env = TinyEnvWrapper()
-    params = ClbfParams(epsilon=0.01)
+def linear_corner_case_loss(epsilon):
     # v(t) = t: center value 0.5, ball max at 0.5 + delta
-    cert = FilteredCertificate(affine_scalar_net([1.0], 0.0), params, env)
+    env = TinyEnvWrapper()
+    cert = FilteredCertificate(affine_scalar_net([1.0], 0.0),
+                               ClbfParams(epsilon=epsilon), env)
     policy = affine_scalar_net([0.0], 0.0)
-    batch = Batch(np.array([[1.0]]))
     delta = 0.1
-    got = loss_dec_grads(cert, policy, env, batch, "adv", delta=delta,
-                         pgd_cfg=PgdConfig(delta=delta))[0]
+    return loss_dec_grads(cert, policy, env, Batch(np.array([[1.0]])), "adv",
+                          delta=delta, pgd_cfg=PgdConfig(delta=delta))[0]
+
+
+def test_loss_dec_adv_linear_corner_case():
     # V(x)=1, worst next value = 0.5 + 0.1, residual = eps - (1 - 0.6)
-    assert got == pytest.approx(max(0.0, 0.01 - (1.0 - 0.6)), abs=1e-9)
+    assert linear_corner_case_loss(0.01) == pytest.approx(
+        max(0.0, 0.01 - (1.0 - 0.6)), abs=1e-9)
+
+
+def test_loss_dec_adv_linear_corner_case_active_hinge():
+    # at eps 0.5 the hinge is positive in the ball, so PGD runs and must
+    # reach the ball's corner 0.6: 0.5 - (1 - 0.6)
+    assert linear_corner_case_loss(0.5) == pytest.approx(0.1, abs=1e-9)
 
 
 def test_loss_dec_adv_dominates_dec(pendulum, rng):
@@ -193,6 +212,153 @@ def test_loss_dec_rejects_mismatched_pgd_radius(pendulum, rng):
         loss_dec_grads(cert, policy, pendulum, batch, "adv", pgd_cfg=cfg)
     with pytest.raises(ValueError, match="delta"):
         loss_dec_grads(cert, policy, pendulum, batch, "adv", delta=0.02, pgd_cfg=cfg)
+
+
+# ---------------------------------------------------------------------------
+# the interval screen: PGD only where the descent hinge can be positive
+
+
+def recorded_gradient_passes(monkeypatch):
+    """The iterates of every value_and_input_grad pass PGD makes."""
+    passes = []
+
+    def recorded(net, x):
+        passes.append(x.copy())
+        return value_and_input_grad(net, x)
+
+    monkeypatch.setattr(clbf.adversary, "value_and_input_grad", recorded)
+    return passes
+
+
+def test_loss_dec_adv_skips_screened_and_ineligible_rows(monkeypatch):
+    # v(t) = t and x' = x / 2, so the ball's bound is x / 2 + delta and the
+    # hinge eps - (x - x / 2 - delta) can be positive only for x <= 0.6
+    env = TinyEnvWrapper()
+    cert = FilteredCertificate(affine_scalar_net([1.0], 0.0),
+                               ClbfParams(epsilon=0.2), env)
+    policy = affine_scalar_net([0.0], 0.0)
+    delta = 0.1
+    cfg = PgdConfig(delta=delta, restarts=1)
+
+    def loss(X):
+        return loss_dec_grads(cert, policy, env, Batch(np.array(X)), "adv",
+                              delta=delta, pgd_cfg=cfg)[0]
+
+    # 1.0 is screened out, 2.0 is ineligible (V above beta)
+    passes = recorded_gradient_passes(monkeypatch)
+    assert loss([[1.0], [2.0]]) == 0.0
+    assert passes == []
+    # only 0.5 ascends, inside its ball around 0.25, to the corner 0.35
+    assert loss([[1.0], [0.5], [2.0]]) == pytest.approx(0.2 - (0.5 - 0.35))
+    assert passes and all(x.shape == (1, 1) for x in passes)
+    assert all(abs(x[0, 0] - 0.25) <= delta + 1e-15 for x in passes)
+
+
+def test_loss_dec_adv_gradient_rows_are_the_unscreened_rows(pendulum, rng,
+                                                            monkeypatch):
+    cert = small_cert(pendulum, seed=3)
+    cert.net.biases[-1][0] += 1.1  # puts about half the batch above beta
+    policy = small_policy(pendulum, seed=4)
+    X = pendulum.sample_states(rng, 256)
+    cfg = PgdConfig(delta=0.02, steps=10, restarts=2)
+    # the screen from its definition
+    p = cert.params
+    V_x = scalar_value(cert.net, X)
+    eligible = (V_x <= p.beta) & ~pendulum.in_goal(X)
+    nxt = pendulum.step(X, forward_batch(policy, X))
+    ub = filtered_upper_bound(cert, nxt - cfg.delta, nxt + cfg.delta)
+    may_fail = eligible & (p.epsilon - (V_x - ub) >= 0)
+    assert 0 < may_fail.sum() < eligible.sum() < len(X)
+
+    passes = recorded_gradient_passes(monkeypatch)
+    pgd_maximize_batch(cert.net, nxt, cfg, np.random.default_rng(5), may_fail)
+    want = sum(len(x) for x in passes)
+    passes.clear()
+    loss_dec_grads(cert, policy, pendulum, Batch(X), "adv", delta=cfg.delta,
+                   pgd_cfg=cfg, rng=np.random.default_rng(5))
+    assert sum(len(x) for x in passes) == want > 0
+
+
+class ExactEnv2d:
+    """x' = x / 2 + (0, u / 4), no goal or unsafe set: dyadic states stay
+    dyadic, so with small-integer weights every sum of the loss is exact."""
+
+    state_dim = 2
+    control_dim = 1
+
+    def in_goal(self, x):
+        return np.zeros(np.atleast_2d(x).shape[0], dtype=bool)
+
+    in_unsafe = in_goal
+
+    def goal_intersects(self, lo, hi):
+        return np.zeros(np.atleast_2d(lo).shape[0], dtype=bool)
+
+    unsafe_intersects = goal_intersects
+
+    def step(self, X, U):
+        Y = 0.5 * np.atleast_2d(X)
+        Y[:, 1] += 0.25 * U[:, 0]
+        return Y
+
+    def step_jac(self, X, U):
+        k = np.atleast_2d(X).shape[0]
+        return (np.tile(0.5 * np.eye(2), (k, 1, 1)),
+                np.tile(np.array([[0.0], [0.25]]), (k, 1, 1)))
+
+
+def exact_adv_case():
+    """Integer-weight nets and states on a 1/8 grid: with a delta of 1/4,
+    no BLAS blocking of a PGD batch can change a bit of the loss or its
+    gradients. At that delta the batch mixes ineligible rows, screened rows
+    and rows whose hinge PGD raises, two of them from zero."""
+    rng = np.random.default_rng(9)
+
+    def int_net(dims):
+        return Mlp([rng.integers(-3, 4, (m, n)).astype(float)
+                    for n, m in zip(dims, dims[1:])],
+                   [rng.integers(-4, 5, m) / 4.0 for m in dims[1:]])
+
+    cert_net, policy = int_net([2, 16, 8, 1]), int_net([2, 4, 1])
+    X = rng.integers(-8, 9, (64, 2)) / 8.0
+    cert_net.biases[-1] += 1.0 - np.median(scalar_value(cert_net, X))
+    cert = FilteredCertificate(cert_net, ClbfParams(epsilon=0.125), ExactEnv2d())
+    is_ce = np.arange(64) % 5 == 0
+    return cert, policy, Batch(X, is_ce)
+
+
+def test_loss_dec_adv_screen_matches_pgd_on_every_row_bit_for_bit(monkeypatch):
+    cert, policy, batch = exact_adv_case()
+    env = cert.env
+    cfg = PgdConfig(steps=12, delta=1 / 4, restarts=3)
+    weights = batch.weight_vector(4.0)
+    masks = []
+
+    def screened(net, centers, cfg, rng=None, active=None):
+        masks.append(active)
+        return pgd_maximize_batch(net, centers, cfg, rng, active)
+
+    def every_row(net, centers, cfg, rng=None, active=None):
+        return pgd_maximize_batch(net, centers, cfg, rng)
+
+    def run(mode="adv"):
+        return loss_dec_grads(cert, policy, env, batch, mode, weights,
+                              delta=cfg.delta, pgd_cfg=cfg, rng=DyadicStarts(9))
+
+    monkeypatch.setattr(clbf.losses, "pgd_maximize_batch", screened)
+    got = run()
+    monkeypatch.setattr(clbf.losses, "pgd_maximize_batch", every_row)
+    want = run()
+
+    # the batch has screened and unscreened eligible rows, and PGD matters
+    (active,) = masks
+    eligible = scalar_value(cert.net, batch.states) <= cert.params.beta
+    assert active is not None and not np.any(active & ~eligible)
+    assert 0 < active.sum() < eligible.sum() < len(eligible)
+    assert got[0] == want[0] > run("plain")[0]
+    for g, w in zip(got[1] + got[2], want[1] + want[2]):
+        assert np.array_equal(g, w)
+    assert np.array_equal(got[3], want[3])
 
 
 def test_loss_lip_global_hand_cases():

@@ -20,6 +20,7 @@ from clbf.verifier import (
     Witness,
     _branch_and_bound,
     _exact_ball_max,
+    _lex_sorted,
     _point_in_unsafe,
     _recheck_decrease,
     bisect_largest_passing,
@@ -352,6 +353,29 @@ def test_branch_and_bound_drops_only_the_boxes_of_taken_witnesses():
     assert [(b.lo.tolist(), b.hi.tolist()) for b in v.unknown_boxes] == [
         ([1.0], [1.5]), ([1.5], [2.0])]
     assert v.unknown_volume_fraction == 0.5
+
+
+@pytest.mark.parametrize("max_boxes", [40, 5000])
+def test_unknown_volume_fraction_is_the_box_volume_sum(max_boxes):
+    # a zero-velocity initial slice (zero width in the second dimension)
+    # among the roots; boxes reaching past x0 = 0.1 fail, so the residual
+    # holds min-width boxes and, at the small budget, the queue at the stop
+    roots = [Box(np.array([-0.5, 0.0]), np.array([0.5, 0.0])),
+             Box(np.array([0.0, 0.0]), np.array([0.3, 0.7])),
+             Box(np.array([-1.0, -1.0]), np.array([-0.9, -0.2]))]
+
+    def refute(lo, hi, _round):
+        fail = hi[:, 0] > 0.1
+        lo, hi = _lex_sorted(lo[fail], hi[fail])
+        return lo, hi, []
+
+    v = _branch_and_bound(roots, BnbConfig(max_boxes=max_boxes, min_width=0.05),
+                          "init", refute)
+    assert v.status == "unknown" and len(v.unknown_boxes) > len(roots)
+    assert any(np.any(b.width == 0) for b in v.unknown_boxes)
+    want = min(1.0, sum(b.volume() for b in v.unknown_boxes)
+               / sum(b.volume() for b in roots))
+    assert 0 < v.unknown_volume_fraction == want < 1
 
 
 def test_verdict_witness_is_the_first_of_witnesses():
