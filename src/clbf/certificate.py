@@ -2,12 +2,12 @@
 
 The certificate is a scalar ReLU network whose output is overridden on the
 task sets: goal states evaluate to a fixed low mask, unsafe states to a fixed
-high mask. Filtering discharges the barrier condition by construction, so no
-training samples are needed inside the unsafe set. The verifier bounds the
-filtered value over boxes from above with one routine, filtered_upper_bound;
-no check needs a lower bound of it. The same bound over a delta-ball screens
-the descent condition (decrease_may_fail) for the verifier's counterexample
-hunt and for adversarial training alike.
+high mask, at least alpha. Filtering discharges the barrier condition by
+construction: no check or training sample is needed in the unsafe set. The
+verifier bounds the filtered value over boxes from above with one routine,
+filtered_upper_bound; no check needs a lower bound of it. The same bound
+over a delta-ball screens the descent condition (decrease_may_fail) for the
+verifier's counterexample hunt and for adversarial training alike.
 """
 
 from __future__ import annotations
@@ -21,13 +21,14 @@ from .envs import EnvSpec
 from .nets import Mlp, ibp_bounds, scalar_value
 
 
-@dataclass
+@dataclass(frozen=True)
 class ClbfParams:
-    """Scalar parameters of the certificate and its robustness contract.
+    """Scalar parameters of the certificate, validated at construction.
 
     alpha: threshold exceeded on unsafe states; beta: cap on initial states;
     epsilon: required per-step decrease; delta: l-inf perturbation radius;
-    goal_mask: value on the goal set, the certificate's global lower bound.
+    goal_mask: value on the goal set, the certificate's global lower bound;
+    unsafe_mask: value on the unsafe set, at least alpha.
     """
 
     alpha: float = 1.2
@@ -37,14 +38,18 @@ class ClbfParams:
     goal_mask: float = -10.0
     unsafe_mask: float = 1.2
 
+    def __post_init__(self):
+        self.validate()
+
     def validate(self):
         if not (self.alpha > self.beta > self.goal_mask):
             raise ValueError("need alpha > beta > goal_mask")
-        if self.epsilon <= 0:
+        # written so that a NaN fails each test
+        if not self.epsilon > 0:
             raise ValueError("epsilon must be positive")
-        if self.delta < 0:
+        if not self.delta >= 0:
             raise ValueError("delta must be non-negative")
-        if self.unsafe_mask < self.alpha:
+        if not self.unsafe_mask >= self.alpha:
             raise ValueError("unsafe_mask must be >= alpha")
         return self
 

@@ -60,10 +60,9 @@ class EnvSpec:
     step_jac returns the Jacobians of the total (clamp-included) transition.
     The goal set is the union of goal_boxes. The unsafe set is the union of
     unsafe_boxes or, when safe_box is given, everything outside safe_box;
-    unsafe_boxes then tiles it within domain, and check_safety takes its
-    witness from the first of them while the decrease check searches them for
-    an unsafe point of a perturbation ball. The two sets are disjoint: a goal
-    box that meets the unsafe set raises ValueError.
+    unsafe_boxes then tiles it within domain, and the decrease check searches
+    them for an unsafe point of a perturbation ball. The two sets are
+    disjoint: a goal box that meets the unsafe set raises ValueError.
     The set predicates, unmasked_pieces(box) (a tiling of the part of a box outside
     both sets, where the network rather than a mask gives the value) and
     eligible_cover = unmasked_pieces(domain) are derived from these boxes when

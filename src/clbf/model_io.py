@@ -19,11 +19,14 @@ from .nets import Mlp
 FORMAT_TAG = "clbf-model/2"
 
 
+def _activations(layers: int) -> list[str]:  # the only ones an Mlp evaluates
+    return ["relu"] * (layers - 1) + ["affine"]
+
+
 def _net_doc(net: Mlp) -> dict:
-    acts = ["relu"] * (len(net.weights) - 1) + ["affine"]
     return {
         "dims": net.dims,
-        "activations": acts,
+        "activations": _activations(len(net.weights)),
         "weights": [W.reshape(-1).tolist() for W in net.weights],  # row-major
         "biases": [b.tolist() for b in net.biases],
     }
@@ -35,11 +38,13 @@ def _require(doc: dict, keys: tuple, what: str):
 
 
 def _net_from_doc(doc: dict, name: str) -> Mlp:
-    _require(doc, ("dims", "weights", "biases"), f"{name} net")
+    _require(doc, ("dims", "activations", "weights", "biases"), f"{name} net")
     dims = doc["dims"]
     if not len(doc["weights"]) == len(doc["biases"]) == len(dims) - 1:
         raise ValueError(f"{name} net: dims {dims} need {len(dims) - 1} "
                          "weight and bias lists each")
+    if doc["activations"] != (acts := _activations(len(dims) - 1)):
+        raise ValueError(f"{name} net: activations must be {acts}")
     weights = [np.array(W, dtype=float).reshape(n_out, n_in)
                for W, n_in, n_out in zip(doc["weights"], dims[:-1], dims[1:])]
     return Mlp(weights, [np.array(b, dtype=float) for b in doc["biases"]])
@@ -74,7 +79,7 @@ def load_model(path: str | Path) -> tuple[Mlp, FilteredCertificate]:
     if given != known:
         raise ValueError(f"clbf_params: unknown keys {sorted(given - known)}, "
                          f"missing keys {sorted(known - given)}")
-    params = ClbfParams(**doc["clbf_params"]).validate()
+    params = ClbfParams(**doc["clbf_params"])
     if policy.n_in != env.state_dim or policy.n_out != env.control_dim:
         raise ValueError("policy dimensions do not match the environment")
     return policy, FilteredCertificate(cert_net, params, env)

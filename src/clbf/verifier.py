@@ -1,17 +1,17 @@
 """Sound branch-and-bound verification of the robust certificate conditions.
 
-Three checks: the initial-set cap V <= beta, the robust decrease condition
-over the delta-inflated next-state ball, and the unsafe-set threshold
-(exact: every unsafe state takes the unsafe mask). The two box checks share
-one loop, _branch_and_bound, and differ only in their refute step: interval
-bounds prove boxes, and concrete points inside the failed boxes are checked
-for exact counterexamples; both bound the filtered value from above with
-certificate.filtered_upper_bound. A box that yields a witness is refuted and
-dropped; the other failed boxes are bisected on their widest dimension. Every
-verdict is sound: a Proved box admits no violation, a reported witness
-violates its condition under exact point evaluation (re-checked before
-reporting), and anything else is returned as Unknown residue with its volume
-fraction.
+Two checks: the initial-set cap V <= beta, and the robust decrease condition
+over the delta-inflated next-state ball. V >= alpha on the unsafe set needs
+none: unsafe states take unsafe_mask, which ClbfParams holds >= alpha. The
+checks share one loop, _branch_and_bound, and differ only in their refute
+step: interval bounds prove boxes, and concrete points inside the failed
+boxes are checked for exact counterexamples; both bound the filtered value
+from above with certificate.filtered_upper_bound. A box that yields a
+witness is refuted and dropped; the other failed boxes are bisected on their
+widest dimension. Every verdict is sound: a Proved box admits no violation,
+a reported witness violates its condition under exact point evaluation
+(re-checked before reporting), and anything else is returned as Unknown
+residue with its volume fraction.
 
 The decrease hunt screens its points with the same interval bound, through
 certificate.decrease_may_fail, the screen that adversarial training
@@ -52,7 +52,7 @@ WITNESS_SLACK = 1e-9  # a witness must violate its condition by at least this
 @dataclass
 class Witness:
     state: np.ndarray
-    condition: str  # "init" | "decrease" | "safety"
+    condition: str  # "init" | "decrease"
     violation: float
     ball_point: np.ndarray | None = None  # decrease: the y realizing the violation
 
@@ -230,27 +230,6 @@ def check_init(cert: FilteredCertificate, env: EnvSpec,
                         for i in np.flatnonzero(excess >= WITNESS_SLACK)]
 
     return _branch_and_bound(list(env.init_boxes), cfg, "init", refute)
-
-
-# ---------------------------------------------------------------------------
-# safety check
-
-
-def check_safety(cert: FilteredCertificate, env: EnvSpec) -> Verdict:
-    """Exact check of V >= alpha on the unsafe set, where V is unsafe_mask
-    (EnvSpec keeps the goal out of it). A counterexample's witness is the
-    centre of the first unsafe box, re-checked to be unsafe and below alpha."""
-    p = cert.params
-    if not env.unsafe_boxes:
-        return Verdict("proved", "safety", note="empty unsafe set")
-    if p.unsafe_mask >= p.alpha:
-        return Verdict("proved", "safety", note=f"unsafe_mask={p.unsafe_mask} >= alpha={p.alpha}")
-    x = env.unsafe_boxes[0].center
-    excess = p.alpha - cert.value(x[None])[0]
-    if not (env.in_unsafe(x[None])[0] and excess >= WITNESS_SLACK):
-        return Verdict("unknown", "safety", note="witness re-check failed")
-    return Verdict("counterexample", "safety", witnesses=[Witness(x, "safety", float(excess))],
-                   note="unsafe_mask below alpha")
 
 
 # ---------------------------------------------------------------------------
@@ -438,9 +417,11 @@ def _recheck_decrease(cert, policy, env, w: Witness, delta, epsilon) -> bool:
 
 
 def bisect_largest_passing(passes, lo: float, hi: float, tol: float = 1e-4):
-    """Largest x in [lo, hi] with passes(x), to within tol, assuming
-    monotone failure. Returns (best_pass, history). best_pass is None when
-    even lo fails; hi is returned when it passes outright."""
+    """Largest x in [lo, hi] with passes(x), to within tol > 0 or to adjacent
+    floats, assuming monotone failure. Returns (best_pass, history).
+    best_pass is None when even lo fails; hi is returned when it passes."""
+    if not tol > 0:
+        raise ValueError("tol must be positive")
     history = []
     if not passes(lo):
         return None, history
@@ -451,6 +432,8 @@ def bisect_largest_passing(passes, lo: float, hi: float, tol: float = 1e-4):
     history.append((hi, False))
     while hi - lo >= tol:
         mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            break
         ok = passes(mid)
         history.append((mid, ok))
         if ok:
@@ -468,16 +451,17 @@ def certify_delta(cert: FilteredCertificate, policy: Mlp, env: EnvSpec,
     The decrease condition is re-verified at margin epsilon (1e-6 by
     default, independent of the training margin); Unknown verdicts count as
     failure, so the returned value is a sound lower bound. Requires the
-    initial and safety conditions to hold first.
+    initial condition to hold first.
 
     Returns (delta_star, info dict).
     """
+    if not tol > 0:
+        raise ValueError("tol must be positive")
     cfg = cfg or BnbConfig()
     init_v = check_init(cert, env, cfg)
-    safety_v = check_safety(cert, env)
-    info = {"init": init_v, "safety": safety_v, "history": []}
-    if not (init_v.proved and safety_v.proved):
-        info["reason"] = "precondition failed (init or safety)"
+    info = {"init": init_v, "history": []}
+    if not init_v.proved:
+        info["reason"] = "precondition failed (init)"
         return 0.0, info
 
     def passes(delta):

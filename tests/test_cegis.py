@@ -52,11 +52,13 @@ def test_decrease_resampling_drops_goal_states(pendulum):
 
 def test_docking_run_proves_safety():
     # docking's goal lies inside the safe band, so the unsafe set takes the
-    # unsafe mask everywhere and the safety check holds by construction
+    # unsafe mask everywhere and safety holds by construction: the run
+    # verifies the init and decrease conditions only
     cfg = TrainConfig(env_name="docking2d", epochs_per_iter=2, warmstart_epochs=2,
                       max_iters=1, teacher_samples=2000, max_boxes=2000)
     result = cegis_run(cfg)
-    assert result.verdicts["safety"].proved
+    assert set(result.verdicts) == {"init", "decrease"}
+    assert result.cert.params.unsafe_mask >= result.cert.params.alpha
 
 
 # ---------------------------------------------------------------------------
@@ -126,13 +128,12 @@ def test_status_stalled(monkeypatch):
     assert budgets == [200_000, 800_000]
     assert [r["iteration"] for r in result.iterations] == [1, 2]
     assert all(r["ce_count"] == 0 for r in result.iterations)
-    assert result.verdicts["init"].proved and result.verdicts["safety"].proved
+    assert result.verdicts["init"].proved and set(result.verdicts) == {"init", "decrease"}
 
 
 def test_status_certified(monkeypatch):
-    proved = {c: Verdict("proved", c) for c in ("init", "safety", "decrease")}
+    proved = {c: Verdict("proved", c) for c in ("init", "decrease")}
     monkeypatch.setattr(clbf.cegis, "check_init", lambda cert, env, cfg: proved["init"])
-    monkeypatch.setattr(clbf.cegis, "check_safety", lambda cert, env: proved["safety"])
     monkeypatch.setattr(clbf.cegis, "check_robust_decrease",
                         lambda cert, policy, env, *args: proved["decrease"])
     result = cegis_run(tiny_config(max_iters=3))
@@ -146,12 +147,18 @@ def test_status_certified(monkeypatch):
 # tau search
 
 
-def fake_cegis_run(pendulum, vanilla_ok=True, tau_min=2.5):
+def fake_cegis_run(pendulum, vanilla_ok=True, tau_min=2.5, runs=None):
     """A run that succeeds for vanilla (if vanilla_ok) with a net whose
-    spectral product is 6, and for lip-reg iff tau >= tau_min."""
+    spectral product is 6, and for lip-reg iff tau >= tau_min. Each config
+    run is appended to runs, and a 501st run raises, so that a search which
+    never ends fails instead of hanging."""
     net = Mlp([2 * np.eye(2), np.array([[3.0, 0.0]])], [np.zeros(2), np.zeros(1)])
+    runs = [] if runs is None else runs
 
     def run(cfg, env=None):
+        runs.append(cfg)
+        if len(runs) > 500:
+            raise RuntimeError("more than 500 runs")
         ok = vanilla_ok if cfg.method == "vanilla" else cfg.tau >= tau_min
         cert = FilteredCertificate(net, ClbfParams(), pendulum)
         status = "certified" if ok else "max_iters"
@@ -186,3 +193,24 @@ def test_tau_search_with_an_infeasible_upper_bound(monkeypatch, pendulum):
     assert tau is None and run is None
     assert info["probes"] == [(pytest.approx(6.0), "max_iters")]
     assert "infeasible" in info["reason"]
+
+
+def test_tau_search_rejects_a_resolution_that_is_not_positive(monkeypatch, pendulum):
+    runs = []
+    monkeypatch.setattr(clbf.cegis, "cegis_run", fake_cegis_run(pendulum, runs=runs))
+    for resolution in (0.0, -0.25):
+        with pytest.raises(ValueError, match="resolution must be positive"):
+            tau_search(TrainConfig(), resolution=resolution, env=pendulum)
+    assert runs == []
+
+
+def test_tau_search_below_the_float_spacing_ends(monkeypatch, pendulum):
+    # the bisection ends when its ends are adjacent floats, hi converging
+    # and lo not: hi is then the smallest converging tau itself
+    runs = []
+    monkeypatch.setattr(clbf.cegis, "cegis_run", fake_cegis_run(pendulum, runs=runs))
+    tau, run, info = tau_search(TrainConfig(), resolution=1e-300, env=pendulum)
+    assert tau == 2.5 and run.config.tau == 2.5
+    assert max(t for t, status in info["probes"] if status != "certified") \
+        == np.nextafter(2.5, -np.inf)
+    assert len(runs) == len(info["probes"]) + 1  # the vanilla run

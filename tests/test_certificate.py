@@ -14,15 +14,18 @@ from conftest import small_cert, whole_box_upper_bound
 
 
 def test_params_validation():
-    ClbfParams().validate()
-    with pytest.raises(ValueError):
-        ClbfParams(alpha=0.9).validate()  # alpha <= beta
-    with pytest.raises(ValueError):
-        ClbfParams(epsilon=0.0).validate()
-    with pytest.raises(ValueError):
-        ClbfParams(unsafe_mask=1.0).validate()  # below alpha
-    with pytest.raises(ValueError):
-        ClbfParams(goal_mask=1.0).validate()  # beta <= goal_mask
+    # the constructor validates, so no invalid params can be held; a NaN
+    # unsafe_mask would put NaN, not a value >= alpha, on the unsafe set
+    ClbfParams()
+    bad = [dict(alpha=0.9),  # alpha <= beta
+           dict(epsilon=0.0),
+           dict(delta=-1e-3),
+           dict(unsafe_mask=1.0),  # below alpha
+           dict(goal_mask=1.0),  # beta <= goal_mask
+           *({f.name: float("nan")} for f in dataclasses.fields(ClbfParams))]
+    for kw in bad:
+        with pytest.raises(ValueError):
+            ClbfParams(**kw)
 
 
 def test_net_dimensions_must_match_the_environment(pendulum):
@@ -36,6 +39,13 @@ def test_fields_cannot_be_reassigned_past_the_dimension_check(pendulum):
     cert = small_cert(pendulum)
     with pytest.raises(dataclasses.FrozenInstanceError):
         cert.net = init_mlp([pendulum.state_dim + 1, 8, 1], np.random.default_rng(0))
+    # nor past the params check: unsafe states would evaluate below alpha
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        cert.params.unsafe_mask = 0.5
+    for f in dataclasses.fields(ClbfParams):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(cert.params, f.name, getattr(cert.params, f.name))
+    assert cert.params == ClbfParams()
 
 
 def test_value_masks(pendulum):

@@ -235,23 +235,27 @@ def test_docking_interval_is_exact_affine_image(docking, rng):
         assert np.allclose(hi[0] - lo[0], want_width, atol=1e-10)
 
 
-def test_step_interval_soundness_dense_sampling(pendulum, docking, rng):
-    for env in (pendulum, docking):
-        for _ in range(100):
-            c = rng.uniform(env.domain.lo, env.domain.hi)
-            r = rng.uniform(0, 0.2, env.state_dim)
-            B = Box(
-                np.maximum(c - r, env.domain.lo), np.minimum(c + r, env.domain.hi)
-            )
-            cu = rng.uniform(-1, 1, env.control_dim)
-            ru = rng.uniform(0, 0.5, env.control_dim)
-            U = Box(np.clip(cu - ru, -1, 1), np.clip(cu + ru, -1, 1))
-            lo, hi = env.step_interval_arrays(B.lo[None], B.hi[None],
-                                              U.lo[None], U.hi[None])
-            X = B.sample(rng, 100)
-            Uc = U.sample(rng, 100)
-            nxt = env.step(X, Uc)
-            assert np.all(nxt >= lo - 1e-10) and np.all(nxt <= hi + 1e-10)
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(["pendulum", "docking2d"]),
+       st.lists(st.floats(0.0, 1.0), min_size=4, max_size=4),
+       st.lists(st.floats(0.0, 0.2), min_size=4, max_size=4),
+       st.lists(st.floats(-1.0, 1.0), min_size=2, max_size=2),
+       st.lists(st.floats(0.0, 0.5), min_size=2, max_size=2),
+       st.integers(0, 2**32 - 1))
+def test_step_interval_soundness_dense_sampling(env_name, centre, radius,
+                                                u_centre, u_radius, seed):
+    # a state box around a point of the domain and a control box in [-1, 1]:
+    # the interval image holds the next state of every pair of their points
+    env = GEOMETRY_ENVS[env_name]
+    n, m = env.state_dim, env.control_dim
+    c = env.domain.lo + np.array(centre[:n]) * env.domain.width
+    r = np.array(radius[:n])
+    B = Box(np.maximum(c - r, env.domain.lo), np.minimum(c + r, env.domain.hi))
+    cu, ru = np.array(u_centre[:m]), np.array(u_radius[:m])
+    U = Box(np.clip(cu - ru, -1, 1), np.clip(cu + ru, -1, 1))
+    lo, hi = env.step_interval_arrays(B.lo[None], B.hi[None], U.lo[None], U.hi[None])
+    nxt = env.step(_box_points(B, seed), _box_points(U, seed + 1))
+    assert np.all(nxt >= lo - 1e-10) and np.all(nxt <= hi + 1e-10)
 
 
 def test_degenerate_boxes_give_point_image(docking, rng):

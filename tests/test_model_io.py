@@ -92,11 +92,13 @@ def test_missing_params_key_is_rejected(pendulum, tmp_path):
 
 
 def test_invalid_params_value_is_rejected(pendulum, tmp_path):
-    path, doc = _saved_doc(pendulum, tmp_path)
-    doc["clbf_params"]["unsafe_mask"] = 0.5  # below alpha = 1.2
-    path.write_text(json.dumps(doc))
-    with pytest.raises(ValueError, match="unsafe_mask must be >= alpha"):
-        load_model(path)
+    # below alpha = 1.2, or NaN, which json writes and reads back
+    for unsafe_mask in (0.5, float("nan")):
+        path, doc = _saved_doc(pendulum, tmp_path)
+        doc["clbf_params"]["unsafe_mask"] = unsafe_mask
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match="unsafe_mask must be >= alpha"):
+            load_model(path)
 
 
 def test_unknown_env_constant_is_rejected(pendulum, tmp_path):
@@ -108,12 +110,27 @@ def test_unknown_env_constant_is_rejected(pendulum, tmp_path):
 
 
 @pytest.mark.parametrize("net", ["policy", "certificate"])
-@pytest.mark.parametrize("key", ["dims", "weights", "biases"])
+@pytest.mark.parametrize("key", ["dims", "activations", "weights", "biases"])
 def test_net_section_without_a_key_is_rejected(pendulum, tmp_path, net, key):
     path, doc = _saved_doc(pendulum, tmp_path)
     del doc[net][key]
     path.write_text(json.dumps(doc))
     with pytest.raises(ValueError, match=rf"{net} net lacks sections \['{key}'\]"):
+        load_model(path)
+
+
+@pytest.mark.parametrize("net", ["policy", "certificate"])
+@pytest.mark.parametrize("activations", [["tanh", "sigmoid"], ["relu", "tanh", "affine"],
+                                         ["relu", "relu", "relu"]], ids="-".join)
+def test_net_section_with_other_activations_is_rejected(pendulum, tmp_path, net,
+                                                        activations):
+    # an Mlp evaluates ReLU hidden layers and an affine output, and nothing
+    # else; the saved nets have two hidden layers
+    path, doc = _saved_doc(pendulum, tmp_path)
+    assert doc[net]["activations"] == ["relu", "relu", "affine"]
+    doc[net]["activations"] = activations
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError, match=rf"{net} net: activations"):
         load_model(path)
 
 

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from clbf.nets import (
     Adam,
@@ -238,16 +240,22 @@ def test_lipschitz_bound_dominates_sampled_quotients(rng):
     assert np.all(num[keep] <= bound * den[keep] + 1e-12)
 
 
-def test_ibp_bounds_sound_by_sampling(rng):
-    net = init_mlp([3, 16, 8, 2], rng)
-    for _ in range(20):
-        center = rng.uniform(-1, 1, 3)
-        rad = rng.uniform(0.01, 0.5, 3)
-        lo, hi = center - rad, center + rad
-        out_lo, out_hi = ibp_bounds(net, lo[None], hi[None])
-        pts = rng.uniform(lo, hi, (2000, 3))
-        Y = forward_batch(net, pts)
-        assert np.all(Y >= out_lo - 1e-12) and np.all(Y <= out_hi + 1e-12)
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2**32 - 1),
+       st.lists(st.floats(-1.0, 1.0), min_size=3, max_size=3),
+       st.lists(st.floats(0.0, 0.5), min_size=3, max_size=3),
+       st.integers(0, 2**32 - 1))
+def test_ibp_bounds_sound_by_sampling(net_seed, center, radius, seed):
+    # the interval bounds hold every output over the box: its corners and
+    # uniform points in it
+    net = init_mlp([3, 16, 8, 2], np.random.default_rng(net_seed))
+    center, radius = np.array(center), np.array(radius)
+    lo, hi = center - radius, center + radius
+    out_lo, out_hi = ibp_bounds(net, lo[None], hi[None])
+    corners = np.array(np.meshgrid(*zip(lo, hi))).reshape(3, -1).T
+    pts = np.concatenate([corners, np.random.default_rng(seed).uniform(lo, hi, (500, 3))])
+    Y = forward_batch(net, pts)
+    assert np.all(Y >= out_lo - 1e-12) and np.all(Y <= out_hi + 1e-12)
 
 
 def reference_ibp(net, lo, hi):

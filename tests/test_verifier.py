@@ -27,7 +27,6 @@ from clbf.verifier import (
     certify_delta,
     check_init,
     check_robust_decrease,
-    check_safety,
 )
 
 from conftest import halving_env_1d, small_cert, small_policy, whole_box_upper_bound
@@ -185,36 +184,48 @@ def test_check_init_tiled_bound_never_processes_more_boxes(env_name, monkeypatch
 
 
 # ---------------------------------------------------------------------------
-# check_safety
+# the barrier condition, by construction
 
 
-def test_check_safety_by_construction(pendulum, docking):
-    for env in (pendulum, docking):
-        cert = small_cert(env)
-        v = check_safety(cert, env)
-        assert v.proved
+def test_low_unsafe_mask_is_rejected_at_construction():
+    # no verifier pass checks V >= alpha on the unsafe set: params whose
+    # unsafe_mask is below alpha can be neither built nor copied (nor made by
+    # assignment, see test_certificate.py)
+    with pytest.raises(ValueError, match="unsafe_mask must be >= alpha"):
+        ClbfParams(unsafe_mask=1.0)
+    with pytest.raises(ValueError, match="unsafe_mask must be >= alpha"):
+        replace(ClbfParams(), alpha=1.5)
 
 
-def test_check_safety_rejects_low_mask(pendulum, docking):
-    params = ClbfParams(unsafe_mask=1.0)  # below alpha; caught as a verdict
-    for env in (pendulum, docking):
-        cert = FilteredCertificate(constant_net(0.0, env.state_dim), params, env)
-        v = check_safety(cert, env)
-        assert v.status == "counterexample"
-        assert v.witness.condition == "safety"
-        x = v.witness.state[None]
-        assert env.in_unsafe(x)[0] and cert.value(x)[0] < params.alpha
-        assert v.witness.violation == pytest.approx(params.alpha - 1.0)
-    # a state that fails the witness re-check is not reported
-    blind = replace(pendulum, in_unsafe=lambda x: np.zeros(len(np.atleast_2d(x)), bool))
-    cert = FilteredCertificate(constant_net(0.0), params, blind)
-    assert check_safety(cert, blind).status == "unknown"
+@st.composite
+def valid_params(draw):
+    """ClbfParams with goal_mask < beta < alpha <= unsafe_mask."""
+    gap = st.floats(1e-3, 5.0)
+    goal_mask = draw(st.floats(-20.0, 0.0))
+    beta = goal_mask + draw(gap)
+    alpha = beta + draw(gap)
+    return ClbfParams(alpha=alpha, beta=beta, epsilon=draw(st.floats(1e-6, 0.1)),
+                      goal_mask=goal_mask,
+                      unsafe_mask=alpha + draw(st.floats(0.0, 5.0)))
 
 
-def test_unsafe_points_evaluate_to_mask(pendulum, rng):
-    cert = small_cert(pendulum)
-    pts = np.concatenate([b.sample(rng, 100) for b in pendulum.unsafe_boxes])
-    assert np.all(cert.value(pts) == 1.2)
+UNSAFE_ENVS = {name: make_env(name) for name in ("pendulum", "docking2d")}
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(sorted(UNSAFE_ENVS)), st.integers(0, 2**16),
+       valid_params(), st.integers(0, 2**32 - 1))
+def test_unsafe_points_evaluate_to_mask(env_name, net_seed, params, seed):
+    # the barrier condition V >= alpha on the unsafe set, for any network
+    env = UNSAFE_ENVS[env_name]
+    net = init_mlp([env.state_dim, 16, 8, 1], np.random.default_rng(net_seed))
+    cert = FilteredCertificate(net, params, env)
+    rng = np.random.default_rng(seed)
+    pts = np.concatenate([b.sample(rng, 20) for b in env.unsafe_boxes])
+    pts = pts[env.in_unsafe(pts)]
+    assert len(pts) > 0
+    v = cert.value(pts)
+    assert np.all(v == params.unsafe_mask) and params.unsafe_mask >= params.alpha
 
 
 # ---------------------------------------------------------------------------
@@ -764,6 +775,54 @@ def test_bisection_degenerate_cases():
     assert best == 0.1
 
 
+def probe_limited(passes, limit=500):
+    """passes, raising once it is probed more than limit times, so that a
+    bisection which never ends fails instead of hanging."""
+    probes = 0
+
+    def probe(x):
+        nonlocal probes
+        probes += 1
+        if probes > limit:
+            raise RuntimeError(f"more than {limit} probes")
+        return passes(x)
+
+    return probe
+
+
+def test_bisection_below_the_float_spacing_ends(rng):
+    # a tol below the spacing of floats ends the search when lo and hi are
+    # adjacent floats, lo passing and hi failing: lo is the threshold itself
+    for _ in range(20):
+        thresh = rng.uniform(1e-3, 0.099)
+        best, hist = bisect_largest_passing(
+            probe_limited(lambda d: d <= thresh), 0.0, 0.1, 1e-300)
+        assert best == thresh
+        assert min(d for d, ok in hist if not ok) == np.nextafter(thresh, np.inf)
+
+
+def test_bisection_rejects_a_tolerance_that_is_not_positive():
+    for tol in (0.0, -1e-4, float("nan")):
+        with pytest.raises(ValueError, match="tol must be positive"):
+            bisect_largest_passing(probe_limited(lambda d: d <= 0.01), 0.0, 0.1, tol)
+
+
+def test_certify_delta_with_a_tolerance_below_the_float_spacing(monkeypatch):
+    env = synth_env_1d()
+    cert = FilteredCertificate(abs_net(), ClbfParams(epsilon=0.1), env)
+    thresh = 0.0123
+    decrease = probe_limited(lambda delta: delta <= thresh)
+
+    def stub(cert, policy, env, delta, epsilon, cfg=None):
+        return Verdict("proved" if decrease(delta) else "unknown", "decrease")
+
+    monkeypatch.setattr(clbf.verifier, "check_robust_decrease", stub)
+    delta, _ = certify_delta(cert, zero_policy(), env, delta_hi=0.05, tol=1e-300)
+    assert delta == thresh
+    with pytest.raises(ValueError, match="tol must be positive"):
+        certify_delta(cert, zero_policy(), env, delta_hi=0.05, tol=0.0)
+
+
 def test_certify_delta_on_synthetic_contraction():
     env = synth_env_1d()
     cert = FilteredCertificate(abs_net(), ClbfParams(epsilon=0.1), env)
@@ -778,7 +837,8 @@ def test_certify_delta_requires_preconditions(pendulum):
     cert = FilteredCertificate(constant_net(1.5), ClbfParams(), pendulum)
     policy = small_policy(pendulum)
     delta, info = certify_delta(cert, policy, pendulum)
-    assert delta == 0.0 and "precondition" in info["reason"]
+    assert delta == 0.0 and info["reason"] == "precondition failed (init)"
+    assert set(info) == {"init", "history", "reason"}
 
 
 def test_certify_delta_reports_a_decrease_failure_at_zero():
