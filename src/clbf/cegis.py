@@ -21,7 +21,8 @@ from .envs import EnvSpec, make_env
 from .losses import METHODS, Batch, LossWeights, TotalLossConfig, total_loss_grads
 from .nets import (Adam, Mlp, backward, forward_batch, forward_tape, init_mlp,
                    spectral_product_grads)
-from .verifier import BnbConfig, Verdict, check_init, check_robust_decrease
+from .verifier import (BnbConfig, Verdict, bisect_boundary, check_init,
+                       check_robust_decrease)
 
 ENV_DEFAULTS = {
     "pendulum": dict(epsilon=5e-3, tau=3.0, policy_hidden=(128, 128),
@@ -363,24 +364,18 @@ def tau_search(config: TrainConfig, resolution: float = 0.25,
         return None, None, info
     tau_hi = spectral_product_grads(vanilla.cert.net)[0]
     info["tau_hi"] = tau_hi
+    best_run = None
 
     def converges(tau):
+        nonlocal best_run
         run = cegis_run(replace(cfg, method="lip-reg", tau=float(tau)), env)
         info["probes"].append((float(tau), run.status))
-        return run.success, run
+        if run.success:  # bisection keeps each converging probe as its end
+            best_run = run
+        return run.success
 
-    ok, best_run = converges(tau_hi)
-    if not ok:
+    if not converges(tau_hi):
         info["reason"] = "even the vanilla Lipschitz bound is infeasible"
         return None, None, info
-    lo, hi = 0.0, tau_hi
-    while hi - lo >= resolution:
-        mid = 0.5 * (lo + hi)
-        if not lo < mid < hi:
-            break
-        ok, run = converges(mid)
-        if ok:
-            hi, best_run = mid, run
-        else:
-            lo = mid
-    return hi, best_run, info
+    tau = bisect_boundary(converges, tau_hi, 0.0, resolution)
+    return tau, best_run, info

@@ -3,15 +3,23 @@
 Two checks: the initial-set cap V <= beta, and the robust decrease condition
 over the delta-inflated next-state ball. V >= alpha on the unsafe set needs
 none: unsafe states take unsafe_mask, which ClbfParams holds >= alpha. The
-checks share one loop, _branch_and_bound, and differ only in their refute
-step: interval bounds prove boxes, and concrete points inside the failed
-boxes are checked for exact counterexamples; both bound the filtered value
-from above with certificate.filtered_upper_bound. A box that yields a
+checks share one loop, _branch_and_bound, and differ only in their box test
+and their hunt: interval bounds prove boxes, and concrete points inside the
+failed boxes are checked for exact counterexamples; both bound the filtered
+value from above with certificate.filtered_upper_bound. A box that yields a
 witness is refuted and dropped; the other failed boxes are bisected on their
 widest dimension. Every verdict is sound: a Proved box admits no violation,
 a reported witness violates its condition under exact point evaluation
 (re-checked before reporting), and anything else is returned as Unknown
 residue with its volume fraction.
+
+The loop looks one level ahead: it bisects each failed box and tests both
+halves before it hunts, and it hunts only the failed boxes that cannot be
+split or have a failing half. Skipping the others cannot lose a witness: the
+halves cover their box, so when both pass the box test no state of the box
+violates the condition, and every witness is an exact violation. The halves
+are queued with their test results, which their own round reuses instead of
+bounding them again; a box is still proved only by its own box test.
 
 The decrease hunt screens its points with the same interval bound, through
 certificate.decrease_may_fail, the screen that adversarial training
@@ -68,7 +76,6 @@ class Verdict:
     unknown_boxes: list[Box] = field(default_factory=list)
     unknown_volume_fraction: float = 0.0
     boxes_processed: int = 0
-    note: str = ""
     hunted_rows: int = 0  # decrease: points checked exactly by the hunt
     pgd_rows: int = 0     # decrease: those of them the screen passed to PGD
 
@@ -138,55 +145,73 @@ def _lex_sorted(lo: np.ndarray, hi: np.ndarray):
 
 
 def _branch_and_bound(roots: list[Box], cfg: BnbConfig, condition: str,
-                      refute, note: str = "") -> Verdict:
+                      fails, hunt) -> Verdict:
     """Prove a condition over the union of roots by bisection.
 
-    refute(lo, hi, round) takes one chunk of boxes (round counts chunks from
-    1) and returns (failed_lo, failed_hi, [(row, Witness)]): the boxes its
-    bound does not prove, lexicographically ordered, and the witnesses found
-    in them, by ascending row. The loop takes witnesses up to cfg.ce_limit
-    and drops the box of each one taken; it bisects the other failed boxes
-    along their widest side above cfg.min_width and keeps the rest, and the
-    queue left at a stop, as Unknown residue.
+    fails(lo, hi) is the box test: a mask of the boxes its bound does not
+    prove. hunt(lo, hi, round) searches failed boxes (round counts chunks
+    from 1) and returns the witnesses found in them as [(row, Witness)], by
+    ascending row. Every box enters the queue with its test result. Each
+    round takes one chunk of the queue, lexicographically orders its failed
+    boxes, bisects those wider than cfg.min_width along their widest such
+    side and tests the halves. It hunts only the failed boxes that cannot be
+    split or have a failing half, takes witnesses up to cfg.ce_limit and
+    drops the box of each one taken. The halves of the other splittable
+    failed boxes are queued; the failed boxes that cannot be split, and the
+    queue left at a stop, are Unknown residue.
     """
+    def tested(lo, hi):
+        """The boxes with their box test, run on cfg.chunk boxes at a time."""
+        fail = [fails(lo[s:s + cfg.chunk], hi[s:s + cfg.chunk])
+                for s in range(0, lo.shape[0], cfg.chunk)]
+        return lo, hi, np.concatenate(fail) if fail else np.zeros(0, dtype=bool)
+
     queue = deque()
     if roots:
-        queue.append((np.stack([b.lo for b in roots]), np.stack([b.hi for b in roots])))
+        queue.append(tested(np.stack([b.lo for b in roots]),
+                            np.stack([b.hi for b in roots])))
     processed = rounds = 0
     residual: list[Box] = []
     residual_arrays = []  # the same boxes as (lo, hi) arrays, for their volume
     witnesses: list[Witness] = []
 
     while queue and processed < cfg.max_boxes and len(witnesses) < cfg.ce_limit:
-        lo, hi = queue.popleft()
+        lo, hi, fail = queue.popleft()
         if lo.shape[0] > cfg.chunk:
-            queue.appendleft((lo[cfg.chunk:], hi[cfg.chunk:]))
-            lo, hi = lo[:cfg.chunk], hi[:cfg.chunk]
+            queue.appendleft((lo[cfg.chunk:], hi[cfg.chunk:], fail[cfg.chunk:]))
+            lo, hi, fail = lo[:cfg.chunk], hi[:cfg.chunk], fail[:cfg.chunk]
         processed += lo.shape[0]
         rounds += 1
-        lo_f, hi_f, found = refute(lo, hi, rounds)
-        unrefuted = np.ones(lo_f.shape[0], dtype=bool)
-        for i, w in found[:cfg.ce_limit - len(witnesses)]:
-            witnesses.append(w)
-            unrefuted[i] = False
-        lo_f, hi_f = lo_f[unrefuted], hi_f[unrefuted]
-        splittable = (hi_f - lo_f) > cfg.min_width
+        lo, hi = _lex_sorted(lo[fail], hi[fail])
+        splittable = (hi - lo) > cfg.min_width
         can_split = np.any(splittable, axis=1)
-        lo_r, hi_r = lo_f[~can_split], hi_f[~can_split]
+        n_split = np.count_nonzero(can_split)
+        c_lo, c_hi, c_fail = tested(*_split_widest(lo[can_split], hi[can_split],
+                                                   splittable[can_split]))
+        # a box whose halves both pass holds no violation: no hunt there
+        hunted = ~can_split
+        hunted[can_split] = c_fail[:n_split] | c_fail[n_split:]
+        rows = np.flatnonzero(hunted)
+        found = hunt(lo[rows], hi[rows], rounds) if rows.size else []
+        unrefuted = np.ones(lo.shape[0], dtype=bool)
+        for j, w in found[:cfg.ce_limit - len(witnesses)]:
+            witnesses.append(w)
+            unrefuted[rows[j]] = False
+        lo_r, hi_r = lo[~can_split & unrefuted], hi[~can_split & unrefuted]
         residual.extend(Box(l, h) for l, h in zip(lo_r, hi_r))
         residual_arrays.append((lo_r, hi_r))
-        if np.any(can_split):
-            queue.append(_split_widest(lo_f[can_split], hi_f[can_split],
-                                       splittable[can_split]))
+        keep = np.tile(unrefuted[can_split], 2)
+        if np.any(keep):
+            queue.append((c_lo[keep], c_hi[keep], c_fail[keep]))
 
-    for lo, hi in queue:
+    for lo, hi, _ in queue:
         residual.extend(Box(l, h) for l, h in zip(lo, hi))
-    residual_arrays.extend(queue)
+        residual_arrays.append((lo, hi))
     status = "counterexample" if witnesses else "unknown" if residual else "proved"
     total_vol = sum(b.volume() for b in roots)
     return Verdict(status, condition, witnesses=witnesses, unknown_boxes=residual,
                    unknown_volume_fraction=_vol_fraction(residual_arrays, total_vol),
-                   boxes_processed=processed, note=note)
+                   boxes_processed=processed)
 
 
 def _vol_fraction(box_arrays, total_vol):
@@ -221,15 +246,16 @@ def check_init(cert: FilteredCertificate, env: EnvSpec,
     cfg = (cfg or BnbConfig()).validate()
     beta = cert.params.beta
 
-    def refute(lo, hi, _round):
-        fail = filtered_upper_bound(cert, lo, hi) > beta
-        lo, hi = _lex_sorted(lo[fail], hi[fail])
+    def fails(lo, hi):
+        return filtered_upper_bound(cert, lo, hi) > beta
+
+    def hunt(lo, hi, _round):
         centers = 0.5 * (lo + hi)
         excess = cert.value(centers) - beta
-        return lo, hi, [(int(i), Witness(centers[i].copy(), "init", float(excess[i])))
-                        for i in np.flatnonzero(excess >= WITNESS_SLACK)]
+        return [(int(i), Witness(centers[i].copy(), "init", float(excess[i])))
+                for i in np.flatnonzero(excess >= WITNESS_SLACK)]
 
-    return _branch_and_bound(list(env.init_boxes), cfg, "init", refute)
+    return _branch_and_bound(list(env.init_boxes), cfg, "init", fails, hunt)
 
 
 # ---------------------------------------------------------------------------
@@ -254,39 +280,42 @@ def check_robust_decrease(cert: FilteredCertificate, policy: Mlp, env: EnvSpec,
     p = cert.params
     hunted_rows = pgd_rows = 0
 
-    def refute(lo, hi, round_):
+    def fails(lo, hi):
+        r_lo = ibp_bounds(cert.net, lo, hi)[0][:, 0]
+        live = r_lo <= p.beta  # otherwise no eligible state in the box
+        fail = live.copy()
+        if np.any(live):
+            lo, hi = lo[live], hi[live]
+            # step_interval_arrays clamps the control bounds itself
+            n_lo, n_hi = env.step_interval_arrays(lo, hi, *ibp_bounds(policy, lo, hi))
+            rhs_hi = filtered_upper_bound(cert, n_lo - delta, n_hi + delta)
+            fail[live] = ~(r_lo[live] - rhs_hi >= epsilon)
+        return fail
+
+    def hunt(lo, hi, round_):
         nonlocal hunted_rows, pgd_rows
-        r_lo, _ = ibp_bounds(cert.net, lo, hi)
-        live = r_lo[:, 0] <= p.beta  # otherwise no eligible state in the box
-        if not np.any(live):
-            return lo[:0], hi[:0], []
-        lo, hi = lo[live], hi[live]
-        # step_interval_arrays clamps the control bounds itself
-        n_lo, n_hi = env.step_interval_arrays(lo, hi, *ibp_bounds(policy, lo, hi))
-        rhs_hi = filtered_upper_bound(cert, n_lo - delta, n_hi + delta)
-        fail = ~(r_lo[live, 0] - rhs_hi >= epsilon)
-        lo, hi = _lex_sorted(lo[fail], hi[fail])
         rng = np.random.default_rng((cfg.seed, round_))
         found, hunted, pgd = _hunt_decrease_ce(cert, policy, env, lo, hi,
                                                delta, epsilon, cfg, rng)
         hunted_rows += hunted
         pgd_rows += pgd
-        return lo, hi, found
+        return found
 
-    verdict = _branch_and_bound(list(env.eligible_cover), cfg, "decrease", refute,
-                                f"delta={delta} epsilon={epsilon}")
+    verdict = _branch_and_bound(list(env.eligible_cover), cfg, "decrease", fails, hunt)
     verdict.hunted_rows, verdict.pgd_rows = hunted_rows, pgd_rows
     return verdict
 
 
 def _exact_ball_max(cert: FilteredCertificate, env: EnvSpec, nxt: np.ndarray,
-                    delta: float, inner_pgd: PgdConfig, rng, active: np.ndarray):
+                    v_nxt: np.ndarray, delta: float, inner_pgd: PgdConfig, rng,
+                    active: np.ndarray):
     """Concrete lower bound on max filtered V over the delta-ball of each
-    active row, together with the ball point attaining it; inactive rows
-    keep their center. Sound: only evaluates real ball points."""
+    active row, together with the ball point attaining it, given the
+    filtered values v_nxt at the centers nxt; inactive rows keep their
+    center. Sound: only evaluates real ball points."""
     p = cert.params
     best_y = nxt.copy()
-    best_v = cert.value(nxt)
+    best_v = v_nxt.copy()
     if delta > 0:
         y = pgd_maximize_batch(cert.net, nxt, replace(inner_pgd, delta=delta),
                                rng, active)
@@ -334,8 +363,8 @@ def _hunt_decrease_ce(cert, policy, env, lo, hi, delta, epsilon, cfg, rng):
     hunted = pgd = 0
     # sign ascent on g(x) = eps - V(x) + V(f(x, pi(x))), the violation at
     # delta = 0; the delta-ball is searched only by the exact check. The
-    # ascent step and the check share one evaluation of each point set, and
-    # its tapes are dropped before the check
+    # ascent step and the check share one evaluation of each point set (V at
+    # the next states too), and its tapes are dropped before the check
     x = 0.5 * (lo + hi)
     step = (hi - lo) / (2.0 * max(1, cfg.outer_pgd_steps))
     for k in range(cfg.outer_pgd_steps + 1):
@@ -344,11 +373,13 @@ def _hunt_decrease_ce(cert, policy, env, lo, hi, delta, epsilon, cfg, rng):
         nxt = env.step(x, tape_pi.output)  # step clamps the control
         tape_x = forward_tape(cert.net, x)
         raw_x = tape_x.output[:, 0]
-        if not last:
-            g = _violation_grad(cert, policy, env, x, nxt, tape_pi, tape_x)
+        if last:
+            v_nxt = cert.value(nxt)
+        else:
+            g, v_nxt = _violation_grad(cert, policy, env, x, nxt, tape_pi, tape_x)
         del tape_pi, tape_x
         viol, ball_pts, pgd_rows = _exact_violation(
-            cert, env, x, nxt, raw_x, delta, epsilon, cfg.inner_pgd, rng)
+            cert, env, x, nxt, raw_x, v_nxt, delta, epsilon, cfg.inner_pgd, rng)
         hunted += x.shape[0]
         pgd += pgd_rows
         found = []
@@ -361,10 +392,12 @@ def _hunt_decrease_ce(cert, policy, env, lo, hi, delta, epsilon, cfg, rng):
         x = np.clip(x + step * np.sign(g), lo, hi)
 
 
-def _exact_violation(cert, env, X, nxt, raw_x, delta, epsilon, inner_pgd, rng):
+def _exact_violation(cert, env, X, nxt, raw_x, v_nxt, delta, epsilon, inner_pgd,
+                     rng):
     """Exact violation of the robust decrease condition at states X, given
-    their next states nxt and raw values raw_x, with the ball points
-    realizing it and the number of rows sent to PGD.
+    their next states nxt, their raw values raw_x and the filtered values
+    v_nxt at nxt, with the ball points realizing it and the number of rows
+    sent to PGD.
 
     Ineligible rows (inside goal, filtered value above beta) report -inf.
     For delta > 0 the inner search runs only on the rows that
@@ -380,7 +413,8 @@ def _exact_violation(cert, env, X, nxt, raw_x, delta, epsilon, inner_pgd, rng):
     eligible = ~env.in_goal(X) & (v_x <= p.beta)
     active = (decrease_may_fail(cert, eligible, v_x, nxt, delta, epsilon)
               if delta > 0 else eligible)
-    best_v, best_y = _exact_ball_max(cert, env, nxt, delta, inner_pgd, rng, active)
+    best_v, best_y = _exact_ball_max(cert, env, nxt, v_nxt, delta, inner_pgd, rng,
+                                     active)
     viol = epsilon - (v_x - best_v)
     viol = np.where(eligible, viol, -np.inf)
     return viol, best_y, int(np.count_nonzero(active)) if delta > 0 else 0
@@ -388,15 +422,16 @@ def _exact_violation(cert, env, X, nxt, raw_x, delta, epsilon, inner_pgd, rng):
 
 def _violation_grad(cert, policy, env, X, nxt, tape_pi, tape_x):
     """Gradient w.r.t. x of the nominal violation eps - V(x) + V(f(x, pi(x))),
-    from the tapes of X under the certificate and the policy."""
+    from the tapes of X under the certificate and the policy, and the
+    filtered values V(nxt) at the next states nxt."""
     gVx = input_grad(cert.net, tape_x, np.ones((X.shape[0], 1)))
     tape_y = forward_tape(cert.net, nxt)
-    _, unmasked = cert.apply_masks(nxt, tape_y.output[:, 0])
+    v_nxt, unmasked = cert.apply_masks(nxt, tape_y.output[:, 0])
     gVy = input_grad(cert.net, tape_y, unmasked[:, None].astype(float))
     A, B = env.step_jac(X, tape_pi.output)
     g = -gVx + np.einsum("kij,ki->kj", A, gVy)
     gu = np.einsum("kij,ki->kj", B, gVy)
-    return g + np.einsum("kmj,km->kj", input_jacobian(policy, tape_pi), gu)
+    return g + np.einsum("kmj,km->kj", input_jacobian(policy, tape_pi), gu), v_nxt
 
 
 def _recheck_decrease(cert, policy, env, w: Witness, delta, epsilon) -> bool:
@@ -416,31 +451,39 @@ def _recheck_decrease(cert, policy, env, w: Witness, delta, epsilon) -> bool:
 # certified perturbation bound
 
 
+def bisect_boundary(passes, good: float, bad: float, tol: float) -> float:
+    """Bisect between an end good that passes and an end bad that fails, in
+    either order, assuming passes switches once between them, until the ends
+    are less than tol > 0 apart or adjacent floats. Returns the passing end."""
+    while abs(bad - good) >= tol:
+        mid = 0.5 * (good + bad)
+        if not min(good, bad) < mid < max(good, bad):
+            break
+        if passes(mid):
+            good = mid
+        else:
+            bad = mid
+    return good
+
+
 def bisect_largest_passing(passes, lo: float, hi: float, tol: float = 1e-4):
     """Largest x in [lo, hi] with passes(x), to within tol > 0 or to adjacent
-    floats, assuming monotone failure. Returns (best_pass, history).
-    best_pass is None when even lo fails; hi is returned when it passes."""
+    floats, assuming monotone failure. Returns (best_pass, history), history
+    holding every probe as (x, passed). best_pass is None when even lo
+    fails; hi is returned when it passes."""
     if not tol > 0:
         raise ValueError("tol must be positive")
     history = []
-    if not passes(lo):
+
+    def probe(x):
+        history.append((x, passes(x)))
+        return history[-1][1]
+
+    if not probe(lo):
         return None, history
-    history.append((lo, True))
-    if passes(hi):
-        history.append((hi, True))
+    if probe(hi):
         return hi, history
-    history.append((hi, False))
-    while hi - lo >= tol:
-        mid = 0.5 * (lo + hi)
-        if not lo < mid < hi:
-            break
-        ok = passes(mid)
-        history.append((mid, ok))
-        if ok:
-            lo = mid
-        else:
-            hi = mid
-    return lo, history
+    return bisect_boundary(probe, lo, hi, tol), history
 
 
 def certify_delta(cert: FilteredCertificate, policy: Mlp, env: EnvSpec,

@@ -1,3 +1,4 @@
+from collections import deque
 from dataclasses import replace
 
 import numpy as np
@@ -23,6 +24,8 @@ from clbf.verifier import (
     _lex_sorted,
     _point_in_unsafe,
     _recheck_decrease,
+    _split_widest,
+    _vol_fraction,
     bisect_largest_passing,
     certify_delta,
     check_init,
@@ -350,12 +353,15 @@ def test_branch_and_bound_drops_only_the_boxes_of_taken_witnesses():
     roots = [Box(np.array([0.0]), np.array([1.0])), Box(np.array([1.0]), np.array([2.0]))]
     rounds = []
 
-    def refute(lo, hi, round_):
+    def fails(lo, hi):
+        return np.ones(lo.shape[0], dtype=bool)
+
+    def hunt(lo, hi, round_):
         rounds.append(round_)
         centers = 0.5 * (lo + hi)
-        return lo, hi, [(i, Witness(centers[i], "init", 1.0)) for i in range(lo.shape[0])]
+        return [(i, Witness(centers[i], "init", 1.0)) for i in range(lo.shape[0])]
 
-    v = _branch_and_bound(roots, BnbConfig(ce_limit=1), "init", refute)
+    v = _branch_and_bound(roots, BnbConfig(ce_limit=1), "init", fails, hunt)
     assert rounds == [1]
     assert v.status == "counterexample" and v.boxes_processed == 2
     assert [w.state.tolist() for w in v.witnesses] == [[0.5]]
@@ -375,18 +381,156 @@ def test_unknown_volume_fraction_is_the_box_volume_sum(max_boxes):
              Box(np.array([0.0, 0.0]), np.array([0.3, 0.7])),
              Box(np.array([-1.0, -1.0]), np.array([-0.9, -0.2]))]
 
-    def refute(lo, hi, _round):
-        fail = hi[:, 0] > 0.1
-        lo, hi = _lex_sorted(lo[fail], hi[fail])
-        return lo, hi, []
+    def fails(lo, hi):
+        return hi[:, 0] > 0.1
+
+    def hunt(lo, hi, _round):
+        return []
 
     v = _branch_and_bound(roots, BnbConfig(max_boxes=max_boxes, min_width=0.05),
-                          "init", refute)
+                          "init", fails, hunt)
     assert v.status == "unknown" and len(v.unknown_boxes) > len(roots)
     assert any(np.any(b.width == 0) for b in v.unknown_boxes)
     want = min(1.0, sum(b.volume() for b in v.unknown_boxes)
                / sum(b.volume() for b in roots))
     assert 0 < v.unknown_volume_fraction == want < 1
+
+
+# ---------------------------------------------------------------------------
+# the branch-and-bound look-ahead
+
+
+def hunt_every_failed_box(roots, cfg, condition, fails, hunt):
+    """_branch_and_bound without the look-ahead: every popped box is bounded
+    in its own round, and every failed box is hunted."""
+    queue = deque([(np.stack([b.lo for b in roots]), np.stack([b.hi for b in roots]))])
+    processed = rounds = 0
+    residual, residual_arrays, witnesses = [], [], []
+    while queue and processed < cfg.max_boxes and len(witnesses) < cfg.ce_limit:
+        lo, hi = queue.popleft()
+        if lo.shape[0] > cfg.chunk:
+            queue.appendleft((lo[cfg.chunk:], hi[cfg.chunk:]))
+            lo, hi = lo[:cfg.chunk], hi[:cfg.chunk]
+        processed += lo.shape[0]
+        rounds += 1
+        fail = fails(lo, hi)
+        lo, hi = _lex_sorted(lo[fail], hi[fail])
+        unrefuted = np.ones(lo.shape[0], dtype=bool)
+        for i, w in hunt(lo, hi, rounds)[:cfg.ce_limit - len(witnesses)]:
+            witnesses.append(w)
+            unrefuted[i] = False
+        lo, hi = lo[unrefuted], hi[unrefuted]
+        splittable = (hi - lo) > cfg.min_width
+        can_split = np.any(splittable, axis=1)
+        residual.extend(Box(l, h) for l, h in zip(lo[~can_split], hi[~can_split]))
+        residual_arrays.append((lo[~can_split], hi[~can_split]))
+        if np.any(can_split):
+            queue.append(_split_widest(lo[can_split], hi[can_split],
+                                       splittable[can_split]))
+    for lo, hi in queue:
+        residual.extend(Box(l, h) for l, h in zip(lo, hi))
+    residual_arrays.extend(queue)
+    status = "counterexample" if witnesses else "unknown" if residual else "proved"
+    total_vol = sum(b.volume() for b in roots)
+    return Verdict(status, condition, witnesses=witnesses, unknown_boxes=residual,
+                   unknown_volume_fraction=_vol_fraction(residual_arrays, total_vol),
+                   boxes_processed=processed)
+
+
+def hunt_counting(loop, hunted_boxes):
+    """loop, appending the number of boxes of each hunt to hunted_boxes."""
+    def run(roots, cfg, condition, fails, hunt):
+        def counted(lo, hi, round_):
+            hunted_boxes.append(lo.shape[0])
+            return hunt(lo, hi, round_)
+        return loop(roots, cfg, condition, fails, counted)
+    return run
+
+
+# (env, seed, beta): seeded pairs whose checks hunt for several rounds; beta
+# 0 makes the initial-set check fail on pendulum and docking2d
+LOOKAHEAD_CASES = [("pendulum", 0, 0.0), ("docking2d", 4, 0.0),
+                   ("synth1d", 2, 1.0), ("synth1d", 5, 1.0)]
+
+
+def lookahead_case(env_name, seed, beta):
+    env = synth_env_1d() if env_name == "synth1d" else make_env(env_name)
+    cert = FilteredCertificate(small_cert(env, seed=seed).net, ClbfParams(beta=beta), env)
+    return env, cert, small_policy(env, seed=seed + 10)
+
+
+@pytest.mark.parametrize("case", LOOKAHEAD_CASES)
+@pytest.mark.parametrize("delta", [0.0, 0.01, 0.05])
+def test_lookahead_matches_hunting_every_failed_box(case, delta, monkeypatch):
+    env, cert, policy = lookahead_case(*case)
+    # one PGD start per ball, at its centre: the random starts of further
+    # restarts are drawn per hunted row, so they move once hunts skip rows
+    cfg = BnbConfig(max_boxes=1500, ce_limit=8, chunk=256, seed=case[1],
+                    inner_pgd=PgdConfig(steps=20, restarts=1))
+
+    def checks():
+        init = [check_init(cert, env, cfg)] if delta == 0 else []
+        return init + [check_robust_decrease(cert, policy, env, delta, 5e-3, cfg)]
+
+    got_hunts, want_hunts = [], []
+    monkeypatch.setattr(clbf.verifier, "_branch_and_bound",
+                        hunt_counting(_branch_and_bound, got_hunts))
+    got = checks()
+    monkeypatch.setattr(clbf.verifier, "_branch_and_bound",
+                        hunt_counting(hunt_every_failed_box, want_hunts))
+    want = checks()
+
+    for g, w in zip(got, want):
+        assert g.status == w.status
+        assert g.boxes_processed == w.boxes_processed
+        assert len(g.witnesses) == len(w.witnesses)
+        for gw, ww in zip(g.witnesses, w.witnesses):
+            assert np.array_equal(gw.state, ww.state)
+            assert np.array_equal(gw.ball_point, ww.ball_point)
+        assert [(b.lo.tolist(), b.hi.tolist()) for b in g.unknown_boxes] == \
+            [(b.lo.tolist(), b.hi.tolist()) for b in w.unknown_boxes]
+        assert g.unknown_volume_fraction == w.unknown_volume_fraction
+    assert sum(got_hunts) <= sum(want_hunts)
+
+
+@pytest.mark.parametrize("case", LOOKAHEAD_CASES)
+def test_no_hunted_box_has_two_passing_halves(case, monkeypatch):
+    # the hunted boxes are exactly those the loop without the look-ahead
+    # hunts, less the ones whose halves both pass the box test
+    env, cert, policy = lookahead_case(*case)
+    cfg = BnbConfig(max_boxes=1500, ce_limit=8, chunk=256, seed=case[1],
+                    inner_pgd=PgdConfig(steps=20, restarts=1))
+
+    def recording(loop, hunts):
+        def run(roots, cfg, condition, fails, hunt):
+            def recorded(lo, hi, round_):
+                hunts.append((round_, lo, hi, fails))
+                return hunt(lo, hi, round_)
+            return loop(roots, cfg, condition, fails, recorded)
+        return run
+
+    got, every_failed = [], []
+    for loop, hunts in ((_branch_and_bound, got), (hunt_every_failed_box, every_failed)):
+        monkeypatch.setattr(clbf.verifier, "_branch_and_bound", recording(loop, hunts))
+        check_init(cert, env, cfg)
+        check_robust_decrease(cert, policy, env, 0.01, 5e-3, cfg)
+
+    want = []
+    for round_, lo, hi, fails in every_failed:
+        splittable = (hi - lo) > cfg.min_width
+        can_split = np.any(splittable, axis=1)
+        n = np.count_nonzero(can_split)
+        hunted = ~can_split
+        if n:
+            c_fail = fails(*_split_widest(lo[can_split], hi[can_split],
+                                          splittable[can_split]))
+            hunted[can_split] = c_fail[:n] | c_fail[n:]
+        if np.any(hunted):
+            want.append((round_, lo[hunted].tolist(), hi[hunted].tolist()))
+    assert [(r, lo.tolist(), hi.tolist()) for r, lo, hi, _ in got] == want
+    assert all(np.all(fails(lo, hi)) for _, lo, hi, fails in got)
+    assert 0 < sum(len(lo) for _, lo, _ in want) \
+        < sum(lo.shape[0] for _, lo, _, _ in every_failed)
 
 
 def test_verdict_witness_is_the_first_of_witnesses():
@@ -425,10 +569,10 @@ def test_proved_boxes_sound_by_sampling(rng):
 # the interval screen of the decrease hunt
 
 
-def unscreened_exact_violation(cert, env, X, nxt, raw_x, delta, epsilon,
+def unscreened_exact_violation(cert, env, X, nxt, raw_x, v_nxt, delta, epsilon,
                                inner_pgd, rng):
     """_exact_violation without the interval screen: the inner PGD and the
-    unsafe-point search run on every row."""
+    unsafe-point search run on every row. V(nxt) is evaluated afresh."""
     p = cert.params
     v_x, _ = cert.apply_masks(X, raw_x)
     eligible = ~env.in_goal(X) & (v_x <= p.beta)
@@ -519,7 +663,8 @@ def two_phase_exact_violation(cert, policy, env, X, delta, epsilon, inner_pgd,
         rows = np.flatnonzero(eligible)
         ub = filtered_upper_bound(cert, nxt[rows] - delta, nxt[rows] + delta)
         active[rows] = epsilon - (v_x[rows] - ub) >= 0
-    best_v, best_y = _exact_ball_max(cert, env, nxt, delta, inner_pgd, rng, active)
+    best_v, best_y = _exact_ball_max(cert, env, nxt, cert.value(nxt), delta,
+                                     inner_pgd, rng, active)
     viol = np.where(eligible, epsilon - (v_x - best_v), -np.inf)
     return viol, best_y, int(np.count_nonzero(active)) if delta > 0 else 0
 
@@ -739,13 +884,43 @@ def test_exact_ball_max_never_exceeds_the_interval_bound(env_name, cert_seed,
     half = 0.6 * env.domain.width
     nxt = rng.uniform(env.domain.center - half, env.domain.center + half,
                       (16, env.state_dim))
-    best_v, best_y = _exact_ball_max(cert, env, nxt, delta,
+    best_v, best_y = _exact_ball_max(cert, env, nxt, cert.value(nxt), delta,
                                      PgdConfig(steps=10, restarts=2), rng,
                                      np.ones(16, bool))
     ub = filtered_upper_bound(cert, nxt - delta, nxt + delta)
     assert np.all(best_v <= ub)
     assert np.all((best_y >= nxt - delta) & (best_y <= nxt + delta))
     assert np.array_equal(best_v, cert.value(best_y))
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.sampled_from(sorted(SCREEN_ENVS)), st.integers(0, 2**16),
+       st.floats(-0.5, 1.0), st.sampled_from([0.0, 0.01, 0.05]))
+def test_every_witness_passes_an_outside_recheck(env_name, seed, beta, delta):
+    # re-evaluated from outside the verifier, as perfbench's verdict check does
+    env = SCREEN_ENVS[env_name]
+    cert = FilteredCertificate(small_cert(env, seed=seed).net, ClbfParams(beta=beta), env)
+    policy = small_policy(env, seed=seed + 1)
+    eps = 5e-3
+    cfg = BnbConfig(max_boxes=300, ce_limit=8, chunk=64, seed=seed)
+    init = check_init(cert, env, cfg)
+    dec = check_robust_decrease(cert, policy, env, delta, eps, cfg)
+    for v in (init, dec):
+        assert (v.status == "counterexample") == bool(v.witnesses)
+        assert len(v.witnesses) <= cfg.ce_limit
+    for w in init.witnesses:
+        x = np.asarray(w.state, dtype=float)[None]
+        assert w.condition == "init" and env.in_init(x)[0]
+        assert cert.value(x)[0] - beta >= WITNESS_SLACK
+    for w in dec.witnesses:
+        x = np.asarray(w.state, dtype=float)[None]
+        nxt = env.step(x, env.clamp_control(forward_batch(policy, x)))[0]
+        y = np.asarray(w.ball_point, dtype=float)
+        assert w.condition == "decrease"
+        assert np.abs(y - nxt).max() <= delta + 1e-12
+        v_x = cert.value(x)[0]
+        assert v_x <= beta and not env.in_goal(x)[0]
+        assert eps - (v_x - cert.value(y[None])[0]) >= WITNESS_SLACK
 
 
 # ---------------------------------------------------------------------------
@@ -769,8 +944,8 @@ def test_bisection_against_stub_thresholds(rng):
 
 
 def test_bisection_degenerate_cases():
-    best, _ = bisect_largest_passing(lambda d: False, 0.0, 0.1)
-    assert best is None
+    best, hist = bisect_largest_passing(lambda d: False, 0.0, 0.1)
+    assert best is None and hist == [(0.0, False)]
     best, _ = bisect_largest_passing(lambda d: True, 0.0, 0.1)
     assert best == 0.1
 
