@@ -6,11 +6,22 @@ counterexample hunt pass an `active` mask from one shared interval screen,
 certificate.decrease_may_fail, so only balls where the descent condition can
 fail are searched. Ascent is on the raw network; the best value seen across
 iterates and restarts is returned, so the result never falls below the ball
-center. A row stops ascending once a step leaves it where it was (a ball
-corner, or a zero gradient): from a fixed point every later step repeats the
-same value and gradient and cannot improve the best, so stopping changes the
-result only by the BLAS rounding of the smaller batches that the rows still
-moving make.
+center.
+
+All restarts ascend together: the centers and every random start of the
+active rows form one stacked batch, so each step makes one gradient pass
+(the first one holds restarts times the active rows). Each restart keeps its
+own best, and the bests are folded in restart order, replacing only on a
+strict improvement, so the first (restart, step) to reach the maximum wins,
+as when the restarts ran one after another.
+
+A row stops ascending once a step leaves it where it was (a ball corner, or
+a zero gradient) or takes it back to the iterate before (a 2-cycle). The
+step is a function of the iterate alone, so from there every later step
+repeats the same one or two points, values and gradients and cannot improve
+the best. Stacking and stopping change the result only by the BLAS rounding
+of the batches the live rows make, which differ in size and composition
+from those of one restart at a time without stops.
 """
 
 from __future__ import annotations
@@ -22,6 +33,15 @@ import numpy as np
 from .nets import Mlp, forward_batch, value_and_input_grad
 
 
+def check_delta(delta: float):
+    """Reject a perturbation radius that is negative, NaN or infinite."""
+    # written so that a NaN fails the first test
+    if not delta >= 0:
+        raise ValueError("delta must be non-negative")
+    if not np.isfinite(delta):
+        raise ValueError("delta must be finite")
+
+
 @dataclass
 class PgdConfig:
     steps: int = 20
@@ -31,8 +51,7 @@ class PgdConfig:
     def validate(self):
         if self.steps < 1:
             raise ValueError("steps must be >= 1")
-        if self.delta < 0:
-            raise ValueError("delta must be non-negative")
+        check_delta(self.delta)
         if self.restarts < 1:
             raise ValueError("restarts must be >= 1")
         return self
@@ -48,20 +67,25 @@ def pgd_maximize_batch(
     """Approximate per-row maximizers of the net over l-inf balls.
 
     Sign-gradient ascent with step delta / 4 and exact projection onto
-    [center - delta, center + delta], first from the centers, then from one
-    random start per further restart; returns the best iterate of every row.
+    [center - delta, center + delta], from the centers and from one random
+    start per further restart; returns the best iterate of every row.
     Restarts draw their starting points sequentially from rng, so with a
     fixed generator seed the first restarts of a longer run coincide with a
     shorter one.
 
-    A row whose step leaves its iterate unchanged has reached a fixed point
-    and stops for the rest of its restart: every later step would repeat its
-    value and gradient, and only strict improvements replace the best. With
-    a boolean mask `active`, only the active rows ascend at all and the
-    others return their centers. Starts are still drawn for every row, so
-    the generator ends in the same state as after the unmasked call. The
-    result is that of ascending every row to the end, up to the BLAS
-    rounding of the smaller batches of rows still live.
+    The restarts ascend as one stacked batch: the first gradient pass holds
+    restarts times the active rows, and each later one the (row, restart)
+    pairs still live. A pair stops for good when its step leaves its iterate
+    unchanged (a fixed point) or returns it to the iterate before (a
+    2-cycle): every later step would repeat one of the last two iterates,
+    and only strict improvements replace a best. The per-restart bests are
+    folded in restart order with the same strict rule, so the first
+    (restart, step) to reach a row's maximum wins. With a boolean mask
+    `active`, only the active rows ascend at all and the others return their
+    centers. Starts are still drawn for every row, so the generator ends in
+    the same state as after the unmasked call. The result is that of
+    ascending every row through every restart and step in turn, up to the
+    BLAS rounding of the batches of pairs still live.
     """
     cfg.validate()
     centers = np.atleast_2d(np.asarray(centers, dtype=float))
@@ -73,25 +97,56 @@ def pgd_maximize_batch(
               for _ in range(cfg.restarts - 1)]
     rows = np.arange(len(centers)) if active is None else np.flatnonzero(active)
     step = cfg.delta / 4.0
-    best_x = centers.copy()
-    best_v = np.full(len(centers), -np.inf)
+    # pair r * m + i is restart r of active row i. The live pairs carry their
+    # bounds, the iterate before, and their best value and iterate so far
+    x = np.concatenate([s[rows] for s in [centers, *starts]])
+    center = np.concatenate([centers[rows]] * cfg.restarts)
+    lo, hi = center - cfg.delta, center + cfg.delta
+    pair = np.arange(len(x))
+    prev = np.full_like(x, np.nan)  # no iterate before the first: never equal
+    best_v, best_x = np.full(len(x), -np.inf), x.copy()
+    stopped = []  # [pairs, best values, best iterates] as pairs stop
 
-    def keep_best(live, x, v):
-        improve = v > best_v[live]
-        best_v[live[improve]] = v[improve]
-        best_x[live[improve]] = x[improve]
+    for _ in range(cfg.steps):
+        if not pair.size:
+            break
+        v, g = value_and_input_grad(net, x)
+        _keep_best(best_v, best_x, v, x)
+        x_next = np.clip(x + step * np.sign(g), lo, hi)
+        moved = _any_per_row(x_next != x) & _any_per_row(x_next != prev)
+        done, kept = np.flatnonzero(~moved), np.flatnonzero(moved)
+        if done.size:
+            stopped.append([a.take(done, axis=0) for a in (pair, best_v, best_x)])
+        pair, prev, x, lo, hi, best_v, best_x = (
+            a.take(kept, axis=0) for a in (pair, x, x_next, lo, hi, best_v, best_x))
+    if pair.size:
+        _keep_best(best_v, best_x, forward_batch(net, x)[:, 0], x)
+    stopped.append([pair, best_v, best_x])
 
-    for start in [centers, *starts]:
-        live, x = rows, start[rows]
-        lo, hi = centers[live] - cfg.delta, centers[live] + cfg.delta
-        for _ in range(cfg.steps):
-            if not live.size:
-                break
-            v, g = value_and_input_grad(net, x)
-            keep_best(live, x, v)
-            x_next = np.clip(x + step * np.sign(g), lo, hi)
-            moved = (x_next != x).any(axis=1)
-            live, x, lo, hi = live[moved], x_next[moved], lo[moved], hi[moved]
-        if live.size:
-            keep_best(live, x, forward_batch(net, x)[:, 0])
-    return best_x
+    pairs, pair_v, pair_x = (np.concatenate(a) for a in zip(*stopped))
+    order = np.argsort(pairs)  # back in pair order, one restart after another
+    shape = (cfg.restarts, len(rows))
+    fold_v, *more_v = pair_v.take(order).reshape(shape)
+    fold_x, *more_x = pair_x.take(order, axis=0).reshape(*shape, centers.shape[1])
+    # restart 0 starts at the centers, which a row keeps if nothing improves
+    for r_v, r_x in zip(more_v, more_x):
+        _keep_best(fold_v, fold_x, r_v, r_x)
+    out = centers.copy()
+    out[rows] = fold_x
+    return out
+
+
+def _keep_best(best_v, best_x, v, x):
+    """Replace, in place, the bests that the values v at x strictly improve."""
+    improve = v > best_v
+    np.copyto(best_v, v, where=improve)
+    np.copyto(best_x, x, where=improve[:, None])
+
+
+def _any_per_row(a: np.ndarray) -> np.ndarray:
+    """a.any(axis=1) for a (k, n) boolean array, one column at a time: for
+    the few columns of a state, several times faster than the reduction."""
+    out = a[:, 0].copy()
+    for j in range(1, a.shape[1]):
+        out |= a[:, j]
+    return out

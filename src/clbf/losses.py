@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .adversary import PgdConfig, pgd_maximize_batch
+from .adversary import PgdConfig, check_delta, pgd_maximize_batch
 from .certificate import FilteredCertificate, decrease_may_fail
 from .envs import EnvSpec
 from .nets import (
@@ -231,8 +231,7 @@ class TotalLossConfig:
         if self.method not in METHODS:
             raise ValueError(f"unknown method {self.method!r}; choose from {METHODS}")
         self.weights.validate()
-        if self.delta < 0:
-            raise ValueError("delta must be non-negative")
+        check_delta(self.delta)
         _check_pgd_radius(self.delta, self.pgd_cfg)
         return self
 

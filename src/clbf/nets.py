@@ -2,7 +2,8 @@
 
 Forward evaluation, exact reverse-mode gradients (parameters and inputs,
 plus an input-only reverse pass for callers that discard the parameter
-gradients, such as PGD), interval bound propagation, the spectral-norm
+gradients, and for PGD a fused value-and-input-gradient pass that keeps only
+the ReLU masks), interval bound propagation, the spectral-norm
 product with its l-inf Lipschitz bound, and a first-order adaptive-moment
 optimizer. Everything is float64 numpy; batches are (k, n) arrays. No
 general computation graphs: the architecture is a fixed affine/ReLU chain,
@@ -88,11 +89,16 @@ def accumulate(grads: list[np.ndarray], incr: list[np.ndarray], scale: float = 1
 # forward / backward
 
 
-def forward_batch(net: Mlp, X: np.ndarray) -> np.ndarray:
+def _batch(net: Mlp, X: np.ndarray) -> np.ndarray:
+    """X as a float (k, n_in) batch for net; anything else is rejected."""
     X = np.asarray(X, dtype=float)
     if X.ndim != 2 or X.shape[1] != net.n_in:
         raise ValueError(f"expected batch of dim {net.n_in}, got shape {X.shape}")
-    a = X
+    return X
+
+
+def forward_batch(net: Mlp, X: np.ndarray) -> np.ndarray:
+    a = _batch(net, X)
     last = len(net.weights) - 1
     for k, (W, b) in enumerate(zip(net.weights, net.biases)):
         z = a @ W.T + b
@@ -115,11 +121,8 @@ class Tape:
 
 
 def forward_tape(net: Mlp, X: np.ndarray) -> Tape:
-    X = np.asarray(X, dtype=float)
-    if X.ndim != 2 or X.shape[1] != net.n_in:
-        raise ValueError(f"expected batch of dim {net.n_in}, got shape {X.shape}")
     inputs, preacts = [], []
-    a = X
+    a = _batch(net, X)
     last = len(net.weights) - 1
     for k, (W, b) in enumerate(zip(net.weights, net.biases)):
         inputs.append(a)
@@ -172,9 +175,29 @@ def input_grad(net: Mlp, tape: Tape, gY: np.ndarray) -> np.ndarray:
 
 
 def value_and_input_grad(net: Mlp, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Scalar-output convenience: values (k,) and dV/dx (k, n_in)."""
-    tape = forward_tape(net, X)
-    return tape.output[:, 0], input_grad(net, tape, np.ones((X.shape[0], 1)))
+    """Scalar-output convenience: values (k,) and dV/dx (k, n_in).
+
+    One fused pass that keeps only the boolean ReLU masks of the forward
+    pass, not a Tape of float inputs and pre-activations. It runs the same
+    ops in the same order as forward_tape and input_grad, so the result is
+    bit-identical to theirs; the elementwise ones run in place, on arrays
+    that each product makes fresh.
+    """
+    X = _batch(net, X)
+    masks = []
+    a = X
+    last = len(net.weights) - 1
+    for k, (W, b) in enumerate(zip(net.weights, net.biases)):
+        a = a @ W.T
+        a += b
+        if k != last:
+            masks.append(a > 0.0)
+            np.maximum(a, 0.0, out=a)
+    g = np.ones((X.shape[0], 1)) @ net.weights[last]
+    for k in range(last - 1, -1, -1):
+        g *= masks[k]
+        g = g @ net.weights[k]
+    return a[:, 0], g
 
 
 def input_jacobian(net: Mlp, tape: Tape) -> np.ndarray:

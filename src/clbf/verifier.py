@@ -46,7 +46,7 @@ from dataclasses import InitVar, dataclass, field, replace
 
 import numpy as np
 
-from .adversary import PgdConfig, pgd_maximize_batch
+from .adversary import PgdConfig, check_delta, pgd_maximize_batch
 from .boxes import Box
 from .certificate import (FilteredCertificate, decrease_may_fail,
                           filtered_upper_bound)
@@ -73,7 +73,9 @@ class Verdict:
     # Verdict(status, condition, w, [w]); it is stored only in witnesses
     first: InitVar[Witness | None] = None
     witnesses: list[Witness] = field(default_factory=list)
-    unknown_boxes: list[Box] = field(default_factory=list)
+    # the Unknown residue: lower and upper corners, one (k, n) row per box
+    unknown_lo: np.ndarray = field(default_factory=lambda: np.zeros((0, 0)))
+    unknown_hi: np.ndarray = field(default_factory=lambda: np.zeros((0, 0)))
     unknown_volume_fraction: float = 0.0
     boxes_processed: int = 0
     hunted_rows: int = 0  # decrease: points checked exactly by the hunt
@@ -94,6 +96,11 @@ class Verdict:
     @property
     def proved(self) -> bool:
         return self.status == "proved"
+
+    @property
+    def unknown_boxes(self) -> list[Box]:
+        """The Unknown residue as boxes, built when read."""
+        return [Box(lo, hi) for lo, hi in zip(self.unknown_lo, self.unknown_hi)]
 
 
 @dataclass
@@ -158,7 +165,8 @@ def _branch_and_bound(roots: list[Box], cfg: BnbConfig, condition: str,
     split or have a failing half, takes witnesses up to cfg.ce_limit and
     drops the box of each one taken. The halves of the other splittable
     failed boxes are queued; the failed boxes that cannot be split, and the
-    queue left at a stop, are Unknown residue.
+    queue left at a stop, are Unknown residue, kept as (lo, hi) arrays in
+    the order they are left.
     """
     def tested(lo, hi):
         """The boxes with their box test, run on cfg.chunk boxes at a time."""
@@ -166,13 +174,12 @@ def _branch_and_bound(roots: list[Box], cfg: BnbConfig, condition: str,
                 for s in range(0, lo.shape[0], cfg.chunk)]
         return lo, hi, np.concatenate(fail) if fail else np.zeros(0, dtype=bool)
 
-    queue = deque()
-    if roots:
-        queue.append(tested(np.stack([b.lo for b in roots]),
-                            np.stack([b.hi for b in roots])))
+    if not roots:
+        return Verdict("proved", condition)
+    queue = deque([tested(np.stack([b.lo for b in roots]),
+                          np.stack([b.hi for b in roots]))])
     processed = rounds = 0
-    residual: list[Box] = []
-    residual_arrays = []  # the same boxes as (lo, hi) arrays, for their volume
+    residue = []  # (lo, hi) arrays of the Unknown boxes
     witnesses: list[Witness] = []
 
     while queue and processed < cfg.max_boxes and len(witnesses) < cfg.ce_limit:
@@ -197,30 +204,27 @@ def _branch_and_bound(roots: list[Box], cfg: BnbConfig, condition: str,
         for j, w in found[:cfg.ce_limit - len(witnesses)]:
             witnesses.append(w)
             unrefuted[rows[j]] = False
-        lo_r, hi_r = lo[~can_split & unrefuted], hi[~can_split & unrefuted]
-        residual.extend(Box(l, h) for l, h in zip(lo_r, hi_r))
-        residual_arrays.append((lo_r, hi_r))
+        residue.append((lo[~can_split & unrefuted], hi[~can_split & unrefuted]))
         keep = np.tile(unrefuted[can_split], 2)
         if np.any(keep):
             queue.append((c_lo[keep], c_hi[keep], c_fail[keep]))
 
-    for lo, hi, _ in queue:
-        residual.extend(Box(l, h) for l, h in zip(lo, hi))
-        residual_arrays.append((lo, hi))
-    status = "counterexample" if witnesses else "unknown" if residual else "proved"
+    residue.extend((lo, hi) for lo, hi, _ in queue)
+    u_lo, u_hi = (np.concatenate(a) for a in zip(*residue))
+    status = "counterexample" if witnesses else "unknown" if len(u_lo) else "proved"
     total_vol = sum(b.volume() for b in roots)
-    return Verdict(status, condition, witnesses=witnesses, unknown_boxes=residual,
-                   unknown_volume_fraction=_vol_fraction(residual_arrays, total_vol),
+    return Verdict(status, condition, witnesses=witnesses, unknown_lo=u_lo, unknown_hi=u_hi,
+                   unknown_volume_fraction=_vol_fraction(u_lo, u_hi, total_vol),
                    boxes_processed=processed)
 
 
-def _vol_fraction(box_arrays, total_vol):
-    """Share of total_vol in the boxes of the (lo, hi) arrays, bit for bit the
-    built-in sum of their Box.volume: per box the product of its positive
-    widths, taken left to right (0 if none is positive)."""
+def _vol_fraction(lo, hi, total_vol):
+    """Share of total_vol in the boxes with (k, n) corners lo and hi, bit for
+    bit the built-in sum of their Box.volume: per box the product of its
+    positive widths, taken left to right (0 if none is positive)."""
     if total_vol <= 0:
         return 0.0
-    w = np.concatenate([hi - lo for lo, hi in box_arrays])
+    w = hi - lo
     vol = np.ones(w.shape[0])
     for d in range(w.shape[1]):
         vol *= np.where(w[:, d] > 0, w[:, d], 1.0)
@@ -274,8 +278,7 @@ def check_robust_decrease(cert: FilteredCertificate, policy: Mlp, env: EnvSpec,
     shared faces). Box test: raw lower bound of V over B minus the filtered
     upper bound over the inflated interval image must reach epsilon.
     """
-    if delta < 0:
-        raise ValueError("delta must be non-negative")
+    check_delta(delta)
     cfg = (cfg or BnbConfig()).validate()
     p = cert.params
     hunted_rows = pgd_rows = 0

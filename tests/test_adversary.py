@@ -19,6 +19,12 @@ def test_config_validation():
         PgdConfig(delta=-0.1).validate()
     with pytest.raises(ValueError):
         PgdConfig(restarts=0).validate()
+    # a NaN radius once passed validation and overflowed inside numpy
+    for delta in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="delta"):
+            PgdConfig(delta=delta).validate()
+        with pytest.raises(ValueError, match="delta"):
+            pgd_maximize_batch(linear_net([1.0, -2.0]), np.zeros((1, 2)), PgdConfig(delta=delta))
 
 
 def test_zero_radius_returns_center(rng):
@@ -106,41 +112,56 @@ def test_attack_saturates_monotone_coordinate(pendulum):
     assert got[0, 0] == pytest.approx(nominal[0, 0] + delta)
 
 
-def reference_pgd(net, centers, cfg, rng, live_pairs=None):
-    """The ascent loop as first written: a value-and-gradient pass at the
-    centers, steps+1 of them per restart. With a list `live_pairs`, appends
-    per step the number of rows not yet at a fixed point: at the first step
-    or moved by the step before."""
+def reference_pgd(net, centers, cfg, rng, live_pairs=None,
+                  grad_pass=value_and_input_grad):
+    """The ascent loop as first written: one restart after another, a
+    value-and-gradient pass at the centers and steps+1 passes per restart.
+    With a list `live_pairs`, appends per step the number of rows neither at
+    a fixed point nor back at the iterate before: at the first step, or
+    moved by the step before to a point other than the one before that."""
     step = cfg.delta / 4.0
     lo, hi = centers - cfg.delta, centers + cfg.delta
     best_x = centers.copy()
-    best_v, _ = value_and_input_grad(net, centers)
+    best_v, _ = grad_pass(net, centers)
     for restart in range(cfg.restarts):
         x = centers.copy() if restart == 0 else rng.uniform(lo, hi)
-        prev = None
+        before = [np.full_like(x, np.nan)] * 2  # iterates one and two steps back
         for _ in range(cfg.steps):
             if live_pairs is not None:
-                live_pairs.append(len(x) if prev is None else int((x != prev).any(axis=1).sum()))
-            v, g = value_and_input_grad(net, x)
+                live = (x != before[0]).any(axis=1) & (x != before[1]).any(axis=1)
+                live_pairs.append(int(live.sum()))
+            v, g = grad_pass(net, x)
             improve = v > best_v
             best_v = np.where(improve, v, best_v)
             best_x[improve] = x[improve]
-            prev, x = x, np.clip(x + step * np.sign(g), lo, hi)
-        v, _ = value_and_input_grad(net, x)
+            before = [x, before[0]]
+            x = np.clip(x + step * np.sign(g), lo, hi)
+        v, _ = grad_pass(net, x)
         improve = v > best_v
         best_v = np.where(improve, v, best_v)
         best_x[improve] = x[improve]
     return best_x
 
 
-def counting(monkeypatch):
-    """Send the ascent's gradient passes through a recorder; returns the
-    list of their row counts."""
+def one_row_at_a_time(fn):
+    """fn(net, X) run on each row of X alone and stacked: no result depends
+    on which rows share a batch, so BLAS blocking cannot change a bit."""
+    def rowwise(net, X):
+        parts = [fn(net, X[i:i + 1]) for i in range(X.shape[0])]
+        if isinstance(parts[0], tuple):
+            return tuple(np.concatenate(p) for p in zip(*parts))
+        return np.concatenate(parts)
+    return rowwise
+
+
+def counting(monkeypatch, grad_pass=value_and_input_grad):
+    """Send the ascent's gradient passes through a recorder that runs
+    grad_pass; returns the list of their row counts."""
     calls = []
 
     def counted(net, X):
         calls.append(X.shape[0])
-        return value_and_input_grad(net, X)
+        return grad_pass(net, X)
 
     monkeypatch.setattr(clbf.adversary, "value_and_input_grad", counted)
     return calls
@@ -151,12 +172,14 @@ def test_matches_reference_loop_with_one_gradient_pass_per_step(restarts, monkey
     net = init_mlp([2, 32, 16, 1], np.random.default_rng(5))
     centers = np.random.default_rng(6).uniform(-1, 1, (64, 2))
     cfg = PgdConfig(steps=7, delta=0.05, restarts=restarts)
-    want = reference_pgd(net, centers, cfg, np.random.default_rng(9))
+    grad_pass = one_row_at_a_time(value_and_input_grad)
+    want = reference_pgd(net, centers, cfg, np.random.default_rng(9), grad_pass=grad_pass)
 
-    calls = counting(monkeypatch)
+    monkeypatch.setattr(clbf.adversary, "forward_batch", one_row_at_a_time(forward_batch))
+    calls = counting(monkeypatch, grad_pass)
     got = pgd_maximize_batch(net, centers, cfg, np.random.default_rng(9))
     assert np.array_equal(got, want)
-    assert len(calls) == restarts * cfg.steps
+    assert 0 < len(calls) <= cfg.steps  # all restarts share each pass
 
 
 def test_active_mask_keeps_rng_stream_and_active_rows():
@@ -225,6 +248,33 @@ def test_gradient_rows_are_the_pairs_not_at_a_fixed_point(restarts, monkeypatch)
     assert sum(calls) < restarts * cfg.steps * len(centers)  # some rows stopped
 
 
+def tent_case():
+    """V(x) = -|x_1| - |x_2| with centers at odd multiples of 1/32 and
+    delta = 1/4: iterates stay at odd multiples of 1/32, so a coordinate
+    within reach of 0 ends up alternating between -1/32 and 1/32. Every sum
+    is exact, as in exact_case."""
+    net = Mlp([np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]]),
+               -np.ones((1, 4))], [np.zeros(4), np.zeros(1)])
+    centers = (2 * np.random.default_rng(4).integers(-8, 8, (64, 2)) + 1) / 32
+    return net, centers
+
+
+@pytest.mark.parametrize("restarts", [1, 3])
+def test_two_cycles_stop_and_match_reference_bit_for_bit(restarts, monkeypatch):
+    net, centers = tent_case()
+    cfg = PgdConfig(steps=12, delta=1 / 4, restarts=restarts)
+    live_pairs = []
+    want = reference_pgd(net, centers, cfg, DyadicStarts(9), live_pairs)
+    calls = counting(monkeypatch)
+    got = pgd_maximize_batch(net, centers, cfg, DyadicStarts(9))
+    assert np.array_equal(got, want)
+    assert sum(calls) == sum(live_pairs)
+    # every pair is cycling or fixed well before the last step
+    assert len(calls) < cfg.steps
+    near = np.abs(centers) < 1 / 4
+    assert np.array_equal(np.abs(got)[near], np.full(near.sum(), 1 / 32))
+
+
 def test_linear_net_stops_at_the_corner(monkeypatch):
     # steps 0-3 reach the corner, the pass at step 4 finds it fixed
     net = linear_net([1.0, -2.0])
@@ -234,3 +284,28 @@ def test_linear_net_stops_at_the_corner(monkeypatch):
     y = pgd_maximize_batch(net, centers, PgdConfig(steps=20, delta=delta, restarts=1))
     assert np.array_equal(y, centers + [delta, -delta])
     assert calls == [10] * 5
+
+
+class FixedStarts:
+    """Stands in for the generator in PGD: hands out the given restart
+    starts in turn."""
+
+    def __init__(self, *starts):
+        self.starts = [np.array(s, dtype=float) for s in starts]
+
+    def uniform(self, lo, hi):
+        return self.starts.pop(0)
+
+
+def test_first_restart_to_reach_the_maximum_wins():
+    # V = 0 on the plateau [-1/4, 1/4], where the gradient is zero, and
+    # falls off outside it. Restarts 1 and 2 start on the plateau at -1/4
+    # and 1/4; restart 0 cannot reach it in one step from 3/4
+    net = Mlp([np.array([[1.0], [-1.0]]), -np.ones((1, 2))],
+              [np.full(2, -0.25), np.zeros(1)])
+    centers = np.array([[0.75]])
+    cfg = PgdConfig(steps=1, delta=1.0, restarts=3)
+    want = reference_pgd(net, centers, cfg, FixedStarts([[-0.25]], [[0.25]]))
+    got = pgd_maximize_batch(net, centers, cfg, FixedStarts([[-0.25]], [[0.25]]))
+    assert np.array_equal(want, [[-0.25]])
+    assert np.array_equal(got, want)

@@ -119,8 +119,8 @@ def test_status_stalled(monkeypatch):
 
     def unknown_decrease(cert, policy, env, delta, epsilon, cfg):
         budgets.append(cfg.max_boxes)
-        return Verdict("unknown", "decrease", unknown_boxes=[env.domain],
-                       unknown_volume_fraction=1.0)
+        return Verdict("unknown", "decrease", unknown_lo=env.domain.lo[None],
+                       unknown_hi=env.domain.hi[None], unknown_volume_fraction=1.0)
 
     monkeypatch.setattr(clbf.cegis, "check_robust_decrease", unknown_decrease)
     result = cegis_run(tiny_config(max_iters=5, max_boxes=800_000))

@@ -554,6 +554,12 @@ def test_total_loss_rejects_negative_delta(method):
         TotalLossConfig(method, LossWeights(), -0.1).validate()
 
 
+@pytest.mark.parametrize("delta", [np.nan, np.inf])
+def test_total_loss_rejects_nan_and_infinite_delta(delta):
+    with pytest.raises(ValueError, match="delta"):
+        TotalLossConfig("pgd", LossWeights(), delta).validate()
+
+
 def test_total_loss_rejects_mismatched_pgd_radius():
     cfg = TotalLossConfig("pgd", LossWeights(), delta=0.01,
                           pgd_cfg=PgdConfig(delta=0.02))

@@ -15,6 +15,7 @@ from clbf.nets import (
     input_jacobian,
     spectral_norm_vectors,
     spectral_product_grads,
+    value_and_input_grad,
 )
 
 from conftest import fd_param_grads, rel_err
@@ -134,6 +135,28 @@ def test_input_grad_is_bit_identical_to_backward(dims):
         gY = np.zeros((X.shape[0], net.n_out))
         gY[:, j] = 1.0
         assert np.array_equal(J[:, j, :], backward(net, tape, gY)[1])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 4), st.lists(st.integers(1, 24), min_size=0, max_size=3),
+       st.integers(1, 64), st.booleans(), st.integers(0, 2**32 - 1))
+def test_value_and_input_grad_is_bit_identical_to_tape_and_input_grad(
+        n_in, hidden, rows, integer, seed):
+    # 0 to 3 hidden layers, so the purely affine net is drawn too; small
+    # integer weights and inputs put pre-activations at exactly 0
+    rng = np.random.default_rng(seed)
+    dims = [n_in, *hidden, 1]
+    if integer:
+        net = Mlp([rng.integers(-2, 3, (m, n)).astype(float) for n, m in zip(dims, dims[1:])],
+                  [rng.integers(-2, 3, m).astype(float) for m in dims[1:]])
+        X = rng.integers(-2, 3, (rows, n_in)).astype(float)
+    else:
+        net = init_mlp(dims, rng)
+        X = rng.uniform(-1, 1, (rows, n_in))
+    tape = forward_tape(net, X)
+    v, g = value_and_input_grad(net, X)
+    assert v.tobytes() == tape.output[:, 0].tobytes()
+    assert g.tobytes() == input_grad(net, tape, np.ones((rows, 1))).tobytes()
 
 
 def test_piecewise_affine_within_activation_pattern(rng):

@@ -102,6 +102,18 @@ def test_bad_inner_pgd_is_rejected_before_any_box_work(pendulum, monkeypatch):
                                   BnbConfig(inner_pgd=PgdConfig(steps=0)))
 
 
+@pytest.mark.parametrize("delta", [-0.01, np.nan, np.inf])
+def test_bad_delta_is_rejected_before_any_box_work(delta, pendulum, monkeypatch):
+    # a NaN radius once spent the whole box budget and returned unknown
+    def no_bounds(*args):
+        raise AssertionError("interval work before validation")
+
+    monkeypatch.setattr(clbf.verifier, "ibp_bounds", no_bounds)
+    with pytest.raises(ValueError, match="delta"):
+        check_robust_decrease(small_cert(pendulum), small_policy(pendulum), pendulum,
+                              delta, 5e-3, BnbConfig(max_boxes=2000))
+
+
 # ---------------------------------------------------------------------------
 # check_init
 
@@ -405,7 +417,7 @@ def hunt_every_failed_box(roots, cfg, condition, fails, hunt):
     in its own round, and every failed box is hunted."""
     queue = deque([(np.stack([b.lo for b in roots]), np.stack([b.hi for b in roots]))])
     processed = rounds = 0
-    residual, residual_arrays, witnesses = [], [], []
+    residue, witnesses = [], []
     while queue and processed < cfg.max_boxes and len(witnesses) < cfg.ce_limit:
         lo, hi = queue.popleft()
         if lo.shape[0] > cfg.chunk:
@@ -422,18 +434,16 @@ def hunt_every_failed_box(roots, cfg, condition, fails, hunt):
         lo, hi = lo[unrefuted], hi[unrefuted]
         splittable = (hi - lo) > cfg.min_width
         can_split = np.any(splittable, axis=1)
-        residual.extend(Box(l, h) for l, h in zip(lo[~can_split], hi[~can_split]))
-        residual_arrays.append((lo[~can_split], hi[~can_split]))
+        residue.append((lo[~can_split], hi[~can_split]))
         if np.any(can_split):
             queue.append(_split_widest(lo[can_split], hi[can_split],
                                        splittable[can_split]))
-    for lo, hi in queue:
-        residual.extend(Box(l, h) for l, h in zip(lo, hi))
-    residual_arrays.extend(queue)
-    status = "counterexample" if witnesses else "unknown" if residual else "proved"
+    residue.extend(queue)
+    u_lo, u_hi = (np.concatenate(a) for a in zip(*residue))
+    status = "counterexample" if witnesses else "unknown" if len(u_lo) else "proved"
     total_vol = sum(b.volume() for b in roots)
-    return Verdict(status, condition, witnesses=witnesses, unknown_boxes=residual,
-                   unknown_volume_fraction=_vol_fraction(residual_arrays, total_vol),
+    return Verdict(status, condition, witnesses=witnesses, unknown_lo=u_lo, unknown_hi=u_hi,
+                   unknown_volume_fraction=_vol_fraction(u_lo, u_hi, total_vol),
                    boxes_processed=processed)
 
 
