@@ -21,8 +21,7 @@ from .envs import EnvSpec, make_env
 from .losses import METHODS, Batch, LossWeights, TotalLossConfig, total_loss_grads
 from .nets import (Adam, Mlp, backward, forward_batch, forward_tape, init_mlp,
                    spectral_product_grads)
-from .verifier import (BnbConfig, Verdict, bisect_boundary, check_init,
-                       check_robust_decrease)
+from .verifier import BnbConfig, bisect_boundary, check_init, check_robust_decrease
 
 ENV_DEFAULTS = {
     "pendulum": dict(epsilon=5e-3, tau=3.0, policy_hidden=(128, 128),

@@ -167,11 +167,11 @@ def loss_dec_grads(cert: FilteredCertificate, policy: Mlp, env: EnvSpec,
     if mode == "adv" and delta > 0.0:
         cfg = pgd_cfg if pgd_cfg is not None else PgdConfig(delta=delta)
         may_fail = decrease_may_fail(cert, eligible, V_x, NXT, delta, p.epsilon)
-        Y_pgd = pgd_maximize_batch(cert.net, NXT, cfg, rng, may_fail)
-        v_pgd, _ = cert.apply_masks(Y_pgd, cert.raw(Y_pgd))
-        v_nom, _ = cert.apply_masks(NXT, cert.raw(NXT))
-        use_pgd = v_pgd >= v_nom  # keep the stronger candidate per state
-        Y = np.where(use_pgd[:, None], Y_pgd, NXT)
+        # PGD returns the centre on every other row
+        Y = pgd_maximize_batch(cert.net, NXT, cfg, rng, may_fail)
+        rows = np.flatnonzero(may_fail)
+        weaker = rows[cert.value(Y[rows]) < cert.value(NXT[rows])]
+        Y[weaker] = NXT[weaker]  # keep the stronger candidate per state
     else:
         Y = NXT
 

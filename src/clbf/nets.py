@@ -1,13 +1,12 @@
 """Minimal dense ReLU network engine.
 
 Forward evaluation, exact reverse-mode gradients (parameters and inputs,
-plus an input-only reverse pass for callers that discard the parameter
-gradients, and for PGD a fused value-and-input-gradient pass that keeps only
-the ReLU masks), interval bound propagation, the spectral-norm
-product with its l-inf Lipschitz bound, and a first-order adaptive-moment
-optimizer. Everything is float64 numpy; batches are (k, n) arrays. No
-general computation graphs: the architecture is a fixed affine/ReLU chain,
-so backprop is hand-chained.
+from a Tape, for training), a tapeless input Jacobian that keeps only the
+ReLU masks (with its scalar view for PGD), interval bound propagation, the
+spectral-norm product with its l-inf Lipschitz bound, and a first-order
+adaptive-moment optimizer. Everything is float64 numpy; batches are (k, n)
+arrays. No general computation graphs: the architecture is a fixed
+affine/ReLU chain, so backprop is hand-chained.
 """
 
 from __future__ import annotations
@@ -132,14 +131,6 @@ def forward_tape(net: Mlp, X: np.ndarray) -> Tape:
     return Tape(inputs, preacts, a)
 
 
-def _upstream(tape: Tape, gY: np.ndarray) -> np.ndarray:
-    """Upstream gradient as a (k, n_out) array; a reverse pass needs a tape."""
-    if tape is None:
-        raise ValueError("no recorded forward pass")
-    gY = np.asarray(gY, dtype=float)
-    return gY[:, None] if gY.ndim == 1 else gY
-
-
 def backward(net: Mlp, tape: Tape, gY: np.ndarray) -> tuple[list[np.ndarray], np.ndarray]:
     """Reverse pass from upstream gradient gY (k, n_out).
 
@@ -147,7 +138,10 @@ def backward(net: Mlp, tape: Tape, gY: np.ndarray) -> tuple[list[np.ndarray], np
     ReLU subgradient at 0 is taken as 0. Parameter gradients are summed over
     the batch; the input gradient is per-row.
     """
-    g = _upstream(tape, gY)
+    if tape is None:
+        raise ValueError("no recorded forward pass")
+    g = np.asarray(gY, dtype=float)
+    g = g[:, None] if g.ndim == 1 else g
     grads: list[np.ndarray] = [None] * (2 * len(net.weights))
     last = len(net.weights) - 1
     for k in range(last, -1, -1):
@@ -159,29 +153,15 @@ def backward(net: Mlp, tape: Tape, gY: np.ndarray) -> tuple[list[np.ndarray], np
     return grads, g
 
 
-def input_grad(net: Mlp, tape: Tape, gY: np.ndarray) -> np.ndarray:
-    """Input gradient (k, n_in) of backward alone, without parameter gradients.
+def input_jacobian(net: Mlp, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Outputs (k, n_out) and input Jacobian dy/dx (k, n_out, n_in) at X.
 
-    Runs the same elementwise ops in the same order as backward, so the
-    result is bit-identical to backward's second return value.
-    """
-    g = _upstream(tape, gY)
-    last = len(net.weights) - 1
-    for k in range(last, -1, -1):
-        if k != last:
-            g = g * (tape.preacts[k] > 0.0)
-        g = g @ net.weights[k]
-    return g
-
-
-def value_and_input_grad(net: Mlp, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Scalar-output convenience: values (k,) and dV/dx (k, n_in).
-
-    One fused pass that keeps only the boolean ReLU masks of the forward
-    pass, not a Tape of float inputs and pre-activations. It runs the same
-    ops in the same order as forward_tape and input_grad, so the result is
-    bit-identical to theirs; the elementwise ones run in place, on arrays
-    that each product makes fresh.
+    One forward pass that keeps only the boolean ReLU masks, not a Tape of
+    float inputs and pre-activations, then one reverse pass per output. It
+    runs the same ops in the same order as forward_tape and, per output j,
+    backward from the unit upstream gradient e_j, so the outputs and each
+    J[:, j, :] are bit-identical to theirs; the elementwise ones run in
+    place, on arrays that each product makes fresh.
     """
     X = _batch(net, X)
     masks = []
@@ -193,23 +173,22 @@ def value_and_input_grad(net: Mlp, X: np.ndarray) -> tuple[np.ndarray, np.ndarra
         if k != last:
             masks.append(a > 0.0)
             np.maximum(a, 0.0, out=a)
-    g = np.ones((X.shape[0], 1)) @ net.weights[last]
-    for k in range(last - 1, -1, -1):
-        g *= masks[k]
-        g = g @ net.weights[k]
-    return a[:, 0], g
-
-
-def input_jacobian(net: Mlp, tape: Tape) -> np.ndarray:
-    """Full Jacobian dy/dx (k, n_out, n_in) at the rows of a recorded forward
-    pass: one input-only reverse pass per output, no forward pass."""
-    k = tape.output.shape[0]
-    J = np.empty((k, net.n_out, net.n_in))
+    J = np.empty((X.shape[0], net.n_out, net.n_in))
     for j in range(net.n_out):
-        gY = np.zeros((k, net.n_out))
-        gY[:, j] = 1.0
-        J[:, j, :] = input_grad(net, tape, gY)
-    return J
+        g = np.ones((X.shape[0], 1)) @ net.weights[last][j:j + 1]
+        for k in range(last - 1, -1, -1):
+            g *= masks[k]
+            g = g @ net.weights[k]
+        J[:, j, :] = g
+    return a, J
+
+
+def value_and_input_grad(net: Mlp, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Scalar-output view of input_jacobian: values (k,) and dV/dx (k, n_in)."""
+    if net.n_out != 1:
+        raise ValueError(f"expected a scalar-output net, got {net.n_out} outputs")
+    v, J = input_jacobian(net, X)
+    return v[:, 0], J[:, 0]
 
 
 # ---------------------------------------------------------------------------

@@ -51,8 +51,7 @@ from .boxes import Box
 from .certificate import (FilteredCertificate, decrease_may_fail,
                           filtered_upper_bound)
 from .envs import EnvSpec
-from .nets import (Mlp, forward_batch, forward_tape, ibp_bounds, input_grad,
-                   input_jacobian)
+from .nets import Mlp, forward_batch, ibp_bounds, input_jacobian
 
 WITNESS_SLACK = 1e-9  # a witness must violate its condition by at least this
 
@@ -367,20 +366,16 @@ def _hunt_decrease_ce(cert, policy, env, lo, hi, delta, epsilon, cfg, rng):
     # sign ascent on g(x) = eps - V(x) + V(f(x, pi(x))), the violation at
     # delta = 0; the delta-ball is searched only by the exact check. The
     # ascent step and the check share one evaluation of each point set (V at
-    # the next states too), and its tapes are dropped before the check
+    # the next states too); the last set needs no gradient
     x = 0.5 * (lo + hi)
     step = (hi - lo) / (2.0 * max(1, cfg.outer_pgd_steps))
     for k in range(cfg.outer_pgd_steps + 1):
         last = k == cfg.outer_pgd_steps
-        tape_pi = forward_tape(policy, x)
-        nxt = env.step(x, tape_pi.output)  # step clamps the control
-        tape_x = forward_tape(cert.net, x)
-        raw_x = tape_x.output[:, 0]
         if last:
-            v_nxt = cert.value(nxt)
+            nxt = env.step(x, forward_batch(policy, x))  # step clamps the control
+            raw_x, v_nxt = cert.raw(x), cert.value(nxt)
         else:
-            g, v_nxt = _violation_grad(cert, policy, env, x, nxt, tape_pi, tape_x)
-        del tape_pi, tape_x
+            nxt, raw_x, v_nxt, g = _violation_grad(cert, policy, env, x)
         viol, ball_pts, pgd_rows = _exact_violation(
             cert, env, x, nxt, raw_x, v_nxt, delta, epsilon, cfg.inner_pgd, rng)
         hunted += x.shape[0]
@@ -423,18 +418,21 @@ def _exact_violation(cert, env, X, nxt, raw_x, v_nxt, delta, epsilon, inner_pgd,
     return viol, best_y, int(np.count_nonzero(active)) if delta > 0 else 0
 
 
-def _violation_grad(cert, policy, env, X, nxt, tape_pi, tape_x):
-    """Gradient w.r.t. x of the nominal violation eps - V(x) + V(f(x, pi(x))),
-    from the tapes of X under the certificate and the policy, and the
-    filtered values V(nxt) at the next states nxt."""
-    gVx = input_grad(cert.net, tape_x, np.ones((X.shape[0], 1)))
-    tape_y = forward_tape(cert.net, nxt)
-    v_nxt, unmasked = cert.apply_masks(nxt, tape_y.output[:, 0])
-    gVy = input_grad(cert.net, tape_y, unmasked[:, None].astype(float))
-    A, B = env.step_jac(X, tape_pi.output)
-    g = -gVx + np.einsum("kij,ki->kj", A, gVy)
+def _violation_grad(cert, policy, env, X):
+    """The next states nxt = f(X, pi(X)), the raw values V(X), the filtered
+    values V(nxt), and the gradient w.r.t. x of the nominal violation
+    eps - V(x) + V(f(x, pi(x))) at X. V(nxt) contributes only where the raw
+    network applies; on the masked sets it is constant."""
+    u, J_pi = input_jacobian(policy, X)
+    nxt = env.step(X, u)  # step clamps the control
+    raw_x, J_x = input_jacobian(cert.net, X)
+    raw_y, J_y = input_jacobian(cert.net, nxt)
+    v_nxt, unmasked = cert.apply_masks(nxt, raw_y[:, 0])
+    gVy = J_y[:, 0] * unmasked[:, None]
+    A, B = env.step_jac(X, u)
+    g = -J_x[:, 0] + np.einsum("kij,ki->kj", A, gVy)
     gu = np.einsum("kij,ki->kj", B, gVy)
-    return g + np.einsum("kmj,km->kj", input_jacobian(policy, tape_pi), gu), v_nxt
+    return nxt, raw_x[:, 0], v_nxt, g + np.einsum("kmj,km->kj", J_pi, gu)
 
 
 def _recheck_decrease(cert, policy, env, w: Witness, delta, epsilon) -> bool:

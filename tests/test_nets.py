@@ -11,7 +11,6 @@ from clbf.nets import (
     forward_tape,
     ibp_bounds,
     init_mlp,
-    input_grad,
     input_jacobian,
     spectral_norm_vectors,
     spectral_product_grads,
@@ -113,39 +112,18 @@ def test_backward_requires_tape():
     net = Mlp([np.eye(2)], [np.zeros(2)])
     with pytest.raises(ValueError):
         backward(net, None, np.ones((1, 2)))
-    with pytest.raises(ValueError):
-        input_grad(net, None, np.ones((1, 2)))
-
-
-@pytest.mark.parametrize("dims", [[2, 64, 32, 16, 1], [3, 16, 8, 4], [2, 1]])
-def test_input_grad_is_bit_identical_to_backward(dims):
-    rng = np.random.default_rng(sum(dims))
-    net = init_mlp(dims, rng)
-    X = rng.uniform(-1, 1, (257, dims[0]))
-    tape = forward_tape(net, X)
-    gYs = [rng.normal(size=(257, net.n_out))]
-    if net.n_out == 1:
-        gYs.append(rng.normal(size=257))  # 1-D upstream gradient
-    for gY in gYs:
-        _, gX = backward(net, tape, gY)
-        assert np.array_equal(input_grad(net, tape, gY), gX)
-
-    J = input_jacobian(net, tape)
-    for j in range(net.n_out):
-        gY = np.zeros((X.shape[0], net.n_out))
-        gY[:, j] = 1.0
-        assert np.array_equal(J[:, j, :], backward(net, tape, gY)[1])
 
 
 @settings(max_examples=200, deadline=None)
 @given(st.integers(1, 4), st.lists(st.integers(1, 24), min_size=0, max_size=3),
-       st.integers(1, 64), st.booleans(), st.integers(0, 2**32 - 1))
-def test_value_and_input_grad_is_bit_identical_to_tape_and_input_grad(
-        n_in, hidden, rows, integer, seed):
+       st.integers(1, 3), st.integers(1, 64), st.booleans(),
+       st.integers(0, 2**32 - 1))
+def test_input_jacobian_is_bit_identical_to_tape_and_backward(
+        n_in, hidden, n_out, rows, integer, seed):
     # 0 to 3 hidden layers, so the purely affine net is drawn too; small
     # integer weights and inputs put pre-activations at exactly 0
     rng = np.random.default_rng(seed)
-    dims = [n_in, *hidden, 1]
+    dims = [n_in, *hidden, n_out]
     if integer:
         net = Mlp([rng.integers(-2, 3, (m, n)).astype(float) for n, m in zip(dims, dims[1:])],
                   [rng.integers(-2, 3, m).astype(float) for m in dims[1:]])
@@ -154,9 +132,21 @@ def test_value_and_input_grad_is_bit_identical_to_tape_and_input_grad(
         net = init_mlp(dims, rng)
         X = rng.uniform(-1, 1, (rows, n_in))
     tape = forward_tape(net, X)
-    v, g = value_and_input_grad(net, X)
-    assert v.tobytes() == tape.output[:, 0].tobytes()
-    assert g.tobytes() == input_grad(net, tape, np.ones((rows, 1))).tobytes()
+    Y, J = input_jacobian(net, X)
+    assert Y.tobytes() == tape.output.tobytes()
+    assert J.shape == (rows, n_out, n_in)
+    for j in range(n_out):
+        e_j = np.zeros((rows, n_out))
+        e_j[:, j] = 1.0
+        assert J[:, j, :].tobytes() == backward(net, tape, e_j)[1].tobytes()
+
+
+def test_value_and_input_grad_rejects_a_multi_output_net(rng):
+    X = rng.uniform(-1, 1, (5, 2))
+    v, g = value_and_input_grad(init_mlp([2, 8, 1], rng), X)
+    assert v.shape == (5,) and g.shape == (5, 2)
+    with pytest.raises(ValueError, match="3 outputs"):
+        value_and_input_grad(init_mlp([2, 8, 3], rng), X)
 
 
 def test_piecewise_affine_within_activation_pattern(rng):

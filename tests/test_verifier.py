@@ -12,8 +12,7 @@ from clbf.adversary import PgdConfig, pgd_maximize_batch
 from clbf.boxes import Box
 from clbf.certificate import ClbfParams, FilteredCertificate, filtered_upper_bound
 from clbf.envs import EnvSpec, make_env
-from clbf.nets import (Mlp, forward_batch, forward_tape, ibp_bounds, init_mlp,
-                       input_grad)
+from clbf.nets import Mlp, backward, forward_batch, forward_tape, ibp_bounds, init_mlp
 from clbf.verifier import (
     WITNESS_SLACK,
     BnbConfig,
@@ -25,6 +24,7 @@ from clbf.verifier import (
     _point_in_unsafe,
     _recheck_decrease,
     _split_widest,
+    _violation_grad,
     _vol_fraction,
     bisect_largest_passing,
     certify_delta,
@@ -32,7 +32,8 @@ from clbf.verifier import (
     check_robust_decrease,
 )
 
-from conftest import halving_env_1d, small_cert, small_policy, whole_box_upper_bound
+from conftest import (fd_input_grads, halving_env_1d, rel_err, small_cert, small_policy,
+                      whole_box_upper_bound)
 
 
 def constant_net(value, n_in=2):
@@ -640,15 +641,15 @@ def test_screened_hunt_matches_unscreened_hunt(env_name, seed, delta, monkeypatc
 
 def two_phase_violation_grad(cert, policy, env, X):
     """The nominal ascent gradient with its own policy passes: a forward pass
-    for the next states, and the Jacobian from a fresh tape, one input_grad
-    per output."""
+    for the next states, and the Jacobian from a fresh tape, one backward
+    pass per output."""
     tape_pi = forward_tape(policy, X)
     Y = env.step(X, tape_pi.output)
     tape_x = forward_tape(cert.net, X)
-    gVx = input_grad(cert.net, tape_x, np.ones((X.shape[0], 1)))
+    gVx = backward(cert.net, tape_x, np.ones((X.shape[0], 1)))[1]
     tape_y = forward_tape(cert.net, Y)
     _, unmasked = cert.apply_masks(Y, tape_y.output[:, 0])
-    gVy = input_grad(cert.net, tape_y, unmasked[:, None].astype(float))
+    gVy = backward(cert.net, tape_y, unmasked[:, None].astype(float))[1]
     A, B = env.step_jac(X, tape_pi.output)
     g = -gVx + np.einsum("kij,ki->kj", A, gVy)
     tape_j = forward_tape(policy, X)
@@ -656,7 +657,7 @@ def two_phase_violation_grad(cert, policy, env, X):
     for j in range(policy.n_out):
         gY = np.zeros((X.shape[0], policy.n_out))
         gY[:, j] = 1.0
-        J_pi[:, j, :] = input_grad(policy, tape_j, gY)
+        J_pi[:, j, :] = backward(policy, tape_j, gY)[1]
     gu = np.einsum("kij,ki->kj", B, gVy)
     return g + np.einsum("kmj,km->kj", J_pi, gu)
 
@@ -708,6 +709,50 @@ def two_phase_hunt(cert, policy, env, lo, hi, delta, epsilon, cfg, rng):
     return found, hunted, pgd
 
 
+def smooth_ascent_states(cert, policy, env, rng, k, margin=1e-3):
+    """k states of env's domain around which the nominal violation is smooth:
+    every ReLU pre-activation of the policy at x and of V at x and at the
+    next state is at least margin from 0, each control at least margin from
+    the clamp, and the next state's margin-box does not straddle the goal or
+    the unsafe set."""
+    X = rng.uniform(env.domain.lo, env.domain.hi, (400, env.state_dim))
+    U = forward_batch(policy, X)
+    nxt = env.step(X, U)
+    ok = np.all((np.abs(U - env.control_box.lo) > margin)
+                & (np.abs(U - env.control_box.hi) > margin), axis=1)
+    for net, Z in ((policy, X), (cert.net, X), (cert.net, nxt)):
+        for z in forward_tape(net, Z).preacts[:-1]:
+            ok &= np.all(np.abs(z) > margin, axis=1)
+    n_lo, n_hi = nxt - margin, nxt + margin
+    ok &= env.goal_intersects(n_lo, n_hi) == env.goal_contains(n_lo, n_hi)
+    ok &= env.unsafe_intersects(n_lo, n_hi) == env.unsafe_contains(n_lo, n_hi)
+    return X[ok][:k]
+
+
+@pytest.mark.parametrize("env_name,seed", [("pendulum", 3), ("docking2d", 5)])
+def test_violation_grad_matches_finite_differences(env_name, seed):
+    env = make_env(env_name)
+    cert = small_cert(env, seed=seed)
+    policy = small_policy(env, seed=seed + 10)
+    X = smooth_ascent_states(cert, policy, env, np.random.default_rng(seed), 64)
+    assert X.shape[0] == 64
+
+    def violation(X):
+        # the summed nominal violation, up to the constant epsilon
+        nxt = env.step(X, forward_batch(policy, X))
+        return float(np.sum(cert.value(nxt) - cert.raw(X)))
+
+    nxt, raw_x, v_nxt, g = _violation_grad(cert, policy, env, X)
+    want_nxt = env.step(X, forward_batch(policy, X))
+    assert np.array_equal(nxt, want_nxt)
+    assert np.array_equal(raw_x, cert.raw(X))
+    assert np.array_equal(v_nxt, cert.value(want_nxt))
+    # next states on the masked sets contribute no gradient, the others do
+    unmasked = cert.apply_masks(nxt, cert.raw(nxt))[1]
+    assert np.any(unmasked) and not np.all(unmasked)
+    assert rel_err([g], [fd_input_grads(violation, X.copy())]) < 1e-4
+
+
 @pytest.mark.parametrize("env_name,seed", [("pendulum", 7), ("docking2d", 2)])
 @pytest.mark.parametrize("delta", [0.0, 0.01])
 def test_shared_hunt_matches_two_phase_hunt(env_name, seed, delta, monkeypatch):
@@ -757,7 +802,7 @@ def test_hunt_sends_each_point_set_through_the_policy_once(pendulum, monkeypatch
     cert = small_cert(pendulum, seed=7)
     policy = small_policy(pendulum, seed=17)
     cfg = BnbConfig(max_boxes=1500, ce_limit=64, chunk=256, seed=7)
-    policy_rows, nets_policy_rows, boxes, rechecks, jacobians = [], [], [], [], []
+    jacobian_rows, batch_rows, nets_policy_rows, boxes, rechecks = [], [], [], [], []
 
     def count_policy_rows(fn, rows):
         def counted(net, X):
@@ -766,24 +811,24 @@ def test_hunt_sends_each_point_set_through_the_policy_once(pendulum, monkeypatch
             return fn(net, X)
         return counted
 
-    # calls from inside nets (input_jacobian, value_and_input_grad) look
-    # these names up in clbf.nets
-    for name in ("forward_tape", "forward_batch"):
+    # the ascent's point sets go through input_jacobian, the last set and
+    # the rechecks through forward_batch; calls from inside nets look these
+    # names up in clbf.nets
+    for name, rows in (("input_jacobian", jacobian_rows), ("forward_batch", batch_rows)):
         monkeypatch.setattr(clbf.verifier, name, count_policy_rows(
-            getattr(clbf.verifier, name), policy_rows))
+            getattr(clbf.verifier, name), rows))
+    for name in ("forward_tape", "forward_batch", "input_jacobian"):
         monkeypatch.setattr(clbf.nets, name, count_policy_rows(
             getattr(clbf.nets, name), nets_policy_rows))
     monkeypatch.setattr(clbf.verifier, "_hunt_decrease_ce", count_calls(
         clbf.verifier._hunt_decrease_ce, boxes, lambda args: args[3].shape[0]))
     monkeypatch.setattr(clbf.verifier, "_recheck_decrease", count_calls(
         clbf.verifier._recheck_decrease, rechecks))
-    monkeypatch.setattr(clbf.verifier, "input_jacobian", count_calls(
-        clbf.verifier.input_jacobian, jacobians))
     v = check_robust_decrease(cert, policy, pendulum, 0.01, 5e-3, cfg)
 
     assert v.status == "counterexample" and len(rechecks) > 0
-    assert len(jacobians) > 0
-    assert sum(policy_rows) == v.hunted_rows + len(rechecks)
+    assert len(jacobian_rows) > 0 and len(batch_rows) > len(rechecks)
+    assert sum(jacobian_rows) + sum(batch_rows) == v.hunted_rows + len(rechecks)
     # a hunt stops at its first point set with a witness
     assert v.hunted_rows < (cfg.outer_pgd_steps + 1) * sum(boxes)
     assert nets_policy_rows == []
