@@ -114,11 +114,31 @@ def test_backward_requires_tape():
         backward(net, None, np.ones((1, 2)))
 
 
+@pytest.mark.parametrize("dims", [[2, 64, 32, 16, 1], [3, 16, 8, 4], [2, 1]])
+def test_input_grad_is_bit_identical_to_backward(dims):
+    # deeper and wider nets than the property below draws, on 257 rows
+    rng = np.random.default_rng(sum(dims))
+    net = init_mlp(dims, rng)
+    X = rng.uniform(-1, 1, (257, dims[0]))
+    tape = forward_tape(net, X)
+    Y, J = input_jacobian(net, X)
+    assert np.array_equal(Y, tape.output)
+    for j in range(net.n_out):
+        gY = np.zeros((X.shape[0], net.n_out))
+        gY[:, j] = 1.0
+        assert np.array_equal(J[:, j, :], backward(net, tape, gY)[1])
+    if net.n_out == 1:
+        v, g = value_and_input_grad(net, X)
+        assert np.array_equal(v, tape.output[:, 0])
+        for gY in (np.ones((257, 1)), np.ones(257)):  # 2-D and 1-D upstream
+            assert np.array_equal(g, backward(net, tape, gY)[1])
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.integers(1, 4), st.lists(st.integers(1, 24), min_size=0, max_size=3),
        st.integers(1, 3), st.integers(1, 64), st.booleans(),
        st.integers(0, 2**32 - 1))
-def test_input_jacobian_is_bit_identical_to_tape_and_backward(
+def test_value_and_input_grad_is_bit_identical_to_tape_and_input_grad(
         n_in, hidden, n_out, rows, integer, seed):
     # 0 to 3 hidden layers, so the purely affine net is drawn too; small
     # integer weights and inputs put pre-activations at exactly 0
@@ -139,6 +159,10 @@ def test_input_jacobian_is_bit_identical_to_tape_and_backward(
         e_j = np.zeros((rows, n_out))
         e_j[:, j] = 1.0
         assert J[:, j, :].tobytes() == backward(net, tape, e_j)[1].tobytes()
+    if n_out == 1:
+        v, g = value_and_input_grad(net, X)
+        assert v.tobytes() == tape.output[:, 0].tobytes()
+        assert g.tobytes() == J[:, 0].tobytes()
 
 
 def test_value_and_input_grad_rejects_a_multi_output_net(rng):
