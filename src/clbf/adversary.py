@@ -1,12 +1,12 @@
 """Projected gradient ascent on the certificate value inside an l-inf ball.
 
-Used both to harden training (worst-case next states) and to attack trained
-controllers during empirical evaluation. Training and the verifier's
-counterexample hunt pass an `active` mask from one shared interval screen,
-certificate.decrease_may_fail, so only balls where the descent condition can
-fail are searched. Ascent is on the raw network; the best value seen across
-iterates and restarts is returned, so the result never falls below the ball
-center.
+Its one caller is verifier.ball_max, which applies the goal and unsafe masks
+for the verifier, adversarial training and adversarial rollouts alike.
+Training and the verifier's counterexample hunt pass an `active` mask from
+one shared interval screen, certificate.decrease_may_fail, so only balls
+where the descent condition can fail are searched. Ascent is on the raw
+network; the best value seen across iterates and restarts is returned, so
+the result never falls below the ball center.
 
 All restarts ascend together: the centers and every random start of the
 active rows form one stacked batch, so each step makes one gradient pass

@@ -198,9 +198,9 @@ def warm_start(env: EnvSpec, config: TrainConfig,
         if not np.isfinite(val):
             diag["warmstart_warning"] = "certificate pre-training diverged"
             break
-        opt_c.step(cert.net.params(), cg)
-        if val < cfg.loss_zero_tol:
+        if val < cfg.loss_zero_tol:  # Adam's momentum would still move the weights
             break
+        opt_c.step(cert.net.params(), cg)
     diag["warmstart_loss"] = float(val)
     return policy, cert, diag
 
@@ -274,9 +274,9 @@ def cegis_run(config: TrainConfig, env: EnvSpec | None = None) -> CegisResult:
                 result.status = "diverged"
                 result.iterations.append(_row(iteration, loss, 0, t0))
                 return result
-            opt.step(params, cg + pg)
-            if loss < cfg.loss_zero_tol:
+            if loss < cfg.loss_zero_tol:  # Adam's momentum would still move the weights
                 break
+            opt.step(params, cg + pg)
             if time.monotonic() > deadline:
                 break
 

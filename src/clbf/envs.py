@@ -121,9 +121,6 @@ class EnvSpec:
         if self.eligible_cover is None:
             self.eligible_cover = self.unmasked_pieces(self.domain)
 
-    def in_init(self, x: np.ndarray) -> np.ndarray:
-        return _boxes_contain(self.init_boxes, x, x)
-
     def clamp_control(self, u: np.ndarray) -> np.ndarray:
         return np.clip(u, self.control_box.lo, self.control_box.hi)
 

@@ -1,22 +1,23 @@
 """Empirical robustness campaigns: perturbed rollouts and success tables.
 
-A rollout applies either certificate-maximizing adversarial perturbations or
-uniform random noise to each computed next state, and terminates on goal
-entry, unsafe entry (EnvSpec keeps the two sets disjoint), or the horizon.
-Campaigns are vectorised across all rollouts and deterministic given their
-seed.
+A rollout applies either the filtered certificate's delta-ball maximizer
+(verifier.ball_max) or uniform random noise to each computed next state,
+and terminates on goal entry, unsafe entry (EnvSpec keeps the two sets
+disjoint), or the horizon. Campaigns are vectorised across all rollouts and
+deterministic given their seed.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .adversary import PgdConfig, pgd_maximize_batch
+from .adversary import PgdConfig
 from .certificate import FilteredCertificate
 from .envs import EnvSpec
 from .nets import Mlp, forward_batch
+from .verifier import ball_max
 
 OUTCOME_GOAL = "reached_goal"
 OUTCOME_UNSAFE = "entered_unsafe"
@@ -39,9 +40,9 @@ def rollout_batch(policy: Mlp, cert: FilteredCertificate, env: EnvSpec,
                   ) -> tuple[np.ndarray, np.ndarray]:
     """Simulate all rollouts together; returns (outcomes, steps) arrays.
 
-    mode "adversarial": each next state is replaced by the certificate
-    maximizer in its delta-ball, found by PGD with the settings of `pgd`
-    (defaults if None) at radius delta. mode "random": uniform
+    mode "adversarial": each next state is replaced by verifier.ball_max,
+    the filtered certificate's maximizer in its delta-ball, with the PGD
+    settings of `pgd` (defaults if None). mode "random": uniform
     per-coordinate noise in [-delta, delta].
     """
     if mode not in ("adversarial", "random"):
@@ -51,7 +52,7 @@ def rollout_batch(policy: Mlp, cert: FilteredCertificate, env: EnvSpec,
     outcome = np.full(k, -1, dtype=np.int8)  # -1 running, 0 goal, 1 unsafe
     steps = np.full(k, horizon, dtype=np.int64)
     active = np.arange(k)
-    pgd_cfg = replace(pgd or PgdConfig(), delta=delta)
+    pgd = pgd or PgdConfig()
     for t in range(1, horizon + 1):
         if active.size == 0:
             break
@@ -59,7 +60,8 @@ def rollout_batch(policy: Mlp, cert: FilteredCertificate, env: EnvSpec,
         nxt = env.step(Xa, forward_batch(policy, Xa))  # step clamps the control
         if delta > 0.0:
             if mode == "adversarial":
-                nxt = pgd_maximize_batch(cert.net, nxt, pgd_cfg, rng)
+                nxt = ball_max(cert, nxt, cert.value(nxt), delta, pgd, rng,
+                               np.ones(len(nxt), dtype=bool))[1]
             else:
                 nxt = nxt + rng.uniform(-delta, delta, nxt.shape)
         X[active] = nxt

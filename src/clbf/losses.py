@@ -16,9 +16,11 @@ batch states. Gradients flow through the dynamics Jacobian into the policy;
 for the adversarial objective they flow through the certificate at the
 attacked point but not through the search that found it.
 
-The adversarial objective searches the delta-ball (PGD) only on the rows
-that certificate.decrease_may_fail passes, the interval screen the
-verifier's counterexample hunt uses: eligible rows whose hinge can be
+The adversarial objective takes its ball point from verifier.ball_max, the
+verifier's own: a ball reaching the unsafe set counts at unsafe_mask, and
+the hinge's gradient then comes through -V(x) alone. The search runs only
+on the rows that certificate.decrease_may_fail passes, the interval screen
+the verifier's counterexample hunt uses: eligible rows whose hinge can be
 positive somewhere in the ball. At every other row the hinge is zero
 throughout the ball (up to the rounding of the interval bound), so
 whichever ball point is used there adds nothing to the value or to any
@@ -32,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .adversary import PgdConfig, check_delta, pgd_maximize_batch
+from .adversary import PgdConfig, check_delta
 from .certificate import FilteredCertificate, decrease_may_fail
 from .envs import EnvSpec
 from .nets import (
@@ -44,6 +46,7 @@ from .nets import (
     spectral_product_grads,
     zero_grads,
 )
+from .verifier import ball_max
 
 METHODS = ("vanilla", "pgd", "lip-neighbor", "lip-reg")
 
@@ -130,11 +133,11 @@ def loss_dec_grads(cert: FilteredCertificate, policy: Mlp, env: EnvSpec,
                    spectral_vs: list[np.ndarray] | None = None):
     """Descent hinge sum: V must drop by at least epsilon per step.
 
-    mode: "plain" (nominal next state), "adv" (PGD point in the delta-ball,
-    kept only when its filtered value beats the nominal one; the PGD offset
-    is treated as frozen; PGD runs only on the rows decrease_may_fail
-    passes, as elsewhere the hinge and its gradients are zero at every ball
-    point), or "neighbor" (nominal next state plus the slack
+    mode: "plain" (nominal next state), "adv" (the ball point of
+    verifier.ball_max, unsafe reach included; the offset is treated as
+    frozen; the search runs only on the rows decrease_may_fail passes, as
+    elsewhere the hinge and its gradients are zero at every ball point), or
+    "neighbor" (nominal next state plus the slack
     L_p * delta, which covers the whole delta-ball). In "neighbor" mode a
     given L_p is a constant; None recomputes it from the current weights
     with linf_lipschitz_bound and includes its gradient term.
@@ -164,16 +167,11 @@ def loss_dec_grads(cert: FilteredCertificate, policy: Mlp, env: EnvSpec,
     elif L_p is None:
         L_p, dLp, new_vs = linf_lipschitz_bound(cert.net, spectral_iters, spectral_vs)
 
+    Y = NXT
     if mode == "adv" and delta > 0.0:
-        cfg = pgd_cfg if pgd_cfg is not None else PgdConfig(delta=delta)
         may_fail = decrease_may_fail(cert, eligible, V_x, NXT, delta, p.epsilon)
-        # PGD returns the centre on every other row
-        Y = pgd_maximize_batch(cert.net, NXT, cfg, rng, may_fail)
-        rows = np.flatnonzero(may_fail)
-        weaker = rows[cert.value(Y[rows]) < cert.value(NXT[rows])]
-        Y[weaker] = NXT[weaker]  # keep the stronger candidate per state
-    else:
-        Y = NXT
+        Y = ball_max(cert, NXT, cert.value(NXT), delta,
+                     pgd_cfg if pgd_cfg is not None else PgdConfig(), rng, may_fail)[1]
 
     tape_y = forward_tape(cert.net, Y)
     V_y, unmasked_y = cert.apply_masks(Y, tape_y.output[:, 0])

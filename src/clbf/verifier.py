@@ -28,12 +28,13 @@ f(x, pi(x)) has filtered upper bound ub with epsilon - (V(x) - ub) < 0
 cannot yield a witness, because every ball point the hunt evaluates (PGD
 iterates, a point in the unsafe set) has value at most ub. Only the
 remaining points get the inner PGD, so the screen saves work without
-changing what is found. The hunt checks the box centres and the iterates of
-a sign ascent on the nominal violation epsilon - V(x) + V(f(x, pi(x))) as
-they are made, and stops at the first point set with a witness. The ascent
-only chooses where to look: the delta-ball is searched once per point set,
-by the exact check, and the ascent step and the exact check share one
-evaluation of a set.
+changing what is found. The exact check's ball maximum, ball_max, is also
+adversarial training's and adversarial rollouts'. The hunt checks the box
+centres and the iterates of a sign ascent on the nominal violation
+epsilon - V(x) + V(f(x, pi(x))) as they are made, and stops at the first
+point set with a witness. The ascent only chooses where to look: the
+delta-ball is searched once per point set, by the exact check, and the
+ascent step and the exact check share one evaluation of a set.
 
 The queue is processed in deterministic FIFO chunk order; within a chunk the
 lexicographically smallest violating box wins, so verdicts are reproducible.
@@ -308,14 +309,15 @@ def check_robust_decrease(cert: FilteredCertificate, policy: Mlp, env: EnvSpec,
     return verdict
 
 
-def _exact_ball_max(cert: FilteredCertificate, env: EnvSpec, nxt: np.ndarray,
-                    v_nxt: np.ndarray, delta: float, inner_pgd: PgdConfig, rng,
-                    active: np.ndarray):
+def ball_max(cert: FilteredCertificate, nxt: np.ndarray, v_nxt: np.ndarray,
+             delta: float, inner_pgd: PgdConfig, rng, active: np.ndarray):
     """Concrete lower bound on max filtered V over the delta-ball of each
     active row, together with the ball point attaining it, given the
     filtered values v_nxt at the centers nxt; inactive rows keep their
-    center. Sound: only evaluates real ball points."""
-    p = cert.params
+    center. Sound: only evaluates real ball points. PGD's point replaces
+    the center only where it is strictly higher; a ball reaching into the
+    unsafe set takes a point there, at unsafe_mask."""
+    env, p = cert.env, cert.params
     best_y = nxt.copy()
     best_v = v_nxt.copy()
     if delta > 0:
@@ -411,8 +413,7 @@ def _exact_violation(cert, env, X, nxt, raw_x, v_nxt, delta, epsilon, inner_pgd,
     eligible = ~env.in_goal(X) & (v_x <= p.beta)
     active = (decrease_may_fail(cert, eligible, v_x, nxt, delta, epsilon)
               if delta > 0 else eligible)
-    best_v, best_y = _exact_ball_max(cert, env, nxt, v_nxt, delta, inner_pgd, rng,
-                                     active)
+    best_v, best_y = ball_max(cert, nxt, v_nxt, delta, inner_pgd, rng, active)
     viol = epsilon - (v_x - best_v)
     viol = np.where(eligible, viol, -np.inf)
     return viol, best_y, int(np.count_nonzero(active)) if delta > 0 else 0

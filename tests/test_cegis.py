@@ -6,7 +6,7 @@ from clbf.boxes import Box
 from clbf.cegis import (CegisResult, TrainConfig, cegis_run, resample_counterexamples,
                         tau_search)
 from clbf.certificate import ClbfParams, FilteredCertificate
-from clbf.envs import EnvSpec
+from clbf.envs import EnvSpec, pendulum_env
 from clbf.nets import Mlp
 from clbf.verifier import Verdict
 
@@ -141,6 +141,39 @@ def test_status_certified(monkeypatch):
     [row] = result.iterations
     assert row["iteration"] == 1 and row["ce_count"] == 0
     assert result.verdicts == proved
+
+
+@pytest.mark.parametrize("phase", ["warm_start", "cegis_run"])
+def test_a_zero_loss_ends_the_phase_before_the_optimizer_step(phase, monkeypatch):
+    # loss 1 with unit gradients, then loss 0 with zero gradients: Adam's
+    # momentum would still move the weights on a second step
+    seen = []
+
+    def loss_then_zero(cfg, cert, policy, env, init_b, dec_b, rng=None,
+                       spectral_vs=None):
+        seen.append([p.copy() for p in cert.net.params() + policy.params()])
+        g = float(len(seen) == 1)
+        return (g, [np.full_like(p, g) for p in cert.net.params()],
+                [np.full_like(p, g) for p in policy.params()], spectral_vs)
+
+    monkeypatch.setattr(clbf.cegis, "total_loss_grads", loss_then_zero)
+    if phase == "warm_start":
+        cfg = tiny_config(warmstart_epochs=5)
+        policy, cert, diag = clbf.cegis.warm_start(pendulum_env(), cfg,
+                                                   np.random.default_rng(0))
+        assert diag["warmstart_loss"] == 0.0
+    else:
+        proved = Verdict("proved", "decrease")
+        monkeypatch.setattr(clbf.cegis, "check_init", lambda *args: proved)
+        monkeypatch.setattr(clbf.cegis, "check_robust_decrease", lambda *args: proved)
+        result = cegis_run(tiny_config(epochs_per_iter=5))
+        assert result.iterations[0]["loss"] == 0.0
+        policy, cert = result.policy, result.cert
+    assert len(seen) == 2
+    after_first_step = seen[1]
+    assert not all(np.array_equal(a, b) for a, b in zip(seen[0], after_first_step))
+    for got, want in zip(cert.net.params() + policy.params(), after_first_step):
+        assert np.array_equal(got, want)
 
 
 # ---------------------------------------------------------------------------

@@ -99,8 +99,8 @@ def test_pendulum_set_geometry(pendulum):
     assert env.in_unsafe(np.array([[0.65, 0.3]]))[0]
     assert not env.in_unsafe(np.array([[-0.65, 0.1]]))[0]  # wrong velocity sign
     assert not env.in_unsafe(np.array([[0.5, 0.5]]))[0]
-    assert env.in_init(np.array([[0.3, -0.3]]))[0]
-    assert not env.in_init(np.array([[0.31, 0.0]]))[0]
+    assert any(b.contains(np.array([0.3, -0.3])) for b in env.init_boxes)
+    assert not any(b.contains(np.array([0.31, 0.0])) for b in env.init_boxes)
 
 
 def test_goal_and_init_disjoint_from_unsafe(pendulum, docking, rng):
@@ -120,7 +120,8 @@ def test_sample_init_over_two_boxes():
     env.init_boxes = [Box(np.array([-4.0]), np.array([-3.5])),
                       Box(np.array([2.0]), np.array([3.5]))]
     pts = env.sample_init(np.random.default_rng(3), 4000)
-    assert pts.shape == (4000, 1) and np.all(env.in_init(pts))
+    assert pts.shape == (4000, 1)
+    assert np.all(np.any([b.contains(pts) for b in env.init_boxes], axis=0))
     assert np.array_equal(pts, env.sample_init(np.random.default_rng(3), 4000))
     # volume shares 1/4 and 3/4; a multinomial count has std ~27 here
     assert abs(np.count_nonzero(pts[:, 0] < 0) - 1000) < 150
@@ -216,8 +217,8 @@ def test_docking_set_geometry(docking):
     assert env.in_unsafe(np.array([[2.01, 0.0, 0.0, 0.0]]))[0]
     assert env.in_unsafe(np.array([[0.0, 0.0, 0.51, 0.0]]))[0]
     assert not env.in_unsafe(np.array([[2.0, 2.0, 0.5, 0.5]]))[0]  # safe boundary
-    assert env.in_init(np.array([[1.0, -1.0, 0.0, 0.0]]))[0]
-    assert not env.in_init(np.array([[0.5, 0.0, 0.1, 0.0]]))[0]
+    assert any(b.contains(np.array([1.0, -1.0, 0.0, 0.0])) for b in env.init_boxes)
+    assert not any(b.contains(np.array([0.5, 0.0, 0.1, 0.0])) for b in env.init_boxes)
 
 
 def test_docking_interval_is_exact_affine_image(docking, rng):

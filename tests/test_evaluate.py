@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-import clbf.evaluate
+import clbf.verifier
 from clbf.adversary import PgdConfig
 from clbf.certificate import ClbfParams, FilteredCertificate
 from clbf.evaluate import (
@@ -67,6 +67,26 @@ def test_rollout_stops_on_goal_and_unsafe_entry():
     assert steps.tolist() == [1, 1, 5]
 
 
+@pytest.mark.parametrize("hidden_bias, scale, x0, outcome, step", [
+    # V = 0.5 relu(x - 1): the ball [0.99, 1.05] around 1.02 reaches the
+    # unsafe set [0.25, 1], so the adversary ends the rollout at step 1
+    (-1.0, 0.5, 2.04, OUTCOME_UNSAFE, 1),
+    # V = relu(x): raw PGD would push -0.01 to 0.02 in the goal [0, 0.2],
+    # where the filtered value is the low goal mask, so the center stays
+    (0.0, 1.0, -0.02, OUTCOME_TIMEOUT, 6),
+])
+def test_adversarial_rollout_takes_the_filtered_ball_max(hidden_bias, scale, x0,
+                                                         outcome, step):
+    env = halving_env_1d()
+    policy = Mlp([np.zeros((1, 1))], [np.zeros(1)])
+    net = Mlp([np.array([[1.0]]), np.array([[scale]])],
+              [np.array([hidden_bias]), np.zeros(1)])
+    cert = FilteredCertificate(net, ClbfParams(), env)
+    outcomes, steps = rollout_batch(policy, cert, env, np.array([[x0]]), "adversarial",
+                                    0.03, 6, np.random.default_rng(0))
+    assert outcomes.tolist() == [outcome] and steps.tolist() == [step]
+
+
 def test_campaign_pgd_settings_reach_the_adversary(pendulum, monkeypatch):
     cert = small_cert(pendulum, seed=2)
     policy = small_policy(pendulum, seed=3)
@@ -76,7 +96,7 @@ def test_campaign_pgd_settings_reach_the_adversary(pendulum, monkeypatch):
         seen.append(cfg)
         return centers.copy()
 
-    monkeypatch.setattr(clbf.evaluate, "pgd_maximize_batch", recording)
+    monkeypatch.setattr(clbf.verifier, "pgd_maximize_batch", recording)
     campaign = Campaign(n_states=4, horizon=2, seed=0,
                         modes=[("adversarial", 0.02)],
                         pgd=PgdConfig(steps=1, restarts=1))

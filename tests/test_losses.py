@@ -1,8 +1,11 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 import clbf.adversary
 import clbf.losses
+import clbf.verifier
 from clbf.adversary import PgdConfig, pgd_maximize_batch
 from clbf.certificate import ClbfParams, FilteredCertificate, filtered_upper_bound
 from clbf.losses import (
@@ -14,11 +17,13 @@ from clbf.losses import (
     loss_lip_global_grads,
     total_loss_grads,
 )
-from clbf.nets import (Mlp, forward_batch, init_mlp, linf_lipschitz_bound,
-                       scalar_value, value_and_input_grad)
+from clbf.envs import make_env
+from clbf.nets import (Mlp, backward, forward_batch, forward_tape, init_mlp,
+                       linf_lipschitz_bound, scalar_value, value_and_input_grad)
+from clbf.verifier import _exact_violation
 
-from conftest import (DyadicStarts, fd_input_grads, fd_param_grads, rel_err, small_cert,
-                      small_policy)
+from conftest import (DyadicStarts, fd_input_grads, fd_param_grads, halving_env_1d,
+                      rel_err, small_cert, small_policy)
 
 
 def const_cert(env, values_net):
@@ -338,20 +343,21 @@ def test_loss_dec_adv_screen_matches_pgd_on_every_row_bit_for_bit(monkeypatch):
         masks.append(active)
         return pgd_maximize_batch(net, centers, cfg, rng, active)
 
-    def every_row(net, centers, cfg, rng=None, active=None):
-        return pgd_maximize_batch(net, centers, cfg, rng)
+    def every_row(cert, eligible, *args):
+        return np.ones(len(eligible), dtype=bool)
 
     def run(mode="adv"):
         return loss_dec_grads(cert, policy, env, batch, mode, weights,
                               delta=cfg.delta, pgd_cfg=cfg, rng=DyadicStarts(9))
 
-    monkeypatch.setattr(clbf.losses, "pgd_maximize_batch", screened)
+    monkeypatch.setattr(clbf.verifier, "pgd_maximize_batch", screened)
     got = run()
-    monkeypatch.setattr(clbf.losses, "pgd_maximize_batch", every_row)
+    monkeypatch.setattr(clbf.losses, "decrease_may_fail", every_row)
     want = run()
 
     # the batch has screened and unscreened eligible rows, and PGD matters
-    (active,) = masks
+    active, searched = masks
+    assert np.all(searched)
     eligible = scalar_value(cert.net, batch.states) <= cert.params.beta
     assert active is not None and not np.any(active & ~eligible)
     assert 0 < active.sum() < eligible.sum() < len(eligible)
@@ -359,6 +365,66 @@ def test_loss_dec_adv_screen_matches_pgd_on_every_row_bit_for_bit(monkeypatch):
     for g, w in zip(got[1] + got[2], want[1] + want[2]):
         assert np.array_equal(g, w)
     assert np.array_equal(got[3], want[3])
+
+
+# ---------------------------------------------------------------------------
+# the ball's worst point is the verifier's: verifier.ball_max
+
+
+def test_loss_dec_adv_sees_the_unsafe_reach_of_the_ball():
+    # x' = x / 2 + u / 4 with u = 0, unsafe set [0.25, 1], V = 0.5 relu(x - 1):
+    # V(2.04) = 0.52 <= beta, and the ball [0.99, 1.05] around 1.02 reaches
+    # the unsafe set, where the filtered value is unsafe_mask
+    env = replace(halving_env_1d(), step=lambda X, U: 0.5 * X + 0.25 * U,
+                  step_jac=lambda X, U: (np.full((len(X), 1, 1), 0.5),
+                                         np.full((len(X), 1, 1), 0.25)))
+    net = Mlp([np.array([[1.0]]), np.array([[0.5]])], [np.array([-1.0]), np.zeros(1)])
+    cert = FilteredCertificate(net, ClbfParams(), env)
+    policy = Mlp([np.zeros((1, 1))], [np.zeros(1)])
+    x = np.array([[2.04]])
+    delta = 0.03
+    val, cg, pg, _, _ = loss_dec_grads(cert, policy, env, Batch(x), "adv", delta=delta,
+                                       pgd_cfg=PgdConfig(delta=delta))
+    p = cert.params
+    assert val == pytest.approx(p.epsilon - (0.52 - p.unsafe_mask), abs=1e-12)
+    assert val == pytest.approx(0.685, abs=1e-12)
+    # the masked ball point passes no gradient: the policy gets none, and
+    # the certificate only that of -V(x)
+    assert all(not np.any(g) for g in pg)
+    want = backward(net, forward_tape(net, x), -np.ones((1, 1)))[0]
+    for g, w in zip(cg, want):
+        assert np.array_equal(g, w)
+
+
+@pytest.mark.parametrize("env_name, delta", [("pendulum", 0.02), ("docking2d", 0.05)])
+def test_loss_dec_adv_equals_the_verifiers_exact_violation(env_name, delta):
+    env = make_env(env_name)
+    # a wide margin, so that PGD points outside the unsafe set count too
+    cert = FilteredCertificate(small_cert(env, seed=3).net, ClbfParams(epsilon=0.2), env)
+    policy = small_policy(env, seed=4)
+    X = env.sample_states(np.random.default_rng(0), 4000)
+    nxt = env.step(X, forward_batch(policy, X))
+    reach = env.unsafe_intersects(nxt - delta, nxt + delta)
+    # 32 states whose balls reach the unsafe corners, 32 whose balls do not
+    X = np.concatenate([X[reach][:32], X[~reach][:32]])
+    cert.net.biases[-1][0] += cert.params.beta - np.median(cert.raw(X))
+    nxt = env.step(X, forward_batch(policy, X))
+    cfg = PgdConfig(steps=10, delta=delta, restarts=2)
+
+    got = loss_dec_grads(cert, policy, env, Batch(X), "adv", delta=delta, pgd_cfg=cfg,
+                         rng=np.random.default_rng(7))[0]
+    viol, ball_pts, _ = _exact_violation(cert, env, X, nxt, cert.raw(X), cert.value(nxt),
+                                         delta, cert.params.epsilon, cfg,
+                                         np.random.default_rng(7))
+    # rows realized in the unsafe set, and rows realized by PGD, both count
+    counted, unsafe = viol > 0, env.in_unsafe(ball_pts)
+    assert np.any(counted & unsafe)
+    assert np.any(counted & ~unsafe & np.any(ball_pts != nxt, axis=1))
+    assert abs(got - np.maximum(0.0, viol).sum()) <= 1e-12
+
+
+# ---------------------------------------------------------------------------
+# loss_lip_global
 
 
 def test_loss_lip_global_hand_cases():

@@ -19,13 +19,13 @@ from clbf.verifier import (
     Verdict,
     Witness,
     _branch_and_bound,
-    _exact_ball_max,
     _lex_sorted,
     _point_in_unsafe,
     _recheck_decrease,
     _split_widest,
     _violation_grad,
     _vol_fraction,
+    ball_max,
     bisect_largest_passing,
     certify_delta,
     check_init,
@@ -132,7 +132,7 @@ def test_check_init_constant_counterexample(pendulum):
     w = v.witness
     assert w.condition == "init"
     assert cert.value(w.state[None])[0] - cert.params.beta >= 1e-9
-    assert pendulum.in_init(w.state[None])[0]
+    assert any(b.contains(w.state) for b in pendulum.init_boxes)
 
 
 def test_check_init_sliver_matches_grid_oracle(pendulum):
@@ -674,8 +674,8 @@ def two_phase_exact_violation(cert, policy, env, X, delta, epsilon, inner_pgd,
         rows = np.flatnonzero(eligible)
         ub = filtered_upper_bound(cert, nxt[rows] - delta, nxt[rows] + delta)
         active[rows] = epsilon - (v_x[rows] - ub) >= 0
-    best_v, best_y = _exact_ball_max(cert, env, nxt, cert.value(nxt), delta,
-                                     inner_pgd, rng, active)
+    best_v, best_y = ball_max(cert, nxt, cert.value(nxt), delta, inner_pgd, rng,
+                              active)
     viol = np.where(eligible, epsilon - (v_x - best_v), -np.inf)
     return viol, best_y, int(np.count_nonzero(active)) if delta > 0 else 0
 
@@ -939,9 +939,8 @@ def test_exact_ball_max_never_exceeds_the_interval_bound(env_name, cert_seed,
     half = 0.6 * env.domain.width
     nxt = rng.uniform(env.domain.center - half, env.domain.center + half,
                       (16, env.state_dim))
-    best_v, best_y = _exact_ball_max(cert, env, nxt, cert.value(nxt), delta,
-                                     PgdConfig(steps=10, restarts=2), rng,
-                                     np.ones(16, bool))
+    best_v, best_y = ball_max(cert, nxt, cert.value(nxt), delta,
+                              PgdConfig(steps=10, restarts=2), rng, np.ones(16, bool))
     ub = filtered_upper_bound(cert, nxt - delta, nxt + delta)
     assert np.all(best_v <= ub)
     assert np.all((best_y >= nxt - delta) & (best_y <= nxt + delta))
@@ -965,7 +964,7 @@ def test_every_witness_passes_an_outside_recheck(env_name, seed, beta, delta):
         assert len(v.witnesses) <= cfg.ce_limit
     for w in init.witnesses:
         x = np.asarray(w.state, dtype=float)[None]
-        assert w.condition == "init" and env.in_init(x)[0]
+        assert w.condition == "init" and any(b.contains(x[0]) for b in env.init_boxes)
         assert cert.value(x)[0] - beta >= WITNESS_SLACK
     for w in dec.witnesses:
         x = np.asarray(w.state, dtype=float)[None]
