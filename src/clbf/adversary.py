@@ -11,9 +11,9 @@ the result never falls below the ball center.
 All restarts ascend together: the centers and every random start of the
 active rows form one stacked batch, so each step makes one gradient pass
 (the first one holds restarts times the active rows). Each restart keeps its
-own best, and the bests are folded in restart order, replacing only on a
-strict improvement, so the first (restart, step) to reach the maximum wins,
-as when the restarts ran one after another.
+own best, replaced only on a strict improvement, and each row takes the
+first restart whose best is its maximum, so the first (restart, step) to
+reach the maximum wins, as when the restarts ran one after another.
 
 A row stops ascending once a step leaves it where it was (a ball corner, or
 a zero gradient) or takes it back to the iterate before (a 2-cycle). The
@@ -78,14 +78,14 @@ def pgd_maximize_batch(
     pairs still live. A pair stops for good when its step leaves its iterate
     unchanged (a fixed point) or returns it to the iterate before (a
     2-cycle): every later step would repeat one of the last two iterates,
-    and only strict improvements replace a best. The per-restart bests are
-    folded in restart order with the same strict rule, so the first
-    (restart, step) to reach a row's maximum wins. With a boolean mask
-    `active`, only the active rows ascend at all and the others return their
-    centers. Starts are still drawn for every row, so the generator ends in
-    the same state as after the unmasked call. The result is that of
-    ascending every row through every restart and step in turn, up to the
-    BLAS rounding of the batches of pairs still live.
+    and only strict improvements replace a best. Each row then takes the
+    first restart whose best is its maximum, so the first (restart, step)
+    to reach a row's maximum wins. With a boolean mask `active`, only the
+    active rows ascend at all and the others return their centers. Starts
+    are still drawn for every row, so the generator ends in the same state
+    as after the unmasked call. The result is that of ascending every row
+    through every restart and step in turn, up to the BLAS rounding of the
+    batches of pairs still live.
     """
     cfg.validate()
     centers = np.atleast_2d(np.asarray(centers, dtype=float))
@@ -125,14 +125,13 @@ def pgd_maximize_batch(
 
     pairs, pair_v, pair_x = (np.concatenate(a) for a in zip(*stopped))
     order = np.argsort(pairs)  # back in pair order, one restart after another
-    shape = (cfg.restarts, len(rows))
-    fold_v, *more_v = pair_v.take(order).reshape(shape)
-    fold_x, *more_x = pair_x.take(order, axis=0).reshape(*shape, centers.shape[1])
-    # restart 0 starts at the centers, which a row keeps if nothing improves
-    for r_v, r_x in zip(more_v, more_x):
-        _keep_best(fold_v, fold_x, r_v, r_x)
+    m = len(rows)
+    # restart 0 starts at the centers, which a row keeps if nothing improves;
+    # argmax takes the first restart to reach the row's maximum
+    first = np.argmax(pair_v.take(order).reshape(cfg.restarts, m), axis=0)
+    fold_x = pair_x.take(order, axis=0).reshape(cfg.restarts, m, centers.shape[1])
     out = centers.copy()
-    out[rows] = fold_x
+    out[rows] = fold_x[first, np.arange(m)]
     return out
 
 

@@ -7,12 +7,14 @@ are rewarded by the low goal mask and transitions into the unsafe set are
 penalised by the high unsafe mask.
 
 Four functions: loss_init_grads (initial-set cap), loss_dec_grads (the
-descent condition under its nominal, adversarial and Lipschitz-neighbourhood
-objectives), loss_lip_global_grads (global Lipschitz regularisation) and
-total_loss_grads (the weighted sum a training method uses). Each returns its
+descent condition), loss_lip_global_grads (global Lipschitz regularisation)
+and total_loss_grads (the weighted sum a training method uses). The terms
+read one settings object, TotalLossConfig, and speak one vocabulary, its
+method: "vanilla", "pgd", "lip-neighbor" or "lip-reg". Each returns its
 value together with exact reverse-mode gradients with respect to the
-certificate parameters, the policy parameters and (where meaningful) the
-batch states. Gradients flow through the dynamics Jacobian into the policy;
+certificate parameters and, where they enter, the policy parameters; no
+term returns gradients with respect to the states, which training does not
+use. Gradients flow through the dynamics' control Jacobian into the policy;
 for the adversarial objective they flow through the certificate at the
 attacked point but not through the search that found it.
 
@@ -93,63 +95,43 @@ class Batch:
 # initial-set loss
 
 
-def loss_init_grads(cert: FilteredCertificate, init_states: np.ndarray,
-                    weights: np.ndarray | None = None):
-    """Hinge sum of V(x) <= beta over initial states: (value, cert_grads,
-    state_grads).
+def loss_init_grads(cfg: TotalLossConfig, cert: FilteredCertificate, batch: Batch):
+    """Hinge sum of V(x) <= beta over initial states: (value, cert_grads).
 
     Raw network values: the initial set is unmasked (its goal overlap is
     trained too, which keeps interval bounds provable across the boundary).
     """
-    X = np.atleast_2d(np.asarray(init_states, dtype=float))
-    k = X.shape[0]
-    w = np.ones(k) if weights is None else np.asarray(weights, dtype=float)
-    tape = forward_tape(cert.net, X)
+    cfg.validate()
+    w = batch.weight_vector(cfg.weights.ce_weight)
+    tape = forward_tape(cert.net, batch.states)
     v = tape.output[:, 0]
     active = v > cert.params.beta
     value = float((w * np.maximum(0.0, v - cert.params.beta)).sum())
-    up = (w * active)[:, None]
-    cert_g, gX = backward(cert.net, tape, up)
-    return value, cert_g, gX
+    return value, backward(cert.net, tape, (w * active)[:, None])[0]
 
 
 # ---------------------------------------------------------------------------
 # descent loss
 
 
-def _check_pgd_radius(delta: float, pgd_cfg: PgdConfig | None):
-    if pgd_cfg is not None and pgd_cfg.delta != delta:
-        raise ValueError(f"pgd_cfg.delta={pgd_cfg.delta} differs from delta={delta}")
-
-
-def loss_dec_grads(cert: FilteredCertificate, policy: Mlp, env: EnvSpec,
-                   batch: Batch, mode: str = "plain",
-                   weights: np.ndarray | None = None,
-                   delta: float = 0.0,
-                   pgd_cfg: PgdConfig | None = None,
-                   rng: np.random.Generator | None = None,
-                   L_p: float | None = None,
-                   spectral_iters: int = 50,
+def loss_dec_grads(cfg: TotalLossConfig, cert: FilteredCertificate, policy: Mlp,
+                   env: EnvSpec, batch: Batch, rng: np.random.Generator | None = None,
                    spectral_vs: list[np.ndarray] | None = None):
     """Descent hinge sum: V must drop by at least epsilon per step.
 
-    mode: "plain" (nominal next state), "adv" (the ball point of
-    verifier.ball_max, unsafe reach included; the offset is treated as
-    frozen; the search runs only on the rows decrease_may_fail passes, as
-    elsewhere the hinge and its gradients are zero at every ball point), or
-    "neighbor" (nominal next state plus the slack
-    L_p * delta, which covers the whole delta-ball). In "neighbor" mode a
-    given L_p is a constant; None recomputes it from the current weights
-    with linf_lipschitz_bound and includes its gradient term.
+    The next state is, by cfg.method: the nominal one ("vanilla",
+    "lip-reg"); the ball point of verifier.ball_max ("pgd"; unsafe reach
+    included, the offset treated as frozen, the search run only on the rows
+    decrease_may_fail passes, as elsewhere the hinge and its gradients are
+    zero at every ball point); or the nominal one plus the slack L * delta
+    ("lip-neighbor"), with L = linf_lipschitz_bound of the current weights
+    and its gradient, which covers the whole delta-ball.
 
-    A given pgd_cfg must state the same radius as delta.
-
-    Returns (value, cert_grads, policy_grads, state_grads, spectral_vs).
+    Returns (value, cert_grads, policy_grads, spectral_vs).
     """
-    _check_pgd_radius(delta, pgd_cfg)
-    p = cert.params
-    X = batch.states
-    w = np.ones(X.shape[0]) if weights is None else weights
+    cfg.validate()
+    p, X, delta = cert.params, batch.states, cfg.delta
+    w = batch.weight_vector(cfg.weights.ce_weight)
 
     tape_x = forward_tape(cert.net, X)
     V_x = tape_x.output[:, 0]
@@ -160,46 +142,40 @@ def loss_dec_grads(cert: FilteredCertificate, policy: Mlp, env: EnvSpec,
     U_raw = tape_pi.output
     NXT = env.step(X, U_raw)  # clamps internally
 
-    dLp = None
-    new_vs = spectral_vs
-    if mode != "neighbor":
-        L_p = 0.0
-    elif L_p is None:
-        L_p, dLp, new_vs = linf_lipschitz_bound(cert.net, spectral_iters, spectral_vs)
+    L, dL = 0.0, None
+    if cfg.method == "lip-neighbor":
+        L, dL, spectral_vs = linf_lipschitz_bound(cert.net, cfg.spectral_iters,
+                                                  spectral_vs)
 
     Y = NXT
-    if mode == "adv" and delta > 0.0:
+    if cfg.method == "pgd" and delta > 0.0:
         may_fail = decrease_may_fail(cert, eligible, V_x, NXT, delta, p.epsilon)
         Y = ball_max(cert, NXT, cert.value(NXT), delta,
-                     pgd_cfg if pgd_cfg is not None else PgdConfig(), rng, may_fail)[1]
+                     cfg.pgd_cfg if cfg.pgd_cfg is not None else PgdConfig(),
+                     rng, may_fail)[1]
 
     tape_y = forward_tape(cert.net, Y)
     V_y, unmasked_y = cert.apply_masks(Y, tape_y.output[:, 0])
 
-    residual = p.epsilon - (V_x - V_y - L_p * delta)
+    residual = p.epsilon - (V_x - V_y - L * delta)
     hinge = np.where(eligible, np.maximum(0.0, residual), 0.0)
     value = float((w * hinge).sum())
 
     active = eligible & (residual > 0.0)
     coef = w * active
 
-    # certificate: -dV(x) + dV(y) on the unmasked paths, + delta * dL_p;
-    # the upstream coefficients carry the batch weights and hinge masks, so
-    # the returned input gradients gVx / gVy are already scaled
-    cert_g, gVx = backward(cert.net, tape_x, -coef[:, None])
-    up_y = (coef * unmasked_y)[:, None]
-    g_y, gy = backward(cert.net, tape_y, up_y)
+    # certificate: -dV(x) + dV(y) on the unmasked paths, + delta * dL; the
+    # upstream coefficients carry the batch weights and hinge masks
+    cert_g = backward(cert.net, tape_x, -coef[:, None])[0]
+    g_y, gy = backward(cert.net, tape_y, (coef * unmasked_y)[:, None])
     accumulate(cert_g, g_y)
-    if dLp is not None and delta > 0.0:
-        accumulate(cert_g, dLp, scale=delta * coef.sum())
+    if dL is not None and delta > 0.0:
+        accumulate(cert_g, dL, scale=delta * coef.sum())
 
-    # policy and states: through the dynamics Jacobian at the (clamped)
-    # control; the policy's reverse pass also yields its input gradient
-    A, Bu = env.step_jac(X, U_raw)
-    gu = np.einsum("kij,ki->kj", Bu, gy)
-    policy_g, g_pi = backward(policy, tape_pi, gu)
-    gX = gVx + np.einsum("kij,ki->kj", A, gy) + g_pi
-    return value, cert_g, policy_g, gX, new_vs
+    # policy: through the dynamics' control Jacobian at the (clamped) control
+    Bu = env.step_jac(X, U_raw)[1]
+    policy_g = backward(policy, tape_pi, np.einsum("kij,ki->kj", Bu, gy))[0]
+    return value, cert_g, policy_g, spectral_vs
 
 
 def loss_lip_global_grads(net: Mlp, tau: float, iters: int = 50,
@@ -219,6 +195,10 @@ def loss_lip_global_grads(net: Mlp, tau: float, iters: int = 50,
 
 @dataclass
 class TotalLossConfig:
+    """The settings every loss term reads: the training method (one of
+    METHODS), the weights, the perturbation radius and its PGD search, and
+    the power iterations of the Lipschitz estimates."""
+
     method: str
     weights: LossWeights
     delta: float = 0.0
@@ -230,7 +210,9 @@ class TotalLossConfig:
             raise ValueError(f"unknown method {self.method!r}; choose from {METHODS}")
         self.weights.validate()
         check_delta(self.delta)
-        _check_pgd_radius(self.delta, self.pgd_cfg)
+        if self.pgd_cfg is not None and self.pgd_cfg.delta != self.delta:
+            raise ValueError(f"pgd_cfg.delta={self.pgd_cfg.delta} differs from "
+                             f"delta={self.delta}")
         return self
 
 
@@ -244,20 +226,10 @@ def total_loss_grads(cfg: TotalLossConfig, cert: FilteredCertificate,
     Returns (value, cert_grads, policy_grads, spectral_vs); the vectors warm
     start the next step's power iteration.
     """
-    cfg.validate()
     lw = cfg.weights
-    w_init = init_batch.weight_vector(lw.ce_weight)
-    w_dec = dec_batch.weight_vector(lw.ce_weight)
-
-    mode = {"vanilla": "plain", "lip-reg": "plain",
-            "pgd": "adv", "lip-neighbor": "neighbor"}[cfg.method]
-
-    dec_val, dec_cg, dec_pg, _, new_vs = loss_dec_grads(
-        cert, policy, env, dec_batch, mode, w_dec, delta=cfg.delta,
-        pgd_cfg=cfg.pgd_cfg, rng=rng, spectral_iters=cfg.spectral_iters,
-        spectral_vs=spectral_vs,
-    )
-    init_val, init_cg, _ = loss_init_grads(cert, init_batch.states, w_init)
+    dec_val, dec_cg, dec_pg, new_vs = loss_dec_grads(cfg, cert, policy, env, dec_batch,
+                                                     rng, spectral_vs)
+    init_val, init_cg = loss_init_grads(cfg, cert, init_batch)
     value = lw.lambda_init * init_val + lw.lambda_dec * dec_val
 
     cert_g = zero_grads(cert.net)

@@ -468,35 +468,17 @@ def bisect_boundary(passes, good: float, bad: float, tol: float) -> float:
     return good
 
 
-def bisect_largest_passing(passes, lo: float, hi: float, tol: float = 1e-4):
-    """Largest x in [lo, hi] with passes(x), to within tol > 0 or to adjacent
-    floats, assuming monotone failure. Returns (best_pass, history), history
-    holding every probe as (x, passed). best_pass is None when even lo
-    fails; hi is returned when it passes."""
-    if not tol > 0:
-        raise ValueError("tol must be positive")
-    history = []
-
-    def probe(x):
-        history.append((x, passes(x)))
-        return history[-1][1]
-
-    if not probe(lo):
-        return None, history
-    if probe(hi):
-        return hi, history
-    return bisect_boundary(probe, lo, hi, tol), history
-
-
 def certify_delta(cert: FilteredCertificate, policy: Mlp, env: EnvSpec,
                   cfg: BnbConfig | None = None, delta_hi: float = 0.05,
                   tol: float = 1e-4, epsilon: float = 1e-6):
     """Binary search for the largest verified perturbation radius.
 
-    The decrease condition is re-verified at margin epsilon (1e-6 by
-    default, independent of the training margin); Unknown verdicts count as
-    failure, so the returned value is a sound lower bound. Requires the
-    initial condition to hold first.
+    Probes 0 and delta_hi, then bisects between them to within tol > 0 or
+    to adjacent floats, assuming failure is monotone in delta. The decrease
+    condition is re-verified at margin epsilon (1e-6 by default, independent
+    of the training margin); Unknown verdicts count as failure, so the
+    returned value is a sound lower bound. Requires the initial condition to
+    hold first.
 
     Returns (delta_star, info dict).
     """
@@ -514,8 +496,9 @@ def certify_delta(cert: FilteredCertificate, policy: Mlp, env: EnvSpec,
         info["history"].append((delta, v.status))
         return v.proved
 
-    best, _ = bisect_largest_passing(passes, 0.0, delta_hi, tol)
-    if best is None:
+    if not passes(0.0):
         info["reason"] = "decrease condition fails at delta=0"
         return 0.0, info
-    return float(best), info
+    if passes(delta_hi):
+        return float(delta_hi), info
+    return float(bisect_boundary(passes, 0.0, delta_hi, tol)), info

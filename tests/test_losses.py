@@ -19,11 +19,11 @@ from clbf.losses import (
 )
 from clbf.envs import make_env
 from clbf.nets import (Mlp, backward, forward_batch, forward_tape, init_mlp,
-                       linf_lipschitz_bound, scalar_value, value_and_input_grad)
+                       linf_lipschitz_bound, scalar_value, value_and_input_grad, zero_grads)
 from clbf.verifier import _exact_violation
 
-from conftest import (DyadicStarts, fd_input_grads, fd_param_grads, halving_env_1d,
-                      rel_err, small_cert, small_policy)
+from conftest import (DyadicStarts, fd_param_grads, halving_env_1d, rel_err, small_cert,
+                      small_policy)
 
 
 def const_cert(env, values_net):
@@ -32,6 +32,27 @@ def const_cert(env, values_net):
 
 def affine_scalar_net(w, b=0.0):
     return Mlp([np.asarray(w, dtype=float)[None, :]], [np.array([float(b)])])
+
+
+def loss_cfg(method="vanilla", delta=0.0, pgd_cfg=None, spectral_iters=50,
+             ce_weight=100.0):
+    return TotalLossConfig(method, LossWeights(ce_weight=ce_weight), delta, pgd_cfg,
+                           spectral_iters)
+
+
+def dec_loss(cert, policy, env, batch, method="vanilla", delta=0.0, pgd_cfg=None,
+             rng=None, **cfg_kwargs):
+    """loss_dec_grads under loss_cfg(method, delta, pgd_cfg, ...)."""
+    cfg = loss_cfg(method, delta, pgd_cfg, **cfg_kwargs)
+    return loss_dec_grads(cfg, cert, policy, env, batch, rng)
+
+
+def fixed_lipschitz_bound(monkeypatch, L):
+    """Make lip-neighbor's Lipschitz bound the constant L, with no gradient."""
+    def fixed(net, iters=50, vs=None):
+        return L, zero_grads(net), vs
+
+    monkeypatch.setattr(clbf.losses, "linf_lipschitz_bound", fixed)
 
 
 # ---------------------------------------------------------------------------
@@ -48,7 +69,7 @@ def test_loss_init_hand_values(pendulum):
         w = np.array([1.0, 0.0])
         cert.net.weights[0] = w[None, :]
         states = np.array([[v, 0.0] for v in vals])
-        assert loss_init_grads(cert, states)[0] == pytest.approx(want)
+        assert loss_init_grads(loss_cfg(), cert, Batch(states))[0] == pytest.approx(want)
 
 
 def test_loss_init_gradients_match_fd(pendulum, rng):
@@ -58,9 +79,9 @@ def test_loss_init_gradients_match_fd(pendulum, rng):
     X = rng.uniform(-0.3, 0.3, (6, 2))
 
     def f():
-        return loss_init_grads(cert, X)[0]
+        return loss_init_grads(loss_cfg(), cert, Batch(X))[0]
 
-    val, cg, gX = loss_init_grads(cert, X)
+    val, cg = loss_init_grads(loss_cfg(), cert, Batch(X))
     assert val == pytest.approx(f())
     assert rel_err(cg, fd_param_grads(f, cert.net.params())) < 1e-4
 
@@ -112,7 +133,7 @@ def test_loss_dec_hand_cases():
         cert = FilteredCertificate(affine_scalar_net([a], b), params, env)
         batch = Batch(np.array([[x]]))
         policy = affine_scalar_net([0.0], 0.0)
-        assert loss_dec_grads(cert, policy, env, batch)[0] == pytest.approx(want, abs=1e-12)
+        assert dec_loss(cert, policy, env, batch)[0] == pytest.approx(want, abs=1e-12)
 
 
 def test_loss_dec_precondition_filter():
@@ -121,14 +142,14 @@ def test_loss_dec_precondition_filter():
     # v(x) = 1.3 > beta at x, so the state is excluded even though the value rises
     cert = FilteredCertificate(affine_scalar_net([0.0], 1.3), params, env)
     policy = affine_scalar_net([0.0], 0.0)
-    assert loss_dec_grads(cert, policy, env, Batch(np.array([[1.0]])))[0] == 0.0
+    assert dec_loss(cert, policy, env, Batch(np.array([[1.0]])))[0] == 0.0
 
 
-def test_loss_dec_neighbor_hand_cases():
+def test_loss_dec_neighbor_hand_cases(monkeypatch):
     env = TinyEnvWrapper()
     params = ClbfParams(epsilon=0.01)
     x = 1.0
-    for vx, vnext, L_p, delta, want in (
+    for vx, vnext, L, delta, want in (
         (1.0, 0.9, 2.0, 0.01, 0.0),
         (1.0, 0.9, 2.0, 0.05, 0.01),
     ):
@@ -136,8 +157,9 @@ def test_loss_dec_neighbor_hand_cases():
         b = vx - a * x
         cert = FilteredCertificate(affine_scalar_net([a], b), params, env)
         policy = affine_scalar_net([0.0], 0.0)
-        got = loss_dec_grads(cert, policy, env, Batch(np.array([[x]])), "neighbor",
-                             delta=delta, L_p=L_p)[0]
+        fixed_lipschitz_bound(monkeypatch, L)
+        got = dec_loss(cert, policy, env, Batch(np.array([[x]])), "lip-neighbor",
+                       delta=delta)[0]
         assert got == pytest.approx(want, abs=1e-12)
 
 
@@ -145,18 +167,17 @@ def test_loss_dec_neighbor_delta_zero_equals_dec(pendulum, rng):
     cert = small_cert(pendulum, seed=5)
     policy = small_policy(pendulum, seed=6)
     batch = Batch(pendulum.sample_states(rng, 64))
-    L = linf_lipschitz_bound(cert.net)[0]
-    got = loss_dec_grads(cert, policy, pendulum, batch, "neighbor", delta=0.0, L_p=L)[0]
-    assert got == pytest.approx(loss_dec_grads(cert, policy, pendulum, batch)[0])
+    got = dec_loss(cert, policy, pendulum, batch, "lip-neighbor", delta=0.0)[0]
+    assert got == pytest.approx(dec_loss(cert, policy, pendulum, batch)[0])
 
 
 def test_loss_dec_adv_delta_zero_equals_dec(pendulum, rng):
     cert = small_cert(pendulum, seed=5)
     policy = small_policy(pendulum, seed=6)
     batch = Batch(pendulum.sample_states(rng, 64))
-    got = loss_dec_grads(cert, policy, pendulum, batch, "adv", delta=0.0,
-                         pgd_cfg=PgdConfig(delta=0.0))[0]
-    assert got == pytest.approx(loss_dec_grads(cert, policy, pendulum, batch)[0])
+    got = dec_loss(cert, policy, pendulum, batch, "pgd", delta=0.0,
+                   pgd_cfg=PgdConfig(delta=0.0))[0]
+    assert got == pytest.approx(dec_loss(cert, policy, pendulum, batch)[0])
 
 
 def linear_corner_case_loss(epsilon):
@@ -166,8 +187,8 @@ def linear_corner_case_loss(epsilon):
                                ClbfParams(epsilon=epsilon), env)
     policy = affine_scalar_net([0.0], 0.0)
     delta = 0.1
-    return loss_dec_grads(cert, policy, env, Batch(np.array([[1.0]])), "adv",
-                          delta=delta, pgd_cfg=PgdConfig(delta=delta))[0]
+    return dec_loss(cert, policy, env, Batch(np.array([[1.0]])), "pgd",
+                    delta=delta, pgd_cfg=PgdConfig(delta=delta))[0]
 
 
 def test_loss_dec_adv_linear_corner_case():
@@ -187,11 +208,11 @@ def test_loss_dec_adv_dominates_dec(pendulum, rng):
         cert = small_cert(pendulum, seed=seed)
         policy = small_policy(pendulum, seed=seed + 100)
         batch = Batch(pendulum.sample_states(rng, 64))
-        adv = loss_dec_grads(
-            cert, policy, pendulum, batch, "adv", delta=0.01,
+        adv = dec_loss(
+            cert, policy, pendulum, batch, "pgd", delta=0.01,
             pgd_cfg=PgdConfig(delta=0.01), rng=np.random.default_rng(0),
         )[0]
-        assert adv >= loss_dec_grads(cert, policy, pendulum, batch)[0] - 1e-12
+        assert adv >= dec_loss(cert, policy, pendulum, batch)[0] - 1e-12
 
 
 def test_loss_dec_adv_nondecreasing_in_delta(pendulum, rng):
@@ -200,8 +221,8 @@ def test_loss_dec_adv_nondecreasing_in_delta(pendulum, rng):
     batch = Batch(pendulum.sample_states(rng, 64))
     prev = -1.0
     for delta in (0.0, 0.002, 0.005, 0.01, 0.02):
-        got = loss_dec_grads(
-            cert, policy, pendulum, batch, "adv", delta=delta,
+        got = dec_loss(
+            cert, policy, pendulum, batch, "pgd", delta=delta,
             pgd_cfg=PgdConfig(delta=delta), rng=np.random.default_rng(0),
         )[0]
         assert got >= prev - 1e-9
@@ -214,9 +235,9 @@ def test_loss_dec_rejects_mismatched_pgd_radius(pendulum, rng):
     batch = Batch(pendulum.sample_states(rng, 8))
     cfg = PgdConfig(delta=0.01)
     with pytest.raises(ValueError, match="delta"):
-        loss_dec_grads(cert, policy, pendulum, batch, "adv", pgd_cfg=cfg)
+        dec_loss(cert, policy, pendulum, batch, "pgd", pgd_cfg=cfg)
     with pytest.raises(ValueError, match="delta"):
-        loss_dec_grads(cert, policy, pendulum, batch, "adv", delta=0.02, pgd_cfg=cfg)
+        dec_loss(cert, policy, pendulum, batch, "pgd", delta=0.02, pgd_cfg=cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -246,8 +267,8 @@ def test_loss_dec_adv_skips_screened_and_ineligible_rows(monkeypatch):
     cfg = PgdConfig(delta=delta, restarts=1)
 
     def loss(X):
-        return loss_dec_grads(cert, policy, env, Batch(np.array(X)), "adv",
-                              delta=delta, pgd_cfg=cfg)[0]
+        return dec_loss(cert, policy, env, Batch(np.array(X)), "pgd",
+                        delta=delta, pgd_cfg=cfg)[0]
 
     # 1.0 is screened out, 2.0 is ineligible (V above beta)
     passes = recorded_gradient_passes(monkeypatch)
@@ -279,8 +300,8 @@ def test_loss_dec_adv_gradient_rows_are_the_unscreened_rows(pendulum, rng,
     pgd_maximize_batch(cert.net, nxt, cfg, np.random.default_rng(5), may_fail)
     want = sum(len(x) for x in passes)
     passes.clear()
-    loss_dec_grads(cert, policy, pendulum, Batch(X), "adv", delta=cfg.delta,
-                   pgd_cfg=cfg, rng=np.random.default_rng(5))
+    dec_loss(cert, policy, pendulum, Batch(X), "pgd", delta=cfg.delta,
+             pgd_cfg=cfg, rng=np.random.default_rng(5))
     assert sum(len(x) for x in passes) == want > 0
 
 
@@ -336,7 +357,6 @@ def test_loss_dec_adv_screen_matches_pgd_on_every_row_bit_for_bit(monkeypatch):
     cert, policy, batch = exact_adv_case()
     env = cert.env
     cfg = PgdConfig(steps=12, delta=1 / 4, restarts=3)
-    weights = batch.weight_vector(4.0)
     masks = []
 
     def screened(net, centers, cfg, rng=None, active=None):
@@ -346,9 +366,9 @@ def test_loss_dec_adv_screen_matches_pgd_on_every_row_bit_for_bit(monkeypatch):
     def every_row(cert, eligible, *args):
         return np.ones(len(eligible), dtype=bool)
 
-    def run(mode="adv"):
-        return loss_dec_grads(cert, policy, env, batch, mode, weights,
-                              delta=cfg.delta, pgd_cfg=cfg, rng=DyadicStarts(9))
+    def run(method="pgd"):
+        return dec_loss(cert, policy, env, batch, method, delta=cfg.delta, pgd_cfg=cfg,
+                        rng=DyadicStarts(9), ce_weight=4.0)
 
     monkeypatch.setattr(clbf.verifier, "pgd_maximize_batch", screened)
     got = run()
@@ -361,10 +381,9 @@ def test_loss_dec_adv_screen_matches_pgd_on_every_row_bit_for_bit(monkeypatch):
     eligible = scalar_value(cert.net, batch.states) <= cert.params.beta
     assert active is not None and not np.any(active & ~eligible)
     assert 0 < active.sum() < eligible.sum() < len(eligible)
-    assert got[0] == want[0] > run("plain")[0]
+    assert got[0] == want[0] > run("vanilla")[0]
     for g, w in zip(got[1] + got[2], want[1] + want[2]):
         assert np.array_equal(g, w)
-    assert np.array_equal(got[3], want[3])
 
 
 # ---------------------------------------------------------------------------
@@ -383,8 +402,8 @@ def test_loss_dec_adv_sees_the_unsafe_reach_of_the_ball():
     policy = Mlp([np.zeros((1, 1))], [np.zeros(1)])
     x = np.array([[2.04]])
     delta = 0.03
-    val, cg, pg, _, _ = loss_dec_grads(cert, policy, env, Batch(x), "adv", delta=delta,
-                                       pgd_cfg=PgdConfig(delta=delta))
+    val, cg, pg, _ = dec_loss(cert, policy, env, Batch(x), "pgd", delta=delta,
+                              pgd_cfg=PgdConfig(delta=delta))
     p = cert.params
     assert val == pytest.approx(p.epsilon - (0.52 - p.unsafe_mask), abs=1e-12)
     assert val == pytest.approx(0.685, abs=1e-12)
@@ -411,8 +430,8 @@ def test_loss_dec_adv_equals_the_verifiers_exact_violation(env_name, delta):
     nxt = env.step(X, forward_batch(policy, X))
     cfg = PgdConfig(steps=10, delta=delta, restarts=2)
 
-    got = loss_dec_grads(cert, policy, env, Batch(X), "adv", delta=delta, pgd_cfg=cfg,
-                         rng=np.random.default_rng(7))[0]
+    got = dec_loss(cert, policy, env, Batch(X), "pgd", delta=delta, pgd_cfg=cfg,
+                   rng=np.random.default_rng(7))[0]
     viol, ball_pts, _ = _exact_violation(cert, env, X, nxt, cert.raw(X), cert.value(nxt),
                                          delta, cert.params.epsilon, cfg,
                                          np.random.default_rng(7))
@@ -460,18 +479,13 @@ def test_loss_dec_gradients_match_fd(pendulum, rng):
     cert, policy, batch = _dec_fd_setup(pendulum, rng, 21)
 
     def f():
-        return loss_dec_grads(cert, policy, pendulum, batch)[0]
+        return dec_loss(cert, policy, pendulum, batch)[0]
 
-    val, cg, pg, gX, _ = loss_dec_grads(cert, policy, pendulum, batch)
+    val, cg, pg, _ = dec_loss(cert, policy, pendulum, batch)
     assert val == pytest.approx(f())
     assert val > 0  # hinge active somewhere, otherwise the check is vacuous
     assert rel_err(cg, fd_param_grads(f, cert.net.params())) < 1e-4
     assert rel_err(pg, fd_param_grads(f, policy.params())) < 1e-4
-
-    def fx(X):
-        return loss_dec_grads(cert, policy, pendulum, Batch(X))[0]
-
-    assert rel_err([gX], [fd_input_grads(fx, batch.states)]) < 1e-4
 
 
 def test_loss_dec_adv_gradients_match_fd(pendulum, rng):
@@ -479,11 +493,11 @@ def test_loss_dec_adv_gradients_match_fd(pendulum, rng):
     cfg = PgdConfig(delta=0.01, steps=10, restarts=2)
 
     def f():
-        return loss_dec_grads(cert, policy, pendulum, batch, "adv", delta=cfg.delta,
-                              pgd_cfg=cfg, rng=np.random.default_rng(5))[0]
+        return dec_loss(cert, policy, pendulum, batch, "pgd", delta=cfg.delta,
+                        pgd_cfg=cfg, rng=np.random.default_rng(5))[0]
 
-    val, cg, pg, gX, _ = loss_dec_grads(
-        cert, policy, pendulum, batch, "adv", delta=cfg.delta, pgd_cfg=cfg,
+    val, cg, pg, _ = dec_loss(
+        cert, policy, pendulum, batch, "pgd", delta=cfg.delta, pgd_cfg=cfg,
         rng=np.random.default_rng(5),
     )
     assert val == pytest.approx(f())
@@ -491,35 +505,21 @@ def test_loss_dec_adv_gradients_match_fd(pendulum, rng):
     assert rel_err(cg, fd_param_grads(f, cert.net.params())) < 1e-4
     assert rel_err(pg, fd_param_grads(f, policy.params())) < 1e-4
 
-    def fx(X):
-        return loss_dec_grads(cert, policy, pendulum, Batch(X), "adv", delta=cfg.delta,
-                              pgd_cfg=cfg, rng=np.random.default_rng(5))[0]
-
-    assert rel_err([gX], [fd_input_grads(fx, batch.states)]) < 1e-4
-
 
 def test_loss_dec_neighbor_gradients_match_fd(pendulum, rng):
     cert, policy, batch = _dec_fd_setup(pendulum, rng, 41)
     delta = 0.01
 
     def f():
-        L = linf_lipschitz_bound(cert.net, iters=300)[0]
-        return loss_dec_grads(cert, policy, pendulum, batch, "neighbor",
-                              delta=delta, L_p=L)[0]
+        return dec_loss(cert, policy, pendulum, batch, "lip-neighbor", delta=delta,
+                        spectral_iters=300)[0]
 
-    val, cg, pg, gX, _ = loss_dec_grads(
-        cert, policy, pendulum, batch, "neighbor", delta=delta, spectral_iters=300
-    )
+    val, cg, pg, _ = dec_loss(cert, policy, pendulum, batch, "lip-neighbor",
+                              delta=delta, spectral_iters=300)
     assert val == pytest.approx(f())
     assert val > 0
     assert rel_err(cg, fd_param_grads(f, cert.net.params())) < 1e-4
     assert rel_err(pg, fd_param_grads(f, policy.params())) < 1e-4
-
-    def fx(X):
-        return loss_dec_grads(cert, policy, pendulum, Batch(X), "neighbor",
-                              delta=delta, spectral_iters=300)[0]
-
-    assert rel_err([gX], [fd_input_grads(fx, batch.states)]) < 1e-4
 
 
 def test_loss_lip_global_gradients_match_fd(rng):
@@ -538,7 +538,7 @@ def test_loss_lip_global_gradients_match_fd(rng):
 # theorem: zero neighbor loss implies the robust condition on the batch
 
 
-def test_zero_neighbor_loss_implies_ball_descent(rng):
+def test_zero_neighbor_loss_implies_ball_descent(rng, monkeypatch):
     env = TinyEnvWrapper()
     params = ClbfParams(epsilon=0.01)
     # v(t) = |t| via a relu pair; true decrease v(x) - v(x/2) = |x| / 2
@@ -550,8 +550,8 @@ def test_zero_neighbor_loss_implies_ball_descent(rng):
     policy = affine_scalar_net([0.0], 0.0)
     X = rng.uniform(0.3, 1.0, (512, 1))
     delta = 0.02
-    L = linf_lipschitz_bound(net)[0]
-    assert loss_dec_grads(cert, policy, env, Batch(X), "neighbor", delta=delta, L_p=L)[0] == 0.0
+    fixed_lipschitz_bound(monkeypatch, linf_lipschitz_bound(net)[0])
+    assert dec_loss(cert, policy, env, Batch(X), "lip-neighbor", delta=delta)[0] == 0.0
     # exhaustive ball sampling: raw value everywhere in the ball drops enough
     for x in X[:64]:
         nxt = 0.5 * x
@@ -615,7 +615,7 @@ def test_total_loss_rejects_unknown_method():
 @pytest.mark.parametrize("method", ["vanilla", "lip-reg", "pgd", "lip-neighbor"])
 def test_total_loss_rejects_negative_delta(method):
     # a negative radius would loosen the descent condition (the neighbour
-    # slack -L_p * delta turns positive), whatever the method
+    # slack -L * delta turns positive), whatever the method
     with pytest.raises(ValueError, match="delta"):
         TotalLossConfig(method, LossWeights(), -0.1).validate()
 
@@ -656,3 +656,37 @@ def test_total_loss_gradients_match_fd(pendulum, rng):
         assert val == pytest.approx(f()), method
         assert rel_err(cg, fd_param_grads(f, cert.net.params())) < 1e-4, method
         assert rel_err(pg, fd_param_grads(f, policy.params())) < 1e-4, method
+
+
+@pytest.mark.parametrize("method", ["vanilla", "lip-reg", "pgd", "lip-neighbor"])
+def test_total_loss_is_the_weighted_sum_of_its_terms_bit_for_bit(pendulum, rng, method):
+    cert = small_cert(pendulum, seed=71, dims=(8, 6))
+    cert.net.biases[-1][0] += 1.1  # both hinges active on part of the batches
+    policy = small_policy(pendulum, seed=72, dims=(6,))
+    init_b = Batch(rng.uniform(-0.3, 0.3, (8, 2)), np.arange(8) % 3 == 0)
+    dec_b = Batch(pendulum.sample_states(rng, 32), np.arange(32) % 4 == 0)
+    lw = LossWeights(lambda_init=1.5, lambda_dec=7.0, lambda_lip_global=0.3, tau=0.5,
+                     ce_weight=3.0)
+    cfg = TotalLossConfig(method, lw, 0.02, PgdConfig(delta=0.02, steps=8, restarts=2), 20)
+    vs = linf_lipschitz_bound(cert.net, 5)[2]  # a warm start for the power iteration
+
+    val, cg, pg, new_vs = total_loss_grads(cfg, cert, policy, pendulum, init_b, dec_b,
+                                           np.random.default_rng(3), vs)
+    dec_val, dec_cg, dec_pg, dec_vs = loss_dec_grads(cfg, cert, policy, pendulum, dec_b,
+                                                     np.random.default_rng(3), vs)
+    init_val, init_cg = loss_init_grads(cfg, cert, init_b)
+    assert dec_val > 0 and init_val > 0
+    want_val = lw.lambda_init * init_val + lw.lambda_dec * dec_val
+    want_cg = [lw.lambda_init * a + lw.lambda_dec * b for a, b in zip(init_cg, dec_cg)]
+    want_vs = dec_vs
+    if method == "lip-reg":
+        lip_val, lip_cg, want_vs = loss_lip_global_grads(cert.net, lw.tau,
+                                                         cfg.spectral_iters, vs)
+        assert lip_val > 0
+        want_val += lw.lambda_lip_global * lip_val
+        want_cg = [g + lw.lambda_lip_global * c for g, c in zip(want_cg, lip_cg)]
+    assert val == want_val
+    for g, w in zip(cg + pg, want_cg + [lw.lambda_dec * d for d in dec_pg]):
+        assert np.array_equal(g, w)
+    for v, w in zip(new_vs, want_vs):
+        assert np.array_equal(v, w)

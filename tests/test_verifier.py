@@ -26,7 +26,6 @@ from clbf.verifier import (
     _violation_grad,
     _vol_fraction,
     ball_max,
-    bisect_largest_passing,
     certify_delta,
     check_init,
     check_robust_decrease,
@@ -981,27 +980,46 @@ def test_every_witness_passes_an_outside_recheck(env_name, seed, beta, delta):
 # bisection / certify_delta
 
 
-def test_bisection_reference_case():
-    passes = lambda d: d <= 0.0123
-    best, _ = bisect_largest_passing(passes, 0.0, 0.1, 1e-4)
+def certify_with_decrease(monkeypatch, passes, **kwargs):
+    """certify_delta on the 1-d contraction, with the decrease check replaced
+    by the predicate passes(delta): Proved where it holds, else Unknown."""
+    env = synth_env_1d()
+    cert = FilteredCertificate(abs_net(), ClbfParams(epsilon=0.1), env)
+
+    def stub(cert, policy, env, delta, epsilon, cfg=None):
+        return Verdict("proved" if passes(delta) else "unknown", "decrease")
+
+    monkeypatch.setattr(clbf.verifier, "check_robust_decrease", stub)
+    return certify_delta(cert, zero_policy(), env, **kwargs)
+
+
+def failed_probes(info):
+    return [d for d, status in info["history"] if status != "proved"]
+
+
+def test_bisection_reference_case(monkeypatch):
+    best, _ = certify_with_decrease(monkeypatch, lambda d: d <= 0.0123,
+                                    delta_hi=0.1, tol=1e-4)
     assert 0.0122 <= best <= 0.0123
 
 
-def test_bisection_against_stub_thresholds(rng):
+def test_bisection_against_stub_thresholds(rng, monkeypatch):
     for _ in range(100):
         thresh = rng.uniform(1e-3, 0.099)
-        best, hist = bisect_largest_passing(lambda d: d <= thresh, 0.0, 0.1, 1e-4)
+        best, info = certify_with_decrease(monkeypatch, lambda d: d <= thresh,
+                                           delta_hi=0.1, tol=1e-4)
         assert thresh - 1e-4 < best <= thresh
         # never exceeds any delta that failed
-        fails = [d for d, ok in hist if not ok]
-        assert all(best <= d for d in fails)
+        assert all(best <= d for d in failed_probes(info))
 
 
-def test_bisection_degenerate_cases():
-    best, hist = bisect_largest_passing(lambda d: False, 0.0, 0.1)
-    assert best is None and hist == [(0.0, False)]
-    best, _ = bisect_largest_passing(lambda d: True, 0.0, 0.1)
-    assert best == 0.1
+def test_bisection_degenerate_cases(monkeypatch):
+    best, info = certify_with_decrease(monkeypatch, lambda d: False, delta_hi=0.1)
+    assert best == 0.0 and info["history"] == [(0.0, "unknown")]
+    assert info["reason"] == "decrease condition fails at delta=0"
+    best, info = certify_with_decrease(monkeypatch, lambda d: True, delta_hi=0.1)
+    assert best == 0.1 and info["history"] == [(0.0, "proved"), (0.1, "proved")]
+    assert "reason" not in info
 
 
 def probe_limited(passes, limit=500):
@@ -1019,37 +1037,32 @@ def probe_limited(passes, limit=500):
     return probe
 
 
-def test_bisection_below_the_float_spacing_ends(rng):
-    # a tol below the spacing of floats ends the search when lo and hi are
-    # adjacent floats, lo passing and hi failing: lo is the threshold itself
+def test_bisection_below_the_float_spacing_ends(rng, monkeypatch):
+    # a tol below the spacing of floats ends the search when its ends are
+    # adjacent floats, the lower passing and the upper failing: the lower
+    # is the threshold itself
     for _ in range(20):
         thresh = rng.uniform(1e-3, 0.099)
-        best, hist = bisect_largest_passing(
-            probe_limited(lambda d: d <= thresh), 0.0, 0.1, 1e-300)
+        best, info = certify_with_decrease(
+            monkeypatch, probe_limited(lambda d: d <= thresh), delta_hi=0.1, tol=1e-300)
         assert best == thresh
-        assert min(d for d, ok in hist if not ok) == np.nextafter(thresh, np.inf)
+        assert min(failed_probes(info)) == np.nextafter(thresh, np.inf)
 
 
-def test_bisection_rejects_a_tolerance_that_is_not_positive():
+def test_bisection_rejects_a_tolerance_that_is_not_positive(monkeypatch):
     for tol in (0.0, -1e-4, float("nan")):
         with pytest.raises(ValueError, match="tol must be positive"):
-            bisect_largest_passing(probe_limited(lambda d: d <= 0.01), 0.0, 0.1, tol)
+            certify_with_decrease(monkeypatch, probe_limited(lambda d: d <= 0.01),
+                                  delta_hi=0.1, tol=tol)
 
 
 def test_certify_delta_with_a_tolerance_below_the_float_spacing(monkeypatch):
-    env = synth_env_1d()
-    cert = FilteredCertificate(abs_net(), ClbfParams(epsilon=0.1), env)
     thresh = 0.0123
-    decrease = probe_limited(lambda delta: delta <= thresh)
-
-    def stub(cert, policy, env, delta, epsilon, cfg=None):
-        return Verdict("proved" if decrease(delta) else "unknown", "decrease")
-
-    monkeypatch.setattr(clbf.verifier, "check_robust_decrease", stub)
-    delta, _ = certify_delta(cert, zero_policy(), env, delta_hi=0.05, tol=1e-300)
+    delta, _ = certify_with_decrease(monkeypatch, probe_limited(lambda d: d <= thresh),
+                                     delta_hi=0.05, tol=1e-300)
     assert delta == thresh
     with pytest.raises(ValueError, match="tol must be positive"):
-        certify_delta(cert, zero_policy(), env, delta_hi=0.05, tol=0.0)
+        certify_with_decrease(monkeypatch, lambda d: d <= thresh, delta_hi=0.05, tol=0.0)
 
 
 def test_certify_delta_on_synthetic_contraction():
@@ -1083,18 +1096,12 @@ def test_certify_delta_reports_a_decrease_failure_at_zero():
 
 
 def test_certify_delta_bisects_a_monotone_decrease_check(monkeypatch):
-    env = synth_env_1d()
-    cert = FilteredCertificate(abs_net(), ClbfParams(epsilon=0.1), env)
     thresh, tol = 0.0123, 1e-4
-
-    def stub(cert, policy, env, delta, epsilon, cfg=None):
-        return Verdict("proved" if delta <= thresh else "unknown", "decrease")
-
-    monkeypatch.setattr(clbf.verifier, "check_robust_decrease", stub)
-    delta, info = certify_delta(cert, zero_policy(), env, delta_hi=0.05, tol=tol)
+    delta, info = certify_with_decrease(monkeypatch, lambda d: d <= thresh,
+                                        delta_hi=0.05, tol=tol)
     assert thresh - tol <= delta <= thresh
     assert "reason" not in info
     history = info["history"]
     assert history[0] == (0.0, "proved") and history[1] == (0.05, "unknown")
     assert all(d <= delta for d, status in history if status == "proved")
-    assert all(d > delta for d, status in history if status != "proved")
+    assert all(d > delta for d in failed_probes(info))
