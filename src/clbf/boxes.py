@@ -1,4 +1,7 @@
-"""Axis-aligned boxes: the unit of state-set geometry and of verification."""
+"""Axis-aligned boxes: the unit of state-set geometry and of verification.
+
+Box is one box of a task set or a check's root; volumes and subtract work on
+whole (k, n) arrays of lower and upper corners."""
 
 from __future__ import annotations
 
@@ -40,14 +43,8 @@ class Box:
         return 0.5 * (self.lo + self.hi)
 
     def volume(self) -> float:
-        """Product of widths over dimensions with positive width.
-
-        Degenerate dimensions (width 0) are skipped so a measure on lower
-        dimensional sets (e.g. a zero-velocity initial slice) stays useful.
-        """
-        w = self.width
-        w = w[w > 0]
-        return float(np.prod(w)) if w.size else 0.0
+        """The box's volume (see volumes)."""
+        return float(volumes(self.lo[None], self.hi[None])[0])
 
     def contains(self, x: np.ndarray) -> np.ndarray | bool:
         """Pointwise membership; accepts a single state or a (k, n) batch."""
@@ -55,13 +52,6 @@ class Box:
         if x.ndim == 1:
             return bool(np.all(x >= self.lo) and np.all(x <= self.hi))
         return np.all((x >= self.lo) & (x <= self.hi), axis=1)
-
-    def intersect(self, other: "Box") -> "Box | None":
-        lo = np.maximum(self.lo, other.lo)
-        hi = np.minimum(self.hi, other.hi)
-        if np.any(lo > hi):
-            return None
-        return Box(lo, hi)
 
     def sample(self, rng: np.random.Generator, k: int) -> np.ndarray:
         """k points uniform in the box; degenerate dims return the fixed value."""
@@ -71,40 +61,53 @@ class Box:
         return np.clip(x, self.lo, self.hi)
 
 
-def subtract_box(base: Box, cut: Box) -> list[Box]:
-    """Tile base minus the interior of cut with disjoint-interior boxes.
+def volumes(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Volume of each of the (k, n) boxes [lo, hi]: the product of its
+    positive widths, taken left to right, and 0 if none is positive, so
+    that a lower dimensional set (a zero-velocity initial slice) has one."""
+    w = hi - lo
+    vol = np.ones(w.shape[0])
+    for d in range(w.shape[1]):
+        vol *= np.where(w[:, d] > 0, w[:, d], 1.0)
+    vol[~np.any(w > 0, axis=1)] = 0.0
+    return vol
 
-    Standard sweep decomposition: for each dimension, peel the slabs of base
-    lying below and above cut, restricting already-processed dimensions to
-    cut's range. Returns [] when cut covers base; returns [base] when they
-    do not overlap.
+
+def subtract(lo: np.ndarray, hi: np.ndarray, cuts: list[Box]):
+    """Tile each of the (k, n) boxes [lo, hi] minus the interiors of the cuts
+    with disjoint-interior boxes: (piece_lo, piece_hi, owner), owner[j] being
+    the row of the box that piece j tiles. Pieces come in box order.
+
+    Standard sweep decomposition, one cut at a time over every piece so far:
+    for each dimension, peel the slabs of a piece lying below and above the
+    cut, restricting already-processed dimensions to the cut's range. A piece
+    the cut misses stays whole; one it covers leaves nothing.
     """
-    inner = base.intersect(cut)
-    if inner is None:
-        return [base]
-    pieces = []
-    lo = base.lo.copy()
-    hi = base.hi.copy()
-    for d in range(base.dim):
-        if inner.lo[d] > lo[d]:
-            p_hi = hi.copy()
-            p_hi[d] = inner.lo[d]
-            pieces.append(Box(lo.copy(), p_hi))
-        if inner.hi[d] < hi[d]:
-            p_lo = lo.copy()
-            p_lo[d] = inner.hi[d]
-            pieces.append(Box(p_lo, hi.copy()))
-        lo[d] = inner.lo[d]
-        hi[d] = inner.hi[d]
-    return pieces
+    owner = np.arange(lo.shape[0])
+    n = lo.shape[1]
+    for cut in cuts:
+        in_lo, in_hi = np.maximum(lo, cut.lo), np.minimum(hi, cut.hi)
+        # slab 2d lies below the cut in dimension d, slab 2d + 1 above it
+        p_lo = np.repeat(lo[:, None], 2 * n, axis=1)
+        p_hi = np.repeat(hi[:, None], 2 * n, axis=1)
+        keep = np.empty((lo.shape[0], 2 * n), dtype=bool)
+        for d in range(n):
+            p_hi[:, 2 * d, d] = in_lo[:, d]
+            p_lo[:, 2 * d + 1, d] = in_hi[:, d]
+            keep[:, 2 * d] = in_lo[:, d] > lo[:, d]
+            keep[:, 2 * d + 1] = in_hi[:, d] < hi[:, d]
+            p_lo[:, 2 * d + 2:, d] = in_lo[:, d, None]
+            p_hi[:, 2 * d + 2:, d] = in_hi[:, d, None]
+        missed = ~np.all(in_lo <= in_hi, axis=1)
+        p_lo[missed, 0], p_hi[missed, 0] = lo[missed], hi[missed]
+        keep[missed] = np.arange(2 * n) == 0
+        lo, hi = p_lo[keep], p_hi[keep]
+        owner = np.repeat(owner, keep.sum(axis=1))
+    return lo, hi, owner
 
 
 def subtract_boxes(base: list[Box], cuts: list[Box]) -> list[Box]:
-    """Tile the union of base boxes minus the union of cut boxes."""
-    pieces = list(base)
-    for cut in cuts:
-        nxt = []
-        for b in pieces:
-            nxt.extend(subtract_box(b, cut))
-        pieces = nxt
-    return pieces
+    """Tile the union of base boxes minus the union of cut boxes (subtract)."""
+    lo, hi, _ = subtract(np.stack([b.lo for b in base]),
+                         np.stack([b.hi for b in base]), cuts)
+    return [Box(l, h) for l, h in zip(lo, hi)]

@@ -354,7 +354,8 @@ def tau_search(config: TrainConfig, resolution: float = 0.25,
     """
     if not resolution > 0:
         raise ValueError("resolution must be positive")
-    cfg = replace(config.resolved(), method="vanilla")
+    # each run's defaults (delta among them) are those of its own method
+    cfg = replace(config, method="vanilla").resolved()
     env = env or make_env(cfg.env_name)
     vanilla = cegis_run(cfg, env)
     info = {"vanilla_status": vanilla.status, "probes": []}
@@ -367,7 +368,7 @@ def tau_search(config: TrainConfig, resolution: float = 0.25,
 
     def converges(tau):
         nonlocal best_run
-        run = cegis_run(replace(cfg, method="lip-reg", tau=float(tau)), env)
+        run = cegis_run(replace(config, method="lip-reg", tau=float(tau)).resolved(), env)
         info["probes"].append((float(tau), run.status))
         if run.success:  # bisection keeps each converging probe as its end
             best_run = run

@@ -5,7 +5,8 @@ task sets: goal states evaluate to a fixed low mask, unsafe states to a fixed
 high mask, at least alpha. Filtering discharges the barrier condition by
 construction: no check or training sample is needed in the unsafe set. The
 verifier bounds the filtered value over boxes from above with one routine,
-filtered_upper_bound; no check needs a lower bound of it. The same bound
+filtered_upper_bound, on whole (k, n) arrays of boxes; no check needs a
+lower bound of it. The same bound
 over a delta-ball screens the descent condition (decrease_may_fail) for the
 verifier's counterexample hunt and for adversarial training alike.
 """
@@ -16,7 +17,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .boxes import Box
 from .envs import EnvSpec
 from .nets import Mlp, ibp_bounds, scalar_value
 
@@ -96,30 +96,19 @@ def filtered_upper_bound(
 
     The mask value of each set a box meets counts, and the network is bounded
     only on the part of the box outside the masked sets, tiled exactly by
-    env.unmasked_pieces. Every tile lies inside its box and the same mask
-    values count, so at each box this bound is at most the whole-box bound
-    (the network's interval bound over the whole box, raised to the masks of
-    the sets it meets), up to float rounding.
+    env.unmasked_pieces: one interval pass over all pieces, and each box
+    takes the largest bound of its own. Every tile lies inside its box and
+    the same mask values count, so at each box this bound is at most the
+    whole-box bound (the network's interval bound over the whole box, raised
+    to the masks of the sets it meets), up to float rounding.
     """
     env, p = cert.env, cert.params
-    g_int = env.goal_intersects(lo, hi)
     u_int = env.unsafe_intersects(lo, hi)
     out = np.full(lo.shape[0], -np.inf)
-    out[g_int] = p.goal_mask
+    out[env.goal_intersects(lo, hi)] = p.goal_mask
     out[u_int] = np.maximum(out[u_int], p.unsafe_mask)
-    plain = ~g_int & ~u_int
-    if np.any(plain):
-        out[plain] = ibp_bounds(cert.net, lo[plain], hi[plain])[1][:, 0]
-    # boxes that straddle a mask boundary: tile the unmasked part exactly
-    piece_lo, piece_hi, owner = [], [], []
-    for i in np.flatnonzero(~plain):
-        for piece in env.unmasked_pieces(Box(lo[i], hi[i])):
-            piece_lo.append(piece.lo)
-            piece_hi.append(piece.hi)
-            owner.append(i)
-    if owner:
-        n_hi = ibp_bounds(cert.net, np.stack(piece_lo), np.stack(piece_hi))[1]
-        np.maximum.at(out, np.asarray(owner), n_hi[:, 0])
+    piece_lo, piece_hi, owner = env.unmasked_pieces(lo, hi)
+    np.maximum.at(out, owner, ibp_bounds(cert.net, piece_lo, piece_hi)[1][:, 0])
     return out
 
 

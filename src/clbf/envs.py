@@ -15,7 +15,7 @@ from typing import Callable
 
 import numpy as np
 
-from .boxes import Box, subtract_boxes
+from .boxes import Box, subtract, subtract_boxes
 
 
 # ---------------------------------------------------------------------------
@@ -63,11 +63,12 @@ class EnvSpec:
     unsafe_boxes then tiles it within domain, and the decrease check searches
     them for an unsafe point of a perturbation ball. The two sets are
     disjoint: a goal box that meets the unsafe set raises ValueError.
-    The set predicates, unmasked_pieces(box) (a tiling of the part of a box outside
-    both sets, where the network rather than a mask gives the value) and
-    eligible_cover = unmasked_pieces(domain) are derived from these boxes when
-    left None. They stay settable because perfbench/synth.py passes them
-    by keyword.
+
+    unmasked_pieces tiles the part of boxes outside both sets, where the
+    network rather than a mask gives the value; it is always derived from
+    these boxes. The set predicates and eligible_cover (the unmasked pieces
+    of domain) are derived from them too when left None. Those stay settable
+    fields because perfbench/synth.py passes them by keyword.
     """
 
     name: str
@@ -90,7 +91,6 @@ class EnvSpec:
     unsafe_intersects: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
     unsafe_contains: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
     eligible_cover: list[Box] | None = None
-    unmasked_pieces: Callable[[Box], list[Box]] | None = None
 
     def __post_init__(self):
         goal, unsafe, safe = self.goal_boxes, self.unsafe_boxes, self.safe_box
@@ -101,7 +101,6 @@ class EnvSpec:
             in_unsafe=lambda x: _boxes_contain(unsafe, x, x),
             unsafe_intersects=lambda lo, hi: _boxes_intersect(unsafe, lo, hi),
             unsafe_contains=lambda lo, hi: _boxes_contain(unsafe, lo, hi),
-            unmasked_pieces=lambda box: subtract_boxes([box], goal + unsafe),
         )
         if safe is not None:
             # a box meets the complement of safe iff it is not inside safe,
@@ -110,7 +109,6 @@ class EnvSpec:
                 in_unsafe=lambda x: ~_boxes_contain([safe], x, x),
                 unsafe_intersects=lambda lo, hi: ~_boxes_contain([safe], lo, hi),
                 unsafe_contains=lambda lo, hi: ~_boxes_intersect([safe], lo, hi),
-                unmasked_pieces=lambda box: _safe_pieces(box, safe, goal),
             )
         for name, fn in derived.items():
             if getattr(self, name) is None:
@@ -119,7 +117,20 @@ class EnvSpec:
             if self.unsafe_intersects(g.lo, g.hi)[0]:
                 raise ValueError(f"goal box {g} meets the unsafe set")
         if self.eligible_cover is None:
-            self.eligible_cover = self.unmasked_pieces(self.domain)
+            lo, hi, _ = self.unmasked_pieces(self.domain.lo[None], self.domain.hi[None])
+            self.eligible_cover = [Box(l, h) for l, h in zip(lo, hi)]
+
+    def unmasked_pieces(self, lo: np.ndarray, hi: np.ndarray):
+        """Tile the part of each of the (k, n) boxes [lo, hi] outside the goal
+        and unsafe sets: (piece_lo, piece_hi, owner) as boxes.subtract gives
+        them. With safe_box, each box is clipped to it first."""
+        if self.safe_box is None:
+            return subtract(lo, hi, self.goal_boxes + self.unsafe_boxes)
+        lo = np.maximum(lo, self.safe_box.lo)
+        hi = np.minimum(hi, self.safe_box.hi)
+        rows = np.flatnonzero(np.all(lo <= hi, axis=1))
+        p_lo, p_hi, owner = subtract(lo[rows], hi[rows], self.goal_boxes)
+        return p_lo, p_hi, rows[owner]
 
     def clamp_control(self, u: np.ndarray) -> np.ndarray:
         return np.clip(u, self.control_box.lo, self.control_box.hi)
@@ -144,11 +155,6 @@ class EnvSpec:
             keep = ~self.in_goal(cand) & ~self.in_unsafe(cand)
             out = np.concatenate([out, cand[keep]])
         return out[:k]
-
-
-def _safe_pieces(box: Box, safe: Box, goal: list[Box]) -> list[Box]:
-    inner = box.intersect(safe)
-    return [] if inner is None else subtract_boxes([inner], goal)
 
 
 def _boxes_intersect(boxes: list[Box], lo: np.ndarray, hi: np.ndarray) -> np.ndarray:

@@ -48,7 +48,7 @@ from dataclasses import InitVar, dataclass, field, replace
 import numpy as np
 
 from .adversary import PgdConfig, check_delta, pgd_maximize_batch
-from .boxes import Box
+from .boxes import Box, volumes
 from .certificate import (FilteredCertificate, decrease_may_fail,
                           filtered_upper_bound)
 from .envs import EnvSpec
@@ -176,8 +176,8 @@ def _branch_and_bound(roots: list[Box], cfg: BnbConfig, condition: str,
 
     if not roots:
         return Verdict("proved", condition)
-    queue = deque([tested(np.stack([b.lo for b in roots]),
-                          np.stack([b.hi for b in roots]))])
+    r_lo, r_hi = np.stack([b.lo for b in roots]), np.stack([b.hi for b in roots])
+    queue = deque([tested(r_lo, r_hi)])
     processed = rounds = 0
     residue = []  # (lo, hi) arrays of the Unknown boxes
     witnesses: list[Witness] = []
@@ -212,7 +212,7 @@ def _branch_and_bound(roots: list[Box], cfg: BnbConfig, condition: str,
     residue.extend((lo, hi) for lo, hi, _ in queue)
     u_lo, u_hi = (np.concatenate(a) for a in zip(*residue))
     status = "counterexample" if witnesses else "unknown" if len(u_lo) else "proved"
-    total_vol = sum(b.volume() for b in roots)
+    total_vol = sum(volumes(r_lo, r_hi).tolist())
     return Verdict(status, condition, witnesses=witnesses, unknown_lo=u_lo, unknown_hi=u_hi,
                    unknown_volume_fraction=_vol_fraction(u_lo, u_hi, total_vol),
                    boxes_processed=processed)
@@ -220,16 +220,10 @@ def _branch_and_bound(roots: list[Box], cfg: BnbConfig, condition: str,
 
 def _vol_fraction(lo, hi, total_vol):
     """Share of total_vol in the boxes with (k, n) corners lo and hi, bit for
-    bit the built-in sum of their Box.volume: per box the product of its
-    positive widths, taken left to right (0 if none is positive)."""
+    bit the built-in sum of their Box.volume."""
     if total_vol <= 0:
         return 0.0
-    w = hi - lo
-    vol = np.ones(w.shape[0])
-    for d in range(w.shape[1]):
-        vol *= np.where(w[:, d] > 0, w[:, d], 1.0)
-    vol[~np.any(w > 0, axis=1)] = 0.0
-    return min(1.0, sum(vol.tolist()) / total_vol)
+    return min(1.0, sum(volumes(lo, hi).tolist()) / total_vol)
 
 
 # ---------------------------------------------------------------------------
@@ -330,30 +324,33 @@ def ball_max(cert: FilteredCertificate, nxt: np.ndarray, v_nxt: np.ndarray,
         best_y[rows[up]] = y[rows[up]]
     # a ball reaching into the unsafe set realizes the unsafe mask
     ball_lo, ball_hi = nxt - delta, nxt + delta
-    hits = active & env.unsafe_intersects(ball_lo, ball_hi) & (p.unsafe_mask > best_v)
-    for i in np.flatnonzero(hits):
-        y_u = _point_in_unsafe(env, Box(ball_lo[i], ball_hi[i]))
-        if y_u is not None:
-            best_y[i] = y_u
-            best_v[i] = p.unsafe_mask
+    rows = np.flatnonzero(active & env.unsafe_intersects(ball_lo, ball_hi)
+                          & (p.unsafe_mask > best_v))
+    if rows.size:
+        found, y_u = _points_in_unsafe(env, ball_lo[rows], ball_hi[rows])
+        best_y[rows[found]] = y_u[found]
+        best_v[rows[found]] = p.unsafe_mask
     return best_v, best_y
 
 
-def _point_in_unsafe(env: EnvSpec, ball: Box) -> np.ndarray | None:
-    """A concrete point of the ball in the unsafe set, if one is found."""
-    for ub in env.unsafe_boxes:
-        inter = ball.intersect(ub)
-        if inter is not None and env.in_unsafe(inter.center[None])[0]:
-            return inter.center
-    # the ball may exit the tiled region (e.g. beyond the verification
-    # domain); try pushing single coordinates to the ball extremes
-    for d in range(ball.dim):
-        for val in (ball.lo[d], ball.hi[d]):
-            y = ball.center.copy()
-            y[d] = val
-            if env.in_unsafe(y[None])[0]:
-                return y
-    return None
+def _points_in_unsafe(env: EnvSpec, lo: np.ndarray, hi: np.ndarray):
+    """A concrete point in the unsafe set of each of the (k, n) balls
+    [lo, hi], where one is found: (found mask, points). Each row takes the
+    first candidate in_unsafe accepts: the centre of its part in each unsafe
+    box, then, since the ball may exit the tiled region (e.g. beyond the
+    verification domain), its centre with coordinate d pushed to lo[d] or
+    hi[d], for each d in turn."""
+    k, n = lo.shape
+    u_lo = np.maximum(lo, np.array([b.lo for b in env.unsafe_boxes]).reshape(-1, 1, n))
+    u_hi = np.minimum(hi, np.array([b.hi for b in env.unsafe_boxes]).reshape(-1, 1, n))
+    pushed = np.repeat(0.5 * (lo + hi)[None], 2 * n, axis=0)
+    for d in range(n):
+        pushed[2 * d, :, d], pushed[2 * d + 1, :, d] = lo[:, d], hi[:, d]
+    cands = np.concatenate([0.5 * (u_lo + u_hi), pushed])  # (candidates, k, n)
+    ok = np.concatenate([np.all(u_lo <= u_hi, axis=2), np.ones((2 * n, k), dtype=bool)])
+    ok &= env.in_unsafe(cands.reshape(-1, n)).reshape(ok.shape)
+    first = np.argmax(ok, axis=0)
+    return ok[first, np.arange(k)], cands[first, np.arange(k)]
 
 
 def _hunt_decrease_ce(cert, policy, env, lo, hi, delta, epsilon, cfg, rng):

@@ -247,3 +247,16 @@ def test_tau_search_below_the_float_spacing_ends(monkeypatch, pendulum):
     assert max(t for t, status in info["probes"] if status != "certified") \
         == np.nextafter(2.5, -np.inf)
     assert len(runs) == len(info["probes"]) + 1  # the vanilla run
+
+
+def test_tau_search_resolves_each_run_for_its_own_method(monkeypatch, pendulum):
+    # the caller's method is replaced before the defaults are resolved, so
+    # pgd's delta default does not carry into the vanilla and lip-reg runs
+    seen = {}
+    for method in ("pgd", "vanilla"):
+        seen[method] = []
+        monkeypatch.setattr(clbf.cegis, "cegis_run",
+                            fake_cegis_run(pendulum, runs=seen[method]))
+        tau_search(TrainConfig(method=method), env=pendulum)
+    assert len(seen["pgd"]) > 2 and seen["pgd"] == seen["vanilla"]
+    assert all(cfg.delta == 0.0 for cfg in seen["pgd"])

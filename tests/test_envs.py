@@ -288,7 +288,7 @@ def test_unknown_constants_are_rejected(name, typo):
 
 
 # ---------------------------------------------------------------------------
-# EnvSpec built without unmasked_pieces (as perfbench/synth.py builds it)
+# EnvSpec built from boxes alone
 
 
 def _bare_env(goal, unsafe, **kw):
@@ -317,19 +317,21 @@ def _as_pairs(boxes):
     return [(b.lo.tolist(), b.hi.tolist()) for b in boxes]
 
 
-def test_unmasked_pieces_default_and_override():
+def test_unmasked_pieces_subtract_the_goal_and_unsafe_boxes():
     box = Box(np.array([-1.0, -1.0]), np.array([1.0, 1.0]))
     goal = [Box(np.array([-0.2, -0.2]), np.array([0.2, 0.2]))]
     unsafe = [Box(np.array([0.6, 0.6]), np.array([1.0, 1.0]))]
     env = _bare_env(goal, unsafe)
-    pieces = env.unmasked_pieces(box)
-    assert len(pieces) > 1
-    assert _as_pairs(pieces) == _as_pairs(subtract_boxes([box], goal + unsafe))
+    lo, hi, owner = env.unmasked_pieces(box.lo[None], box.hi[None])
+    assert len(lo) > 1 and owner.tolist() == [0] * len(lo)
+    assert _array_pairs(lo, hi) == _as_pairs(subtract_boxes([box], goal + unsafe))
 
-    assert _as_pairs(_bare_env([], []).unmasked_pieces(box)) == _as_pairs([box])
+    lo, hi, owner = _bare_env([], []).unmasked_pieces(box.lo[None], box.hi[None])
+    assert _array_pairs(lo, hi) == _as_pairs([box]) and owner.tolist() == [0]
 
-    mine = lambda b: []
-    assert _bare_env(goal, unsafe, unmasked_pieces=mine).unmasked_pieces is mine
+
+def _array_pairs(lo, hi):
+    return [(l.tolist(), h.tolist()) for l, h in zip(lo, hi)]
 
 
 # ---------------------------------------------------------------------------
@@ -353,7 +355,7 @@ def env_and_box(draw):
     safe = [] if env.safe_box is None else [env.safe_box]
     anchor = draw(st.sampled_from([None, *env.goal_boxes, *env.unsafe_boxes, *safe]))
     if anchor is not None and draw(st.booleans()):
-        region = region.intersect(anchor)
+        region = Box(np.maximum(region.lo, anchor.lo), np.minimum(region.hi, anchor.hi))
     fracs = draw(st.lists(st.floats(0.0, 1.0), min_size=2 * n, max_size=2 * n))
     f = np.sort(np.array(fracs).reshape(2, n), axis=0)
     box = Box(region.lo + f[0] * region.width, region.lo + f[1] * region.width)
@@ -392,22 +394,28 @@ def test_box_predicates_agree_with_points(case):
 @given(env_and_box())
 def test_unmasked_pieces_tile_box_minus_sets(case):
     env, box, seed = case
-    pieces = env.unmasked_pieces(box)
-    for p in pieces:
-        assert np.all(p.lo >= box.lo) and np.all(p.hi <= box.hi)
-    if pieces:
-        centres = np.stack([p.center for p in pieces])
-        assert not np.any(env.in_goal(centres) | env.in_unsafe(centres))
+    # in one batch: the box, its translate beyond the domain, the box again
+    far = env.domain.width + 1.0
+    lo = np.stack([box.lo, box.lo + far, box.lo])
+    hi = np.stack([box.hi, box.hi + far, box.hi])
+    p_lo, p_hi, owner = env.unmasked_pieces(lo, hi)
+    assert np.all(np.diff(owner) >= 0)
+    assert np.all(p_lo >= lo[owner]) and np.all(p_hi <= hi[owner])
+    centres = 0.5 * (p_lo + p_hi)
+    assert not np.any(env.in_goal(centres) | env.in_unsafe(centres))
+    mine = owner == 0
+    assert np.array_equal(p_lo[owner == 2], p_lo[mine])
+    assert np.array_equal(p_hi[owner == 2], p_hi[mine])
+    lo, hi = p_lo[mine], p_hi[mine]
+    if mine.any():
         # pairwise-disjoint interiors: every pair is separated in some dimension
-        lo = np.stack([p.lo for p in pieces])
-        hi = np.stack([p.hi for p in pieces])
         overlap = np.all(np.minimum(hi[:, None], hi[None]) > np.maximum(lo[:, None], lo[None]),
                          axis=2)
-        assert not np.any(overlap & ~np.eye(len(pieces), dtype=bool))
+        assert not np.any(overlap & ~np.eye(len(lo), dtype=bool))
     pts = _box_points(box, seed)
     free = pts[~env.in_goal(pts) & ~env.in_unsafe(pts)]
     covered = np.zeros(free.shape[0], dtype=bool)
-    for p in pieces:
-        covered |= p.contains(free)
+    for l, h in zip(lo, hi):
+        covered |= Box(l, h).contains(free)
     assert np.all(covered)
 

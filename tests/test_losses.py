@@ -112,6 +112,9 @@ class TinyEnvWrapper:
     def unsafe_intersects(self, lo, hi):
         return np.zeros(np.atleast_2d(lo).shape[0], dtype=bool)
 
+    def unmasked_pieces(self, lo, hi):
+        return lo, hi, np.arange(lo.shape[0])
+
     def step(self, X, U):
         return 0.5 * np.atleast_2d(X)
 
@@ -321,6 +324,9 @@ class ExactEnv2d:
         return np.zeros(np.atleast_2d(lo).shape[0], dtype=bool)
 
     unsafe_intersects = goal_intersects
+
+    def unmasked_pieces(self, lo, hi):
+        return lo, hi, np.arange(lo.shape[0])
 
     def step(self, X, U):
         Y = 0.5 * np.atleast_2d(X)

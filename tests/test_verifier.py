@@ -20,7 +20,7 @@ from clbf.verifier import (
     Witness,
     _branch_and_bound,
     _lex_sorted,
-    _point_in_unsafe,
+    _points_in_unsafe,
     _recheck_decrease,
     _split_widest,
     _violation_grad,
@@ -595,12 +595,10 @@ def unscreened_exact_violation(cert, env, X, nxt, raw_x, v_nxt, delta, epsilon,
         best_v = np.where(better, v, best_v)
         best_y[better] = y[better]
     ball_lo, ball_hi = nxt - delta, nxt + delta
-    hits = env.unsafe_intersects(ball_lo, ball_hi) & (p.unsafe_mask > best_v)
-    for i in np.flatnonzero(hits):
-        y_u = _point_in_unsafe(env, Box(ball_lo[i], ball_hi[i]))
-        if y_u is not None:
-            best_y[i] = y_u
-            best_v[i] = p.unsafe_mask
+    rows = np.flatnonzero(env.unsafe_intersects(ball_lo, ball_hi) & (p.unsafe_mask > best_v))
+    found, y_u = _points_in_unsafe(env, ball_lo[rows], ball_hi[rows])
+    best_y[rows[found]] = y_u[found]
+    best_v[rows[found]] = p.unsafe_mask
     viol = np.where(eligible, epsilon - (v_x - best_v), -np.inf)
     return viol, best_y, X.shape[0] if delta > 0 else 0
 
@@ -879,20 +877,71 @@ def test_hunt_counts_are_zero_without_pgd(pendulum):
 def test_point_in_unsafe_finds_a_point_of_the_unsafe_set():
     # goal [0, 0.2], unsafe set [0.25, 1]
     env = halving_env_1d()
-    assert _point_in_unsafe(env, Box(np.array([0.0]), np.array([0.2]))) is None
+    found, _ = _points_in_unsafe(env, np.array([[0.0]]), np.array([[0.2]]))
+    assert found.tolist() == [False]
     for ball in (Box(np.array([0.1]), np.array([0.3])),
                  Box(np.array([0.3]), np.array([0.85]))):
-        y = _point_in_unsafe(env, ball)
-        assert env.in_unsafe(y[None])[0] and ball.contains(y[None])[0]
+        found, y = _points_in_unsafe(env, ball.lo[None], ball.hi[None])
+        assert found.tolist() == [True]
+        assert env.in_unsafe(y)[0] and ball.contains(y)[0]
 
 
 def test_point_in_unsafe_pushes_a_coordinate_beyond_the_domain(docking):
     # a ball past the verification domain meets no unsafe tile, but it lies
     # outside the safe band, so a ball point is still unsafe
     ball = Box(np.array([2.55, 0.0, 0.0, 0.0]), np.array([2.65, 0.1, 0.1, 0.1]))
-    assert all(ball.intersect(ub) is None for ub in docking.unsafe_boxes)
-    y = _point_in_unsafe(docking, ball)
-    assert docking.in_unsafe(y[None])[0] and ball.contains(y[None])[0]
+    assert not any(np.all(np.maximum(ball.lo, ub.lo) <= np.minimum(ball.hi, ub.hi))
+                   for ub in docking.unsafe_boxes)
+    found, y = _points_in_unsafe(docking, ball.lo[None], ball.hi[None])
+    assert found.tolist() == [True]
+    assert docking.in_unsafe(y)[0] and ball.contains(y)[0]
+
+
+def test_points_in_unsafe_mixes_found_and_missing_rows(docking):
+    # rows: inside the safe band; across its x = 2 face; past the domain;
+    # inside again; across the vy = -0.5 face
+    lo = np.array([[0.0, 0.0, 0.0, 0.0], [1.95, 0.0, 0.0, 0.0], [2.55, 0.0, 0.0, 0.0],
+                   [-1.0, -1.0, -0.1, -0.1], [0.0, 0.0, 0.0, -0.55]])
+    hi = lo + 0.1
+    found, y = _points_in_unsafe(docking, lo, hi)
+    assert found.tolist() == [False, True, True, False, True]
+    assert np.all(docking.in_unsafe(y[found]))
+    assert np.all((y[found] >= lo[found]) & (y[found] <= hi[found]))
+    # the tile's part comes first: the centre of the ball's part past x = 2
+    assert np.array_equal(y[1], 0.5 * (np.maximum(lo[1], [2.0, -2.5, -0.75, -0.75])
+                                       + hi[1]))
+
+
+def point_in_unsafe_one(env, lo, hi):
+    """The per-ball search that _points_in_unsafe batches."""
+    centre = 0.5 * (lo + hi)
+    for ub in env.unsafe_boxes:
+        in_lo, in_hi = np.maximum(lo, ub.lo), np.minimum(hi, ub.hi)
+        if np.all(in_lo <= in_hi) and env.in_unsafe(0.5 * (in_lo + in_hi)[None])[0]:
+            return 0.5 * (in_lo + in_hi)
+    for d in range(lo.shape[0]):
+        for val in (lo[d], hi[d]):
+            y = centre.copy()
+            y[d] = val
+            if env.in_unsafe(y[None])[0]:
+                return y
+    return None
+
+
+@pytest.mark.parametrize("env_name", ["pendulum", "docking2d"])
+def test_points_in_unsafe_equals_the_per_ball_search(env_name):
+    env = make_env(env_name)
+    rng = np.random.default_rng(3)
+    centre = rng.uniform(1.2 * env.domain.lo, 1.2 * env.domain.hi, (400, env.state_dim))
+    radius = rng.choice([0.0, 0.01, 0.05, 0.2], (400, 1))
+    lo, hi = centre - radius, centre + radius
+    found, y = _points_in_unsafe(env, lo, hi)
+    assert 0 < np.count_nonzero(found) < 400
+    for i in range(400):
+        want = point_in_unsafe_one(env, lo[i], hi[i])
+        assert found[i] == (want is not None)
+        if want is not None:
+            assert np.array_equal(y[i], want)
 
 
 def rising_at_left_net():
