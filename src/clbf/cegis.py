@@ -1,11 +1,13 @@
 """Counterexample-guided training of the certificate-controller pair.
 
 The loop: regress the policy onto a hand-designed stabilizing teacher, then
-pre-train the certificate with the policy frozen, then alternate between
-joint training (until the total loss reaches zero or the epoch cap) and
-sound verification. States violating a condition are re-sampled into a
-growing counterexample dataset that enters the loss with a large multiplier.
-Also hosts the budget search for the smallest feasible Lipschitz bound.
+alternate between a training phase (until the total loss reaches zero or the
+epoch cap) and sound verification. Certificate pre-training is that training
+phase with the policy frozen and no counterexamples. States violating a
+condition are re-sampled into a growing counterexample store, keyed by the
+verifier's condition names, whose states enter the loss with a large
+multiplier. Also hosts the budget search for the smallest feasible Lipschitz
+bound.
 """
 
 from __future__ import annotations
@@ -103,17 +105,13 @@ class TrainConfig:
                           delta=self.delta, goal_mask=self.goal_mask,
                           unsafe_mask=self.unsafe_mask)
 
-    def loss_weights(self) -> LossWeights:
-        return LossWeights(self.lambda_init, self.lambda_dec, self.lambda_lip_global,
-                           self.tau, self.ce_weight).validate()
-
-    def pgd_config(self) -> PgdConfig:
-        return PgdConfig(steps=self.pgd_steps, delta=self.delta,
-                         restarts=self.pgd_restarts)
-
     def loss_config(self) -> TotalLossConfig:
-        return TotalLossConfig(self.method, self.loss_weights(), self.delta,
-                               self.pgd_config(), self.train_spectral_iters)
+        weights = LossWeights(self.lambda_init, self.lambda_dec, self.lambda_lip_global,
+                              self.tau, self.ce_weight).validate()
+        pgd = PgdConfig(steps=self.pgd_steps, delta=self.delta,
+                        restarts=self.pgd_restarts)
+        return TotalLossConfig(self.method, weights, self.delta, pgd,
+                               self.train_spectral_iters)
 
     def bnb_config(self, max_boxes: int | None = None) -> BnbConfig:
         return BnbConfig(max_boxes=max_boxes or self.max_boxes,
@@ -134,7 +132,7 @@ class CegisResult:
 
 
 # ---------------------------------------------------------------------------
-# teachers and warm start
+# teachers, warm start and the training phase
 
 
 def teacher_control(env: EnvSpec, X: np.ndarray) -> np.ndarray:
@@ -164,8 +162,6 @@ def warm_start(env: EnvSpec, config: TrainConfig,
     U_t = teacher_control(env, X)
 
     opt = Adam(lr=1e-3)
-    mse = np.inf
-
     for step in range(4000):
         idx = rng.integers(0, X.shape[0], cfg.batch_size)
         xb, ub = X[idx], U_t[idx]
@@ -187,50 +183,80 @@ def warm_start(env: EnvSpec, config: TrainConfig,
         cfg.clbf_params(), env,
     )
     # pre-train the certificate with the policy frozen
-    tl_cfg = cfg.loss_config()
-    opt_c = Adam(lr=cfg.lr)
-    vs, val = None, np.nan  # no loss is measured when warmstart_epochs is 0
-    for _ in range(cfg.warmstart_epochs):
-        init_b = Batch(env.sample_init(rng, cfg.batch_size))
-        dec_b = Batch(env.sample_states(rng, cfg.batch_size))
-        val, cg, _, vs = total_loss_grads(tl_cfg, cert, policy, env, init_b,
-                                          dec_b, rng, spectral_vs=vs)
-        if not np.isfinite(val):
-            diag["warmstart_warning"] = "certificate pre-training diverged"
-            break
-        if val < cfg.loss_zero_tol:  # Adam's momentum would still move the weights
-            break
-        opt_c.step(cert.net.params(), cg)
-    diag["warmstart_loss"] = float(val)
+    loss, _, diverged = _train_phase(cfg, cert, policy, env, cfg.warmstart_epochs,
+                                     cert.net.params(), Adam(lr=cfg.lr), rng)
+    if diverged:
+        diag["warmstart_warning"] = "certificate pre-training diverged"
+    # no loss is measured when warmstart_epochs is 0
+    diag["warmstart_loss"] = float(loss) if cfg.warmstart_epochs else np.nan
     return policy, cert, diag
+
+
+def _train_phase(cfg, cert, policy, env, epochs, params, opt, rng, vs=None,
+                 ce=None, deadline=np.inf):
+    """Up to epochs steps of opt on params (the certificate's, then the
+    policy's unless it is frozen) against the total loss of fresh init and
+    decrease states, each mixed with at most ce_cap of the counterexamples
+    that the store ce holds under that condition. Ends at a non-finite loss,
+    at a loss below loss_zero_tol before that step's update (Adam's momentum
+    would still move the weights), or past the deadline. Returns (loss, vs,
+    diverged); loss is inf when no step ran."""
+    tl_cfg = cfg.loss_config()
+    ce = ce or {}
+    loss = np.inf
+    for _ in range(epochs):
+        init_states = env.sample_init(rng, cfg.batch_size)
+        dec_states = env.sample_states(rng, cfg.batch_size)
+        init_b = _with_ce(init_states, ce.get("init"), cfg.ce_cap, rng)
+        dec_b = _with_ce(dec_states, ce.get("decrease"), cfg.ce_cap, rng)
+        loss, cg, pg, vs = total_loss_grads(tl_cfg, cert, policy, env, init_b,
+                                            dec_b, rng, spectral_vs=vs)
+        if not np.isfinite(loss):
+            return loss, vs, True
+        if loss < cfg.loss_zero_tol:
+            break
+        opt.step(params, (cg + pg)[:len(params)])  # drops a frozen policy's
+        if time.monotonic() > deadline:
+            break
+    return loss, vs, False
+
+
+def _with_ce(fresh, ce, cap, rng) -> Batch:
+    """The fresh states, then at most cap of the counterexamples ce (drawn
+    without replacement), which are tagged."""
+    ce = fresh[:0] if ce is None else ce
+    if len(ce) > cap:
+        ce = ce[rng.choice(len(ce), cap, replace=False)]
+    is_ce = np.arange(len(fresh) + len(ce)) >= len(fresh)
+    return Batch(np.concatenate([fresh, ce]), is_ce)
 
 
 # ---------------------------------------------------------------------------
 # counterexample resampling
 
 
-def resample_counterexamples(env: EnvSpec, states: list[np.ndarray], m: int,
+def resample_counterexamples(env: EnvSpec, states: np.ndarray, m: int,
                              radius: float, rng: np.random.Generator,
-                             init_condition: bool) -> np.ndarray:
-    """m uniform samples in the l-inf ball around each counterexample,
-    clipped into the relevant region and filtered to trainable states. An
-    init counterexample's region is the first initial box that contains it;
-    a decrease counterexample's is the domain. The counterexample itself is
-    always kept."""
-    out = []
-    for ce in states:
-        pts = ce + rng.uniform(-radius, radius, (m, len(ce)))
-        if init_condition:
-            box = next((b for b in env.init_boxes if b.contains(ce)),
-                       env.init_boxes[0])
-            pts = box.clip(pts)
-        else:
-            pts = env.domain.clip(pts)
-            keep = ~env.in_goal(pts) & ~env.in_unsafe(pts)
-            pts = pts[keep]
-        out.append(ce[None, :])
-        out.append(pts)
-    return np.concatenate(out) if out else np.empty((0, env.state_dim))
+                             condition: str) -> np.ndarray:
+    """m uniform samples in the l-inf ball around each of the (k, n)
+    counterexample states of the verifier's condition ("init" or
+    "decrease"), clipped into the relevant region and filtered to trainable
+    states. An init counterexample's region is the first initial box that
+    contains it (else the first initial box); a decrease counterexample's is
+    the domain. Each counterexample is kept, followed by its samples."""
+    k, n = len(states), env.state_dim
+    states = np.asarray(states, dtype=float).reshape(k, n)
+    pts = states[:, None] + rng.uniform(-radius, radius, (k, m, n))
+    keep = np.ones((k, m + 1), bool)  # column 0: the counterexample itself
+    if condition == "init":
+        boxes = env.init_boxes
+        first = np.argmax([b.contains(states) for b in boxes], axis=0)  # 0 if none
+        pts = np.clip(pts, np.array([b.lo for b in boxes])[first, None],
+                      np.array([b.hi for b in boxes])[first, None])
+    else:
+        pts = env.domain.clip(pts).reshape(-1, n)
+        keep[:, 1:] = (~env.in_goal(pts) & ~env.in_unsafe(pts)).reshape(k, m)
+    return np.concatenate([states[:, None], pts.reshape(k, m, n)], axis=1)[keep]
 
 
 # ---------------------------------------------------------------------------
@@ -250,59 +276,41 @@ def cegis_run(config: TrainConfig, env: EnvSpec | None = None) -> CegisResult:
     result = CegisResult(policy, cert, False, "running", warmstart=ws_diag,
                          config=cfg)
 
-    tl_cfg = cfg.loss_config()
     opt = Adam(lr=cfg.lr)
     params = cert.net.params() + policy.params()
-    D_ce_init = np.empty((0, env.state_dim))
-    D_ce_dec = np.empty((0, env.state_dim))
+    ce = {c: np.empty((0, env.state_dim)) for c in ("init", "decrease")}
     vs = None
     verify_budget = min(cfg.max_boxes, 200_000)
 
     for iteration in range(1, cfg.max_iters + 1):
-        it_start = time.monotonic()
-        # ----- training phase
-        loss = np.inf
-        for epoch in range(cfg.epochs_per_iter):
-            init_states = env.sample_init(rng, cfg.batch_size)
-            dec_states = env.sample_states(rng, cfg.batch_size)
-            init_b = _with_ce(init_states, D_ce_init, cfg.ce_cap, rng)
-            dec_b = _with_ce(dec_states, D_ce_dec, cfg.ce_cap, rng)
-            loss, cg, pg, vs = total_loss_grads(tl_cfg, cert, policy, env,
-                                                init_b, dec_b, rng,
-                                                spectral_vs=vs)
-            if not np.isfinite(loss):
-                result.status = "diverged"
-                result.iterations.append(_row(iteration, loss, 0, t0))
-                return result
-            if loss < cfg.loss_zero_tol:  # Adam's momentum would still move the weights
-                break
-            opt.step(params, cg + pg)
-            if time.monotonic() > deadline:
-                break
+        t_train = time.monotonic()
+        loss, vs, diverged = _train_phase(cfg, cert, policy, env, cfg.epochs_per_iter,
+                                          params, opt, rng, vs, ce, deadline)
+        t_verify = time.monotonic()
+        if diverged:
+            result.status = "diverged"
+            result.iterations.append(_row(iteration, loss, dict.fromkeys(ce, 0), t0,
+                                          t_verify - t_train, 0.0))
+            return result
 
-        # ----- verification phase
         bnb = cfg.bnb_config(verify_budget)
-        v_init = check_init(cert, env, bnb)
-        v_dec = check_robust_decrease(cert, policy, env, cfg.delta,
-                                      cfg.epsilon, bnb)
-        ces_init = [w.state for w in v_init.witnesses]
-        ces_dec = [w.state for w in v_dec.witnesses]
-        ce_count = len(ces_init) + len(ces_dec)
-        result.iterations.append(_row(iteration, loss, ce_count, t0))
-        result.verdicts = {"init": v_init, "decrease": v_dec}
+        result.verdicts = {"init": check_init(cert, env, bnb),
+                           "decrease": check_robust_decrease(cert, policy, env, cfg.delta,
+                                                             cfg.epsilon, bnb)}
+        found = {c: len(v.witnesses) for c, v in result.verdicts.items()}
+        result.iterations.append(_row(iteration, loss, found, t0, t_verify - t_train,
+                                      time.monotonic() - t_verify))
 
-        if ce_count == 0 and v_init.proved and v_dec.proved:
+        if all(v.proved for v in result.verdicts.values()):  # a proof has no witness
             result.success = True
             result.status = "certified"
             return result
-        if ce_count:
-            if ces_init:
-                D_ce_init = _grow(D_ce_init, resample_counterexamples(
-                    env, ces_init, cfg.resample_m, cfg.resample_radius, rng, True))
-            if ces_dec:
-                D_ce_dec = _grow(D_ce_dec, resample_counterexamples(
-                    env, ces_dec, cfg.resample_m, cfg.resample_radius, rng, False))
-        else:
+        for c, v in result.verdicts.items():
+            if v.witnesses:
+                ce[c] = np.concatenate([ce[c], resample_counterexamples(
+                    env, [w.state for w in v.witnesses], cfg.resample_m,
+                    cfg.resample_radius, rng, c)])
+        if not any(found.values()):
             # no counterexample but not proved: widen the verification budget
             if verify_budget >= cfg.max_boxes:
                 result.status = "stalled"
@@ -316,26 +324,11 @@ def cegis_run(config: TrainConfig, env: EnvSpec | None = None) -> CegisResult:
     return result
 
 
-def _row(iteration, loss, ce_count, t0):
-    return {"iteration": iteration, "loss": float(loss), "ce_count": ce_count,
-            "wall_time_s": time.monotonic() - t0}
-
-
-def _grow(existing: np.ndarray, new: np.ndarray) -> np.ndarray:
-    return np.concatenate([existing, new]) if new.size else existing
-
-
-def _with_ce(fresh: np.ndarray, ce: np.ndarray, cap: int,
-             rng: np.random.Generator) -> Batch:
-    if ce.shape[0] == 0:
-        return Batch(fresh)
-    if ce.shape[0] > cap:
-        idx = rng.choice(ce.shape[0], cap, replace=False)
-        ce = ce[idx]
-    states = np.concatenate([fresh, ce])
-    tags = np.concatenate([np.zeros(fresh.shape[0], bool),
-                           np.ones(ce.shape[0], bool)])
-    return Batch(states, tags)
+def _row(iteration, loss, ce_by_condition, t0, train_s, verify_s):
+    return {"iteration": iteration, "loss": float(loss),
+            "ce_count": sum(ce_by_condition.values()),
+            "ce_by_condition": ce_by_condition, "train_s": train_s,
+            "verify_s": verify_s, "wall_time_s": time.monotonic() - t0}
 
 
 # ---------------------------------------------------------------------------

@@ -29,7 +29,7 @@ def test_init_resampling_stays_in_the_counterexamples_own_box():
     env = two_init_boxes_env_1d()
     ces = [np.array([1.1]), np.array([-1.9])]
     pts = resample_counterexamples(env, ces, 50, 0.5, np.random.default_rng(0),
-                                   init_condition=True)
+                                   condition="init")
     assert pts.shape == (102, 1)
     first, second = pts[:51, 0], pts[51:, 0]
     assert first[0] == 1.1 and second[0] == -1.9
@@ -43,11 +43,50 @@ def test_decrease_resampling_drops_goal_states(pendulum):
     # just outside the goal's face theta = 0.2: the ball reaches into the goal
     ce = np.array([0.2 + 1e-4, 0.0])
     pts = resample_counterexamples(pendulum, [ce], 200, 1e-3, np.random.default_rng(0),
-                                   init_condition=False)
+                                   condition="decrease")
     assert np.array_equal(pts[0], ce)
     assert 1 < len(pts) < 201  # the filter dropped some points, not all
     assert np.all(pendulum.domain.contains(pts))
     assert not np.any(pendulum.in_goal(pts)) and not np.any(pendulum.in_unsafe(pts))
+
+
+def resample_reference(env, states, m, radius, rng, condition):
+    """The per-counterexample loop that resample_counterexamples replaced."""
+    out = []
+    for ce in states:
+        pts = ce + rng.uniform(-radius, radius, (m, len(ce)))
+        if condition == "init":
+            box = next((b for b in env.init_boxes if b.contains(ce)),
+                       env.init_boxes[0])
+            pts = box.clip(pts)
+        else:
+            pts = env.domain.clip(pts)
+            pts = pts[~env.in_goal(pts) & ~env.in_unsafe(pts)]
+        out += [ce[None, :], pts]
+    return np.concatenate(out) if out else np.empty((0, env.state_dim))
+
+
+@pytest.mark.parametrize("condition", ["init", "decrease"])
+@pytest.mark.parametrize("env_name", ["pendulum", "twoinit1d"])
+def test_resampling_equals_the_per_counterexample_loop(env_name, condition):
+    rng = np.random.default_rng(3)
+    if env_name == "pendulum":
+        env, radius = pendulum_env(), 0.05
+        # states near the goal's faces, so that the ball reaches into the goal
+        states = np.concatenate([env.sample_init(rng, 20),
+                                 rng.uniform(-0.25, 0.25, (20, 2))])
+    else:
+        # counterexamples in both initial boxes, on their faces, and one in
+        # neither (its region is then the first box)
+        env, radius = two_init_boxes_env_1d(), 0.5
+        states = np.array([[1.1], [-1.9], [1.5], [-1.0], [2.0], [-1.5], [0.0]])
+    got_rng, want_rng = np.random.default_rng(7), np.random.default_rng(7)
+    got = resample_counterexamples(env, states, 30, radius, got_rng, condition)
+    want = resample_reference(env, states, 30, radius, want_rng, condition)
+    assert np.array_equal(got, want)
+    assert got_rng.random() == want_rng.random()  # the same draws were used
+    if env_name == "pendulum" and condition == "decrease":
+        assert len(states) < len(got) < 31 * len(states)  # the filter dropped some
 
 
 def test_docking_run_proves_safety():
@@ -141,6 +180,54 @@ def test_status_certified(monkeypatch):
     [row] = result.iterations
     assert row["iteration"] == 1 and row["ce_count"] == 0
     assert result.verdicts == proved
+
+
+def test_rows_split_the_time_by_phase_and_the_counterexamples_by_condition():
+    result = cegis_run(tiny_config(max_iters=2))
+    assert len(result.iterations) == 2
+    for row in result.iterations:
+        assert set(row["ce_by_condition"]) == {"init", "decrease"}
+        assert sum(row["ce_by_condition"].values()) == row["ce_count"] > 0
+        assert row["train_s"] >= 0.0 and row["verify_s"] > 0.0
+        assert row["train_s"] + row["verify_s"] <= row["wall_time_s"]
+    assert result.iterations[-1]["ce_by_condition"] == \
+        {c: len(v.witnesses) for c, v in result.verdicts.items()}
+
+
+@pytest.mark.parametrize("phase", ["warm_start", "cegis_run"])
+def test_a_non_finite_loss_ends_the_phase_before_the_optimizer_step(phase, monkeypatch):
+    # loss 1 with unit gradients, then NaN with NaN gradients: a step on
+    # them would write NaN into the weights
+    seen = []
+
+    def loss_then_nan(cfg, cert, policy, env, init_b, dec_b, rng=None,
+                      spectral_vs=None):
+        seen.append([p.copy() for p in cert.net.params() + policy.params()])
+        g = 1.0 if len(seen) == 1 else np.nan
+        return (g, [np.full_like(p, g) for p in cert.net.params()],
+                [np.full_like(p, g) for p in policy.params()], spectral_vs)
+
+    monkeypatch.setattr(clbf.cegis, "total_loss_grads", loss_then_nan)
+    if phase == "warm_start":
+        cfg = tiny_config(warmstart_epochs=5)
+        policy, cert, diag = clbf.cegis.warm_start(pendulum_env(), cfg,
+                                                   np.random.default_rng(0))
+        assert diag["warmstart_warning"] == "certificate pre-training diverged"
+        assert np.isnan(diag["warmstart_loss"])
+    else:
+        result = cegis_run(tiny_config(epochs_per_iter=5, max_iters=3))
+        assert result.status == "diverged" and not result.success
+        [row] = result.iterations
+        assert np.isnan(row["loss"]) and row["verify_s"] == 0.0
+        assert row["ce_by_condition"] == {"init": 0, "decrease": 0}
+        policy, cert = result.policy, result.cert
+    assert len(seen) == 2
+    # the first step moved the certificate, and the policy only if it trains
+    n_cert = len(cert.net.params())
+    moved = [not np.array_equal(a, b) for a, b in zip(seen[0], seen[1])]
+    assert moved == [True] * n_cert + [phase == "cegis_run"] * (len(moved) - n_cert)
+    for got, want in zip(cert.net.params() + policy.params(), seen[1]):
+        assert np.array_equal(got, want)
 
 
 @pytest.mark.parametrize("phase", ["warm_start", "cegis_run"])

@@ -17,7 +17,8 @@ from clbf.losses import (
     loss_lip_global_grads,
     total_loss_grads,
 )
-from clbf.envs import make_env
+from clbf.boxes import Box
+from clbf.envs import EnvSpec, make_env
 from clbf.nets import (Mlp, backward, forward_batch, forward_tape, init_mlp,
                        linf_lipschitz_bound, scalar_value, value_and_input_grad, zero_grads)
 from clbf.verifier import _exact_violation
@@ -90,43 +91,25 @@ def test_loss_init_gradients_match_fd(pendulum, rng):
 # loss_dec and friends, hand-checkable cases
 
 
-class TinyEnvWrapper:
-    """1-d synthetic system f(x, u) = 0.5 x for hand-checkable descent."""
-
-    def __init__(self):
-        from clbf.boxes import Box
-
-        self.state_dim = 1
-        self.control_dim = 1
-        self.control_box = Box(np.array([-1.0]), np.array([1.0]))
-
-    def in_goal(self, x):
-        return np.zeros(np.atleast_2d(x).shape[0], dtype=bool)
-
-    def in_unsafe(self, x):
-        return np.zeros(np.atleast_2d(x).shape[0], dtype=bool)
-
-    def goal_intersects(self, lo, hi):
-        return np.zeros(np.atleast_2d(lo).shape[0], dtype=bool)
-
-    def unsafe_intersects(self, lo, hi):
-        return np.zeros(np.atleast_2d(lo).shape[0], dtype=bool)
-
-    def unmasked_pieces(self, lo, hi):
-        return lo, hi, np.arange(lo.shape[0])
-
-    def step(self, X, U):
-        return 0.5 * np.atleast_2d(X)
-
-    def step_jac(self, X, U):
+def tiny_env_1d():
+    """1-d synthetic system f(x, u) = 0.5 x for hand-checkable descent, with
+    no goal or unsafe set."""
+    def step_jac(X, U):
         k = np.atleast_2d(X).shape[0]
-        A = np.full((k, 1, 1), 0.5)
-        B = np.zeros((k, 1, 1))
-        return A, B
+        return np.full((k, 1, 1), 0.5), np.zeros((k, 1, 1))
+
+    domain = Box(np.array([-4.0]), np.array([4.0]))
+    return EnvSpec(
+        name="tiny1d", state_dim=1, control_dim=1,
+        domain=domain, control_box=Box(np.array([-1.0]), np.array([1.0])),
+        init_boxes=[domain], goal_boxes=[], unsafe_boxes=[], constants={},
+        step=lambda X, U: 0.5 * np.atleast_2d(X), step_jac=step_jac,
+        step_interval_arrays=None,
+    )
 
 
 def test_loss_dec_hand_cases():
-    env = TinyEnvWrapper()
+    env = tiny_env_1d()
     params = ClbfParams(epsilon=0.01)
     # net v(t) = a t + b on 1-d states
     for vx, vnext, want in ((1.0, 0.98, 0.0), (1.0, 0.995, 0.005)):
@@ -140,7 +123,7 @@ def test_loss_dec_hand_cases():
 
 
 def test_loss_dec_precondition_filter():
-    env = TinyEnvWrapper()
+    env = tiny_env_1d()
     params = ClbfParams(epsilon=0.01)
     # v(x) = 1.3 > beta at x, so the state is excluded even though the value rises
     cert = FilteredCertificate(affine_scalar_net([0.0], 1.3), params, env)
@@ -149,7 +132,7 @@ def test_loss_dec_precondition_filter():
 
 
 def test_loss_dec_neighbor_hand_cases(monkeypatch):
-    env = TinyEnvWrapper()
+    env = tiny_env_1d()
     params = ClbfParams(epsilon=0.01)
     x = 1.0
     for vx, vnext, L, delta, want in (
@@ -185,7 +168,7 @@ def test_loss_dec_adv_delta_zero_equals_dec(pendulum, rng):
 
 def linear_corner_case_loss(epsilon):
     # v(t) = t: center value 0.5, ball max at 0.5 + delta
-    env = TinyEnvWrapper()
+    env = tiny_env_1d()
     cert = FilteredCertificate(affine_scalar_net([1.0], 0.0),
                                ClbfParams(epsilon=epsilon), env)
     policy = affine_scalar_net([0.0], 0.0)
@@ -262,7 +245,7 @@ def recorded_gradient_passes(monkeypatch):
 def test_loss_dec_adv_skips_screened_and_ineligible_rows(monkeypatch):
     # v(t) = t and x' = x / 2, so the ball's bound is x / 2 + delta and the
     # hinge eps - (x - x / 2 - delta) can be positive only for x <= 0.6
-    env = TinyEnvWrapper()
+    env = tiny_env_1d()
     cert = FilteredCertificate(affine_scalar_net([1.0], 0.0),
                                ClbfParams(epsilon=0.2), env)
     policy = affine_scalar_net([0.0], 0.0)
@@ -308,35 +291,27 @@ def test_loss_dec_adv_gradient_rows_are_the_unscreened_rows(pendulum, rng,
     assert sum(len(x) for x in passes) == want > 0
 
 
-class ExactEnv2d:
+def exact_env_2d():
     """x' = x / 2 + (0, u / 4), no goal or unsafe set: dyadic states stay
-    dyadic, so with small-integer weights every sum of the loss is exact."""
-
-    state_dim = 2
-    control_dim = 1
-
-    def in_goal(self, x):
-        return np.zeros(np.atleast_2d(x).shape[0], dtype=bool)
-
-    in_unsafe = in_goal
-
-    def goal_intersects(self, lo, hi):
-        return np.zeros(np.atleast_2d(lo).shape[0], dtype=bool)
-
-    unsafe_intersects = goal_intersects
-
-    def unmasked_pieces(self, lo, hi):
-        return lo, hi, np.arange(lo.shape[0])
-
-    def step(self, X, U):
+    dyadic, so with small-integer weights every sum of the loss is exact.
+    The step does not clamp the control."""
+    def step(X, U):
         Y = 0.5 * np.atleast_2d(X)
         Y[:, 1] += 0.25 * U[:, 0]
         return Y
 
-    def step_jac(self, X, U):
+    def step_jac(X, U):
         k = np.atleast_2d(X).shape[0]
         return (np.tile(0.5 * np.eye(2), (k, 1, 1)),
                 np.tile(np.array([[0.0], [0.25]]), (k, 1, 1)))
+
+    domain = Box(np.full(2, -2.0), np.full(2, 2.0))
+    return EnvSpec(
+        name="exact2d", state_dim=2, control_dim=1,
+        domain=domain, control_box=Box(np.array([-np.inf]), np.array([np.inf])),
+        init_boxes=[domain], goal_boxes=[], unsafe_boxes=[], constants={},
+        step=step, step_jac=step_jac, step_interval_arrays=None,
+    )
 
 
 def exact_adv_case():
@@ -354,7 +329,7 @@ def exact_adv_case():
     cert_net, policy = int_net([2, 16, 8, 1]), int_net([2, 4, 1])
     X = rng.integers(-8, 9, (64, 2)) / 8.0
     cert_net.biases[-1] += 1.0 - np.median(scalar_value(cert_net, X))
-    cert = FilteredCertificate(cert_net, ClbfParams(epsilon=0.125), ExactEnv2d())
+    cert = FilteredCertificate(cert_net, ClbfParams(epsilon=0.125), exact_env_2d())
     is_ce = np.arange(64) % 5 == 0
     return cert, policy, Batch(X, is_ce)
 
@@ -545,7 +520,7 @@ def test_loss_lip_global_gradients_match_fd(rng):
 
 
 def test_zero_neighbor_loss_implies_ball_descent(rng, monkeypatch):
-    env = TinyEnvWrapper()
+    env = tiny_env_1d()
     params = ClbfParams(epsilon=0.01)
     # v(t) = |t| via a relu pair; true decrease v(x) - v(x/2) = |x| / 2
     net = Mlp(
@@ -573,7 +548,7 @@ def test_zero_neighbor_loss_implies_ball_descent(rng, monkeypatch):
 
 def test_total_loss_all_zero(pendulum):
     # certificate pinned low: all hinges inactive, descent trivially satisfied
-    env = TinyEnvWrapper()
+    env = tiny_env_1d()
     params = ClbfParams(epsilon=0.01)
     cert = FilteredCertificate(affine_scalar_net([0.4], 0.0), params, env)
     policy = affine_scalar_net([0.0], 0.0)
@@ -584,7 +559,7 @@ def test_total_loss_all_zero(pendulum):
 
 
 def test_total_loss_vanilla_weighted_sum():
-    env = TinyEnvWrapper()
+    env = tiny_env_1d()
     params = ClbfParams(epsilon=0.01)
     # v(t) = t: init state at 1.5 violates beta by 0.5;
     # dec state at 0.4: v=0.4, next 0.2, drop 0.2 >= eps, no dec violation;
@@ -600,7 +575,7 @@ def test_total_loss_vanilla_weighted_sum():
 
 
 def test_total_loss_counterexample_weighting():
-    env = TinyEnvWrapper()
+    env = tiny_env_1d()
     params = ClbfParams(epsilon=0.01)
     cert = FilteredCertificate(affine_scalar_net([1.0], 0.0), params, env)
     policy = affine_scalar_net([0.0], 0.0)
