@@ -83,9 +83,10 @@ def pgd_maximize_batch(
     to reach a row's maximum wins. With a boolean mask `active`, only the
     active rows ascend at all and the others return their centers. Starts
     are still drawn for every row, so the generator ends in the same state
-    as after the unmasked call. The result is that of ascending every row
-    through every restart and step in turn, up to the BLAS rounding of the
-    batches of pairs still live.
+    as after the unmasked call, and each active row starts where it would
+    there. The result is that of ascending every row through every restart
+    and step in turn, up to the BLAS rounding of the batches of pairs still
+    live.
     """
     cfg.validate()
     centers = np.atleast_2d(np.asarray(centers, dtype=float))
@@ -93,15 +94,17 @@ def pgd_maximize_batch(
         return centers.copy()
     if rng is None:
         rng = np.random.default_rng(0)
-    starts = [rng.uniform(centers - cfg.delta, centers + cfg.delta)
-              for _ in range(cfg.restarts - 1)]
     rows = np.arange(len(centers)) if active is None else np.flatnonzero(active)
+    c_lo, c_hi = centers[rows] - cfg.delta, centers[rows] + cfg.delta
+    # a start is rng.uniform(c_lo, c_hi) bit for bit, formed on the active
+    # rows only; the draw covers every row, so the stream ignores the mask
+    starts = [c_lo + (c_hi - c_lo) * rng.random(centers.shape)[rows]
+              for _ in range(cfg.restarts - 1)]
     step = cfg.delta / 4.0
     # pair r * m + i is restart r of active row i. The live pairs carry their
     # bounds, the iterate before, and their best value and iterate so far
-    x = np.concatenate([s[rows] for s in [centers, *starts]])
-    center = np.concatenate([centers[rows]] * cfg.restarts)
-    lo, hi = center - cfg.delta, center + cfg.delta
+    x = np.concatenate([centers[rows], *starts])
+    lo, hi = (np.tile(a, (cfg.restarts, 1)) for a in (c_lo, c_hi))
     pair = np.arange(len(x))
     prev = np.full_like(x, np.nan)  # no iterate before the first: never equal
     best_v, best_x = np.full(len(x), -np.inf), x.copy()

@@ -2,11 +2,11 @@
 
 Forward evaluation, exact reverse-mode gradients (parameters and inputs,
 from a Tape, for training), a tapeless input Jacobian that keeps only the
-ReLU masks (with its scalar view for PGD), interval bound propagation, the
-spectral-norm product with its l-inf Lipschitz bound, and a first-order
-adaptive-moment optimizer. Everything is float64 numpy; batches are (k, n)
-arrays. No general computation graphs: the architecture is a fixed
-affine/ReLU chain, so backprop is hand-chained.
+ReLU masks (with its scalar view for PGD), interval bound propagation in
+cache-sized row tiles, the spectral-norm product with its l-inf Lipschitz
+bound, and a first-order adaptive-moment optimizer. Everything is float64
+numpy; batches are (k, n) arrays. No general computation graphs: the
+architecture is a fixed affine/ReLU chain, so backprop is hand-chained.
 """
 
 from __future__ import annotations
@@ -160,8 +160,10 @@ def input_jacobian(net: Mlp, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     float inputs and pre-activations, then one reverse pass per output. It
     runs the same ops in the same order as forward_tape and, per output j,
     backward from the unit upstream gradient e_j, so the outputs and each
-    J[:, j, :] are bit-identical to theirs; the elementwise ones run in
-    place, on arrays that each product makes fresh.
+    J[:, j, :] are bit-identical to theirs. The reverse pass from e_j
+    starts from e_j W, row j of the last layer's weights, with no product;
+    the elementwise ops run in place, on arrays that each product makes
+    fresh.
     """
     X = _batch(net, X)
     masks = []
@@ -175,9 +177,10 @@ def input_jacobian(net: Mlp, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             np.maximum(a, 0.0, out=a)
     J = np.empty((X.shape[0], net.n_out, net.n_in))
     for j in range(net.n_out):
-        g = np.ones((X.shape[0], 1)) @ net.weights[last][j:j + 1]
+        g = net.weights[last][j]  # e_j W, the same row for every state
         for k in range(last - 1, -1, -1):
-            g *= masks[k]
+            # in place once g is a (rows, width) product of its own
+            g = np.multiply(g, masks[k], out=g if g.ndim == 2 else None)
             g = g @ net.weights[k]
         J[:, j, :] = g
     return a, J
@@ -197,25 +200,47 @@ def value_and_input_grad(net: Mlp, X: np.ndarray) -> tuple[np.ndarray, np.ndarra
 
 def ibp_bounds(net: Mlp, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Sound output bounds (k, n_out) over the input boxes given as (k, n)
-    lower and upper corners."""
+    lower and upper corners.
+
+    The rows go through in tiles of _TILE_BYTES // (8 * max(net.dims)) rows
+    (_ibp_tile_rows), so that the widest (rows, width) array of a tile, and
+    the few temporaries like it, stay in cache: 256 rows for a net 128 units
+    wide. Each row's bounds are its tile's, which BLAS may round differently
+    from those of a pass over all rows at once.
+    """
     lo = np.asarray(lo, dtype=float)
     hi = np.asarray(hi, dtype=float)
-    mid = 0.5 * (lo + hi)
-    rad = 0.5 * (hi - lo)
-    last = len(net.weights) - 1
-    for k, (W, b) in enumerate(zip(net.weights, net.biases)):
-        mid = mid @ W.T + b
-        rad = rad @ np.abs(W).T
-        if k != last:
-            # the ReLU image, in place: two fewer (k, width) arrays alive
-            z_lo = np.maximum(mid - rad, 0.0)
-            z_hi = np.maximum(mid + rad, 0.0, out=mid)
-            rad = np.subtract(z_hi, z_lo, out=rad)
-            rad *= 0.5
-            mid = z_hi
-            mid += z_lo
-            mid *= 0.5
-    return mid - rad, mid + rad
+    tile = _ibp_tile_rows(net)
+    layers = [(W.T, np.abs(W).T, b) for W, b in zip(net.weights, net.biases)]
+    last = len(layers) - 1
+    out_lo, out_hi = np.empty((2, lo.shape[0], net.n_out))
+    for s in range(0, lo.shape[0], tile):
+        mid = 0.5 * (lo[s:s + tile] + hi[s:s + tile])
+        rad = 0.5 * (hi[s:s + tile] - lo[s:s + tile])
+        for k, (W_T, abs_W_T, b) in enumerate(layers):
+            mid = mid @ W_T + b
+            rad = rad @ abs_W_T
+            if k != last:
+                # the ReLU image, in place: two fewer (k, width) arrays alive
+                z_lo = np.maximum(mid - rad, 0.0)
+                z_hi = np.maximum(mid + rad, 0.0, out=mid)
+                rad = np.subtract(z_hi, z_lo, out=rad)
+                rad *= 0.5
+                mid = z_hi
+                mid += z_lo
+                mid *= 0.5
+        np.subtract(mid, rad, out=out_lo[s:s + tile])
+        np.add(mid, rad, out=out_hi[s:s + tile])
+    return out_lo, out_hi
+
+
+# a tile's widest float array; with its few temporaries the tile stays in L2
+_TILE_BYTES = 256 << 10
+
+
+def _ibp_tile_rows(net: Mlp) -> int:
+    """Rows per tile of ibp_bounds for net."""
+    return max(1, _TILE_BYTES // (8 * max(net.dims)))
 
 
 # ---------------------------------------------------------------------------

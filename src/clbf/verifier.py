@@ -30,11 +30,18 @@ iterates, a point in the unsafe set) has value at most ub. Only the
 remaining points get the inner PGD, so the screen saves work without
 changing what is found. The exact check's ball maximum, ball_max, is also
 adversarial training's and adversarial rollouts'. The hunt checks the box
-centres and the iterates of a sign ascent on the nominal violation
-epsilon - V(x) + V(f(x, pi(x))) as they are made, and stops at the first
-point set with a witness. The ascent only chooses where to look: the
-delta-ball is searched once per point set, by the exact check, and the
-ascent step and the exact check share one evaluation of a set.
+centres first and stops there if they hold a witness. Otherwise it runs a
+sign ascent on the nominal violation epsilon - V(x) + V(f(x, pi(x))) to its
+end and checks all its iterates in one exact pass over the stacked points,
+one screen, one PGD call and one unsafe-point search for them all, and
+reports the witnesses of the first iterate set that has any. The ascent
+only chooses where to look: the delta-ball is searched once per point set,
+by the exact check, and the ascent step and the exact check share one
+evaluation of a set. Checking the sets past the first with a witness finds
+the same witnesses as stopping there: with two PGD restarts (the default)
+each set's random starts are the same draws, and only BLAS may round a
+batch of the stacked rows differently. The hunt's generator is fresh for
+each round, so the draws of the later sets move nothing after it.
 
 The queue is processed in deterministic FIFO chunk order; within a chunk the
 lexicographically smallest violating box wins, so verdicts are reproducible.
@@ -78,7 +85,9 @@ class Verdict:
     unknown_hi: np.ndarray = field(default_factory=lambda: np.zeros((0, 0)))
     unknown_volume_fraction: float = 0.0
     boxes_processed: int = 0
-    hunted_rows: int = 0  # decrease: points checked exactly by the hunt
+    # decrease: the points the hunt's exact check evaluated, the box centres
+    # and, where they held no witness, every iterate of the ascent from them
+    hunted_rows: int = 0
     pgd_rows: int = 0     # decrease: those of them the screen passed to PGD
 
     def __post_init__(self, first):
@@ -354,39 +363,62 @@ def _points_in_unsafe(env: EnvSpec, lo: np.ndarray, hi: np.ndarray):
 
 
 def _hunt_decrease_ce(cert, policy, env, lo, hi, delta, epsilon, cfg, rng):
-    """Exact counterexample search inside failed boxes: the box centers, then
-    the iterates of a short sign ascent on the nominal violation. Each point
-    set is checked as it is made and the hunt stops at the first set with a
-    witness. Returns ([(row_index, Witness)] by ascending row, points checked
-    exactly, points of them passed to the inner PGD)."""
-    if lo.shape[0] == 0:
+    """Exact counterexample search inside failed boxes. The box centers are
+    checked first. If they hold no witness, a sign ascent of
+    cfg.outer_pgd_steps steps on the nominal violation runs from them, and
+    all its iterates are checked in one exact pass. Returns the witnesses of
+    the first point set that has any, as [(row_index, Witness)] by ascending
+    row, the number of points the exact check evaluated, and the number of
+    them it passed to the inner PGD."""
+    k, steps = lo.shape[0], cfg.outer_pgd_steps
+    if k == 0:
         return [], 0, 0
-    hunted = pgd = 0
     # sign ascent on g(x) = eps - V(x) + V(f(x, pi(x))), the violation at
     # delta = 0; the delta-ball is searched only by the exact check. The
     # ascent step and the check share one evaluation of each point set (V at
     # the next states too); the last set needs no gradient
     x = 0.5 * (lo + hi)
-    step = (hi - lo) / (2.0 * max(1, cfg.outer_pgd_steps))
-    for k in range(cfg.outer_pgd_steps + 1):
-        last = k == cfg.outer_pgd_steps
-        if last:
-            nxt = env.step(x, forward_batch(policy, x))  # step clamps the control
-            raw_x, v_nxt = cert.raw(x), cert.value(nxt)
-        else:
-            nxt, raw_x, v_nxt, g = _violation_grad(cert, policy, env, x)
-        viol, ball_pts, pgd_rows = _exact_violation(
-            cert, env, x, nxt, raw_x, v_nxt, delta, epsilon, cfg.inner_pgd, rng)
-        hunted += x.shape[0]
-        pgd += pgd_rows
-        found = []
-        for i in np.flatnonzero(viol >= WITNESS_SLACK):
-            w = Witness(x[i].copy(), "decrease", float(viol[i]), ball_pts[i].copy())
-            if _recheck_decrease(cert, policy, env, w, delta, epsilon):
-                found.append((int(i), w))
-        if found or last:
-            return found, hunted, pgd
-        x = np.clip(x + step * np.sign(g), lo, hi)
+    centers = _point_set(cert, policy, env, x, steps > 0)
+    found, pgd = _first_witnesses(cert, policy, env, [centers], delta, epsilon,
+                                  cfg.inner_pgd, rng)
+    if found or steps == 0:
+        return found, k, pgd
+    step = (hi - lo) / (2.0 * steps)
+    sets = [centers]
+    for s in range(1, steps + 1):
+        x = np.clip(x + step * np.sign(sets[-1][-1]), lo, hi)
+        sets.append(_point_set(cert, policy, env, x, s < steps))
+    found, pgd_ascent = _first_witnesses(cert, policy, env, sets[1:], delta,
+                                         epsilon, cfg.inner_pgd, rng)
+    return found, k * (steps + 1), pgd + pgd_ascent
+
+
+def _point_set(cert, policy, env, x, grad: bool):
+    """(x, nxt, raw_x, v_nxt, g) for the states x, as _violation_grad gives
+    them, with g None unless grad."""
+    if grad:
+        return (x, *_violation_grad(cert, policy, env, x))
+    nxt = env.step(x, forward_batch(policy, x))  # step clamps the control
+    return x, nxt, cert.raw(x), cert.value(nxt), None
+
+
+def _first_witnesses(cert, policy, env, sets, delta, epsilon, inner_pgd, rng):
+    """One exact check of the point sets [(x, nxt, raw_x, v_nxt, _)] of k
+    rows each, stacked in order: the witnesses of the first set that has any
+    that _recheck_decrease confirms, as [(row_index, Witness)] by ascending
+    row, and the number of rows passed to the inner PGD."""
+    k = sets[0][0].shape[0]
+    X, nxt, raw_x, v_nxt = (np.concatenate(a) for a in list(zip(*sets))[:4])
+    viol, ball_pts, pgd = _exact_violation(cert, env, X, nxt, raw_x, v_nxt,
+                                           delta, epsilon, inner_pgd, rng)
+    found = []  # (stacked row, witness)
+    for r in np.flatnonzero(viol >= WITNESS_SLACK):
+        if found and r // k > found[0][0] // k:
+            break  # past the first set with a witness
+        w = Witness(X[r].copy(), "decrease", float(viol[r]), ball_pts[r].copy())
+        if _recheck_decrease(cert, policy, env, w, delta, epsilon):
+            found.append((r, w))
+    return [(int(r % k), w) for r, w in found], pgd
 
 
 def _exact_violation(cert, env, X, nxt, raw_x, v_nxt, delta, epsilon, inner_pgd,

@@ -66,8 +66,11 @@ class DyadicStarts:
     def __init__(self, seed):
         self.rng = np.random.default_rng(seed)
 
+    def random(self, shape):
+        return self.rng.integers(0, 9, shape) / 8
+
     def uniform(self, lo, hi):
-        return lo + (hi - lo) * self.rng.integers(0, 9, np.shape(lo)) / 8
+        return lo + (hi - lo) * self.random(np.shape(lo))
 
 
 def small_policy(env, seed=1, dims=(8, 8)):

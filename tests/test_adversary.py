@@ -197,6 +197,34 @@ def test_active_mask_keeps_rng_stream_and_active_rows():
     assert np.array_equal(got[~active], centers[~active])
 
 
+@pytest.mark.parametrize("masked", [False, True])
+@pytest.mark.parametrize("restarts", [2, 3])
+def test_starts_are_the_uniform_draws_of_the_active_rows(masked, restarts,
+                                                          monkeypatch):
+    # the first gradient pass holds the active centers, then each restart's
+    # starts: bit for bit rng.uniform over the balls of all rows, taken at
+    # the active rows, and the generator ends where those draws leave it
+    net = init_mlp([2, 16, 1], np.random.default_rng(5))
+    centers = np.random.default_rng(6).uniform(-1, 1, (64, 2)) * [1.0, 1e3]
+    active = np.random.default_rng(7).random(64) < 0.3 if masked else None
+    rows = np.flatnonzero(active) if masked else np.arange(64)
+    cfg = PgdConfig(steps=3, delta=0.0375, restarts=restarts)
+    passes = []
+
+    def recorded(net, X):
+        passes.append(X.copy())
+        return value_and_input_grad(net, X)
+
+    monkeypatch.setattr(clbf.adversary, "value_and_input_grad", recorded)
+    rng = np.random.default_rng(9)
+    pgd_maximize_batch(net, centers, cfg, rng, active)
+    want_rng = np.random.default_rng(9)
+    starts = [want_rng.uniform(centers - cfg.delta, centers + cfg.delta)[rows]
+              for _ in range(restarts - 1)]
+    assert passes[0].tobytes() == np.concatenate([centers[rows], *starts]).tobytes()
+    assert rng.bit_generator.state == want_rng.bit_generator.state
+
+
 def test_all_false_active_makes_no_gradient_pass(monkeypatch):
     net = init_mlp([2, 16, 1], np.random.default_rng(5))
     centers = np.random.default_rng(6).uniform(-1, 1, (8, 2))
@@ -287,25 +315,29 @@ def test_linear_net_stops_at_the_corner(monkeypatch):
 
 
 class FixedStarts:
-    """Stands in for the generator in PGD: hands out the given restart
-    starts in turn."""
+    """Stands in for the generator in PGD: hands out the given unit draws in
+    turn, which put each restart's start at lo + (hi - lo) * draw."""
 
-    def __init__(self, *starts):
-        self.starts = [np.array(s, dtype=float) for s in starts]
+    def __init__(self, *draws):
+        self.draws = [np.array(d, dtype=float) for d in draws]
+
+    def random(self, shape):
+        return self.draws.pop(0)
 
     def uniform(self, lo, hi):
-        return self.starts.pop(0)
+        return lo + (hi - lo) * self.random(np.shape(lo))
 
 
 def test_first_restart_to_reach_the_maximum_wins():
     # V = 0 on the plateau [-1/4, 1/4], where the gradient is zero, and
     # falls off outside it. Restarts 1 and 2 start on the plateau at -1/4
-    # and 1/4; restart 0 cannot reach it in one step from 3/4
+    # and 1/4 (draws 0 and 1/4 of the ball [-1/4, 7/4]); restart 0 cannot
+    # reach it in one step from 3/4
     net = Mlp([np.array([[1.0], [-1.0]]), -np.ones((1, 2))],
               [np.full(2, -0.25), np.zeros(1)])
     centers = np.array([[0.75]])
     cfg = PgdConfig(steps=1, delta=1.0, restarts=3)
-    want = reference_pgd(net, centers, cfg, FixedStarts([[-0.25]], [[0.25]]))
-    got = pgd_maximize_batch(net, centers, cfg, FixedStarts([[-0.25]], [[0.25]]))
+    want = reference_pgd(net, centers, cfg, FixedStarts([[0.0]], [[0.25]]))
+    got = pgd_maximize_batch(net, centers, cfg, FixedStarts([[0.0]], [[0.25]]))
     assert np.array_equal(want, [[-0.25]])
     assert np.array_equal(got, want)

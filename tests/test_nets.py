@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from clbf.nets import (
     Adam,
     Mlp,
+    _ibp_tile_rows,
     backward,
     forward_batch,
     forward_tape,
@@ -114,7 +115,10 @@ def test_backward_requires_tape():
         backward(net, None, np.ones((1, 2)))
 
 
-@pytest.mark.parametrize("dims", [[2, 64, 32, 16, 1], [3, 16, 8, 4], [2, 1]])
+# 3, 2, 1 and 0 hidden layers: with none, the reverse pass is the last
+# layer's row alone
+@pytest.mark.parametrize("dims", [[2, 64, 32, 16, 1], [3, 16, 8, 4], [2, 1],
+                                  [3, 16, 2], [3, 2]])
 def test_input_grad_is_bit_identical_to_backward(dims):
     # deeper and wider nets than the property below draws, on 257 rows
     rng = np.random.default_rng(sum(dims))
@@ -122,11 +126,11 @@ def test_input_grad_is_bit_identical_to_backward(dims):
     X = rng.uniform(-1, 1, (257, dims[0]))
     tape = forward_tape(net, X)
     Y, J = input_jacobian(net, X)
-    assert np.array_equal(Y, tape.output)
+    assert Y.tobytes() == tape.output.tobytes()
     for j in range(net.n_out):
         gY = np.zeros((X.shape[0], net.n_out))
         gY[:, j] = 1.0
-        assert np.array_equal(J[:, j, :], backward(net, tape, gY)[1])
+        assert J[:, j, :].tobytes() == backward(net, tape, gY)[1].tobytes()
     if net.n_out == 1:
         v, g = value_and_input_grad(net, X)
         assert np.array_equal(v, tape.output[:, 0])
@@ -283,16 +287,23 @@ def test_lipschitz_bound_dominates_sampled_quotients(rng):
        st.lists(st.floats(0.0, 0.5), min_size=3, max_size=3),
        st.integers(0, 2**32 - 1))
 def test_ibp_bounds_sound_by_sampling(net_seed, center, radius, seed):
-    # the interval bounds hold every output over the box: its corners and
-    # uniform points in it
+    # the interval bounds hold every output over each box of a batch that
+    # spans three tiles: over the drawn box, alone in the last tile, at its
+    # corners and uniform points in it, and over each random sub-box of it
+    # before, at a uniform point in the sub-box
     net = init_mlp([3, 16, 8, 2], np.random.default_rng(net_seed))
+    rng = np.random.default_rng(seed)
     center, radius = np.array(center), np.array(radius)
     lo, hi = center - radius, center + radius
-    out_lo, out_hi = ibp_bounds(net, lo[None], hi[None])
+    ends = np.sort(rng.uniform(0.0, 1.0, (2, 2 * _ibp_tile_rows(net), 3)), axis=0)
+    sub_lo, sub_hi = lo + (hi - lo) * ends[0], lo + (hi - lo) * ends[1]
+    out_lo, out_hi = ibp_bounds(net, np.vstack([sub_lo, lo]), np.vstack([sub_hi, hi]))
     corners = np.array(np.meshgrid(*zip(lo, hi))).reshape(3, -1).T
-    pts = np.concatenate([corners, np.random.default_rng(seed).uniform(lo, hi, (500, 3))])
+    pts = np.concatenate([corners, rng.uniform(lo, hi, (500, 3))])
     Y = forward_batch(net, pts)
-    assert np.all(Y >= out_lo - 1e-12) and np.all(Y <= out_hi + 1e-12)
+    assert np.all(Y >= out_lo[-1] - 1e-12) and np.all(Y <= out_hi[-1] + 1e-12)
+    Y = forward_batch(net, rng.uniform(sub_lo, sub_hi))
+    assert np.all(Y >= out_lo[:-1] - 1e-12) and np.all(Y <= out_hi[:-1] + 1e-12)
 
 
 def reference_ibp(net, lo, hi):
@@ -310,14 +321,28 @@ def reference_ibp(net, lo, hi):
 
 
 def test_ibp_bounds_in_place_matches_reference_bit_for_bit(rng):
-    for dims in ([2, 64, 32, 16, 1], [2, 128, 128, 1], [4, 8, 3], [3, 1]):
+    # one tile of 37 rows, three tiles and part of a fourth, on which the
+    # reference runs one tile at a time, and no rows. A tile holds 256 KiB
+    # over 8 bytes times the widest layer
+    for dims, tile in (([2, 64, 32, 16, 1], 512), ([2, 128, 128, 1], 256),
+                       ([4, 8, 3], 4096), ([3, 1], 10922)):
         net = init_mlp(dims, rng)
-        lo = rng.normal(size=(37, dims[0]))
-        hi = lo + rng.uniform(0.0, 1.0, lo.shape)
-        lo0, hi0 = lo.copy(), hi.copy()
-        for got, want in zip(ibp_bounds(net, lo, hi), reference_ibp(net, lo, hi)):
-            assert np.array_equal(got, want)
-        assert np.array_equal(lo, lo0) and np.array_equal(hi, hi0)
+        assert _ibp_tile_rows(net) == tile
+        for rows in (37, 3 * tile + 37, 0):
+            lo = rng.normal(size=(rows, dims[0]))
+            hi = lo + rng.uniform(0.0, 1.0, lo.shape)
+            lo0, hi0 = lo.copy(), hi.copy()
+            want = [np.concatenate(b) for b in zip(*(
+                reference_ibp(net, lo[s:s + tile], hi[s:s + tile])
+                for s in range(0, max(rows, 1), tile)))]
+            got = ibp_bounds(net, lo, hi)
+            for g, w in zip(got, want):
+                assert g.shape == (rows, dims[-1])
+                assert g.tobytes() == w.tobytes()
+            # against one pass over all rows, tiles change only the rounding
+            for g, w in zip(got, reference_ibp(net, lo, hi)):
+                np.testing.assert_allclose(g, w, rtol=1e-13, atol=1e-13)
+            assert np.array_equal(lo, lo0) and np.array_equal(hi, hi0)
 
 
 def test_ibp_degenerate_box_is_point_evaluation(rng):

@@ -659,27 +659,30 @@ def two_phase_violation_grad(cert, policy, env, X):
     return g + np.einsum("kmj,km->kj", J_pi, gu)
 
 
-def two_phase_exact_violation(cert, policy, env, X, delta, epsilon, inner_pgd,
+def two_phase_exact_violation(cert, policy, env, sets, delta, epsilon, inner_pgd,
                               rng):
-    """The screened exact check with its own policy and certificate passes."""
+    """The screened exact check of the stacked point sets, with its own
+    policy and certificate passes, one per set: a pass over all sets at
+    once could round differently."""
     p = cert.params
-    nxt = env.step(X, env.clamp_control(forward_batch(policy, X)))
-    v_x = cert.value(X)
+    nxt = [env.step(X, env.clamp_control(forward_batch(policy, X))) for X in sets]
+    X, v_x, nxt, v_nxt = (np.concatenate(a) for a in (
+        sets, [cert.value(X) for X in sets], nxt, [cert.value(n) for n in nxt]))
     eligible = ~env.in_goal(X) & (v_x <= p.beta)
     active = eligible.copy()
     if delta > 0:
         rows = np.flatnonzero(eligible)
         ub = filtered_upper_bound(cert, nxt[rows] - delta, nxt[rows] + delta)
         active[rows] = epsilon - (v_x[rows] - ub) >= 0
-    best_v, best_y = ball_max(cert, nxt, cert.value(nxt), delta, inner_pgd, rng,
-                              active)
+    best_v, best_y = ball_max(cert, nxt, v_nxt, delta, inner_pgd, rng, active)
     viol = np.where(eligible, epsilon - (v_x - best_v), -np.inf)
     return viol, best_y, int(np.count_nonzero(active)) if delta > 0 else 0
 
 
 def two_phase_hunt(cert, policy, env, lo, hi, delta, epsilon, cfg, rng):
     """The decrease hunt in two phases: the whole sign ascent first, then the
-    exact checks of its point sets, each phase with its own passes."""
+    exact checks, each phase with its own passes. The centers are checked
+    alone, and the ascent's iterates, if needed, in one check of them all."""
     if lo.shape[0] == 0:
         return [], 0, 0
     x = 0.5 * (lo + hi)
@@ -690,19 +693,22 @@ def two_phase_hunt(cert, policy, env, lo, hi, delta, epsilon, cfg, rng):
         x = np.clip(x + step * np.sign(g), lo, hi)
         checked.append(x.copy())
     found, hunted, pgd = [], 0, 0
-    for X_try in checked:
-        viol, ball_pts, pgd_rows = two_phase_exact_violation(
-            cert, policy, env, X_try, delta, epsilon, cfg.inner_pgd, rng)
-        hunted += X_try.shape[0]
-        pgd += pgd_rows
-        for i in np.flatnonzero(viol >= WITNESS_SLACK):
-            w = Witness(X_try[i].copy(), "decrease", float(viol[i]),
-                        ball_pts[i].copy())
-            if _recheck_decrease(cert, policy, env, w, delta, epsilon):
-                found.append((int(i), w))
-        if found:
+    for sets in (checked[:1], checked[1:]):
+        if not sets:
             break
-    found.sort(key=lambda t: t[0])
+        viol, ball_pts, pgd_rows = two_phase_exact_violation(
+            cert, policy, env, sets, delta, epsilon, cfg.inner_pgd, rng)
+        hunted += viol.shape[0]
+        pgd += pgd_rows
+        for s, X_set in enumerate(sets):
+            rows = slice(s * len(x), (s + 1) * len(x))
+            for i in np.flatnonzero(viol[rows] >= WITNESS_SLACK):
+                w = Witness(X_set[i].copy(), "decrease", float(viol[rows][i]),
+                            ball_pts[rows][i].copy())
+                if _recheck_decrease(cert, policy, env, w, delta, epsilon):
+                    found.append((int(i), w))
+            if found:
+                return found, hunted, pgd
     return found, hunted, pgd
 
 
@@ -826,9 +832,44 @@ def test_hunt_sends_each_point_set_through_the_policy_once(pendulum, monkeypatch
     assert v.status == "counterexample" and len(rechecks) > 0
     assert len(jacobian_rows) > 0 and len(batch_rows) > len(rechecks)
     assert sum(jacobian_rows) + sum(batch_rows) == v.hunted_rows + len(rechecks)
-    # a hunt stops at its first point set with a witness
+    # a hunt whose centers hold a witness evaluates only them
     assert v.hunted_rows < (cfg.outer_pgd_steps + 1) * sum(boxes)
     assert nets_policy_rows == []
+
+
+def test_hunt_checks_the_ascent_in_one_exact_pass(pendulum, monkeypatch):
+    # each hunt checks its centers, then, if they hold no witness, every
+    # iterate of the ascent at once; hunted_rows counts what was checked
+    cert = small_cert(pendulum, seed=7)
+    policy = small_policy(pendulum, seed=17)
+    cfg = BnbConfig(max_boxes=1500, ce_limit=64, chunk=256, seed=7)
+    hunts = []  # per hunt: [boxes, found, rows of each exact check]
+    hunt_decrease_ce = clbf.verifier._hunt_decrease_ce
+    exact_violation = clbf.verifier._exact_violation
+
+    def hunt(*args):
+        hunts.append([args[3].shape[0], None])
+        found = hunt_decrease_ce(*args)
+        hunts[-1][1] = found[0]
+        return found
+
+    def exact(cert, env, X, *args):
+        hunts[-1].append(X.shape[0])
+        return exact_violation(cert, env, X, *args)
+
+    monkeypatch.setattr(clbf.verifier, "_hunt_decrease_ce", hunt)
+    monkeypatch.setattr(clbf.verifier, "_exact_violation", exact)
+    v = check_robust_decrease(cert, policy, pendulum, 0.01, 5e-3, cfg)
+
+    steps = cfg.outer_pgd_steps
+    assert v.status == "counterexample"
+    assert v.hunted_rows == sum(sum(h[2:]) for h in hunts)
+    for k, found, *checks in hunts:
+        assert checks in ([k], [k, steps * k])
+        assert found or checks == [k, steps * k]
+    # some hunts find their witnesses at the centers, some past them
+    assert any(found and checks == [k] for k, found, *checks in hunts)
+    assert any(found and len(checks) == 2 for k, found, *checks in hunts)
 
 
 @pytest.mark.parametrize("delta", [0.0, 0.05])
@@ -861,9 +902,14 @@ def test_inner_pgd_ascends_only_the_rows_the_screen_passes(pendulum, monkeypatch
         return pgd_maximize_batch(net, centers, cfg, rng, active)
 
     monkeypatch.setattr(clbf.verifier, "pgd_maximize_batch", counted)
+    hunts = []
+    monkeypatch.setattr(clbf.verifier, "_hunt_decrease_ce", count_calls(
+        clbf.verifier._hunt_decrease_ce, hunts))
     v = check_robust_decrease(cert, policy, pendulum, 0.01, 5e-3, cfg)
     assert v.status == "counterexample" and v.pgd_rows > 0
     assert sum(ascended) == v.pgd_rows
+    # one PGD call for the centers and at most one for the ascent's iterates
+    assert len(hunts) < len(ascended) <= 2 * len(hunts)
 
 
 def test_hunt_counts_are_zero_without_pgd(pendulum):
