@@ -5,7 +5,7 @@ conditions with a sound interval branch-and-bound checker, and evaluate
 empirical robustness under adversarial and random state perturbations.
 """
 
-from .boxes import Box, subtract_boxes
+from .boxes import Box
 from .certificate import ClbfParams, FilteredCertificate, filtered_upper_bound
 from .envs import EnvSpec, docking_env, make_env, pendulum_env
 from .nets import (

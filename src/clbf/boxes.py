@@ -105,9 +105,3 @@ def subtract(lo: np.ndarray, hi: np.ndarray, cuts: list[Box]):
         owner = np.repeat(owner, keep.sum(axis=1))
     return lo, hi, owner
 
-
-def subtract_boxes(base: list[Box], cuts: list[Box]) -> list[Box]:
-    """Tile the union of base boxes minus the union of cut boxes (subtract)."""
-    lo, hi, _ = subtract(np.stack([b.lo for b in base]),
-                         np.stack([b.hi for b in base]), cuts)
-    return [Box(l, h) for l, h in zip(lo, hi)]

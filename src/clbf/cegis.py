@@ -18,6 +18,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .adversary import PgdConfig
+from .boxes import Box
 from .certificate import ClbfParams, FilteredCertificate
 from .envs import EnvSpec, make_env
 from .losses import METHODS, Batch, LossWeights, TotalLossConfig, total_loss_grads
@@ -136,10 +137,12 @@ class CegisResult:
 
 
 def teacher_control(env: EnvSpec, X: np.ndarray) -> np.ndarray:
-    """Hand-designed stabilizing feedback, clamped to the control bounds."""
+    """Hand-designed feedback, clamped to the control bounds, that reaches the
+    goal from the initial set without entering the unsafe set."""
     X = np.atleast_2d(np.asarray(X, dtype=float))
     if env.name == "pendulum":
-        u = -0.5 * X[:, 0] - 0.15 * X[:, 1]
+        # low gains: a unit torque moves theta_dot by 8 in one step
+        u = -0.15 * X[:, 0] - 0.1 * X[:, 1]
         return np.clip(u[:, None], -1.0, 1.0)
     if env.name == "docking2d":
         F = -0.5 * X[:, 0:2] - 6.0 * X[:, 2:4]
@@ -157,7 +160,7 @@ def warm_start(env: EnvSpec, config: TrainConfig,
     cfg = config.resolved()
     diag = {}
     policy = init_mlp([env.state_dim, *cfg.policy_hidden, env.control_dim], rng)
-    region = env.domain if env.safe_box is None else env.safe_box
+    region = Box(env.safe_box.clip(env.domain.lo), env.safe_box.clip(env.domain.hi))
     X = region.sample(rng, cfg.teacher_samples)
     U_t = teacher_control(env, X)
 

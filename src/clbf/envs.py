@@ -1,11 +1,11 @@
 """Benchmark environments: point dynamics, sound interval extensions, task sets.
 
 Two systems are provided. The torque-limited pendulum must reach the upright
-region without falling into the two high-angle corners; the planar spacecraft
-(Clohessy-Wiltshire relative motion, exact discrete closed form) must reach a
-position box near the origin while keeping position and velocity inside a safe
-band. Both step functions are total: controls are clamped to their bounds
-inside the step.
+region without leaving its domain or falling into its two high-angle corners;
+the planar spacecraft (Clohessy-Wiltshire relative motion, exact discrete
+closed form) must reach a position box near the origin while keeping position
+and velocity inside a safe band. Both step functions are total: controls are
+clamped to their bounds inside the step.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from typing import Callable
 
 import numpy as np
 
-from .boxes import Box, subtract, subtract_boxes
+from .boxes import Box, subtract
 
 
 # ---------------------------------------------------------------------------
@@ -58,11 +58,12 @@ class EnvSpec:
     step / step_jac / step_interval_arrays are batched over the leading axis
     and clamp the control (or its bounds) to control_box themselves.
     step_jac returns the Jacobians of the total (clamp-included) transition.
-    The goal set is the union of goal_boxes. The unsafe set is the union of
-    unsafe_boxes or, when safe_box is given, everything outside safe_box;
-    unsafe_boxes then tiles it within domain, and the decrease check searches
-    them for an unsafe point of a perturbation ball. The two sets are
-    disjoint: a goal box that meets the unsafe set raises ValueError.
+    The goal set is the union of goal_boxes. The unsafe set is everything
+    outside safe_box together with the union of unsafe_boxes. safe_box
+    defaults to the unbounded box, not to domain, so that a system that may
+    leave its domain harmlessly (perfbench/synth.py) keeps its network values
+    there. The two sets are disjoint: a goal box that meets the unsafe set
+    raises ValueError.
 
     unmasked_pieces tiles the part of boxes outside both sets, where the
     network rather than a mask gives the value; it is always derived from
@@ -93,23 +94,21 @@ class EnvSpec:
     eligible_cover: list[Box] | None = None
 
     def __post_init__(self):
-        goal, unsafe, safe = self.goal_boxes, self.unsafe_boxes, self.safe_box
+        n = self.state_dim
+        self.safe_box = self.safe_box or Box(np.full(n, -np.inf), np.full(n, np.inf))
+        goal, unsafe, safe = self.goal_boxes, self.unsafe_boxes, [self.safe_box]
+        # a box meets the complement of safe iff it is not inside safe, and
+        # lies in it iff it misses safe
         derived = dict(
             in_goal=lambda x: _boxes_contain(goal, x, x),
             goal_intersects=lambda lo, hi: _boxes_intersect(goal, lo, hi),
             goal_contains=lambda lo, hi: _boxes_contain(goal, lo, hi),
-            in_unsafe=lambda x: _boxes_contain(unsafe, x, x),
-            unsafe_intersects=lambda lo, hi: _boxes_intersect(unsafe, lo, hi),
-            unsafe_contains=lambda lo, hi: _boxes_contain(unsafe, lo, hi),
+            in_unsafe=lambda x: ~_boxes_contain(safe, x, x) | _boxes_contain(unsafe, x, x),
+            unsafe_intersects=lambda lo, hi: (~_boxes_contain(safe, lo, hi)
+                                              | _boxes_intersect(unsafe, lo, hi)),
+            unsafe_contains=lambda lo, hi: (~_boxes_intersect(safe, lo, hi)
+                                            | _boxes_contain(unsafe, lo, hi)),
         )
-        if safe is not None:
-            # a box meets the complement of safe iff it is not inside safe,
-            # and lies in it iff it misses safe
-            derived.update(
-                in_unsafe=lambda x: ~_boxes_contain([safe], x, x),
-                unsafe_intersects=lambda lo, hi: ~_boxes_contain([safe], lo, hi),
-                unsafe_contains=lambda lo, hi: ~_boxes_intersect([safe], lo, hi),
-            )
         for name, fn in derived.items():
             if getattr(self, name) is None:
                 setattr(self, name, fn)
@@ -123,13 +122,11 @@ class EnvSpec:
     def unmasked_pieces(self, lo: np.ndarray, hi: np.ndarray):
         """Tile the part of each of the (k, n) boxes [lo, hi] outside the goal
         and unsafe sets: (piece_lo, piece_hi, owner) as boxes.subtract gives
-        them. With safe_box, each box is clipped to it first."""
-        if self.safe_box is None:
-            return subtract(lo, hi, self.goal_boxes + self.unsafe_boxes)
+        them, after each box is clipped to safe_box."""
         lo = np.maximum(lo, self.safe_box.lo)
         hi = np.minimum(hi, self.safe_box.hi)
         rows = np.flatnonzero(np.all(lo <= hi, axis=1))
-        p_lo, p_hi, owner = subtract(lo[rows], hi[rows], self.goal_boxes)
+        p_lo, p_hi, owner = subtract(lo[rows], hi[rows], self.goal_boxes + self.unsafe_boxes)
         return p_lo, p_hi, rows[owner]
 
     def clamp_control(self, u: np.ndarray) -> np.ndarray:
@@ -195,7 +192,7 @@ def pendulum_env(constants: dict | None = None) -> EnvSpec:
     theta_dot' = (1-b) theta_dot + (1.5 g sin(theta) / (2 l) + (3/(m l^2)) 2u) T
     theta'     = theta + theta_dot' T
 
-    The state is neither wrapped nor clamped.
+    The state is neither wrapped nor clamped; leaving the domain is unsafe.
     """
     c = _constants(PENDULUM_CONSTANTS, constants)
     g, m, l, b, T = c["g"], c["m"], c["l"], c["b"], c["T"]
@@ -265,6 +262,7 @@ def pendulum_env(constants: dict | None = None) -> EnvSpec:
         step=step,
         step_jac=step_jac,
         step_interval_arrays=step_interval_arrays,
+        safe_box=domain,
     )
 
 
@@ -366,9 +364,7 @@ def docking_env(constants: dict | None = None) -> EnvSpec:
         control_box=control_box,
         init_boxes=init,
         goal_boxes=goal,
-        # the unsafe set is the complement of the safe band; the box list is
-        # its tiling within the verification bounding box
-        unsafe_boxes=subtract_boxes([domain], [safe]),
+        unsafe_boxes=[],
         constants=c,
         step=step,
         step_jac=step_jac,

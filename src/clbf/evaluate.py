@@ -2,9 +2,9 @@
 
 A rollout applies either the filtered certificate's delta-ball maximizer
 (verifier.ball_max) or uniform random noise to each computed next state,
-and terminates on goal entry, unsafe entry (EnvSpec keeps the two sets
-disjoint), or the horizon. Campaigns are vectorised across all rollouts and
-deterministic given their seed.
+and terminates on goal entry, unsafe entry (such as leaving pendulum's
+domain; EnvSpec keeps the two sets disjoint), or the horizon. Campaigns are
+vectorised across all rollouts and deterministic given their seed.
 """
 
 from __future__ import annotations

@@ -346,9 +346,9 @@ def _points_in_unsafe(env: EnvSpec, lo: np.ndarray, hi: np.ndarray):
     """A concrete point in the unsafe set of each of the (k, n) balls
     [lo, hi], where one is found: (found mask, points). Each row takes the
     first candidate in_unsafe accepts: the centre of its part in each unsafe
-    box, then, since the ball may exit the tiled region (e.g. beyond the
-    verification domain), its centre with coordinate d pushed to lo[d] or
-    hi[d], for each d in turn."""
+    box, then, for a ball that leaves the safe box (on pendulum, its
+    domain), its centre with coordinate d pushed to lo[d] or hi[d], for
+    each d in turn."""
     k, n = lo.shape
     u_lo = np.maximum(lo, np.array([b.lo for b in env.unsafe_boxes]).reshape(-1, 1, n))
     u_hi = np.minimum(hi, np.array([b.hi for b in env.unsafe_boxes]).reshape(-1, 1, n))

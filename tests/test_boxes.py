@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from clbf.boxes import Box, subtract, subtract_boxes, volumes
+from clbf.boxes import Box, subtract, volumes
 
 
 def test_invalid_bounds_rejected():
@@ -27,46 +27,44 @@ def test_contains_and_intersects():
     assert gap[0].tolist() == [[0.0, 0.0]] and gap[1].tolist() == [[1.0, 2.0]]
 
 
+def _covered(p_lo, p_hi, pts):
+    """Which of the points lie in some piece [p_lo, p_hi]."""
+    return np.any(np.all((pts[:, None] >= p_lo) & (pts[:, None] <= p_hi), axis=2), axis=1)
+
+
 def test_subtract_box_tiles_exactly(rng):
     base = Box(np.array([-1.0, -1.0]), np.array([1.0, 1.0]))
     cut = Box(np.array([-0.2, 0.1]), np.array([0.4, 0.5]))
-    pieces = subtract_boxes([base], [cut])
-    assert np.isclose(sum(p.volume() for p in pieces), base.volume() - cut.volume())
+    p_lo, p_hi, _ = subtract(base.lo[None], base.hi[None], [cut])
+    assert np.isclose(volumes(p_lo, p_hi).sum(), base.volume() - cut.volume())
     pts = base.sample(rng, 4000)
     in_cut = cut.contains(pts)
-    covered = np.zeros(len(pts), dtype=bool)
-    for p in pieces:
-        covered |= p.contains(pts)
     # everything outside the cut is covered; cut interior only on faces
-    assert np.all(covered[~in_cut])
-
-
-def _as_pairs(boxes):
-    return [(b.lo.tolist(), b.hi.tolist()) for b in boxes]
+    assert np.all(_covered(p_lo, p_hi, pts)[~in_cut])
 
 
 def test_subtract_box_disjoint_and_engulfing():
     base = Box(np.array([0.0]), np.array([1.0]))
-    assert _as_pairs(subtract_boxes([base], [Box(np.array([2.0]), np.array([3.0]))])) \
-        == _as_pairs([base])
-    assert subtract_boxes([base], [Box(np.array([-1.0]), np.array([2.0]))]) == []
+    p_lo, p_hi, owner = subtract(base.lo[None], base.hi[None],
+                                 [Box(np.array([2.0]), np.array([3.0]))])
+    assert p_lo.tolist() == [[0.0]] and p_hi.tolist() == [[1.0]] and owner.tolist() == [0]
+    p_lo, p_hi, owner = subtract(base.lo[None], base.hi[None],
+                                 [Box(np.array([-1.0]), np.array([2.0]))])
+    assert p_lo.shape == p_hi.shape == (0, 1) and owner.size == 0
 
 
 def test_subtract_boxes_multiple_cuts(rng):
-    base = [Box(np.array([-0.7, -0.7]), np.array([0.7, 0.7]))]
+    base = Box(np.array([-0.7, -0.7]), np.array([0.7, 0.7]))
     cuts = [
         Box(np.array([-0.2, -0.2]), np.array([0.2, 0.2])),
         Box(np.array([0.6, 0.0]), np.array([0.7, 0.7])),
     ]
-    pieces = subtract_boxes(base, cuts)
-    total = base[0].volume() - sum(c.volume() for c in cuts)
-    assert np.isclose(sum(p.volume() for p in pieces), total)
-    pts = base[0].sample(rng, 4000)
+    p_lo, p_hi, _ = subtract(base.lo[None], base.hi[None], cuts)
+    total = base.volume() - sum(c.volume() for c in cuts)
+    assert np.isclose(volumes(p_lo, p_hi).sum(), total)
+    pts = base.sample(rng, 4000)
     outside_cuts = ~cuts[0].contains(pts) & ~cuts[1].contains(pts)
-    covered = np.zeros(len(pts), dtype=bool)
-    for p in pieces:
-        covered |= p.contains(pts)
-    assert np.all(covered[outside_cuts])
+    assert np.all(_covered(p_lo, p_hi, pts)[outside_cuts])
 
 
 def test_degenerate_volume():

@@ -4,9 +4,10 @@ import pytest
 import clbf.cegis
 from clbf.boxes import Box
 from clbf.cegis import (CegisResult, TrainConfig, cegis_run, resample_counterexamples,
-                        tau_search)
+                        tau_search, teacher_control)
 from clbf.certificate import ClbfParams, FilteredCertificate
-from clbf.envs import EnvSpec, pendulum_env
+from clbf.envs import EnvSpec, make_env, pendulum_env
+from clbf.evaluate import sample_initial_states
 from clbf.nets import Mlp
 from clbf.verifier import Verdict
 
@@ -87,6 +88,21 @@ def test_resampling_equals_the_per_counterexample_loop(env_name, condition):
     assert got_rng.random() == want_rng.random()  # the same draws were used
     if env_name == "pendulum" and condition == "decrease":
         assert len(states) < len(got) < 31 * len(states)  # the filter dropped some
+
+
+@pytest.mark.parametrize("env_name,horizon", [("pendulum", 16), ("docking2d", 13)])
+def test_teacher_reaches_the_goal_safely(env_name, horizon):
+    # the teacher that warm start regresses onto solves the task it is paired
+    # with: from every sampled initial state it reaches the goal within the
+    # horizon and never enters the unsafe set on the way
+    env = make_env(env_name)
+    X = sample_initial_states(env, 2000, np.random.default_rng(0))
+    running = np.ones(len(X), dtype=bool)
+    for _ in range(horizon):
+        X = env.step(X, teacher_control(env, X))
+        assert not np.any(env.in_unsafe(X[running]))
+        running &= ~env.in_goal(X)
+    assert not np.any(running)
 
 
 def test_docking_run_proves_safety():

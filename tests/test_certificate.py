@@ -100,14 +100,14 @@ def test_filtered_upper_bound_at_most_the_whole_box_bound(env_name, cert_seed,
 
 def ball_centres(env, mode, rng, k):
     """k centres: anywhere within 1.2x the domain ("domain"), or on a face of
-    a goal box ("goal") or of a box bounding the unsafe set ("unsafe"), so
-    that balls around them straddle that boundary."""
+    a goal box ("goal") or of a box bounding the unsafe set ("unsafe": an
+    unsafe box or the safe box, finite in both environments), so that balls
+    around them straddle that boundary."""
     if mode == "domain":
         half = 0.6 * env.domain.width
         return rng.uniform(env.domain.center - half, env.domain.center + half,
                            (k, env.state_dim))
-    boxes = env.goal_boxes if mode == "goal" else [
-        *env.unsafe_boxes, *([env.safe_box] if env.safe_box else [])]
+    boxes = env.goal_boxes if mode == "goal" else [*env.unsafe_boxes, env.safe_box]
     picks = [boxes[i] for i in rng.integers(0, len(boxes), k)]
     c = np.stack([rng.uniform(b.lo, b.hi) for b in picks])
     d = rng.integers(0, env.state_dim, k)
