@@ -34,18 +34,6 @@ class Box:
     def dim(self) -> int:
         return self.lo.shape[0]
 
-    @property
-    def width(self) -> np.ndarray:
-        return self.hi - self.lo
-
-    @property
-    def center(self) -> np.ndarray:
-        return 0.5 * (self.lo + self.hi)
-
-    def volume(self) -> float:
-        """The box's volume (see volumes)."""
-        return float(volumes(self.lo[None], self.hi[None])[0])
-
     def contains(self, x: np.ndarray) -> np.ndarray | bool:
         """Pointwise membership; accepts a single state or a (k, n) batch."""
         x = np.asarray(x, dtype=float)

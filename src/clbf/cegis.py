@@ -36,50 +36,33 @@ ENV_DEFAULTS = {
 }
 
 
+# Settings no caller varies. A setting becomes a TrainConfig field again only
+# when two callers need different values.
+CERT_HIDDEN = (64, 32, 16)
+BATCH_SIZE = 512
+TEACHER_TOL = 1e-3       # teacher regression MSE
+LOSS_ZERO_TOL = 1e-12    # a training phase ends below this loss
+SPECTRAL_ITERS = 5       # power iterations per training step
+RESAMPLE_M = 64          # samples around each counterexample
+RESAMPLE_RADIUS = 1e-3
+CE_LIMIT = 8             # witnesses per verifier check
+CE_CAP = 4096            # counterexamples per condition in one batch
+
+
 @dataclass
 class TrainConfig:
     env_name: str = "pendulum"
     method: str = "vanilla"
     seed: int = 0
-    # certificate scalars
-    alpha: float = 1.2
-    beta: float = 1.0
     epsilon: float | None = None   # env default when None
     delta: float | None = None     # (env, method) default when None
     tau: float | None = None       # env default when None
-    goal_mask: float = -10.0
-    unsafe_mask: float = 1.2
-    # loss weights
-    lambda_init: float = 1.0
-    lambda_dec: float = 10.0
-    lambda_lip_global: float = 1.0
-    ce_weight: float = 100.0
-    # architecture
-    cert_hidden: tuple = (64, 32, 16)
-    policy_hidden: tuple | None = None
-    # training loop
-    lr: float = 1e-3
-    batch_size: int = 512
     epochs_per_iter: int = 2000
     warmstart_epochs: int = 500
     teacher_samples: int = 10_000
-    teacher_tol: float = 1e-3
     max_iters: int = 50
     timeout_hours: float = 12.0
-    loss_zero_tol: float = 1e-12
-    train_spectral_iters: int = 5
-    # counterexample handling
-    resample_m: int = 64
-    resample_radius: float = 1e-3
-    ce_limit: int = 8
-    ce_cap: int = 4096
-    # verification budgets
-    max_boxes: int | None = None
-    min_width: float = 1e-4
-    verify_chunk: int = 4096
-    # pgd
-    pgd_steps: int = 20
-    pgd_restarts: int = 3
+    max_boxes: int | None = None   # env default when None
 
     def resolved(self) -> "TrainConfig":
         if self.env_name not in ENV_DEFAULTS:
@@ -93,8 +76,6 @@ class TrainConfig:
             out.epsilon = d["epsilon"]
         if out.tau is None:
             out.tau = d["tau"]
-        if out.policy_hidden is None:
-            out.policy_hidden = d["policy_hidden"]
         if out.max_boxes is None:
             out.max_boxes = d["max_boxes"]
         if out.delta is None:
@@ -102,34 +83,30 @@ class TrainConfig:
         return out
 
     def clbf_params(self) -> ClbfParams:
-        return ClbfParams(alpha=self.alpha, beta=self.beta, epsilon=self.epsilon,
-                          delta=self.delta, goal_mask=self.goal_mask,
-                          unsafe_mask=self.unsafe_mask)
+        return ClbfParams(epsilon=self.epsilon, delta=self.delta)
 
     def loss_config(self) -> TotalLossConfig:
-        weights = LossWeights(self.lambda_init, self.lambda_dec, self.lambda_lip_global,
-                              self.tau, self.ce_weight).validate()
-        pgd = PgdConfig(steps=self.pgd_steps, delta=self.delta,
-                        restarts=self.pgd_restarts)
-        return TotalLossConfig(self.method, weights, self.delta, pgd,
-                               self.train_spectral_iters)
+        return TotalLossConfig(self.method, LossWeights(tau=self.tau).validate(),
+                               self.delta, PgdConfig(delta=self.delta), SPECTRAL_ITERS)
 
     def bnb_config(self, max_boxes: int | None = None) -> BnbConfig:
-        return BnbConfig(max_boxes=max_boxes or self.max_boxes,
-                         min_width=self.min_width, ce_limit=self.ce_limit,
-                         chunk=self.verify_chunk, seed=self.seed)
+        return BnbConfig(max_boxes=max_boxes or self.max_boxes, ce_limit=CE_LIMIT,
+                         seed=self.seed)
 
 
 @dataclass
 class CegisResult:
     policy: Mlp
     cert: FilteredCertificate
-    success: bool
     status: str     # "certified" | "timeout" | "max_iters" | "diverged" | "stalled"
     iterations: list[dict] = field(default_factory=list)
     verdicts: dict = field(default_factory=dict)
     warmstart: dict = field(default_factory=dict)
     config: TrainConfig | None = None
+
+    @property
+    def success(self) -> bool:
+        return self.status == "certified"
 
 
 # ---------------------------------------------------------------------------
@@ -154,19 +131,20 @@ def warm_start(env: EnvSpec, config: TrainConfig,
                rng: np.random.Generator) -> tuple[Mlp, FilteredCertificate, dict]:
     """Policy regression onto the teacher plus certificate pre-training.
 
-    Returns (policy, cert, diagnostics); a teacher fit missing the tolerance
+    Returns (policy, cert, diagnostics); a teacher fit missing TEACHER_TOL
     is reported in the diagnostics but training continues best-effort.
     """
     cfg = config.resolved()
     diag = {}
-    policy = init_mlp([env.state_dim, *cfg.policy_hidden, env.control_dim], rng)
+    policy_hidden = ENV_DEFAULTS[cfg.env_name]["policy_hidden"]
+    policy = init_mlp([env.state_dim, *policy_hidden, env.control_dim], rng)
     region = Box(env.safe_box.clip(env.domain.lo), env.safe_box.clip(env.domain.hi))
     X = region.sample(rng, cfg.teacher_samples)
     U_t = teacher_control(env, X)
 
-    opt = Adam(lr=1e-3)
+    opt = Adam()
     for step in range(4000):
-        idx = rng.integers(0, X.shape[0], cfg.batch_size)
+        idx = rng.integers(0, X.shape[0], BATCH_SIZE)
         xb, ub = X[idx], U_t[idx]
         tape = forward_tape(policy, xb)
         err = tape.output - ub
@@ -174,20 +152,20 @@ def warm_start(env: EnvSpec, config: TrainConfig,
         opt.step(policy.params(), grads)
         if step % 200 == 199:
             mse = float(np.mean((forward_batch(policy, X) - U_t) ** 2))
-            if mse < cfg.teacher_tol:
+            if mse < TEACHER_TOL:
                 break
     mse = float(np.mean((forward_batch(policy, X) - U_t) ** 2))
     diag["teacher_mse"] = mse
-    if mse >= cfg.teacher_tol:
+    if mse >= TEACHER_TOL:
         diag["teacher_warning"] = f"teacher regression MSE {mse:.2e} above tolerance"
 
     cert = FilteredCertificate(
-        init_mlp([env.state_dim, *cfg.cert_hidden, 1], rng),
+        init_mlp([env.state_dim, *CERT_HIDDEN, 1], rng),
         cfg.clbf_params(), env,
     )
     # pre-train the certificate with the policy frozen
     loss, _, diverged = _train_phase(cfg, cert, policy, env, cfg.warmstart_epochs,
-                                     cert.net.params(), Adam(lr=cfg.lr), rng)
+                                     cert.net.params(), Adam(), rng)
     if diverged:
         diag["warmstart_warning"] = "certificate pre-training diverged"
     # no loss is measured when warmstart_epochs is 0
@@ -198,25 +176,25 @@ def warm_start(env: EnvSpec, config: TrainConfig,
 def _train_phase(cfg, cert, policy, env, epochs, params, opt, rng, vs=None,
                  ce=None, deadline=np.inf):
     """Up to epochs steps of opt on params (the certificate's, then the
-    policy's unless it is frozen) against the total loss of fresh init and
-    decrease states, each mixed with at most ce_cap of the counterexamples
-    that the store ce holds under that condition. Ends at a non-finite loss,
-    at a loss below loss_zero_tol before that step's update (Adam's momentum
-    would still move the weights), or past the deadline. Returns (loss, vs,
-    diverged); loss is inf when no step ran."""
+    policy's unless it is frozen) against the total loss of BATCH_SIZE fresh
+    init and decrease states, each mixed with at most CE_CAP of the
+    counterexamples that the store ce holds under that condition. Ends at a
+    non-finite loss, at a loss below LOSS_ZERO_TOL before that step's update
+    (Adam's momentum would still move the weights), or past the deadline.
+    Returns (loss, vs, diverged); loss is inf when no step ran."""
     tl_cfg = cfg.loss_config()
     ce = ce or {}
     loss = np.inf
     for _ in range(epochs):
-        init_states = env.sample_init(rng, cfg.batch_size)
-        dec_states = env.sample_states(rng, cfg.batch_size)
-        init_b = _with_ce(init_states, ce.get("init"), cfg.ce_cap, rng)
-        dec_b = _with_ce(dec_states, ce.get("decrease"), cfg.ce_cap, rng)
+        init_states = env.sample_init(rng, BATCH_SIZE)
+        dec_states = env.sample_states(rng, BATCH_SIZE)
+        init_b = _with_ce(init_states, ce.get("init"), CE_CAP, rng)
+        dec_b = _with_ce(dec_states, ce.get("decrease"), CE_CAP, rng)
         loss, cg, pg, vs = total_loss_grads(tl_cfg, cert, policy, env, init_b,
                                             dec_b, rng, spectral_vs=vs)
         if not np.isfinite(loss):
             return loss, vs, True
-        if loss < cfg.loss_zero_tol:
+        if loss < LOSS_ZERO_TOL:
             break
         opt.step(params, (cg + pg)[:len(params)])  # drops a frozen policy's
         if time.monotonic() > deadline:
@@ -276,10 +254,9 @@ def cegis_run(config: TrainConfig, env: EnvSpec | None = None) -> CegisResult:
     deadline = t0 + cfg.timeout_hours * 3600.0
 
     policy, cert, ws_diag = warm_start(env, cfg, rng)
-    result = CegisResult(policy, cert, False, "running", warmstart=ws_diag,
-                         config=cfg)
+    result = CegisResult(policy, cert, "running", warmstart=ws_diag, config=cfg)
 
-    opt = Adam(lr=cfg.lr)
+    opt = Adam()
     params = cert.net.params() + policy.params()
     ce = {c: np.empty((0, env.state_dim)) for c in ("init", "decrease")}
     vs = None
@@ -305,14 +282,13 @@ def cegis_run(config: TrainConfig, env: EnvSpec | None = None) -> CegisResult:
                                       time.monotonic() - t_verify))
 
         if all(v.proved for v in result.verdicts.values()):  # a proof has no witness
-            result.success = True
             result.status = "certified"
             return result
         for c, v in result.verdicts.items():
             if v.witnesses:
                 ce[c] = np.concatenate([ce[c], resample_counterexamples(
-                    env, [w.state for w in v.witnesses], cfg.resample_m,
-                    cfg.resample_radius, rng, c)])
+                    env, [w.state for w in v.witnesses], RESAMPLE_M,
+                    RESAMPLE_RADIUS, rng, c)])
         if not any(found.values()):
             # no counterexample but not proved: widen the verification budget
             if verify_budget >= cfg.max_boxes:

@@ -2,7 +2,7 @@
 
 The certificate is a scalar ReLU network whose output is overridden on the
 task sets: goal states evaluate to a fixed low mask, unsafe states to a fixed
-high mask, at least alpha. Filtering discharges the barrier condition by
+high mask above beta. Filtering discharges the barrier condition by
 construction: no check or training sample is needed in the unsafe set. The
 verifier bounds the filtered value over boxes from above with one routine,
 filtered_upper_bound, on whole (k, n) arrays of boxes; no check needs a
@@ -25,13 +25,12 @@ from .nets import Mlp, ibp_bounds, scalar_value
 class ClbfParams:
     """Scalar parameters of the certificate, validated at construction.
 
-    alpha: threshold exceeded on unsafe states; beta: cap on initial states;
-    epsilon: required per-step decrease; delta: l-inf perturbation radius;
-    goal_mask: value on the goal set, the certificate's global lower bound;
-    unsafe_mask: value on the unsafe set, at least alpha.
+    beta: cap on initial states; epsilon: required per-step decrease; delta:
+    l-inf perturbation radius; goal_mask: value on the goal set, the
+    certificate's global lower bound; unsafe_mask: value on the unsafe set,
+    the barrier threshold, above beta.
     """
 
-    alpha: float = 1.2
     beta: float = 1.0
     epsilon: float = 5e-3
     delta: float = 0.0
@@ -42,15 +41,13 @@ class ClbfParams:
         self.validate()
 
     def validate(self):
-        if not (self.alpha > self.beta > self.goal_mask):
-            raise ValueError("need alpha > beta > goal_mask")
         # written so that a NaN fails each test
+        if not self.unsafe_mask > self.beta > self.goal_mask:
+            raise ValueError("need unsafe_mask > beta > goal_mask")
         if not self.epsilon > 0:
             raise ValueError("epsilon must be positive")
         if not self.delta >= 0:
             raise ValueError("delta must be non-negative")
-        if not self.unsafe_mask >= self.alpha:
-            raise ValueError("unsafe_mask must be >= alpha")
         return self
 
 

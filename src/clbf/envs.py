@@ -15,7 +15,7 @@ from typing import Callable
 
 import numpy as np
 
-from .boxes import Box, subtract
+from .boxes import Box, subtract, volumes
 
 
 # ---------------------------------------------------------------------------
@@ -136,7 +136,8 @@ class EnvSpec:
         """Uniform over the initial set (proportional to box volumes)."""
         if len(self.init_boxes) == 1:
             return self.init_boxes[0].sample(rng, k)
-        vols = np.array([b.volume() for b in self.init_boxes])
+        vols = volumes(np.array([b.lo for b in self.init_boxes]),
+                       np.array([b.hi for b in self.init_boxes]))
         counts = rng.multinomial(k, vols / vols.sum())
         parts = [b.sample(rng, c) for b, c in zip(self.init_boxes, counts) if c]
         return np.concatenate(parts)

@@ -16,7 +16,7 @@ from .certificate import ClbfParams, FilteredCertificate
 from .envs import make_env
 from .nets import Mlp
 
-FORMAT_TAG = "clbf-model/2"
+FORMAT_TAG = "clbf-model/3"
 
 
 def _activations(layers: int) -> list[str]:  # the only ones an Mlp evaluates

@@ -1,8 +1,8 @@
 """Sound branch-and-bound verification of the robust certificate conditions.
 
 Two checks: the initial-set cap V <= beta, and the robust decrease condition
-over the delta-inflated next-state ball. V >= alpha on the unsafe set needs
-none: unsafe states take unsafe_mask, which ClbfParams holds >= alpha. The
+over the delta-inflated next-state ball. V > beta on the unsafe set needs
+none: unsafe states take unsafe_mask, which ClbfParams holds above beta. The
 checks share one loop, _branch_and_bound, and differ only in their box test
 and their hunt: interval bounds prove boxes, and concrete points inside the
 failed boxes are checked for exact counterexamples; both bound the filtered

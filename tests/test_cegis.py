@@ -2,14 +2,16 @@ import numpy as np
 import pytest
 
 import clbf.cegis
+from clbf.adversary import PgdConfig
 from clbf.boxes import Box
 from clbf.cegis import (CegisResult, TrainConfig, cegis_run, resample_counterexamples,
                         tau_search, teacher_control)
 from clbf.certificate import ClbfParams, FilteredCertificate
 from clbf.envs import EnvSpec, make_env, pendulum_env
 from clbf.evaluate import sample_initial_states
+from clbf.losses import LossWeights, TotalLossConfig
 from clbf.nets import Mlp
-from clbf.verifier import Verdict
+from clbf.verifier import BnbConfig, Verdict
 
 
 def two_init_boxes_env_1d():
@@ -113,7 +115,7 @@ def test_docking_run_proves_safety():
                       max_iters=1, teacher_samples=2000, max_boxes=2000)
     result = cegis_run(cfg)
     assert set(result.verdicts) == {"init", "decrease"}
-    assert result.cert.params.unsafe_mask >= result.cert.params.alpha
+    assert result.cert.params.unsafe_mask > result.cert.params.beta
 
 
 # ---------------------------------------------------------------------------
@@ -125,6 +127,43 @@ def test_resolved_rejects_unknown_env_and_method():
         TrainConfig(env_name="nope").resolved()
     with pytest.raises(ValueError, match="unknown method 'nope'.*vanilla"):
         TrainConfig(method="nope").resolved()
+
+
+# (env, method): epsilon, delta, tau, max_boxes as resolved() fills them in
+RESOLVED = {
+    ("pendulum", "vanilla"): (5e-3, 0.0, 3.0, 2_000_000),
+    ("pendulum", "pgd"): (5e-3, 5e-3, 3.0, 2_000_000),
+    ("pendulum", "lip-reg"): (5e-3, 0.0, 3.0, 2_000_000),
+    ("pendulum", "lip-neighbor"): (5e-3, 1e-3, 3.0, 2_000_000),
+    ("docking2d", "vanilla"): (1e-2, 0.0, 1.0, 20_000_000),
+    ("docking2d", "pgd"): (1e-2, 1e-2, 1.0, 20_000_000),
+    ("docking2d", "lip-reg"): (1e-2, 0.0, 1.0, 20_000_000),
+    ("docking2d", "lip-neighbor"): (1e-2, 1e-2, 1.0, 20_000_000),
+}
+
+
+@pytest.mark.parametrize("env_name,method", sorted(RESOLVED))
+def test_sub_configs_and_net_dims_stay_pinned(env_name, method):
+    # every value written out, so that a trim of TrainConfig or of a
+    # sub-config's defaults that changes a run shows here
+    epsilon, delta, tau, max_boxes = RESOLVED[env_name, method]
+    cfg = TrainConfig(env_name, method).resolved()
+    assert cfg.clbf_params() == ClbfParams(beta=1.0, epsilon=epsilon, delta=delta,
+                                           goal_mask=-10.0, unsafe_mask=1.2)
+    assert cfg.loss_config() == TotalLossConfig(
+        method, LossWeights(lambda_init=1.0, lambda_dec=10.0, lambda_lip_global=1.0,
+                            tau=tau, ce_weight=100.0),
+        delta, PgdConfig(steps=20, delta=delta, restarts=3), spectral_iters=5)
+    assert cfg.bnb_config() == BnbConfig(
+        max_boxes=max_boxes, min_width=1e-4, ce_limit=8, chunk=4096,
+        inner_pgd=PgdConfig(steps=20, delta=0.0, restarts=2), outer_pgd_steps=5, seed=0)
+    env = make_env(env_name)
+    policy, cert, _ = clbf.cegis.warm_start(
+        env, TrainConfig(env_name, method, warmstart_epochs=0, teacher_samples=500),
+        np.random.default_rng(0))
+    n = env.state_dim
+    assert cert.net.dims == [n, 64, 32, 16, 1]
+    assert policy.dims == {"pendulum": [n, 128, 128, 1], "docking2d": [n, 20, 20, 2]}[env_name]
 
 
 def tiny_config(**kw):
@@ -298,7 +337,7 @@ def fake_cegis_run(pendulum, vanilla_ok=True, tau_min=2.5, runs=None):
         ok = vanilla_ok if cfg.method == "vanilla" else cfg.tau >= tau_min
         cert = FilteredCertificate(net, ClbfParams(), pendulum)
         status = "certified" if ok else "max_iters"
-        return CegisResult(net, cert, ok, status, config=cfg)
+        return CegisResult(net, cert, status, config=cfg)
 
     return run
 

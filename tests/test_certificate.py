@@ -15,12 +15,12 @@ from conftest import small_cert, whole_box_upper_bound
 
 def test_params_validation():
     # the constructor validates, so no invalid params can be held; a NaN
-    # unsafe_mask would put NaN, not a value >= alpha, on the unsafe set
+    # unsafe_mask would put NaN, not a value above beta, on the unsafe set
     ClbfParams()
-    bad = [dict(alpha=0.9),  # alpha <= beta
+    bad = [dict(beta=1.5),  # unsafe_mask <= beta
            dict(epsilon=0.0),
            dict(delta=-1e-3),
-           dict(unsafe_mask=1.0),  # below alpha
+           dict(unsafe_mask=1.0),  # not above beta
            dict(goal_mask=1.0),  # beta <= goal_mask
            *({f.name: float("nan")} for f in dataclasses.fields(ClbfParams))]
     for kw in bad:
@@ -39,7 +39,7 @@ def test_fields_cannot_be_reassigned_past_the_dimension_check(pendulum):
     cert = small_cert(pendulum)
     with pytest.raises(dataclasses.FrozenInstanceError):
         cert.net = init_mlp([pendulum.state_dim + 1, 8, 1], np.random.default_rng(0))
-    # nor past the params check: unsafe states would evaluate below alpha
+    # nor past the params check: unsafe states would evaluate below beta
     with pytest.raises(dataclasses.FrozenInstanceError):
         cert.params.unsafe_mask = 0.5
     for f in dataclasses.fields(ClbfParams):
@@ -91,7 +91,7 @@ def test_filtered_upper_bound_at_most_the_whole_box_bound(env_name, cert_seed,
     cert = small_cert(env, seed=cert_seed)
     rng = np.random.default_rng(seed)
     c = rng.uniform(env.domain.lo, env.domain.hi, (32, env.state_dim))
-    r = rng.uniform(0.0, max_half, (32, env.state_dim)) * env.domain.width
+    r = rng.uniform(0.0, max_half, (32, env.state_dim)) * (env.domain.hi - env.domain.lo)
     lo = np.maximum(c - r, env.domain.lo)
     hi = np.minimum(c + r, env.domain.hi)
     assert np.all(filtered_upper_bound(cert, lo, hi)
@@ -104,9 +104,9 @@ def ball_centres(env, mode, rng, k):
     unsafe box or the safe box, finite in both environments), so that balls
     around them straddle that boundary."""
     if mode == "domain":
-        half = 0.6 * env.domain.width
-        return rng.uniform(env.domain.center - half, env.domain.center + half,
-                           (k, env.state_dim))
+        mid = 0.5 * (env.domain.lo + env.domain.hi)
+        half = 0.6 * (env.domain.hi - env.domain.lo)
+        return rng.uniform(mid - half, mid + half, (k, env.state_dim))
     boxes = env.goal_boxes if mode == "goal" else [*env.unsafe_boxes, env.safe_box]
     picks = [boxes[i] for i in rng.integers(0, len(boxes), k)]
     c = np.stack([rng.uniform(b.lo, b.hi) for b in picks])

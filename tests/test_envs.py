@@ -232,7 +232,7 @@ def test_docking_interval_is_exact_affine_image(docking, rng):
         U = Box(c_u - r_u, c_u + r_u)
         lo, hi = docking.step_interval_arrays(B.lo[None], B.hi[None],
                                               U.lo[None], U.hi[None])
-        want_width = np.abs(A) @ B.width + np.abs(Bu) @ U.width
+        want_width = np.abs(A) @ (B.hi - B.lo) + np.abs(Bu) @ (U.hi - U.lo)
         assert np.allclose(hi[0] - lo[0], want_width, atol=1e-10)
 
 
@@ -249,7 +249,7 @@ def test_step_interval_soundness_dense_sampling(env_name, centre, radius,
     # the interval image holds the next state of every pair of their points
     env = GEOMETRY_ENVS[env_name]
     n, m = env.state_dim, env.control_dim
-    c = env.domain.lo + np.array(centre[:n]) * env.domain.width
+    c = env.domain.lo + np.array(centre[:n]) * (env.domain.hi - env.domain.lo)
     r = np.array(radius[:n])
     B = Box(np.maximum(c - r, env.domain.lo), np.minimum(c + r, env.domain.hi))
     cu, ru = np.array(u_centre[:m]), np.array(u_radius[:m])
@@ -349,14 +349,15 @@ def env_and_box(draw):
     """
     env = GEOMETRY_ENVS[draw(st.sampled_from(sorted(GEOMETRY_ENVS)))]
     n = env.state_dim
-    region = Box(env.domain.center - 0.6 * env.domain.width,
-                 env.domain.center + 0.6 * env.domain.width)
+    mid, half = 0.5 * (env.domain.lo + env.domain.hi), 0.6 * (env.domain.hi - env.domain.lo)
+    region = Box(mid - half, mid + half)
     anchor = draw(st.sampled_from([None, *env.goal_boxes, *env.unsafe_boxes, env.safe_box]))
     if anchor is not None and draw(st.booleans()):
         region = Box(np.maximum(region.lo, anchor.lo), np.minimum(region.hi, anchor.hi))
     fracs = draw(st.lists(st.floats(0.0, 1.0), min_size=2 * n, max_size=2 * n))
     f = np.sort(np.array(fracs).reshape(2, n), axis=0)
-    box = Box(region.lo + f[0] * region.width, region.lo + f[1] * region.width)
+    width = region.hi - region.lo
+    box = Box(region.lo + f[0] * width, region.lo + f[1] * width)
     return env, box, draw(st.integers(0, 2**32 - 1))
 
 
@@ -393,7 +394,7 @@ def test_box_predicates_agree_with_points(case):
 def test_unmasked_pieces_tile_box_minus_sets(case):
     env, box, seed = case
     # in one batch: the box, its translate beyond the domain, the box again
-    far = env.domain.width + 1.0
+    far = env.domain.hi - env.domain.lo + 1.0
     lo = np.stack([box.lo, box.lo + far, box.lo])
     hi = np.stack([box.hi, box.hi + far, box.hi])
     p_lo, p_hi, owner = env.unmasked_pieces(lo, hi)

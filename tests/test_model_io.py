@@ -26,7 +26,7 @@ def test_round_trip_is_bit_exact(pendulum, tmp_path):
 
 def test_wrong_format_tag_is_rejected(pendulum, tmp_path):
     path = save_model(tmp_path / "m.clbf", small_policy(pendulum), small_cert(pendulum))
-    for tag in ("clbf-model/0", "clbf-model/1"):
+    for tag in ("clbf-model/0", "clbf-model/1", "clbf-model/2"):
         doc = json.loads(path.read_text())
         doc["format"] = tag
         bad = tmp_path / "bad.clbf"
@@ -77,9 +77,9 @@ def test_missing_section_is_rejected(pendulum, tmp_path):
 
 def test_unknown_params_key_is_rejected(pendulum, tmp_path):
     path, doc = _saved_doc(pendulum, tmp_path)
-    doc["clbf_params"]["alpa"] = doc["clbf_params"].pop("alpha")
+    doc["clbf_params"]["unsafe_msk"] = doc["clbf_params"].pop("unsafe_mask")
     path.write_text(json.dumps(doc))
-    with pytest.raises(ValueError, match=r"unknown keys \['alpa'\]"):
+    with pytest.raises(ValueError, match=r"unknown keys \['unsafe_msk'\]"):
         load_model(path)
 
 
@@ -92,12 +92,12 @@ def test_missing_params_key_is_rejected(pendulum, tmp_path):
 
 
 def test_invalid_params_value_is_rejected(pendulum, tmp_path):
-    # below alpha = 1.2, or NaN, which json writes and reads back
+    # below beta = 1.0, or NaN, which json writes and reads back
     for unsafe_mask in (0.5, float("nan")):
         path, doc = _saved_doc(pendulum, tmp_path)
         doc["clbf_params"]["unsafe_mask"] = unsafe_mask
         path.write_text(json.dumps(doc))
-        with pytest.raises(ValueError, match="unsafe_mask must be >= alpha"):
+        with pytest.raises(ValueError, match="need unsafe_mask > beta"):
             load_model(path)
 
 

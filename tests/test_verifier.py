@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 import clbf.nets
 import clbf.verifier
 from clbf.adversary import PgdConfig, pgd_maximize_batch
-from clbf.boxes import Box
+from clbf.boxes import Box, volumes
 from clbf.certificate import ClbfParams, FilteredCertificate, filtered_upper_bound
 from clbf.envs import EnvSpec, make_env
 from clbf.nets import Mlp, backward, forward_batch, forward_tape, ibp_bounds, init_mlp
@@ -203,25 +203,23 @@ def test_check_init_tiled_bound_never_processes_more_boxes(env_name, monkeypatch
 
 
 def test_low_unsafe_mask_is_rejected_at_construction():
-    # no verifier pass checks V >= alpha on the unsafe set: params whose
-    # unsafe_mask is below alpha can be neither built nor copied (nor made by
-    # assignment, see test_certificate.py)
-    with pytest.raises(ValueError, match="unsafe_mask must be >= alpha"):
+    # no verifier pass checks V > beta on the unsafe set: params whose
+    # unsafe_mask is not above beta can be neither built nor copied (nor made
+    # by assignment, see test_certificate.py)
+    with pytest.raises(ValueError, match="need unsafe_mask > beta"):
         ClbfParams(unsafe_mask=1.0)
-    with pytest.raises(ValueError, match="unsafe_mask must be >= alpha"):
-        replace(ClbfParams(), alpha=1.5)
+    with pytest.raises(ValueError, match="need unsafe_mask > beta"):
+        replace(ClbfParams(), beta=1.5)
 
 
 @st.composite
 def valid_params(draw):
-    """ClbfParams with goal_mask < beta < alpha <= unsafe_mask."""
-    gap = st.floats(1e-3, 5.0)
+    """ClbfParams with goal_mask < beta < unsafe_mask."""
     goal_mask = draw(st.floats(-20.0, 0.0))
-    beta = goal_mask + draw(gap)
-    alpha = beta + draw(gap)
-    return ClbfParams(alpha=alpha, beta=beta, epsilon=draw(st.floats(1e-6, 0.1)),
+    beta = goal_mask + draw(st.floats(1e-3, 5.0))
+    return ClbfParams(beta=beta, epsilon=draw(st.floats(1e-6, 0.1)),
                       goal_mask=goal_mask,
-                      unsafe_mask=alpha + draw(st.floats(0.0, 5.0)))
+                      unsafe_mask=beta + draw(st.floats(1e-3, 10.0)))
 
 
 UNSAFE_ENVS = {name: make_env(name) for name in ("pendulum", "docking2d")}
@@ -231,20 +229,19 @@ UNSAFE_ENVS = {name: make_env(name) for name in ("pendulum", "docking2d")}
 @given(st.sampled_from(sorted(UNSAFE_ENVS)), st.integers(0, 2**16),
        valid_params(), st.integers(0, 2**32 - 1))
 def test_unsafe_points_evaluate_to_mask(env_name, net_seed, params, seed):
-    # the barrier condition V >= alpha on the unsafe set, for any network
+    # the barrier condition V > beta on the unsafe set, for any network
     env = UNSAFE_ENVS[env_name]
     net = init_mlp([env.state_dim, 16, 8, 1], np.random.default_rng(net_seed))
     cert = FilteredCertificate(net, params, env)
     rng = np.random.default_rng(seed)
     # by rejection from 1.2x the domain: the unsafe boxes and the outside of
     # the safe box alike
-    half = 0.6 * env.domain.width
-    pts = rng.uniform(env.domain.center - half, env.domain.center + half,
-                      (400, env.state_dim))
+    mid, half = 0.5 * (env.domain.lo + env.domain.hi), 0.6 * (env.domain.hi - env.domain.lo)
+    pts = rng.uniform(mid - half, mid + half, (400, env.state_dim))
     pts = pts[env.in_unsafe(pts)]
     assert len(pts) > 0
     v = cert.value(pts)
-    assert np.all(v == params.unsafe_mask) and params.unsafe_mask >= params.alpha
+    assert np.all(v == params.unsafe_mask) and params.unsafe_mask > params.beta
 
 
 # a state on each face of pendulum's domain [-0.7, 0.7]^2, away from the
@@ -304,7 +301,7 @@ def test_policy_bounds_sound_and_clamped(pendulum, docking, rng):
         net.weights[-1] = 20.0 * net.weights[-1]  # outputs leave the control box
         for _ in range(20):
             c = rng.uniform(env.domain.lo, env.domain.hi)
-            r = rng.uniform(0.01, 0.1, env.state_dim) * env.domain.width
+            r = rng.uniform(0.01, 0.1, env.state_dim) * (env.domain.hi - env.domain.lo)
             lo, hi = (c - r)[None], (c + r)[None]
             u_lo, u_hi = ibp_bounds(net, lo, hi)
             pts = Box(lo[0], hi[0]).sample(rng, 500)
@@ -434,9 +431,10 @@ def test_unknown_volume_fraction_is_the_box_volume_sum(max_boxes):
     v = _branch_and_bound(roots, BnbConfig(max_boxes=max_boxes, min_width=0.05),
                           "init", fails, hunt)
     assert v.status == "unknown" and len(v.unknown_boxes) > len(roots)
-    assert any(np.any(b.width == 0) for b in v.unknown_boxes)
-    want = min(1.0, sum(b.volume() for b in v.unknown_boxes)
-               / sum(b.volume() for b in roots))
+    assert np.any(v.unknown_hi == v.unknown_lo)
+    r_lo, r_hi = np.stack([b.lo for b in roots]), np.stack([b.hi for b in roots])
+    want = min(1.0, sum(volumes(v.unknown_lo, v.unknown_hi).tolist())
+               / sum(volumes(r_lo, r_hi).tolist()))
     assert 0 < v.unknown_volume_fraction == want < 1
 
 
@@ -447,7 +445,8 @@ def test_unknown_volume_fraction_is_the_box_volume_sum(max_boxes):
 def hunt_every_failed_box(roots, cfg, condition, fails, hunt):
     """_branch_and_bound without the look-ahead: every popped box is bounded
     in its own round, and every failed box is hunted."""
-    queue = deque([(np.stack([b.lo for b in roots]), np.stack([b.hi for b in roots]))])
+    r_lo, r_hi = np.stack([b.lo for b in roots]), np.stack([b.hi for b in roots])
+    queue = deque([(r_lo, r_hi)])
     processed = rounds = 0
     residue, witnesses = [], []
     while queue and processed < cfg.max_boxes and len(witnesses) < cfg.ce_limit:
@@ -473,7 +472,7 @@ def hunt_every_failed_box(roots, cfg, condition, fails, hunt):
     residue.extend(queue)
     u_lo, u_hi = (np.concatenate(a) for a in zip(*residue))
     status = "counterexample" if witnesses else "unknown" if len(u_lo) else "proved"
-    total_vol = sum(b.volume() for b in roots)
+    total_vol = sum(volumes(r_lo, r_hi).tolist())
     return Verdict(status, condition, witnesses=witnesses, unknown_lo=u_lo, unknown_hi=u_hi,
                    unknown_volume_fraction=_vol_fraction(u_lo, u_hi, total_vol),
                    boxes_processed=processed)
@@ -1064,9 +1063,8 @@ def test_exact_ball_max_never_exceeds_the_interval_bound(env_name, cert_seed,
     cert = small_cert(env, seed=cert_seed)
     rng = np.random.default_rng(seed)
     # centres within 1.2x the domain, so balls reach into every set
-    half = 0.6 * env.domain.width
-    nxt = rng.uniform(env.domain.center - half, env.domain.center + half,
-                      (16, env.state_dim))
+    mid, half = 0.5 * (env.domain.lo + env.domain.hi), 0.6 * (env.domain.hi - env.domain.lo)
+    nxt = rng.uniform(mid - half, mid + half, (16, env.state_dim))
     best_v, best_y = ball_max(cert, nxt, cert.value(nxt), delta,
                               PgdConfig(steps=10, restarts=2), rng, np.ones(16, bool))
     ub = filtered_upper_bound(cert, nxt - delta, nxt + delta)
