@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .adversary import check_delta
 from .envs import EnvSpec
 from .nets import Mlp, ibp_bounds, scalar_value
 
@@ -44,10 +45,11 @@ class ClbfParams:
         # written so that a NaN fails each test
         if not self.unsafe_mask > self.beta > self.goal_mask:
             raise ValueError("need unsafe_mask > beta > goal_mask")
-        if not self.epsilon > 0:
-            raise ValueError("epsilon must be positive")
-        if not self.delta >= 0:
-            raise ValueError("delta must be non-negative")
+        if not (self.goal_mask > -np.inf and self.unsafe_mask < np.inf):
+            raise ValueError("goal_mask and unsafe_mask must be finite")
+        if not 0 < self.epsilon < np.inf:
+            raise ValueError("epsilon must be positive and finite")
+        check_delta(self.delta)
         return self
 
 

@@ -173,13 +173,6 @@ def _boxes_contain(boxes: list[Box], lo: np.ndarray, hi: np.ndarray) -> np.ndarr
     return hit
 
 
-def _constants(defaults: dict, given: dict | None) -> dict:
-    """The defaults overridden by the given constants, which must be known."""
-    if unknown := set(given or ()) - set(defaults):
-        raise ValueError(f"unknown constants {sorted(unknown)}; known: {sorted(defaults)}")
-    return {**defaults, **(given or {})}
-
-
 # ---------------------------------------------------------------------------
 # pendulum
 
@@ -187,7 +180,7 @@ def _constants(defaults: dict, given: dict | None) -> dict:
 PENDULUM_CONSTANTS = {"g": 10.0, "m": 0.15, "l": 0.5, "b": 0.1, "T": 0.05}
 
 
-def pendulum_env(constants: dict | None = None) -> EnvSpec:
+def pendulum_env() -> EnvSpec:
     """Torque-limited pendulum, state (theta, theta_dot), control u in [-1, 1].
 
     theta_dot' = (1-b) theta_dot + (1.5 g sin(theta) / (2 l) + (3/(m l^2)) 2u) T
@@ -195,7 +188,7 @@ def pendulum_env(constants: dict | None = None) -> EnvSpec:
 
     The state is neither wrapped nor clamped; leaving the domain is unsafe.
     """
-    c = _constants(PENDULUM_CONSTANTS, constants)
+    c = dict(PENDULUM_CONSTANTS)
     g, m, l, b, T = c["g"], c["m"], c["l"], c["b"], c["T"]
     c1 = 1.0 - b
     c2 = 1.5 * g / (2.0 * l) * T
@@ -309,7 +302,7 @@ def docking_matrices(m: float, n: float, T: float) -> tuple[np.ndarray, np.ndarr
     return A, B
 
 
-def docking_env(constants: dict | None = None) -> EnvSpec:
+def docking_env() -> EnvSpec:
     """Planar spacecraft docking, state (x, y, vx, vy), thrust in [-1, 1]^2.
 
     The transition is affine: next = A x + B clamp(u). The goal set is the
@@ -318,7 +311,7 @@ def docking_env(constants: dict | None = None) -> EnvSpec:
     [-2, 2]^2 x [-0.5, 0.5]^2. Verification uses the bounding box
     [-2.5, 2.5]^2 x [-0.75, 0.75]^2 as a compact stand-in for R^4.
     """
-    c = _constants(DOCKING_CONSTANTS, constants)
+    c = dict(DOCKING_CONSTANTS)
     A, Bu = docking_matrices(c["m"], c["n"], c["T"])
     absA, absB = np.abs(A), np.abs(Bu)
 
@@ -377,7 +370,7 @@ def docking_env(constants: dict | None = None) -> EnvSpec:
 ENVS = {"pendulum": pendulum_env, "docking2d": docking_env}
 
 
-def make_env(name: str, constants: dict | None = None) -> EnvSpec:
+def make_env(name: str) -> EnvSpec:
     if name not in ENVS:
         raise ValueError(f"unknown environment {name!r}; choose from {sorted(ENVS)}")
-    return ENVS[name](constants)
+    return ENVS[name]()

@@ -53,25 +53,23 @@ from .verifier import ball_max
 METHODS = ("vanilla", "pgd", "lip-neighbor", "lip-reg")
 
 
+# Loss coefficients no caller varies, read at call time. One becomes a
+# LossWeights field again only when two callers need different values.
+LAMBDA_INIT = 1.0
+LAMBDA_DEC = 10.0  # the descent term, whichever objective the method uses
+LAMBDA_LIP_GLOBAL = 1.0
+CE_WEIGHT = 100.0  # the multiplier of counterexample-tagged states
+
+
 @dataclass
 class LossWeights:
-    """Loss coefficients, Lipschitz budget and counterexample multiplier."""
+    """The Lipschitz budget of the lip-reg term."""
 
-    lambda_init: float = 1.0
-    lambda_dec: float = 10.0  # the descent term, whichever objective the method uses
-    lambda_lip_global: float = 1.0
     tau: float = 3.0
-    ce_weight: float = 100.0
 
     def validate(self):
-        for name in ("lambda_init", "lambda_dec", "lambda_lip_global"):
-            v = getattr(self, name)
-            if not np.isfinite(v) or v < 0:
-                raise ValueError(f"{name} must be finite and >= 0")
-        if self.tau <= 0:
+        if not self.tau > 0:  # a NaN fails too
             raise ValueError("tau must be positive")
-        if self.ce_weight < 1:
-            raise ValueError("ce_weight must be >= 1")
         return self
 
 
@@ -87,8 +85,8 @@ class Batch:
         if self.is_ce is None:
             self.is_ce = np.zeros(self.states.shape[0], dtype=bool)
 
-    def weight_vector(self, ce_weight: float) -> np.ndarray:
-        return np.where(self.is_ce, ce_weight, 1.0)
+    def weight_vector(self) -> np.ndarray:
+        return np.where(self.is_ce, CE_WEIGHT, 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -102,7 +100,7 @@ def loss_init_grads(cfg: TotalLossConfig, cert: FilteredCertificate, batch: Batc
     trained too, which keeps interval bounds provable across the boundary).
     """
     cfg.validate()
-    w = batch.weight_vector(cfg.weights.ce_weight)
+    w = batch.weight_vector()
     tape = forward_tape(cert.net, batch.states)
     v = tape.output[:, 0]
     active = v > cert.params.beta
@@ -131,7 +129,7 @@ def loss_dec_grads(cfg: TotalLossConfig, cert: FilteredCertificate, policy: Mlp,
     """
     cfg.validate()
     p, X, delta = cert.params, batch.states, cfg.delta
-    w = batch.weight_vector(cfg.weights.ce_weight)
+    w = batch.weight_vector()
 
     tape_x = forward_tape(cert.net, X)
     V_x = tape_x.output[:, 0]
@@ -196,8 +194,9 @@ def loss_lip_global_grads(net: Mlp, tau: float, iters: int = 50,
 @dataclass
 class TotalLossConfig:
     """The settings every loss term reads: the training method (one of
-    METHODS), the weights, the perturbation radius and its PGD search, and
-    the power iterations of the Lipschitz estimates."""
+    METHODS), the weights (the coefficients themselves are this module's
+    constants), the perturbation radius and its PGD search, and the power
+    iterations of the Lipschitz estimates."""
 
     method: str
     weights: LossWeights
@@ -222,25 +221,24 @@ def total_loss_grads(cfg: TotalLossConfig, cert: FilteredCertificate,
                      spectral_vs: list[np.ndarray] | None = None):
     """Weighted sum of the method's active loss terms.
 
-    Counterexample-tagged states contribute with multiplier ce_weight.
+    Counterexample-tagged states contribute with multiplier CE_WEIGHT.
     Returns (value, cert_grads, policy_grads, spectral_vs); the vectors warm
     start the next step's power iteration.
     """
-    lw = cfg.weights
     dec_val, dec_cg, dec_pg, new_vs = loss_dec_grads(cfg, cert, policy, env, dec_batch,
                                                      rng, spectral_vs)
     init_val, init_cg = loss_init_grads(cfg, cert, init_batch)
-    value = lw.lambda_init * init_val + lw.lambda_dec * dec_val
+    value = LAMBDA_INIT * init_val + LAMBDA_DEC * dec_val
 
     cert_g = zero_grads(cert.net)
-    accumulate(cert_g, init_cg, scale=lw.lambda_init)
-    accumulate(cert_g, dec_cg, scale=lw.lambda_dec)
+    accumulate(cert_g, init_cg, scale=LAMBDA_INIT)
+    accumulate(cert_g, dec_cg, scale=LAMBDA_DEC)
     if cfg.method == "lip-reg":
         lip_val, lip_cg, new_vs = loss_lip_global_grads(
-            cert.net, lw.tau, cfg.spectral_iters, spectral_vs
+            cert.net, cfg.weights.tau, cfg.spectral_iters, spectral_vs
         )
-        value += lw.lambda_lip_global * lip_val
-        accumulate(cert_g, lip_cg, scale=lw.lambda_lip_global)
+        value += LAMBDA_LIP_GLOBAL * lip_val
+        accumulate(cert_g, lip_cg, scale=LAMBDA_LIP_GLOBAL)
     policy_g = zero_grads(policy)
-    accumulate(policy_g, dec_pg, scale=lw.lambda_dec)
+    accumulate(policy_g, dec_pg, scale=LAMBDA_DEC)
     return value, cert_g, policy_g, new_vs

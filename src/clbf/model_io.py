@@ -16,7 +16,7 @@ from .certificate import ClbfParams, FilteredCertificate
 from .envs import make_env
 from .nets import Mlp
 
-FORMAT_TAG = "clbf-model/3"
+FORMAT_TAG = "clbf-model/4"
 
 
 def _activations(layers: int) -> list[str]:  # the only ones an Mlp evaluates
@@ -54,7 +54,6 @@ def _model_doc(policy: Mlp, cert: FilteredCertificate) -> dict:
     return {
         "format": FORMAT_TAG,
         "env": cert.env.name,
-        "env_constants": cert.env.constants,
         "clbf_params": asdict(cert.params),
         "policy": _net_doc(policy),
         "certificate": _net_doc(cert.net),
@@ -72,7 +71,7 @@ def load_model(path: str | Path) -> tuple[Mlp, FilteredCertificate]:
     if doc.get("format") != FORMAT_TAG:
         raise ValueError(f"unsupported model format: {doc.get('format')!r}")
     _require(doc, ("env", "clbf_params", "policy", "certificate"), "model document")
-    env = make_env(doc["env"], doc.get("env_constants"))
+    env = make_env(doc["env"])
     policy = _net_from_doc(doc["policy"], "policy")
     cert_net = _net_from_doc(doc["certificate"], "certificate")
     given, known = set(doc["clbf_params"]), {f.name for f in fields(ClbfParams)}

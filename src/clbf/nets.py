@@ -329,28 +329,31 @@ def linf_lipschitz_bound(
 # optimizer
 
 
+# Adam's moment decays and denominator floor, which no caller varies
+BETA1 = 0.9
+BETA2 = 0.999
+EPS = 1e-8
+
+
 @dataclass
 class Adam:
     """Adaptive-moment gradient descent over a flat list of arrays."""
 
     lr: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
-    t: int = 0
-    m: list[np.ndarray] = field(default_factory=list)
-    v: list[np.ndarray] = field(default_factory=list)
+    t: int = field(default=0, init=False)
+    m: list[np.ndarray] = field(default_factory=list, init=False)
+    v: list[np.ndarray] = field(default_factory=list, init=False)
 
     def step(self, params: list[np.ndarray], grads: list[np.ndarray]):
         if not self.m:
             self.m = [np.zeros_like(p) for p in params]
             self.v = [np.zeros_like(p) for p in params]
         self.t += 1
-        b1t = 1.0 - self.beta1 ** self.t
-        b2t = 1.0 - self.beta2 ** self.t
+        b1t = 1.0 - BETA1 ** self.t
+        b2t = 1.0 - BETA2 ** self.t
         for p, g, m, v in zip(params, grads, self.m, self.v):
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * g * g
-            p -= self.lr * (m / b1t) / (np.sqrt(v / b2t) + self.eps)
+            m *= BETA1
+            m += (1.0 - BETA1) * g
+            v *= BETA2
+            v += (1.0 - BETA2) * g * g
+            p -= self.lr * (m / b1t) / (np.sqrt(v / b2t) + EPS)

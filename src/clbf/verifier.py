@@ -38,7 +38,7 @@ reports the witnesses of the first iterate set that has any. The ascent
 only chooses where to look: the delta-ball is searched once per point set,
 by the exact check, and the ascent step and the exact check share one
 evaluation of a set. Checking the sets past the first with a witness finds
-the same witnesses as stopping there: with two PGD restarts (the default)
+the same witnesses as stopping there: with INNER_PGD's two restarts
 each set's random starts are the same draws, and only BLAS may round a
 batch of the stacked rows differently. The hunt's generator is fresh for
 each round, so the draws of the later sets move nothing after it.
@@ -112,28 +112,26 @@ class Verdict:
         return [Box(lo, hi) for lo, hi in zip(self.unknown_lo, self.unknown_hi)]
 
 
+# Settings no caller varies, read at call time. A setting becomes a
+# BnbConfig field again only when two callers need different values.
+MIN_WIDTH = 1e-4   # per-dimension refinement floor
+CHUNK = 4096       # boxes per vectorised round
+INNER_PGD = PgdConfig(steps=20, restarts=2)  # the hunt's ball search
+OUTER_PGD_STEPS = 5  # sign-ascent steps on x inside a failed box
+
+
 @dataclass
 class BnbConfig:
     max_boxes: int = 2_000_000
-    min_width: float = 1e-4  # per-dimension refinement floor
     ce_limit: int = 1        # stop after this many exact counterexamples
-    chunk: int = 4096        # boxes per vectorised round
-    inner_pgd: PgdConfig = field(default_factory=lambda: PgdConfig(steps=20, restarts=2))
-    outer_pgd_steps: int = 5  # sign-ascent steps on x inside a failed box
     seed: int = 0
 
     def validate(self):
-        if self.max_boxes < 1:
+        # written so that a NaN fails each test
+        if not self.max_boxes >= 1:
             raise ValueError("max_boxes must be >= 1")
-        if self.ce_limit < 1:
+        if not self.ce_limit >= 1:
             raise ValueError("ce_limit must be >= 1")
-        if self.chunk < 1:
-            raise ValueError("chunk must be >= 1")
-        if np.any(np.asarray(self.min_width) <= 0):
-            raise ValueError("min_width must be positive")
-        if self.outer_pgd_steps < 0:
-            raise ValueError("outer_pgd_steps must be >= 0")
-        self.inner_pgd.validate()
         return self
 
 
@@ -169,7 +167,7 @@ def _branch_and_bound(roots: list[Box], cfg: BnbConfig, condition: str,
     from 1) and returns the witnesses found in them as [(row, Witness)], by
     ascending row. Every box enters the queue with its test result. Each
     round takes one chunk of the queue, lexicographically orders its failed
-    boxes, bisects those wider than cfg.min_width along their widest such
+    boxes, bisects those wider than MIN_WIDTH along their widest such
     side and tests the halves. It hunts only the failed boxes that cannot be
     split or have a failing half, takes witnesses up to cfg.ce_limit and
     drops the box of each one taken. The halves of the other splittable
@@ -178,9 +176,9 @@ def _branch_and_bound(roots: list[Box], cfg: BnbConfig, condition: str,
     the order they are left.
     """
     def tested(lo, hi):
-        """The boxes with their box test, run on cfg.chunk boxes at a time."""
-        fail = [fails(lo[s:s + cfg.chunk], hi[s:s + cfg.chunk])
-                for s in range(0, lo.shape[0], cfg.chunk)]
+        """The boxes with their box test, run on CHUNK boxes at a time."""
+        fail = [fails(lo[s:s + CHUNK], hi[s:s + CHUNK])
+                for s in range(0, lo.shape[0], CHUNK)]
         return lo, hi, np.concatenate(fail) if fail else np.zeros(0, dtype=bool)
 
     if not roots:
@@ -193,13 +191,13 @@ def _branch_and_bound(roots: list[Box], cfg: BnbConfig, condition: str,
 
     while queue and processed < cfg.max_boxes and len(witnesses) < cfg.ce_limit:
         lo, hi, fail = queue.popleft()
-        if lo.shape[0] > cfg.chunk:
-            queue.appendleft((lo[cfg.chunk:], hi[cfg.chunk:], fail[cfg.chunk:]))
-            lo, hi, fail = lo[:cfg.chunk], hi[:cfg.chunk], fail[:cfg.chunk]
+        if lo.shape[0] > CHUNK:
+            queue.appendleft((lo[CHUNK:], hi[CHUNK:], fail[CHUNK:]))
+            lo, hi, fail = lo[:CHUNK], hi[:CHUNK], fail[:CHUNK]
         processed += lo.shape[0]
         rounds += 1
         lo, hi = _lex_sorted(lo[fail], hi[fail])
-        splittable = (hi - lo) > cfg.min_width
+        splittable = (hi - lo) > MIN_WIDTH
         can_split = np.any(splittable, axis=1)
         n_split = np.count_nonzero(can_split)
         c_lo, c_hi, c_fail = tested(*_split_widest(lo[can_split], hi[can_split],
@@ -228,8 +226,8 @@ def _branch_and_bound(roots: list[Box], cfg: BnbConfig, condition: str,
 
 
 def _vol_fraction(lo, hi, total_vol):
-    """Share of total_vol in the boxes with (k, n) corners lo and hi, bit for
-    bit the built-in sum of their Box.volume."""
+    """Share of total_vol in the boxes with (k, n) corners lo and hi: the
+    built-in sum of their boxes.volumes over total_vol, capped at 1."""
     if total_vol <= 0:
         return 0.0
     return min(1.0, sum(volumes(lo, hi).tolist()) / total_vol)
@@ -302,7 +300,7 @@ def check_robust_decrease(cert: FilteredCertificate, policy: Mlp, env: EnvSpec,
         nonlocal hunted_rows, pgd_rows
         rng = np.random.default_rng((cfg.seed, round_))
         found, hunted, pgd = _hunt_decrease_ce(cert, policy, env, lo, hi,
-                                               delta, epsilon, cfg, rng)
+                                               delta, epsilon, rng)
         hunted_rows += hunted
         pgd_rows += pgd
         return found
@@ -362,15 +360,15 @@ def _points_in_unsafe(env: EnvSpec, lo: np.ndarray, hi: np.ndarray):
     return ok[first, np.arange(k)], cands[first, np.arange(k)]
 
 
-def _hunt_decrease_ce(cert, policy, env, lo, hi, delta, epsilon, cfg, rng):
+def _hunt_decrease_ce(cert, policy, env, lo, hi, delta, epsilon, rng):
     """Exact counterexample search inside failed boxes. The box centers are
     checked first. If they hold no witness, a sign ascent of
-    cfg.outer_pgd_steps steps on the nominal violation runs from them, and
+    OUTER_PGD_STEPS steps on the nominal violation runs from them, and
     all its iterates are checked in one exact pass. Returns the witnesses of
     the first point set that has any, as [(row_index, Witness)] by ascending
     row, the number of points the exact check evaluated, and the number of
     them it passed to the inner PGD."""
-    k, steps = lo.shape[0], cfg.outer_pgd_steps
+    k, steps = lo.shape[0], OUTER_PGD_STEPS
     if k == 0:
         return [], 0, 0
     # sign ascent on g(x) = eps - V(x) + V(f(x, pi(x))), the violation at
@@ -378,10 +376,9 @@ def _hunt_decrease_ce(cert, policy, env, lo, hi, delta, epsilon, cfg, rng):
     # ascent step and the check share one evaluation of each point set (V at
     # the next states too); the last set needs no gradient
     x = 0.5 * (lo + hi)
-    centers = _point_set(cert, policy, env, x, steps > 0)
-    found, pgd = _first_witnesses(cert, policy, env, [centers], delta, epsilon,
-                                  cfg.inner_pgd, rng)
-    if found or steps == 0:
+    centers = _point_set(cert, policy, env, x, True)
+    found, pgd = _first_witnesses(cert, policy, env, [centers], delta, epsilon, rng)
+    if found:
         return found, k, pgd
     step = (hi - lo) / (2.0 * steps)
     sets = [centers]
@@ -389,7 +386,7 @@ def _hunt_decrease_ce(cert, policy, env, lo, hi, delta, epsilon, cfg, rng):
         x = np.clip(x + step * np.sign(sets[-1][-1]), lo, hi)
         sets.append(_point_set(cert, policy, env, x, s < steps))
     found, pgd_ascent = _first_witnesses(cert, policy, env, sets[1:], delta,
-                                         epsilon, cfg.inner_pgd, rng)
+                                         epsilon, rng)
     return found, k * (steps + 1), pgd + pgd_ascent
 
 
@@ -402,7 +399,7 @@ def _point_set(cert, policy, env, x, grad: bool):
     return x, nxt, cert.raw(x), cert.value(nxt), None
 
 
-def _first_witnesses(cert, policy, env, sets, delta, epsilon, inner_pgd, rng):
+def _first_witnesses(cert, policy, env, sets, delta, epsilon, rng):
     """One exact check of the point sets [(x, nxt, raw_x, v_nxt, _)] of k
     rows each, stacked in order: the witnesses of the first set that has any
     that _recheck_decrease confirms, as [(row_index, Witness)] by ascending
@@ -410,7 +407,7 @@ def _first_witnesses(cert, policy, env, sets, delta, epsilon, inner_pgd, rng):
     k = sets[0][0].shape[0]
     X, nxt, raw_x, v_nxt = (np.concatenate(a) for a in list(zip(*sets))[:4])
     viol, ball_pts, pgd = _exact_violation(cert, env, X, nxt, raw_x, v_nxt,
-                                           delta, epsilon, inner_pgd, rng)
+                                           delta, epsilon, rng)
     found = []  # (stacked row, witness)
     for r in np.flatnonzero(viol >= WITNESS_SLACK):
         if found and r // k > found[0][0] // k:
@@ -421,15 +418,14 @@ def _first_witnesses(cert, policy, env, sets, delta, epsilon, inner_pgd, rng):
     return [(int(r % k), w) for r, w in found], pgd
 
 
-def _exact_violation(cert, env, X, nxt, raw_x, v_nxt, delta, epsilon, inner_pgd,
-                     rng):
+def _exact_violation(cert, env, X, nxt, raw_x, v_nxt, delta, epsilon, rng):
     """Exact violation of the robust decrease condition at states X, given
     their next states nxt, their raw values raw_x and the filtered values
     v_nxt at nxt, with the ball points realizing it and the number of rows
     sent to PGD.
 
     Ineligible rows (inside goal, filtered value above beta) report -inf.
-    For delta > 0 the inner search runs only on the rows that
+    For delta > 0 the inner search, INNER_PGD, runs only on the rows that
     certificate.decrease_may_fail passes, the screen that adversarial
     training shares: PGD's best iterate and the unsafe mask are both values
     at ball points, so neither exceeds the ball's interval upper bound ub,
@@ -442,7 +438,7 @@ def _exact_violation(cert, env, X, nxt, raw_x, v_nxt, delta, epsilon, inner_pgd,
     eligible = ~env.in_goal(X) & (v_x <= p.beta)
     active = (decrease_may_fail(cert, eligible, v_x, nxt, delta, epsilon)
               if delta > 0 else eligible)
-    best_v, best_y = ball_max(cert, nxt, v_nxt, delta, inner_pgd, rng, active)
+    best_v, best_y = ball_max(cert, nxt, v_nxt, delta, INNER_PGD, rng, active)
     viol = epsilon - (v_x - best_v)
     viol = np.where(eligible, viol, -np.inf)
     return viol, best_y, int(np.count_nonzero(active)) if delta > 0 else 0

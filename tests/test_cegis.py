@@ -2,6 +2,9 @@ import numpy as np
 import pytest
 
 import clbf.cegis
+import clbf.losses
+import clbf.nets
+import clbf.verifier
 from clbf.adversary import PgdConfig
 from clbf.boxes import Box
 from clbf.cegis import (CegisResult, TrainConfig, cegis_run, resample_counterexamples,
@@ -151,12 +154,16 @@ def test_sub_configs_and_net_dims_stay_pinned(env_name, method):
     assert cfg.clbf_params() == ClbfParams(beta=1.0, epsilon=epsilon, delta=delta,
                                            goal_mask=-10.0, unsafe_mask=1.2)
     assert cfg.loss_config() == TotalLossConfig(
-        method, LossWeights(lambda_init=1.0, lambda_dec=10.0, lambda_lip_global=1.0,
-                            tau=tau, ce_weight=100.0),
-        delta, PgdConfig(steps=20, delta=delta, restarts=3), spectral_iters=5)
-    assert cfg.bnb_config() == BnbConfig(
-        max_boxes=max_boxes, min_width=1e-4, ce_limit=8, chunk=4096,
-        inner_pgd=PgdConfig(steps=20, delta=0.0, restarts=2), outer_pgd_steps=5, seed=0)
+        method, LossWeights(tau=tau), delta, PgdConfig(steps=20, delta=delta, restarts=3),
+        spectral_iters=5)
+    assert cfg.bnb_config() == BnbConfig(max_boxes=max_boxes, ce_limit=8, seed=0)
+    # the settings no caller varies, which the modules hold as constants
+    v, lo, nets = clbf.verifier, clbf.losses, clbf.nets
+    assert (v.MIN_WIDTH, v.CHUNK, v.INNER_PGD, v.OUTER_PGD_STEPS) == (
+        1e-4, 4096, PgdConfig(steps=20, delta=0.0, restarts=2), 5)
+    assert (lo.LAMBDA_INIT, lo.LAMBDA_DEC, lo.LAMBDA_LIP_GLOBAL, lo.CE_WEIGHT) == (
+        1.0, 10.0, 1.0, 100.0)
+    assert (nets.Adam().lr, nets.BETA1, nets.BETA2, nets.EPS) == (1e-3, 0.9, 0.999, 1e-8)
     env = make_env(env_name)
     policy, cert, _ = clbf.cegis.warm_start(
         env, TrainConfig(env_name, method, warmstart_epochs=0, teacher_samples=500),

@@ -22,6 +22,9 @@ def test_params_validation():
            dict(delta=-1e-3),
            dict(unsafe_mask=1.0),  # not above beta
            dict(goal_mask=1.0),  # beta <= goal_mask
+           # each passes the ordering, so only a finiteness check rejects it
+           dict(epsilon=np.inf), dict(delta=np.inf), dict(goal_mask=-np.inf),
+           dict(unsafe_mask=np.inf),
            *({f.name: float("nan")} for f in dataclasses.fields(ClbfParams))]
     for kw in bad:
         with pytest.raises(ValueError):

@@ -1,5 +1,3 @@
-import re
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -270,21 +268,6 @@ def test_degenerate_boxes_give_point_image(docking, rng):
 def test_make_env_rejects_unknown():
     with pytest.raises(ValueError):
         make_env("cartpole")
-
-
-def test_constant_overrides():
-    env = make_env("pendulum", {"b": 0.5})
-    assert env.constants["b"] == 0.5
-    nxt = env.step(np.array([[0.0, 1.0]]), np.zeros((1, 1)))
-    assert nxt[0, 1] == pytest.approx(0.5)
-
-
-@pytest.mark.parametrize("name,typo", [("pendulum", "gg"), ("docking2d", "mass")])
-def test_unknown_constants_are_rejected(name, typo):
-    known = sorted(make_env(name).constants)
-    with pytest.raises(ValueError, match=rf"unknown constants \['{typo}'\]; "
-                                         rf"known: {re.escape(str(known))}"):
-        make_env(name, {typo: 1.0})
 
 
 # ---------------------------------------------------------------------------

@@ -35,10 +35,8 @@ def affine_scalar_net(w, b=0.0):
     return Mlp([np.asarray(w, dtype=float)[None, :]], [np.array([float(b)])])
 
 
-def loss_cfg(method="vanilla", delta=0.0, pgd_cfg=None, spectral_iters=50,
-             ce_weight=100.0):
-    return TotalLossConfig(method, LossWeights(ce_weight=ce_weight), delta, pgd_cfg,
-                           spectral_iters)
+def loss_cfg(method="vanilla", delta=0.0, pgd_cfg=None, spectral_iters=50):
+    return TotalLossConfig(method, LossWeights(), delta, pgd_cfg, spectral_iters)
 
 
 def dec_loss(cert, policy, env, batch, method="vanilla", delta=0.0, pgd_cfg=None,
@@ -349,8 +347,9 @@ def test_loss_dec_adv_screen_matches_pgd_on_every_row_bit_for_bit(monkeypatch):
 
     def run(method="pgd"):
         return dec_loss(cert, policy, env, batch, method, delta=cfg.delta, pgd_cfg=cfg,
-                        rng=DyadicStarts(9), ce_weight=4.0)
+                        rng=DyadicStarts(9))
 
+    monkeypatch.setattr(clbf.losses, "CE_WEIGHT", 4.0)
     monkeypatch.setattr(clbf.verifier, "pgd_maximize_batch", screened)
     got = run()
     monkeypatch.setattr(clbf.losses, "decrease_may_fail", every_row)
@@ -397,7 +396,7 @@ def test_loss_dec_adv_sees_the_unsafe_reach_of_the_ball():
 
 
 @pytest.mark.parametrize("env_name, delta", [("pendulum", 0.02), ("docking2d", 0.05)])
-def test_loss_dec_adv_equals_the_verifiers_exact_violation(env_name, delta):
+def test_loss_dec_adv_equals_the_verifiers_exact_violation(env_name, delta, monkeypatch):
     env = make_env(env_name)
     # a wide margin, so that PGD points outside the unsafe set count too
     cert = FilteredCertificate(small_cert(env, seed=3).net, ClbfParams(epsilon=0.2), env)
@@ -410,11 +409,12 @@ def test_loss_dec_adv_equals_the_verifiers_exact_violation(env_name, delta):
     cert.net.biases[-1][0] += cert.params.beta - np.median(cert.raw(X))
     nxt = env.step(X, forward_batch(policy, X))
     cfg = PgdConfig(steps=10, delta=delta, restarts=2)
+    monkeypatch.setattr(clbf.verifier, "INNER_PGD", cfg)  # the same search on both sides
 
     got = dec_loss(cert, policy, env, Batch(X), "pgd", delta=delta, pgd_cfg=cfg,
                    rng=np.random.default_rng(7))[0]
     viol, ball_pts, _ = _exact_violation(cert, env, X, nxt, cert.raw(X), cert.value(nxt),
-                                         delta, cert.params.epsilon, cfg,
+                                         delta, cert.params.epsilon,
                                          np.random.default_rng(7))
     # rows realized in the unsafe set, and rows realized by PGD, both count
     counted, unsafe = viol > 0, env.in_unsafe(ball_pts)
@@ -574,18 +574,26 @@ def test_total_loss_vanilla_weighted_sum():
     assert got == pytest.approx(want, abs=1e-12)
 
 
-def test_total_loss_counterexample_weighting():
+def test_total_loss_counterexample_weighting(monkeypatch):
     env = tiny_env_1d()
     params = ClbfParams(epsilon=0.01)
     cert = FilteredCertificate(affine_scalar_net([1.0], 0.0), params, env)
     policy = affine_scalar_net([0.0], 0.0)
     x = 0.018  # contributes 0.001 to the dec hinge
-    base = TotalLossConfig("vanilla", LossWeights(ce_weight=100.0))
+    # a multiplier unlike any other weight, read when the loss runs
+    monkeypatch.setattr(clbf.losses, "CE_WEIGHT", 37.0)
+    base = TotalLossConfig("vanilla", LossWeights())
     plain = total_loss_grads(base, cert, policy, env, Batch(np.zeros((0, 1))),
                              Batch(np.array([[x]])))[0]
     tagged = total_loss_grads(base, cert, policy, env, Batch(np.zeros((0, 1))),
                               Batch(np.array([[x]]), np.array([True])))[0]
-    assert tagged == pytest.approx(100.0 * plain)
+    assert tagged == pytest.approx(37.0 * plain)
+
+
+@pytest.mark.parametrize("tau", [0.0, -1.0, np.nan])
+def test_loss_weights_reject_a_tau_that_is_not_positive(tau):
+    with pytest.raises(ValueError, match="tau"):
+        LossWeights(tau=tau).validate()
 
 
 def test_total_loss_rejects_unknown_method():
@@ -614,7 +622,8 @@ def test_total_loss_rejects_mismatched_pgd_radius():
         cfg.validate()
 
 
-def test_total_loss_gradients_match_fd(pendulum, rng):
+def test_total_loss_gradients_match_fd(pendulum, rng, monkeypatch):
+    monkeypatch.setattr(clbf.losses, "CE_WEIGHT", 3.0)
     for method, delta in (("vanilla", 0.0), ("lip-reg", 0.0),
                           ("pgd", 0.01), ("lip-neighbor", 0.01)):
         cert = small_cert(pendulum, seed=61, dims=(8, 6))
@@ -623,7 +632,7 @@ def test_total_loss_gradients_match_fd(pendulum, rng):
         _randomize_biases(policy, rng)
         init_b = Batch(rng.uniform(-0.3, 0.3, (4, 2)))
         dec_b = Batch(pendulum.sample_states(rng, 5), np.array([True, 0, 0, 1, 0], bool))
-        lw = LossWeights(tau=0.5, ce_weight=3.0)
+        lw = LossWeights(tau=0.5)
         cfg = TotalLossConfig(method, lw, delta=delta,
                               pgd_cfg=PgdConfig(delta=delta, steps=8, restarts=2),
                               spectral_iters=300)
@@ -640,14 +649,19 @@ def test_total_loss_gradients_match_fd(pendulum, rng):
 
 
 @pytest.mark.parametrize("method", ["vanilla", "lip-reg", "pgd", "lip-neighbor"])
-def test_total_loss_is_the_weighted_sum_of_its_terms_bit_for_bit(pendulum, rng, method):
+def test_total_loss_is_the_weighted_sum_of_its_terms_bit_for_bit(pendulum, rng, method,
+                                                                 monkeypatch):
+    # distinct weights, so that two swapped ones show
+    lam_init, lam_dec, lam_lip = 1.5, 7.0, 0.3
+    for name, value in (("LAMBDA_INIT", lam_init), ("LAMBDA_DEC", lam_dec),
+                        ("LAMBDA_LIP_GLOBAL", lam_lip), ("CE_WEIGHT", 3.0)):
+        monkeypatch.setattr(clbf.losses, name, value)
     cert = small_cert(pendulum, seed=71, dims=(8, 6))
     cert.net.biases[-1][0] += 1.1  # both hinges active on part of the batches
     policy = small_policy(pendulum, seed=72, dims=(6,))
     init_b = Batch(rng.uniform(-0.3, 0.3, (8, 2)), np.arange(8) % 3 == 0)
     dec_b = Batch(pendulum.sample_states(rng, 32), np.arange(32) % 4 == 0)
-    lw = LossWeights(lambda_init=1.5, lambda_dec=7.0, lambda_lip_global=0.3, tau=0.5,
-                     ce_weight=3.0)
+    lw = LossWeights(tau=0.5)
     cfg = TotalLossConfig(method, lw, 0.02, PgdConfig(delta=0.02, steps=8, restarts=2), 20)
     vs = linf_lipschitz_bound(cert.net, 5)[2]  # a warm start for the power iteration
 
@@ -657,17 +671,17 @@ def test_total_loss_is_the_weighted_sum_of_its_terms_bit_for_bit(pendulum, rng, 
                                                      np.random.default_rng(3), vs)
     init_val, init_cg = loss_init_grads(cfg, cert, init_b)
     assert dec_val > 0 and init_val > 0
-    want_val = lw.lambda_init * init_val + lw.lambda_dec * dec_val
-    want_cg = [lw.lambda_init * a + lw.lambda_dec * b for a, b in zip(init_cg, dec_cg)]
+    want_val = lam_init * init_val + lam_dec * dec_val
+    want_cg = [lam_init * a + lam_dec * b for a, b in zip(init_cg, dec_cg)]
     want_vs = dec_vs
     if method == "lip-reg":
         lip_val, lip_cg, want_vs = loss_lip_global_grads(cert.net, lw.tau,
                                                          cfg.spectral_iters, vs)
         assert lip_val > 0
-        want_val += lw.lambda_lip_global * lip_val
-        want_cg = [g + lw.lambda_lip_global * c for g, c in zip(want_cg, lip_cg)]
+        want_val += lam_lip * lip_val
+        want_cg = [g + lam_lip * c for g, c in zip(want_cg, lip_cg)]
     assert val == want_val
-    for g, w in zip(cg + pg, want_cg + [lw.lambda_dec * d for d in dec_pg]):
+    for g, w in zip(cg + pg, want_cg + [lam_dec * d for d in dec_pg]):
         assert np.array_equal(g, w)
     for v, w in zip(new_vs, want_vs):
         assert np.array_equal(v, w)

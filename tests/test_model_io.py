@@ -26,7 +26,7 @@ def test_round_trip_is_bit_exact(pendulum, tmp_path):
 
 def test_wrong_format_tag_is_rejected(pendulum, tmp_path):
     path = save_model(tmp_path / "m.clbf", small_policy(pendulum), small_cert(pendulum))
-    for tag in ("clbf-model/0", "clbf-model/1", "clbf-model/2"):
+    for tag in ("clbf-model/0", "clbf-model/1", "clbf-model/2", "clbf-model/3"):
         doc = json.loads(path.read_text())
         doc["format"] = tag
         bad = tmp_path / "bad.clbf"
@@ -92,21 +92,15 @@ def test_missing_params_key_is_rejected(pendulum, tmp_path):
 
 
 def test_invalid_params_value_is_rejected(pendulum, tmp_path):
-    # below beta = 1.0, or NaN, which json writes and reads back
-    for unsafe_mask in (0.5, float("nan")):
+    # below beta = 1.0, NaN or infinite, which json writes and reads back
+    for unsafe_mask, error in ((0.5, "need unsafe_mask > beta"),
+                               (float("nan"), "need unsafe_mask > beta"),
+                               (float("inf"), "must be finite")):
         path, doc = _saved_doc(pendulum, tmp_path)
         doc["clbf_params"]["unsafe_mask"] = unsafe_mask
         path.write_text(json.dumps(doc))
-        with pytest.raises(ValueError, match="need unsafe_mask > beta"):
+        with pytest.raises(ValueError, match=error):
             load_model(path)
-
-
-def test_unknown_env_constant_is_rejected(pendulum, tmp_path):
-    path, doc = _saved_doc(pendulum, tmp_path)
-    doc["env_constants"]["gg"] = doc["env_constants"].pop("g")
-    path.write_text(json.dumps(doc))
-    with pytest.raises(ValueError, match=r"unknown constants \['gg'\]"):
-        load_model(path)
 
 
 @pytest.mark.parametrize("net", ["policy", "certificate"])

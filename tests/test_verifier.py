@@ -69,6 +69,13 @@ def synth_env_1d(lo=0.5, hi=1.0):
     )
 
 
+def set_bnb_constants(mp, **values):
+    """Set the verifier's module constants, named in lower case (chunk=256
+    sets CHUNK), through the monkeypatch mp."""
+    for name, value in values.items():
+        mp.setattr(clbf.verifier, name.upper(), value)
+
+
 def zero_policy(n_in=1, n_out=1):
     return Mlp([np.zeros((n_out, n_in))], [np.zeros(n_out)])
 
@@ -79,27 +86,11 @@ def zero_policy(n_in=1, n_out=1):
 
 def test_bnb_config_validation():
     BnbConfig().validate()
-    BnbConfig(outer_pgd_steps=0).validate()
-    for bad in (dict(max_boxes=0), dict(min_width=0.0), dict(ce_limit=0),
-                dict(chunk=0), dict(outer_pgd_steps=-1)):
+    # a NaN budget once passed, and check_init returned unknown after 0 boxes
+    for bad in (dict(max_boxes=0), dict(ce_limit=0), dict(max_boxes=np.nan),
+                dict(ce_limit=np.nan)):
         with pytest.raises(ValueError, match=next(iter(bad))):
             BnbConfig(**bad).validate()
-    for bad_pgd in (PgdConfig(steps=0), PgdConfig(restarts=0)):
-        with pytest.raises(ValueError, match="steps|restarts"):
-            BnbConfig(inner_pgd=bad_pgd).validate()
-
-
-def test_bad_inner_pgd_is_rejected_before_any_box_work(pendulum, monkeypatch):
-    # delta = 0 never runs the inner PGD, so only validate() can catch it
-    def no_bounds(*args):
-        raise AssertionError("interval work before validation")
-
-    monkeypatch.setattr(clbf.verifier, "ibp_bounds", no_bounds)
-    cert, policy = small_cert(pendulum), small_policy(pendulum)
-    for delta in (0.0, 0.01):
-        with pytest.raises(ValueError, match="steps"):
-            check_robust_decrease(cert, policy, pendulum, delta, 5e-3,
-                                  BnbConfig(inner_pgd=PgdConfig(steps=0)))
 
 
 @pytest.mark.parametrize("delta", [-0.01, np.nan, np.inf])
@@ -150,14 +141,15 @@ def test_check_init_sliver_matches_grid_oracle(pendulum):
     assert grid_violates == (v.status == "counterexample")
 
 
-def test_check_init_budget_exhaustion_is_unknown(pendulum):
+def test_check_init_budget_exhaustion_is_unknown(pendulum, monkeypatch):
     t0 = 0.29999
     net = Mlp(
         [np.array([[1.0, 0.0]]), np.array([[50.0]])],
         [np.array([-t0]), np.array([1.0])],
     )
     cert = FilteredCertificate(net, ClbfParams(), pendulum)
-    v = check_init(cert, pendulum, BnbConfig(max_boxes=2, ce_limit=1, chunk=1))
+    set_bnb_constants(monkeypatch, chunk=1)
+    v = check_init(cert, pendulum, BnbConfig(max_boxes=2, ce_limit=1))
     assert v.status in ("unknown", "counterexample")
     if v.status == "unknown":
         assert v.unknown_boxes and v.unknown_volume_fraction > 0
@@ -346,12 +338,12 @@ def test_decrease_counterexample_on_sign_flipped_certificate():
     assert measured == pytest.approx(w.violation)
 
 
-def test_decrease_unknown_on_budget(pendulum):
+def test_decrease_unknown_on_budget(pendulum, monkeypatch):
     cert = small_cert(pendulum, seed=2)
     policy = small_policy(pendulum, seed=3)
-    v = check_robust_decrease(cert, policy, pendulum, 0.0, 5e-3,
-                              BnbConfig(max_boxes=3, chunk=1, outer_pgd_steps=0,
-                                        inner_pgd=PgdConfig(steps=1, restarts=1)))
+    set_bnb_constants(monkeypatch, chunk=1, outer_pgd_steps=1,
+                      inner_pgd=PgdConfig(steps=1, restarts=1))
+    v = check_robust_decrease(cert, policy, pendulum, 0.0, 5e-3, BnbConfig(max_boxes=3))
     assert v.status in ("unknown", "counterexample")
 
 
@@ -414,7 +406,7 @@ def test_branch_and_bound_drops_only_the_boxes_of_taken_witnesses():
 
 
 @pytest.mark.parametrize("max_boxes", [40, 5000])
-def test_unknown_volume_fraction_is_the_box_volume_sum(max_boxes):
+def test_unknown_volume_fraction_is_the_box_volume_sum(max_boxes, monkeypatch):
     # a zero-velocity initial slice (zero width in the second dimension)
     # among the roots; boxes reaching past x0 = 0.1 fail, so the residual
     # holds min-width boxes and, at the small budget, the queue at the stop
@@ -428,9 +420,11 @@ def test_unknown_volume_fraction_is_the_box_volume_sum(max_boxes):
     def hunt(lo, hi, _round):
         return []
 
-    v = _branch_and_bound(roots, BnbConfig(max_boxes=max_boxes, min_width=0.05),
-                          "init", fails, hunt)
+    set_bnb_constants(monkeypatch, min_width=0.05)
+    v = _branch_and_bound(roots, BnbConfig(max_boxes=max_boxes), "init", fails, hunt)
     assert v.status == "unknown" and len(v.unknown_boxes) > len(roots)
+    # at the large budget the queue runs dry: no box is split below the width
+    assert v.boxes_processed == {40: 49, 5000: 239}[max_boxes]
     assert np.any(v.unknown_hi == v.unknown_lo)
     r_lo, r_hi = np.stack([b.lo for b in roots]), np.stack([b.hi for b in roots])
     want = min(1.0, sum(volumes(v.unknown_lo, v.unknown_hi).tolist())
@@ -445,15 +439,16 @@ def test_unknown_volume_fraction_is_the_box_volume_sum(max_boxes):
 def hunt_every_failed_box(roots, cfg, condition, fails, hunt):
     """_branch_and_bound without the look-ahead: every popped box is bounded
     in its own round, and every failed box is hunted."""
+    chunk, min_width = clbf.verifier.CHUNK, clbf.verifier.MIN_WIDTH
     r_lo, r_hi = np.stack([b.lo for b in roots]), np.stack([b.hi for b in roots])
     queue = deque([(r_lo, r_hi)])
     processed = rounds = 0
     residue, witnesses = [], []
     while queue and processed < cfg.max_boxes and len(witnesses) < cfg.ce_limit:
         lo, hi = queue.popleft()
-        if lo.shape[0] > cfg.chunk:
-            queue.appendleft((lo[cfg.chunk:], hi[cfg.chunk:]))
-            lo, hi = lo[:cfg.chunk], hi[:cfg.chunk]
+        if lo.shape[0] > chunk:
+            queue.appendleft((lo[chunk:], hi[chunk:]))
+            lo, hi = lo[:chunk], hi[:chunk]
         processed += lo.shape[0]
         rounds += 1
         fail = fails(lo, hi)
@@ -463,7 +458,7 @@ def hunt_every_failed_box(roots, cfg, condition, fails, hunt):
             witnesses.append(w)
             unrefuted[i] = False
         lo, hi = lo[unrefuted], hi[unrefuted]
-        splittable = (hi - lo) > cfg.min_width
+        splittable = (hi - lo) > min_width
         can_split = np.any(splittable, axis=1)
         residue.append((lo[~can_split], hi[~can_split]))
         if np.any(can_split):
@@ -506,8 +501,8 @@ def test_lookahead_matches_hunting_every_failed_box(case, delta, monkeypatch):
     env, cert, policy = lookahead_case(*case)
     # one PGD start per ball, at its centre: the random starts of further
     # restarts are drawn per hunted row, so they move once hunts skip rows
-    cfg = BnbConfig(max_boxes=1500, ce_limit=8, chunk=256, seed=case[1],
-                    inner_pgd=PgdConfig(steps=20, restarts=1))
+    set_bnb_constants(monkeypatch, chunk=256, inner_pgd=PgdConfig(steps=20, restarts=1))
+    cfg = BnbConfig(max_boxes=1500, ce_limit=8, seed=case[1])
 
     def checks():
         init = [check_init(cert, env, cfg)] if delta == 0 else []
@@ -539,8 +534,8 @@ def test_no_hunted_box_has_two_passing_halves(case, monkeypatch):
     # the hunted boxes are exactly those the loop without the look-ahead
     # hunts, less the ones whose halves both pass the box test
     env, cert, policy = lookahead_case(*case)
-    cfg = BnbConfig(max_boxes=1500, ce_limit=8, chunk=256, seed=case[1],
-                    inner_pgd=PgdConfig(steps=20, restarts=1))
+    set_bnb_constants(monkeypatch, chunk=256, inner_pgd=PgdConfig(steps=20, restarts=1))
+    cfg = BnbConfig(max_boxes=1500, ce_limit=8, seed=case[1])
 
     def recording(loop, hunts):
         def run(roots, cfg, condition, fails, hunt):
@@ -558,7 +553,7 @@ def test_no_hunted_box_has_two_passing_halves(case, monkeypatch):
 
     want = []
     for round_, lo, hi, fails in every_failed:
-        splittable = (hi - lo) > cfg.min_width
+        splittable = (hi - lo) > clbf.verifier.MIN_WIDTH
         can_split = np.any(splittable, axis=1)
         n = np.count_nonzero(can_split)
         hunted = ~can_split
@@ -610,8 +605,7 @@ def test_proved_boxes_sound_by_sampling(rng):
 # the interval screen of the decrease hunt
 
 
-def unscreened_exact_violation(cert, env, X, nxt, raw_x, v_nxt, delta, epsilon,
-                               inner_pgd, rng):
+def unscreened_exact_violation(cert, env, X, nxt, raw_x, v_nxt, delta, epsilon, rng):
     """_exact_violation without the interval screen: the inner PGD and the
     unsafe-point search run on every row. V(nxt) is evaluated afresh."""
     p = cert.params
@@ -620,7 +614,8 @@ def unscreened_exact_violation(cert, env, X, nxt, raw_x, v_nxt, delta, epsilon,
     best_y = nxt.copy()
     best_v = cert.value(nxt)
     if delta > 0:
-        y = pgd_maximize_batch(cert.net, nxt, replace(inner_pgd, delta=delta), rng)
+        y = pgd_maximize_batch(cert.net, nxt, replace(clbf.verifier.INNER_PGD, delta=delta),
+                               rng)
         v = cert.value(y)
         better = v > best_v
         best_v = np.where(better, v, best_v)
@@ -643,7 +638,8 @@ def test_screened_hunt_matches_unscreened_hunt(env_name, seed, delta, monkeypatc
     env = make_env(env_name)
     cert = small_cert(env, seed=seed)
     policy = small_policy(env, seed=seed + 10)
-    cfg = BnbConfig(max_boxes=1500, ce_limit=64, chunk=256, seed=seed)
+    set_bnb_constants(monkeypatch, chunk=256)
+    cfg = BnbConfig(max_boxes=1500, ce_limit=64, seed=seed)
     got = check_robust_decrease(cert, policy, env, delta, 5e-3, cfg)
     monkeypatch.setattr(clbf.verifier, "_exact_violation",
                         unscreened_exact_violation)
@@ -691,8 +687,7 @@ def two_phase_violation_grad(cert, policy, env, X):
     return g + np.einsum("kmj,km->kj", J_pi, gu)
 
 
-def two_phase_exact_violation(cert, policy, env, sets, delta, epsilon, inner_pgd,
-                              rng):
+def two_phase_exact_violation(cert, policy, env, sets, delta, epsilon, rng):
     """The screened exact check of the stacked point sets, with its own
     policy and certificate passes, one per set: a pass over all sets at
     once could round differently."""
@@ -706,12 +701,13 @@ def two_phase_exact_violation(cert, policy, env, sets, delta, epsilon, inner_pgd
         rows = np.flatnonzero(eligible)
         ub = filtered_upper_bound(cert, nxt[rows] - delta, nxt[rows] + delta)
         active[rows] = epsilon - (v_x[rows] - ub) >= 0
-    best_v, best_y = ball_max(cert, nxt, v_nxt, delta, inner_pgd, rng, active)
+    best_v, best_y = ball_max(cert, nxt, v_nxt, delta, clbf.verifier.INNER_PGD, rng,
+                              active)
     viol = np.where(eligible, epsilon - (v_x - best_v), -np.inf)
     return viol, best_y, int(np.count_nonzero(active)) if delta > 0 else 0
 
 
-def two_phase_hunt(cert, policy, env, lo, hi, delta, epsilon, cfg, rng):
+def two_phase_hunt(cert, policy, env, lo, hi, delta, epsilon, rng):
     """The decrease hunt in two phases: the whole sign ascent first, then the
     exact checks, each phase with its own passes. The centers are checked
     alone, and the ascent's iterates, if needed, in one check of them all."""
@@ -719,17 +715,16 @@ def two_phase_hunt(cert, policy, env, lo, hi, delta, epsilon, cfg, rng):
         return [], 0, 0
     x = 0.5 * (lo + hi)
     checked = [x.copy()]
-    step = (hi - lo) / (2.0 * max(1, cfg.outer_pgd_steps))
-    for _ in range(cfg.outer_pgd_steps):
+    steps = clbf.verifier.OUTER_PGD_STEPS
+    step = (hi - lo) / (2.0 * steps)
+    for _ in range(steps):
         g = two_phase_violation_grad(cert, policy, env, x)
         x = np.clip(x + step * np.sign(g), lo, hi)
         checked.append(x.copy())
     found, hunted, pgd = [], 0, 0
     for sets in (checked[:1], checked[1:]):
-        if not sets:
-            break
         viol, ball_pts, pgd_rows = two_phase_exact_violation(
-            cert, policy, env, sets, delta, epsilon, cfg.inner_pgd, rng)
+            cert, policy, env, sets, delta, epsilon, rng)
         hunted += viol.shape[0]
         pgd += pgd_rows
         for s, X_set in enumerate(sets):
@@ -794,7 +789,8 @@ def test_shared_hunt_matches_two_phase_hunt(env_name, seed, delta, monkeypatch):
     env = make_env(env_name)
     cert = small_cert(env, seed=seed)
     policy = small_policy(env, seed=seed + 10)
-    cfg = BnbConfig(max_boxes=1500, ce_limit=64, chunk=256, seed=seed)
+    set_bnb_constants(monkeypatch, chunk=256)
+    cfg = BnbConfig(max_boxes=1500, ce_limit=64, seed=seed)
 
     def recording(hunt, rng_states):
         def hunt_and_record(*args):
@@ -836,7 +832,8 @@ def count_calls(fn, calls, rows_of=None):
 def test_hunt_sends_each_point_set_through_the_policy_once(pendulum, monkeypatch):
     cert = small_cert(pendulum, seed=7)
     policy = small_policy(pendulum, seed=17)
-    cfg = BnbConfig(max_boxes=1500, ce_limit=64, chunk=256, seed=7)
+    set_bnb_constants(monkeypatch, chunk=256)
+    cfg = BnbConfig(max_boxes=1500, ce_limit=64, seed=7)
     jacobian_rows, batch_rows, nets_policy_rows, boxes, rechecks = [], [], [], [], []
 
     def count_policy_rows(fn, rows):
@@ -865,16 +862,19 @@ def test_hunt_sends_each_point_set_through_the_policy_once(pendulum, monkeypatch
     assert len(jacobian_rows) > 0 and len(batch_rows) > len(rechecks)
     assert sum(jacobian_rows) + sum(batch_rows) == v.hunted_rows + len(rechecks)
     # a hunt whose centers hold a witness evaluates only them
-    assert v.hunted_rows < (cfg.outer_pgd_steps + 1) * sum(boxes)
+    assert v.hunted_rows < (clbf.verifier.OUTER_PGD_STEPS + 1) * sum(boxes)
     assert nets_policy_rows == []
 
 
 def test_hunt_checks_the_ascent_in_one_exact_pass(pendulum, monkeypatch):
     # each hunt checks its centers, then, if they hold no witness, every
-    # iterate of the ascent at once; hunted_rows counts what was checked
+    # iterate of the ascent at once; hunted_rows counts what was checked.
+    # An ascent length other than the default shows that the hunt reads it
     cert = small_cert(pendulum, seed=7)
     policy = small_policy(pendulum, seed=17)
-    cfg = BnbConfig(max_boxes=1500, ce_limit=64, chunk=256, seed=7)
+    steps = 3
+    set_bnb_constants(monkeypatch, chunk=256, outer_pgd_steps=steps)
+    cfg = BnbConfig(max_boxes=1500, ce_limit=64, seed=7)
     hunts = []  # per hunt: [boxes, found, rows of each exact check]
     hunt_decrease_ce = clbf.verifier._hunt_decrease_ce
     exact_violation = clbf.verifier._exact_violation
@@ -893,7 +893,6 @@ def test_hunt_checks_the_ascent_in_one_exact_pass(pendulum, monkeypatch):
     monkeypatch.setattr(clbf.verifier, "_exact_violation", exact)
     v = check_robust_decrease(cert, policy, pendulum, 0.01, 5e-3, cfg)
 
-    steps = cfg.outer_pgd_steps
     assert v.status == "counterexample"
     assert v.hunted_rows == sum(sum(h[2:]) for h in hunts)
     for k, found, *checks in hunts:
@@ -926,7 +925,8 @@ def test_inner_pgd_ascends_only_the_rows_the_screen_passes(pendulum, monkeypatch
     # climbs the nominal violation and runs no PGD of its own
     cert = small_cert(pendulum, seed=7)
     policy = small_policy(pendulum, seed=17)
-    cfg = BnbConfig(max_boxes=1500, ce_limit=64, chunk=256, seed=7)
+    set_bnb_constants(monkeypatch, chunk=256)
+    cfg = BnbConfig(max_boxes=1500, ce_limit=64, seed=7)
     ascended = []
 
     def counted(net, centers, cfg, rng=None, active=None):
@@ -944,11 +944,12 @@ def test_inner_pgd_ascends_only_the_rows_the_screen_passes(pendulum, monkeypatch
     assert len(hunts) < len(ascended) <= 2 * len(hunts)
 
 
-def test_hunt_counts_are_zero_without_pgd(pendulum):
+def test_hunt_counts_are_zero_without_pgd(pendulum, monkeypatch):
     cert = small_cert(pendulum, seed=7)
     policy = small_policy(pendulum, seed=17)
+    set_bnb_constants(monkeypatch, chunk=64)
     v = check_robust_decrease(cert, policy, pendulum, 0.0, 5e-3,
-                              BnbConfig(max_boxes=300, ce_limit=64, chunk=64))
+                              BnbConfig(max_boxes=300, ce_limit=64))
     assert v.hunted_rows > 0 and v.pgd_rows == 0
 
 
@@ -1082,9 +1083,11 @@ def test_every_witness_passes_an_outside_recheck(env_name, seed, beta, delta):
     cert = FilteredCertificate(small_cert(env, seed=seed).net, ClbfParams(beta=beta), env)
     policy = small_policy(env, seed=seed + 1)
     eps = 5e-3
-    cfg = BnbConfig(max_boxes=300, ce_limit=8, chunk=64, seed=seed)
-    init = check_init(cert, env, cfg)
-    dec = check_robust_decrease(cert, policy, env, delta, eps, cfg)
+    cfg = BnbConfig(max_boxes=300, ce_limit=8, seed=seed)
+    with pytest.MonkeyPatch.context() as mp:
+        set_bnb_constants(mp, chunk=64)
+        init = check_init(cert, env, cfg)
+        dec = check_robust_decrease(cert, policy, env, delta, eps, cfg)
     for v in (init, dec):
         assert (v.status == "counterexample") == bool(v.witnesses)
         assert len(v.witnesses) <= cfg.ce_limit
