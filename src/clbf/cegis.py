@@ -71,15 +71,15 @@ class TrainConfig:
         if self.method not in METHODS:
             raise ValueError(f"unknown method {self.method!r}; choose from {METHODS}")
         d = ENV_DEFAULTS[self.env_name]
-        out = replace(self)
-        if out.epsilon is None:
-            out.epsilon = d["epsilon"]
-        if out.tau is None:
-            out.tau = d["tau"]
-        if out.max_boxes is None:
-            out.max_boxes = d["max_boxes"]
-        if out.delta is None:
-            out.delta = d["method_delta"].get(self.method, 0.0)
+        default = {"epsilon": d["epsilon"], "tau": d["tau"], "max_boxes": d["max_boxes"],
+                   "delta": d["method_delta"].get(self.method, 0.0)}
+        out = replace(self, **{k: v for k, v in default.items() if getattr(self, k) is None})
+        if not out.timeout_hours > 0:  # a NaN fails too
+            raise ValueError("timeout_hours must be positive")
+        # the derived configs check every other setting, before any work
+        out.clbf_params()
+        out.loss_config().validate()
+        out.bnb_config().validate()
         return out
 
     def clbf_params(self) -> ClbfParams:
@@ -127,7 +127,7 @@ def teacher_control(env: EnvSpec, X: np.ndarray) -> np.ndarray:
     raise ValueError(f"no teacher for environment {env.name!r}")
 
 
-def warm_start(env: EnvSpec, config: TrainConfig,
+def warm_start(config: TrainConfig,
                rng: np.random.Generator) -> tuple[Mlp, FilteredCertificate, dict]:
     """Policy regression onto the teacher plus certificate pre-training.
 
@@ -135,6 +135,7 @@ def warm_start(env: EnvSpec, config: TrainConfig,
     is reported in the diagnostics but training continues best-effort.
     """
     cfg = config.resolved()
+    env = make_env(cfg.env_name)
     diag = {}
     policy_hidden = ENV_DEFAULTS[cfg.env_name]["policy_hidden"]
     policy = init_mlp([env.state_dim, *policy_hidden, env.control_dim], rng)
@@ -164,7 +165,7 @@ def warm_start(env: EnvSpec, config: TrainConfig,
         cfg.clbf_params(), env,
     )
     # pre-train the certificate with the policy frozen
-    loss, _, diverged = _train_phase(cfg, cert, policy, env, cfg.warmstart_epochs,
+    loss, _, diverged = _train_phase(cfg, cert, policy, cfg.warmstart_epochs,
                                      cert.net.params(), Adam(), rng)
     if diverged:
         diag["warmstart_warning"] = "certificate pre-training diverged"
@@ -173,7 +174,7 @@ def warm_start(env: EnvSpec, config: TrainConfig,
     return policy, cert, diag
 
 
-def _train_phase(cfg, cert, policy, env, epochs, params, opt, rng, vs=None,
+def _train_phase(cfg, cert, policy, epochs, params, opt, rng, vs=None,
                  ce=None, deadline=np.inf):
     """Up to epochs steps of opt on params (the certificate's, then the
     policy's unless it is frozen) against the total loss of BATCH_SIZE fresh
@@ -186,11 +187,11 @@ def _train_phase(cfg, cert, policy, env, epochs, params, opt, rng, vs=None,
     ce = ce or {}
     loss = np.inf
     for _ in range(epochs):
-        init_states = env.sample_init(rng, BATCH_SIZE)
-        dec_states = env.sample_states(rng, BATCH_SIZE)
+        init_states = cert.env.sample_init(rng, BATCH_SIZE)
+        dec_states = cert.env.sample_states(rng, BATCH_SIZE)
         init_b = _with_ce(init_states, ce.get("init"), CE_CAP, rng)
         dec_b = _with_ce(dec_states, ce.get("decrease"), CE_CAP, rng)
-        loss, cg, pg, vs = total_loss_grads(tl_cfg, cert, policy, env, init_b,
+        loss, cg, pg, vs = total_loss_grads(tl_cfg, cert, policy, cert.env, init_b,
                                             dec_b, rng, spectral_vs=vs)
         if not np.isfinite(loss):
             return loss, vs, True
@@ -244,27 +245,26 @@ def resample_counterexamples(env: EnvSpec, states: np.ndarray, m: int,
 # the loop
 
 
-def cegis_run(config: TrainConfig, env: EnvSpec | None = None) -> CegisResult:
+def cegis_run(config: TrainConfig) -> CegisResult:
     """Algorithm: train to zero loss, verify, resample around violations,
     repeat until certified, out of iterations, or out of time."""
     cfg = config.resolved()
-    env = env or make_env(cfg.env_name)
     rng = np.random.default_rng(cfg.seed)
     t0 = time.monotonic()
     deadline = t0 + cfg.timeout_hours * 3600.0
 
-    policy, cert, ws_diag = warm_start(env, cfg, rng)
+    policy, cert, ws_diag = warm_start(cfg, rng)
     result = CegisResult(policy, cert, "running", warmstart=ws_diag, config=cfg)
 
     opt = Adam()
     params = cert.net.params() + policy.params()
-    ce = {c: np.empty((0, env.state_dim)) for c in ("init", "decrease")}
+    ce = {c: np.empty((0, cert.env.state_dim)) for c in ("init", "decrease")}
     vs = None
     verify_budget = min(cfg.max_boxes, 200_000)
 
     for iteration in range(1, cfg.max_iters + 1):
         t_train = time.monotonic()
-        loss, vs, diverged = _train_phase(cfg, cert, policy, env, cfg.epochs_per_iter,
+        loss, vs, diverged = _train_phase(cfg, cert, policy, cfg.epochs_per_iter,
                                           params, opt, rng, vs, ce, deadline)
         t_verify = time.monotonic()
         if diverged:
@@ -274,9 +274,9 @@ def cegis_run(config: TrainConfig, env: EnvSpec | None = None) -> CegisResult:
             return result
 
         bnb = cfg.bnb_config(verify_budget)
-        result.verdicts = {"init": check_init(cert, env, bnb),
-                           "decrease": check_robust_decrease(cert, policy, env, cfg.delta,
-                                                             cfg.epsilon, bnb)}
+        result.verdicts = {"init": check_init(cert, bnb),
+                           "decrease": check_robust_decrease(cert, policy, cert.env,
+                                                             cfg.delta, cfg.epsilon, bnb)}
         found = {c: len(v.witnesses) for c, v in result.verdicts.items()}
         result.iterations.append(_row(iteration, loss, found, t0, t_verify - t_train,
                                       time.monotonic() - t_verify))
@@ -287,7 +287,7 @@ def cegis_run(config: TrainConfig, env: EnvSpec | None = None) -> CegisResult:
         for c, v in result.verdicts.items():
             if v.witnesses:
                 ce[c] = np.concatenate([ce[c], resample_counterexamples(
-                    env, [w.state for w in v.witnesses], RESAMPLE_M,
+                    cert.env, [w.state for w in v.witnesses], RESAMPLE_M,
                     RESAMPLE_RADIUS, rng, c)])
         if not any(found.values()):
             # no counterexample but not proved: widen the verification budget
@@ -314,8 +314,7 @@ def _row(iteration, loss, ce_by_condition, t0, train_s, verify_s):
 # tau search
 
 
-def tau_search(config: TrainConfig, resolution: float = 0.25,
-               env: EnvSpec | None = None):
+def tau_search(config: TrainConfig, resolution: float = 0.25):
     """Smallest Lipschitz budget tau at which lip-reg training still
     converges, found by bisection below a converged vanilla model's
     measured spectral-norm product.
@@ -327,9 +326,7 @@ def tau_search(config: TrainConfig, resolution: float = 0.25,
     if not resolution > 0:
         raise ValueError("resolution must be positive")
     # each run's defaults (delta among them) are those of its own method
-    cfg = replace(config, method="vanilla").resolved()
-    env = env or make_env(cfg.env_name)
-    vanilla = cegis_run(cfg, env)
+    vanilla = cegis_run(replace(config, method="vanilla").resolved())
     info = {"vanilla_status": vanilla.status, "probes": []}
     if not vanilla.success:
         info["reason"] = "vanilla run did not converge; no feasible upper bound"
@@ -340,7 +337,7 @@ def tau_search(config: TrainConfig, resolution: float = 0.25,
 
     def converges(tau):
         nonlocal best_run
-        run = cegis_run(replace(config, method="lip-reg", tau=float(tau)).resolved(), env)
+        run = cegis_run(replace(config, method="lip-reg", tau=float(tau)).resolved())
         info["probes"].append((float(tau), run.status))
         if run.success:  # bisection keeps each converging probe as its end
             best_run = run

@@ -34,11 +34,10 @@ class Campaign:
     pgd: PgdConfig = field(default_factory=PgdConfig)
 
 
-def rollout_batch(policy: Mlp, cert: FilteredCertificate, env: EnvSpec,
-                  X0: np.ndarray, mode: str, delta: float, horizon: int,
-                  rng: np.random.Generator, pgd: PgdConfig | None = None
-                  ) -> tuple[np.ndarray, np.ndarray]:
-    """Simulate all rollouts together; returns (outcomes, steps) arrays.
+def rollout_batch(policy: Mlp, cert: FilteredCertificate, X0: np.ndarray, mode: str,
+                  delta: float, horizon: int, rng: np.random.Generator,
+                  pgd: PgdConfig | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Simulate all rollouts together on cert.env; returns (outcomes, steps) arrays.
 
     mode "adversarial": each next state is replaced by verifier.ball_max,
     the filtered certificate's maximizer in its delta-ball, with the PGD
@@ -57,7 +56,7 @@ def rollout_batch(policy: Mlp, cert: FilteredCertificate, env: EnvSpec,
         if active.size == 0:
             break
         Xa = X[active]
-        nxt = env.step(Xa, forward_batch(policy, Xa))  # step clamps the control
+        nxt = cert.env.step(Xa, forward_batch(policy, Xa))  # step clamps the control
         if delta > 0.0:
             if mode == "adversarial":
                 nxt = ball_max(cert, nxt, cert.value(nxt), delta, pgd, rng,
@@ -65,8 +64,8 @@ def rollout_batch(policy: Mlp, cert: FilteredCertificate, env: EnvSpec,
             else:
                 nxt = nxt + rng.uniform(-delta, delta, nxt.shape)
         X[active] = nxt
-        in_goal = env.in_goal(nxt)
-        in_unsafe = env.in_unsafe(nxt)
+        in_goal = cert.env.in_goal(nxt)
+        in_unsafe = cert.env.in_unsafe(nxt)
         done = in_goal | in_unsafe
         if np.any(done):
             idx = active[done]
@@ -111,17 +110,16 @@ class CampaignRow:
     wilson_hi: float
 
 
-def run_campaign(policy: Mlp, cert: FilteredCertificate, env: EnvSpec,
+def run_campaign(policy: Mlp, cert: FilteredCertificate,
                  campaign: Campaign) -> list[CampaignRow]:
-    """Success rate per (mode, delta) over shared initial states."""
+    """Success rate per (mode, delta) over shared initial states of cert.env."""
     root = np.random.SeedSequence(campaign.seed)
     init_ss, *mode_ss = root.spawn(1 + len(campaign.modes))
-    X0 = sample_initial_states(env, campaign.n_states, np.random.default_rng(init_ss))
+    X0 = sample_initial_states(cert.env, campaign.n_states, np.random.default_rng(init_ss))
     rows = []
     for (mode, delta), ss in zip(campaign.modes, mode_ss):
-        outcomes, _ = rollout_batch(policy, cert, env, X0, mode, delta,
-                                    campaign.horizon, np.random.default_rng(ss),
-                                    campaign.pgd)
+        outcomes, _ = rollout_batch(policy, cert, X0, mode, delta, campaign.horizon,
+                                    np.random.default_rng(ss), campaign.pgd)
         s = int(np.sum(outcomes == OUTCOME_GOAL))
         lo, hi = wilson_interval(s, campaign.n_states)
         rows.append(CampaignRow(mode, delta, campaign.n_states, s,

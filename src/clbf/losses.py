@@ -113,7 +113,7 @@ def loss_init_grads(cfg: TotalLossConfig, cert: FilteredCertificate, batch: Batc
 
 
 def loss_dec_grads(cfg: TotalLossConfig, cert: FilteredCertificate, policy: Mlp,
-                   env: EnvSpec, batch: Batch, rng: np.random.Generator | None = None,
+                   batch: Batch, rng: np.random.Generator | None = None,
                    spectral_vs: list[np.ndarray] | None = None):
     """Descent hinge sum: V must drop by at least epsilon per step.
 
@@ -128,7 +128,7 @@ def loss_dec_grads(cfg: TotalLossConfig, cert: FilteredCertificate, policy: Mlp,
     Returns (value, cert_grads, policy_grads, spectral_vs).
     """
     cfg.validate()
-    p, X, delta = cert.params, batch.states, cfg.delta
+    env, p, X, delta = cert.env, cert.params, batch.states, cfg.delta
     w = batch.weight_vector()
 
     tape_x = forward_tape(cert.net, X)
@@ -221,11 +221,14 @@ def total_loss_grads(cfg: TotalLossConfig, cert: FilteredCertificate,
                      spectral_vs: list[np.ndarray] | None = None):
     """Weighted sum of the method's active loss terms.
 
-    Counterexample-tagged states contribute with multiplier CE_WEIGHT.
-    Returns (value, cert_grads, policy_grads, spectral_vs); the vectors warm
-    start the next step's power iteration.
+    Counterexample-tagged states contribute with multiplier CE_WEIGHT; env
+    must be the certificate's cert.env, or a ValueError is raised. Returns
+    (value, cert_grads, policy_grads, spectral_vs); the vectors warm start
+    the next step's power iteration.
     """
-    dec_val, dec_cg, dec_pg, new_vs = loss_dec_grads(cfg, cert, policy, env, dec_batch,
+    if env is not cert.env:
+        raise ValueError("env is not the certificate's environment cert.env")
+    dec_val, dec_cg, dec_pg, new_vs = loss_dec_grads(cfg, cert, policy, dec_batch,
                                                      rng, spectral_vs)
     init_val, init_cg = loss_init_grads(cfg, cert, init_batch)
     value = LAMBDA_INIT * init_val + LAMBDA_DEC * dec_val

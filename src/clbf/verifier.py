@@ -237,8 +237,7 @@ def _vol_fraction(lo, hi, total_vol):
 # initial-set check
 
 
-def check_init(cert: FilteredCertificate, env: EnvSpec,
-               cfg: BnbConfig | None = None) -> Verdict:
+def check_init(cert: FilteredCertificate, cfg: BnbConfig | None = None) -> Verdict:
     """Branch-and-bound proof of V(x) <= beta over the initial set.
 
     A box passes when filtered_upper_bound, the decrease check's bound, is
@@ -260,7 +259,7 @@ def check_init(cert: FilteredCertificate, env: EnvSpec,
         return [(int(i), Witness(centers[i].copy(), "init", float(excess[i])))
                 for i in np.flatnonzero(excess >= WITNESS_SLACK)]
 
-    return _branch_and_bound(list(env.init_boxes), cfg, "init", fails, hunt)
+    return _branch_and_bound(list(cert.env.init_boxes), cfg, "init", fails, hunt)
 
 
 # ---------------------------------------------------------------------------
@@ -277,8 +276,11 @@ def check_robust_decrease(cert: FilteredCertificate, policy: Mlp, env: EnvSpec,
     The root cover tiles the domain minus the goal and unsafe sets exactly,
     so the left side uses raw network bounds (a conservative superset on the
     shared faces). Box test: raw lower bound of V over B minus the filtered
-    upper bound over the inflated interval image must reach epsilon.
+    upper bound over the inflated interval image must reach epsilon. env
+    must be the certificate's own cert.env, or a ValueError is raised.
     """
+    if env is not cert.env:
+        raise ValueError("env is not the certificate's environment cert.env")
     check_delta(delta)
     cfg = (cfg or BnbConfig()).validate()
     p = cert.params
@@ -299,8 +301,8 @@ def check_robust_decrease(cert: FilteredCertificate, policy: Mlp, env: EnvSpec,
     def hunt(lo, hi, round_):
         nonlocal hunted_rows, pgd_rows
         rng = np.random.default_rng((cfg.seed, round_))
-        found, hunted, pgd = _hunt_decrease_ce(cert, policy, env, lo, hi,
-                                               delta, epsilon, rng)
+        found, hunted, pgd = _hunt_decrease_ce(cert, policy, lo, hi, delta,
+                                               epsilon, rng)
         hunted_rows += hunted
         pgd_rows += pgd
         return found
@@ -360,7 +362,7 @@ def _points_in_unsafe(env: EnvSpec, lo: np.ndarray, hi: np.ndarray):
     return ok[first, np.arange(k)], cands[first, np.arange(k)]
 
 
-def _hunt_decrease_ce(cert, policy, env, lo, hi, delta, epsilon, rng):
+def _hunt_decrease_ce(cert, policy, lo, hi, delta, epsilon, rng):
     """Exact counterexample search inside failed boxes. The box centers are
     checked first. If they hold no witness, a sign ascent of
     OUTER_PGD_STEPS steps on the nominal violation runs from them, and
@@ -376,49 +378,48 @@ def _hunt_decrease_ce(cert, policy, env, lo, hi, delta, epsilon, rng):
     # ascent step and the check share one evaluation of each point set (V at
     # the next states too); the last set needs no gradient
     x = 0.5 * (lo + hi)
-    centers = _point_set(cert, policy, env, x, True)
-    found, pgd = _first_witnesses(cert, policy, env, [centers], delta, epsilon, rng)
+    centers = _point_set(cert, policy, x, True)
+    found, pgd = _first_witnesses(cert, policy, [centers], delta, epsilon, rng)
     if found:
         return found, k, pgd
     step = (hi - lo) / (2.0 * steps)
     sets = [centers]
     for s in range(1, steps + 1):
         x = np.clip(x + step * np.sign(sets[-1][-1]), lo, hi)
-        sets.append(_point_set(cert, policy, env, x, s < steps))
-    found, pgd_ascent = _first_witnesses(cert, policy, env, sets[1:], delta,
-                                         epsilon, rng)
+        sets.append(_point_set(cert, policy, x, s < steps))
+    found, pgd_ascent = _first_witnesses(cert, policy, sets[1:], delta, epsilon, rng)
     return found, k * (steps + 1), pgd + pgd_ascent
 
 
-def _point_set(cert, policy, env, x, grad: bool):
+def _point_set(cert, policy, x, grad: bool):
     """(x, nxt, raw_x, v_nxt, g) for the states x, as _violation_grad gives
     them, with g None unless grad."""
     if grad:
-        return (x, *_violation_grad(cert, policy, env, x))
-    nxt = env.step(x, forward_batch(policy, x))  # step clamps the control
+        return (x, *_violation_grad(cert, policy, x))
+    nxt = cert.env.step(x, forward_batch(policy, x))  # step clamps the control
     return x, nxt, cert.raw(x), cert.value(nxt), None
 
 
-def _first_witnesses(cert, policy, env, sets, delta, epsilon, rng):
+def _first_witnesses(cert, policy, sets, delta, epsilon, rng):
     """One exact check of the point sets [(x, nxt, raw_x, v_nxt, _)] of k
     rows each, stacked in order: the witnesses of the first set that has any
     that _recheck_decrease confirms, as [(row_index, Witness)] by ascending
     row, and the number of rows passed to the inner PGD."""
     k = sets[0][0].shape[0]
     X, nxt, raw_x, v_nxt = (np.concatenate(a) for a in list(zip(*sets))[:4])
-    viol, ball_pts, pgd = _exact_violation(cert, env, X, nxt, raw_x, v_nxt,
-                                           delta, epsilon, rng)
+    viol, ball_pts, pgd = _exact_violation(cert, X, nxt, raw_x, v_nxt, delta,
+                                           epsilon, rng)
     found = []  # (stacked row, witness)
     for r in np.flatnonzero(viol >= WITNESS_SLACK):
         if found and r // k > found[0][0] // k:
             break  # past the first set with a witness
         w = Witness(X[r].copy(), "decrease", float(viol[r]), ball_pts[r].copy())
-        if _recheck_decrease(cert, policy, env, w, delta, epsilon):
+        if _recheck_decrease(cert, policy, w, delta, epsilon):
             found.append((r, w))
     return [(int(r % k), w) for r, w in found], pgd
 
 
-def _exact_violation(cert, env, X, nxt, raw_x, v_nxt, delta, epsilon, rng):
+def _exact_violation(cert, X, nxt, raw_x, v_nxt, delta, epsilon, rng):
     """Exact violation of the robust decrease condition at states X, given
     their next states nxt, their raw values raw_x and the filtered values
     v_nxt at nxt, with the ball points realizing it and the number of rows
@@ -435,7 +436,7 @@ def _exact_violation(cert, env, X, nxt, raw_x, v_nxt, delta, epsilon, rng):
     """
     p = cert.params
     v_x, _ = cert.apply_masks(X, raw_x)
-    eligible = ~env.in_goal(X) & (v_x <= p.beta)
+    eligible = ~cert.env.in_goal(X) & (v_x <= p.beta)
     active = (decrease_may_fail(cert, eligible, v_x, nxt, delta, epsilon)
               if delta > 0 else eligible)
     best_v, best_y = ball_max(cert, nxt, v_nxt, delta, INNER_PGD, rng, active)
@@ -444,30 +445,30 @@ def _exact_violation(cert, env, X, nxt, raw_x, v_nxt, delta, epsilon, rng):
     return viol, best_y, int(np.count_nonzero(active)) if delta > 0 else 0
 
 
-def _violation_grad(cert, policy, env, X):
+def _violation_grad(cert, policy, X):
     """The next states nxt = f(X, pi(X)), the raw values V(X), the filtered
     values V(nxt), and the gradient w.r.t. x of the nominal violation
     eps - V(x) + V(f(x, pi(x))) at X. V(nxt) contributes only where the raw
     network applies; on the masked sets it is constant."""
     u, J_pi = input_jacobian(policy, X)
-    nxt = env.step(X, u)  # step clamps the control
+    nxt = cert.env.step(X, u)  # step clamps the control
     raw_x, J_x = input_jacobian(cert.net, X)
     raw_y, J_y = input_jacobian(cert.net, nxt)
     v_nxt, unmasked = cert.apply_masks(nxt, raw_y[:, 0])
     gVy = J_y[:, 0] * unmasked[:, None]
-    A, B = env.step_jac(X, u)
+    A, B = cert.env.step_jac(X, u)
     g = -J_x[:, 0] + np.einsum("kij,ki->kj", A, gVy)
     gu = np.einsum("kij,ki->kj", B, gVy)
     return nxt, raw_x[:, 0], v_nxt, g + np.einsum("kmj,km->kj", J_pi, gu)
 
 
-def _recheck_decrease(cert, policy, env, w: Witness, delta, epsilon) -> bool:
+def _recheck_decrease(cert, policy, w: Witness, delta, epsilon) -> bool:
     """Witness contract: exact re-evaluation confirms the violation."""
     x = w.state[None]
     v_x = cert.value(x)[0]
-    if env.in_goal(x)[0] or v_x > cert.params.beta:
+    if cert.env.in_goal(x)[0] or v_x > cert.params.beta:
         return False
-    nxt = env.step(x, forward_batch(policy, x))[0]
+    nxt = cert.env.step(x, forward_batch(policy, x))[0]
     y = w.ball_point
     if np.abs(y - nxt).max() > delta + 1e-12:
         return False
@@ -493,10 +494,9 @@ def bisect_boundary(passes, good: float, bad: float, tol: float) -> float:
     return good
 
 
-def certify_delta(cert: FilteredCertificate, policy: Mlp, env: EnvSpec,
-                  cfg: BnbConfig | None = None, delta_hi: float = 0.05,
-                  tol: float = 1e-4, epsilon: float = 1e-6):
-    """Binary search for the largest verified perturbation radius.
+def certify_delta(cert: FilteredCertificate, policy: Mlp, cfg: BnbConfig | None = None,
+                  delta_hi: float = 0.05, tol: float = 1e-4, epsilon: float = 1e-6):
+    """Binary search for the largest verified perturbation radius on cert.env.
 
     Probes 0 and delta_hi, then bisects between them to within tol > 0 or
     to adjacent floats, assuming failure is monotone in delta. The decrease
@@ -510,14 +510,14 @@ def certify_delta(cert: FilteredCertificate, policy: Mlp, env: EnvSpec,
     if not tol > 0:
         raise ValueError("tol must be positive")
     cfg = cfg or BnbConfig()
-    init_v = check_init(cert, env, cfg)
+    init_v = check_init(cert, cfg)
     info = {"init": init_v, "history": []}
     if not init_v.proved:
         info["reason"] = "precondition failed (init)"
         return 0.0, info
 
     def passes(delta):
-        v = check_robust_decrease(cert, policy, env, delta, epsilon, cfg)
+        v = check_robust_decrease(cert, policy, cert.env, delta, epsilon, cfg)
         info["history"].append((delta, v.status))
         return v.proved
 

@@ -132,6 +132,30 @@ def test_resolved_rejects_unknown_env_and_method():
         TrainConfig(method="nope").resolved()
 
 
+# settings that once failed only after warm start or a training phase, and a
+# timeout that NaN would switch off: time.monotonic() > nan is never true
+BAD_SETTINGS = [("max_boxes", np.nan), ("max_boxes", 0), ("epsilon", np.nan),
+                ("epsilon", -1.0), ("tau", -1.0), ("tau", np.nan), ("delta", np.inf),
+                ("delta", -1.0), ("timeout_hours", np.nan), ("timeout_hours", 0.0),
+                ("timeout_hours", -1.0)]
+
+
+@pytest.mark.parametrize("name,value", BAD_SETTINGS)
+def test_resolved_validates_every_setting(name, value):
+    with pytest.raises(ValueError, match=name):
+        TrainConfig(method="lip-reg", **{name: value}).resolved()
+
+
+@pytest.mark.parametrize("name,value", BAD_SETTINGS)
+def test_cegis_run_rejects_a_bad_setting_before_warm_start(name, value, monkeypatch):
+    def no_warm_start(*args):
+        pytest.fail("warm start ran on an invalid config")
+
+    monkeypatch.setattr(clbf.cegis, "warm_start", no_warm_start)
+    with pytest.raises(ValueError, match=name):
+        cegis_run(tiny_config(method="lip-reg", **{name: value}))
+
+
 # (env, method): epsilon, delta, tau, max_boxes as resolved() fills them in
 RESOLVED = {
     ("pendulum", "vanilla"): (5e-3, 0.0, 3.0, 2_000_000),
@@ -166,7 +190,7 @@ def test_sub_configs_and_net_dims_stay_pinned(env_name, method):
     assert (nets.Adam().lr, nets.BETA1, nets.BETA2, nets.EPS) == (1e-3, 0.9, 0.999, 1e-8)
     env = make_env(env_name)
     policy, cert, _ = clbf.cegis.warm_start(
-        env, TrainConfig(env_name, method, warmstart_epochs=0, teacher_samples=500),
+        TrainConfig(env_name, method, warmstart_epochs=0, teacher_samples=500),
         np.random.default_rng(0))
     n = env.state_dim
     assert cert.net.dims == [n, 64, 32, 16, 1]
@@ -234,7 +258,7 @@ def test_status_stalled(monkeypatch):
 
 def test_status_certified(monkeypatch):
     proved = {c: Verdict("proved", c) for c in ("init", "decrease")}
-    monkeypatch.setattr(clbf.cegis, "check_init", lambda cert, env, cfg: proved["init"])
+    monkeypatch.setattr(clbf.cegis, "check_init", lambda cert, cfg: proved["init"])
     monkeypatch.setattr(clbf.cegis, "check_robust_decrease",
                         lambda cert, policy, env, *args: proved["decrease"])
     result = cegis_run(tiny_config(max_iters=3))
@@ -272,8 +296,7 @@ def test_a_non_finite_loss_ends_the_phase_before_the_optimizer_step(phase, monke
     monkeypatch.setattr(clbf.cegis, "total_loss_grads", loss_then_nan)
     if phase == "warm_start":
         cfg = tiny_config(warmstart_epochs=5)
-        policy, cert, diag = clbf.cegis.warm_start(pendulum_env(), cfg,
-                                                   np.random.default_rng(0))
+        policy, cert, diag = clbf.cegis.warm_start(cfg, np.random.default_rng(0))
         assert diag["warmstart_warning"] == "certificate pre-training diverged"
         assert np.isnan(diag["warmstart_loss"])
     else:
@@ -308,8 +331,7 @@ def test_a_zero_loss_ends_the_phase_before_the_optimizer_step(phase, monkeypatch
     monkeypatch.setattr(clbf.cegis, "total_loss_grads", loss_then_zero)
     if phase == "warm_start":
         cfg = tiny_config(warmstart_epochs=5)
-        policy, cert, diag = clbf.cegis.warm_start(pendulum_env(), cfg,
-                                                   np.random.default_rng(0))
+        policy, cert, diag = clbf.cegis.warm_start(cfg, np.random.default_rng(0))
         assert diag["warmstart_loss"] == 0.0
     else:
         proved = Verdict("proved", "decrease")
@@ -337,7 +359,7 @@ def fake_cegis_run(pendulum, vanilla_ok=True, tau_min=2.5, runs=None):
     net = Mlp([2 * np.eye(2), np.array([[3.0, 0.0]])], [np.zeros(2), np.zeros(1)])
     runs = [] if runs is None else runs
 
-    def run(cfg, env=None):
+    def run(cfg):
         runs.append(cfg)
         if len(runs) > 500:
             raise RuntimeError("more than 500 runs")
@@ -351,7 +373,7 @@ def fake_cegis_run(pendulum, vanilla_ok=True, tau_min=2.5, runs=None):
 
 def test_tau_search_bisects_below_the_vanilla_product(monkeypatch, pendulum):
     monkeypatch.setattr(clbf.cegis, "cegis_run", fake_cegis_run(pendulum))
-    tau, run, info = tau_search(TrainConfig(), resolution=0.25, env=pendulum)
+    tau, run, info = tau_search(TrainConfig(), resolution=0.25)
     assert info["vanilla_status"] == "certified"
     assert info["tau_hi"] == pytest.approx(6.0)
     assert info["probes"][0] == (info["tau_hi"], "certified")
@@ -363,7 +385,7 @@ def test_tau_search_bisects_below_the_vanilla_product(monkeypatch, pendulum):
 def test_tau_search_without_a_converged_vanilla_run(monkeypatch, pendulum):
     monkeypatch.setattr(clbf.cegis, "cegis_run",
                         fake_cegis_run(pendulum, vanilla_ok=False))
-    tau, run, info = tau_search(TrainConfig(), env=pendulum)
+    tau, run, info = tau_search(TrainConfig())
     assert tau is None and run is None
     assert info["vanilla_status"] == "max_iters" and info["probes"] == []
     assert "vanilla run did not converge" in info["reason"]
@@ -371,7 +393,7 @@ def test_tau_search_without_a_converged_vanilla_run(monkeypatch, pendulum):
 
 def test_tau_search_with_an_infeasible_upper_bound(monkeypatch, pendulum):
     monkeypatch.setattr(clbf.cegis, "cegis_run", fake_cegis_run(pendulum, tau_min=10.0))
-    tau, run, info = tau_search(TrainConfig(), env=pendulum)
+    tau, run, info = tau_search(TrainConfig())
     assert tau is None and run is None
     assert info["probes"] == [(pytest.approx(6.0), "max_iters")]
     assert "infeasible" in info["reason"]
@@ -382,7 +404,7 @@ def test_tau_search_rejects_a_resolution_that_is_not_positive(monkeypatch, pendu
     monkeypatch.setattr(clbf.cegis, "cegis_run", fake_cegis_run(pendulum, runs=runs))
     for resolution in (0.0, -0.25):
         with pytest.raises(ValueError, match="resolution must be positive"):
-            tau_search(TrainConfig(), resolution=resolution, env=pendulum)
+            tau_search(TrainConfig(), resolution=resolution)
     assert runs == []
 
 
@@ -391,7 +413,7 @@ def test_tau_search_below_the_float_spacing_ends(monkeypatch, pendulum):
     # and lo not: hi is then the smallest converging tau itself
     runs = []
     monkeypatch.setattr(clbf.cegis, "cegis_run", fake_cegis_run(pendulum, runs=runs))
-    tau, run, info = tau_search(TrainConfig(), resolution=1e-300, env=pendulum)
+    tau, run, info = tau_search(TrainConfig(), resolution=1e-300)
     assert tau == 2.5 and run.config.tau == 2.5
     assert max(t for t, status in info["probes"] if status != "certified") \
         == np.nextafter(2.5, -np.inf)
@@ -406,6 +428,6 @@ def test_tau_search_resolves_each_run_for_its_own_method(monkeypatch, pendulum):
         seen[method] = []
         monkeypatch.setattr(clbf.cegis, "cegis_run",
                             fake_cegis_run(pendulum, runs=seen[method]))
-        tau_search(TrainConfig(method=method), env=pendulum)
+        tau_search(TrainConfig(method=method))
     assert len(seen["pgd"]) > 2 and seen["pgd"] == seen["vanilla"]
     assert all(cfg.delta == 0.0 for cfg in seen["pgd"])

@@ -47,10 +47,10 @@ def test_run_campaign_is_deterministic_given_its_seed(pendulum):
     policy = small_policy(pendulum, seed=3)
     campaign = Campaign(n_states=64, horizon=10, seed=4,
                         modes=[("adversarial", 0.01), ("random", 0.05)])
-    rows = run_campaign(policy, cert, pendulum, campaign)
+    rows = run_campaign(policy, cert, campaign)
     # every row has both outcomes, so it depends on the sampled states
     assert len(rows) == 2 and all(0 < r.successes < r.n for r in rows)
-    assert rows == run_campaign(policy, cert, pendulum, campaign)
+    assert rows == run_campaign(policy, cert, campaign)
 
 
 def test_rollout_stops_on_goal_and_unsafe_entry():
@@ -61,7 +61,7 @@ def test_rollout_stops_on_goal_and_unsafe_entry():
     # 0.3 -> 0.15 lies in the goal; 1.8 -> 0.9 in the unsafe set;
     # -4 halves towards 0 from below and never enters either set
     X0 = np.array([[0.3], [1.8], [-4.0]])
-    outcomes, steps = rollout_batch(policy, cert, env, X0, "random", 0.0, 5,
+    outcomes, steps = rollout_batch(policy, cert, X0, "random", 0.0, 5,
                                     np.random.default_rng(0))
     assert outcomes.tolist() == [OUTCOME_GOAL, OUTCOME_UNSAFE, OUTCOME_TIMEOUT]
     assert steps.tolist() == [1, 1, 5]
@@ -82,7 +82,7 @@ def test_adversarial_rollout_takes_the_filtered_ball_max(hidden_bias, scale, x0,
     net = Mlp([np.array([[1.0]]), np.array([[scale]])],
               [np.array([hidden_bias]), np.zeros(1)])
     cert = FilteredCertificate(net, ClbfParams(), env)
-    outcomes, steps = rollout_batch(policy, cert, env, np.array([[x0]]), "adversarial",
+    outcomes, steps = rollout_batch(policy, cert, np.array([[x0]]), "adversarial",
                                     0.03, 6, np.random.default_rng(0))
     assert outcomes.tolist() == [outcome] and steps.tolist() == [step]
 
@@ -100,7 +100,7 @@ def test_campaign_pgd_settings_reach_the_adversary(pendulum, monkeypatch):
     campaign = Campaign(n_states=4, horizon=2, seed=0,
                         modes=[("adversarial", 0.02)],
                         pgd=PgdConfig(steps=1, restarts=1))
-    run_campaign(policy, cert, pendulum, campaign)
+    run_campaign(policy, cert, campaign)
     assert seen and all(
         cfg == PgdConfig(steps=1, delta=0.02, restarts=1)
         for cfg in seen)

@@ -18,7 +18,7 @@ from clbf.losses import (
     total_loss_grads,
 )
 from clbf.boxes import Box
-from clbf.envs import EnvSpec, make_env
+from clbf.envs import EnvSpec, make_env, pendulum_env
 from clbf.nets import (Mlp, backward, forward_batch, forward_tape, init_mlp,
                        linf_lipschitz_bound, scalar_value, value_and_input_grad, zero_grads)
 from clbf.verifier import _exact_violation
@@ -39,11 +39,11 @@ def loss_cfg(method="vanilla", delta=0.0, pgd_cfg=None, spectral_iters=50):
     return TotalLossConfig(method, LossWeights(), delta, pgd_cfg, spectral_iters)
 
 
-def dec_loss(cert, policy, env, batch, method="vanilla", delta=0.0, pgd_cfg=None,
+def dec_loss(cert, policy, batch, method="vanilla", delta=0.0, pgd_cfg=None,
              rng=None, **cfg_kwargs):
     """loss_dec_grads under loss_cfg(method, delta, pgd_cfg, ...)."""
     cfg = loss_cfg(method, delta, pgd_cfg, **cfg_kwargs)
-    return loss_dec_grads(cfg, cert, policy, env, batch, rng)
+    return loss_dec_grads(cfg, cert, policy, batch, rng)
 
 
 def fixed_lipschitz_bound(monkeypatch, L):
@@ -117,7 +117,7 @@ def test_loss_dec_hand_cases():
         cert = FilteredCertificate(affine_scalar_net([a], b), params, env)
         batch = Batch(np.array([[x]]))
         policy = affine_scalar_net([0.0], 0.0)
-        assert dec_loss(cert, policy, env, batch)[0] == pytest.approx(want, abs=1e-12)
+        assert dec_loss(cert, policy, batch)[0] == pytest.approx(want, abs=1e-12)
 
 
 def test_loss_dec_precondition_filter():
@@ -126,7 +126,7 @@ def test_loss_dec_precondition_filter():
     # v(x) = 1.3 > beta at x, so the state is excluded even though the value rises
     cert = FilteredCertificate(affine_scalar_net([0.0], 1.3), params, env)
     policy = affine_scalar_net([0.0], 0.0)
-    assert dec_loss(cert, policy, env, Batch(np.array([[1.0]])))[0] == 0.0
+    assert dec_loss(cert, policy, Batch(np.array([[1.0]])))[0] == 0.0
 
 
 def test_loss_dec_neighbor_hand_cases(monkeypatch):
@@ -142,7 +142,7 @@ def test_loss_dec_neighbor_hand_cases(monkeypatch):
         cert = FilteredCertificate(affine_scalar_net([a], b), params, env)
         policy = affine_scalar_net([0.0], 0.0)
         fixed_lipschitz_bound(monkeypatch, L)
-        got = dec_loss(cert, policy, env, Batch(np.array([[x]])), "lip-neighbor",
+        got = dec_loss(cert, policy, Batch(np.array([[x]])), "lip-neighbor",
                        delta=delta)[0]
         assert got == pytest.approx(want, abs=1e-12)
 
@@ -151,17 +151,17 @@ def test_loss_dec_neighbor_delta_zero_equals_dec(pendulum, rng):
     cert = small_cert(pendulum, seed=5)
     policy = small_policy(pendulum, seed=6)
     batch = Batch(pendulum.sample_states(rng, 64))
-    got = dec_loss(cert, policy, pendulum, batch, "lip-neighbor", delta=0.0)[0]
-    assert got == pytest.approx(dec_loss(cert, policy, pendulum, batch)[0])
+    got = dec_loss(cert, policy, batch, "lip-neighbor", delta=0.0)[0]
+    assert got == pytest.approx(dec_loss(cert, policy, batch)[0])
 
 
 def test_loss_dec_adv_delta_zero_equals_dec(pendulum, rng):
     cert = small_cert(pendulum, seed=5)
     policy = small_policy(pendulum, seed=6)
     batch = Batch(pendulum.sample_states(rng, 64))
-    got = dec_loss(cert, policy, pendulum, batch, "pgd", delta=0.0,
+    got = dec_loss(cert, policy, batch, "pgd", delta=0.0,
                    pgd_cfg=PgdConfig(delta=0.0))[0]
-    assert got == pytest.approx(dec_loss(cert, policy, pendulum, batch)[0])
+    assert got == pytest.approx(dec_loss(cert, policy, batch)[0])
 
 
 def linear_corner_case_loss(epsilon):
@@ -171,7 +171,7 @@ def linear_corner_case_loss(epsilon):
                                ClbfParams(epsilon=epsilon), env)
     policy = affine_scalar_net([0.0], 0.0)
     delta = 0.1
-    return dec_loss(cert, policy, env, Batch(np.array([[1.0]])), "pgd",
+    return dec_loss(cert, policy, Batch(np.array([[1.0]])), "pgd",
                     delta=delta, pgd_cfg=PgdConfig(delta=delta))[0]
 
 
@@ -193,10 +193,10 @@ def test_loss_dec_adv_dominates_dec(pendulum, rng):
         policy = small_policy(pendulum, seed=seed + 100)
         batch = Batch(pendulum.sample_states(rng, 64))
         adv = dec_loss(
-            cert, policy, pendulum, batch, "pgd", delta=0.01,
+            cert, policy, batch, "pgd", delta=0.01,
             pgd_cfg=PgdConfig(delta=0.01), rng=np.random.default_rng(0),
         )[0]
-        assert adv >= dec_loss(cert, policy, pendulum, batch)[0] - 1e-12
+        assert adv >= dec_loss(cert, policy, batch)[0] - 1e-12
 
 
 def test_loss_dec_adv_nondecreasing_in_delta(pendulum, rng):
@@ -206,7 +206,7 @@ def test_loss_dec_adv_nondecreasing_in_delta(pendulum, rng):
     prev = -1.0
     for delta in (0.0, 0.002, 0.005, 0.01, 0.02):
         got = dec_loss(
-            cert, policy, pendulum, batch, "pgd", delta=delta,
+            cert, policy, batch, "pgd", delta=delta,
             pgd_cfg=PgdConfig(delta=delta), rng=np.random.default_rng(0),
         )[0]
         assert got >= prev - 1e-9
@@ -219,9 +219,9 @@ def test_loss_dec_rejects_mismatched_pgd_radius(pendulum, rng):
     batch = Batch(pendulum.sample_states(rng, 8))
     cfg = PgdConfig(delta=0.01)
     with pytest.raises(ValueError, match="delta"):
-        dec_loss(cert, policy, pendulum, batch, "pgd", pgd_cfg=cfg)
+        dec_loss(cert, policy, batch, "pgd", pgd_cfg=cfg)
     with pytest.raises(ValueError, match="delta"):
-        dec_loss(cert, policy, pendulum, batch, "pgd", delta=0.02, pgd_cfg=cfg)
+        dec_loss(cert, policy, batch, "pgd", delta=0.02, pgd_cfg=cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -251,7 +251,7 @@ def test_loss_dec_adv_skips_screened_and_ineligible_rows(monkeypatch):
     cfg = PgdConfig(delta=delta, restarts=1)
 
     def loss(X):
-        return dec_loss(cert, policy, env, Batch(np.array(X)), "pgd",
+        return dec_loss(cert, policy, Batch(np.array(X)), "pgd",
                         delta=delta, pgd_cfg=cfg)[0]
 
     # 1.0 is screened out, 2.0 is ineligible (V above beta)
@@ -284,7 +284,7 @@ def test_loss_dec_adv_gradient_rows_are_the_unscreened_rows(pendulum, rng,
     pgd_maximize_batch(cert.net, nxt, cfg, np.random.default_rng(5), may_fail)
     want = sum(len(x) for x in passes)
     passes.clear()
-    dec_loss(cert, policy, pendulum, Batch(X), "pgd", delta=cfg.delta,
+    dec_loss(cert, policy, Batch(X), "pgd", delta=cfg.delta,
              pgd_cfg=cfg, rng=np.random.default_rng(5))
     assert sum(len(x) for x in passes) == want > 0
 
@@ -334,7 +334,6 @@ def exact_adv_case():
 
 def test_loss_dec_adv_screen_matches_pgd_on_every_row_bit_for_bit(monkeypatch):
     cert, policy, batch = exact_adv_case()
-    env = cert.env
     cfg = PgdConfig(steps=12, delta=1 / 4, restarts=3)
     masks = []
 
@@ -346,7 +345,7 @@ def test_loss_dec_adv_screen_matches_pgd_on_every_row_bit_for_bit(monkeypatch):
         return np.ones(len(eligible), dtype=bool)
 
     def run(method="pgd"):
-        return dec_loss(cert, policy, env, batch, method, delta=cfg.delta, pgd_cfg=cfg,
+        return dec_loss(cert, policy, batch, method, delta=cfg.delta, pgd_cfg=cfg,
                         rng=DyadicStarts(9))
 
     monkeypatch.setattr(clbf.losses, "CE_WEIGHT", 4.0)
@@ -382,7 +381,7 @@ def test_loss_dec_adv_sees_the_unsafe_reach_of_the_ball():
     policy = Mlp([np.zeros((1, 1))], [np.zeros(1)])
     x = np.array([[2.04]])
     delta = 0.03
-    val, cg, pg, _ = dec_loss(cert, policy, env, Batch(x), "pgd", delta=delta,
+    val, cg, pg, _ = dec_loss(cert, policy, Batch(x), "pgd", delta=delta,
                               pgd_cfg=PgdConfig(delta=delta))
     p = cert.params
     assert val == pytest.approx(p.epsilon - (0.52 - p.unsafe_mask), abs=1e-12)
@@ -411,9 +410,9 @@ def test_loss_dec_adv_equals_the_verifiers_exact_violation(env_name, delta, monk
     cfg = PgdConfig(steps=10, delta=delta, restarts=2)
     monkeypatch.setattr(clbf.verifier, "INNER_PGD", cfg)  # the same search on both sides
 
-    got = dec_loss(cert, policy, env, Batch(X), "pgd", delta=delta, pgd_cfg=cfg,
+    got = dec_loss(cert, policy, Batch(X), "pgd", delta=delta, pgd_cfg=cfg,
                    rng=np.random.default_rng(7))[0]
-    viol, ball_pts, _ = _exact_violation(cert, env, X, nxt, cert.raw(X), cert.value(nxt),
+    viol, ball_pts, _ = _exact_violation(cert, X, nxt, cert.raw(X), cert.value(nxt),
                                          delta, cert.params.epsilon,
                                          np.random.default_rng(7))
     # rows realized in the unsafe set, and rows realized by PGD, both count
@@ -460,9 +459,9 @@ def test_loss_dec_gradients_match_fd(pendulum, rng):
     cert, policy, batch = _dec_fd_setup(pendulum, rng, 21)
 
     def f():
-        return dec_loss(cert, policy, pendulum, batch)[0]
+        return dec_loss(cert, policy, batch)[0]
 
-    val, cg, pg, _ = dec_loss(cert, policy, pendulum, batch)
+    val, cg, pg, _ = dec_loss(cert, policy, batch)
     assert val == pytest.approx(f())
     assert val > 0  # hinge active somewhere, otherwise the check is vacuous
     assert rel_err(cg, fd_param_grads(f, cert.net.params())) < 1e-4
@@ -474,11 +473,11 @@ def test_loss_dec_adv_gradients_match_fd(pendulum, rng):
     cfg = PgdConfig(delta=0.01, steps=10, restarts=2)
 
     def f():
-        return dec_loss(cert, policy, pendulum, batch, "pgd", delta=cfg.delta,
+        return dec_loss(cert, policy, batch, "pgd", delta=cfg.delta,
                         pgd_cfg=cfg, rng=np.random.default_rng(5))[0]
 
     val, cg, pg, _ = dec_loss(
-        cert, policy, pendulum, batch, "pgd", delta=cfg.delta, pgd_cfg=cfg,
+        cert, policy, batch, "pgd", delta=cfg.delta, pgd_cfg=cfg,
         rng=np.random.default_rng(5),
     )
     assert val == pytest.approx(f())
@@ -492,10 +491,10 @@ def test_loss_dec_neighbor_gradients_match_fd(pendulum, rng):
     delta = 0.01
 
     def f():
-        return dec_loss(cert, policy, pendulum, batch, "lip-neighbor", delta=delta,
+        return dec_loss(cert, policy, batch, "lip-neighbor", delta=delta,
                         spectral_iters=300)[0]
 
-    val, cg, pg, _ = dec_loss(cert, policy, pendulum, batch, "lip-neighbor",
+    val, cg, pg, _ = dec_loss(cert, policy, batch, "lip-neighbor",
                               delta=delta, spectral_iters=300)
     assert val == pytest.approx(f())
     assert val > 0
@@ -532,7 +531,7 @@ def test_zero_neighbor_loss_implies_ball_descent(rng, monkeypatch):
     X = rng.uniform(0.3, 1.0, (512, 1))
     delta = 0.02
     fixed_lipschitz_bound(monkeypatch, linf_lipschitz_bound(net)[0])
-    assert dec_loss(cert, policy, env, Batch(X), "lip-neighbor", delta=delta)[0] == 0.0
+    assert dec_loss(cert, policy, Batch(X), "lip-neighbor", delta=delta)[0] == 0.0
     # exhaustive ball sampling: raw value everywhere in the ball drops enough
     for x in X[:64]:
         nxt = 0.5 * x
@@ -622,6 +621,15 @@ def test_total_loss_rejects_mismatched_pgd_radius():
         cfg.validate()
 
 
+def test_total_loss_rejects_an_env_other_than_the_certificates(rng):
+    # the terms read cert.env: a second object would be silently ignored
+    cert = small_cert(pendulum_env())
+    batch = Batch(cert.env.sample_states(rng, 4))
+    with pytest.raises(ValueError, match="cert.env"):
+        total_loss_grads(loss_cfg(), cert, small_policy(cert.env), pendulum_env(), batch,
+                         batch)
+
+
 def test_total_loss_gradients_match_fd(pendulum, rng, monkeypatch):
     monkeypatch.setattr(clbf.losses, "CE_WEIGHT", 3.0)
     for method, delta in (("vanilla", 0.0), ("lip-reg", 0.0),
@@ -667,7 +675,7 @@ def test_total_loss_is_the_weighted_sum_of_its_terms_bit_for_bit(pendulum, rng, 
 
     val, cg, pg, new_vs = total_loss_grads(cfg, cert, policy, pendulum, init_b, dec_b,
                                            np.random.default_rng(3), vs)
-    dec_val, dec_cg, dec_pg, dec_vs = loss_dec_grads(cfg, cert, policy, pendulum, dec_b,
+    dec_val, dec_cg, dec_pg, dec_vs = loss_dec_grads(cfg, cert, policy, dec_b,
                                                      np.random.default_rng(3), vs)
     init_val, init_cg = loss_init_grads(cfg, cert, init_b)
     assert dec_val > 0 and init_val > 0

@@ -73,6 +73,23 @@ def dead_locals_of(tree) -> list[str]:
                   if isinstance(func, FUNCTIONS[:2]) for name in dead_locals(func))
 
 
+# the certificate carries its environment: only these two take an env as
+# well, which callers outside the package pass positionally, and they reject
+# any but cert.env
+CERT_AND_ENV = ["check_robust_decrease", "total_loss_grads"]
+
+
+def test_only_the_listed_functions_take_both_cert_and_env():
+    both = []
+    for path in MODULES:
+        for func in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(func, FUNCTIONS):
+                a = func.args
+                if {"cert", "env"} <= {p.arg for p in a.posonlyargs + a.args + a.kwonlyargs}:
+                    both.append(getattr(func, "name", "<lambda>"))
+    assert sorted(both) == CERT_AND_ENV
+
+
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_dead_locals(path):
     assert dead_locals_of(ast.parse(path.read_text(), filename=str(path))) == []

@@ -11,7 +11,7 @@ import clbf.verifier
 from clbf.adversary import PgdConfig, pgd_maximize_batch
 from clbf.boxes import Box, volumes
 from clbf.certificate import ClbfParams, FilteredCertificate, filtered_upper_bound
-from clbf.envs import EnvSpec, make_env
+from clbf.envs import EnvSpec, make_env, pendulum_env
 from clbf.nets import Mlp, backward, forward_batch, forward_tape, ibp_bounds, init_mlp
 from clbf.verifier import (
     WITNESS_SLACK,
@@ -105,19 +105,27 @@ def test_bad_delta_is_rejected_before_any_box_work(delta, pendulum, monkeypatch)
                               delta, 5e-3, BnbConfig(max_boxes=2000))
 
 
+def test_an_env_other_than_the_certificates_is_rejected():
+    # with two objects, parts of the check would read one and parts the other
+    cert = small_cert(pendulum_env())
+    with pytest.raises(ValueError, match="cert.env"):
+        check_robust_decrease(cert, small_policy(cert.env), pendulum_env(), 0.01, 5e-3,
+                              BnbConfig(max_boxes=1))
+
+
 # ---------------------------------------------------------------------------
 # check_init
 
 
 def test_check_init_constant_pass(pendulum):
     cert = FilteredCertificate(constant_net(0.5), ClbfParams(), pendulum)
-    v = check_init(cert, pendulum)
+    v = check_init(cert)
     assert v.proved and v.boxes_processed == 1
 
 
 def test_check_init_constant_counterexample(pendulum):
     cert = FilteredCertificate(constant_net(1.5), ClbfParams(), pendulum)
-    v = check_init(cert, pendulum)
+    v = check_init(cert)
     assert v.status == "counterexample"
     w = v.witness
     assert w.condition == "init"
@@ -133,7 +141,7 @@ def test_check_init_sliver_matches_grid_oracle(pendulum):
         [np.array([-t0]), np.array([1.0 - 1e-6])],
     )
     cert = FilteredCertificate(net, ClbfParams(), pendulum)
-    v = check_init(cert, pendulum, BnbConfig(max_boxes=200_000))
+    v = check_init(cert, BnbConfig(max_boxes=200_000))
     g = np.linspace(-0.3, 0.3, 201)
     GX, GY = np.meshgrid(g, g)
     grid = np.stack([GX.ravel(), GY.ravel()], axis=1)
@@ -149,7 +157,7 @@ def test_check_init_budget_exhaustion_is_unknown(pendulum, monkeypatch):
     )
     cert = FilteredCertificate(net, ClbfParams(), pendulum)
     set_bnb_constants(monkeypatch, chunk=1)
-    v = check_init(cert, pendulum, BnbConfig(max_boxes=2, ce_limit=1))
+    v = check_init(cert, BnbConfig(max_boxes=2, ce_limit=1))
     assert v.status in ("unknown", "counterexample")
     if v.status == "unknown":
         assert v.unknown_boxes and v.unknown_volume_fraction > 0
@@ -160,7 +168,7 @@ def test_check_init_drops_refuted_boxes(pendulum):
     # set; each witness is the center of its box, which leaves the residue
     cert = small_cert(pendulum, seed=0)
     cert.net.biases[-1] = cert.net.biases[-1] + 1.0
-    v = check_init(cert, pendulum, BnbConfig(max_boxes=20_000, ce_limit=8))
+    v = check_init(cert, BnbConfig(max_boxes=20_000, ce_limit=8))
     assert v.status == "counterexample" and len(v.witnesses) == 8
     states = np.stack([w.state for w in v.witnesses])
     assert not any(np.any(b.contains(states)) for b in v.unknown_boxes)
@@ -181,9 +189,9 @@ def test_check_init_tiled_bound_never_processes_more_boxes(env_name, monkeypatch
                 cert.net.biases[-1] = cert.net.biases[-1] + shift
                 yield cert
 
-    tiled = [check_init(cert, env, cfg) for cert in certs()]
+    tiled = [check_init(cert, cfg) for cert in certs()]
     monkeypatch.setattr(clbf.verifier, "filtered_upper_bound", whole_box_upper_bound)
-    whole = [check_init(cert, env, cfg) for cert in certs()]
+    whole = [check_init(cert, cfg) for cert in certs()]
     assert any(t.status == "counterexample" for t in tiled)
     for t, w in zip(tiled, whole):
         assert t.status == w.status and len(t.witnesses) == len(w.witnesses)
@@ -505,7 +513,7 @@ def test_lookahead_matches_hunting_every_failed_box(case, delta, monkeypatch):
     cfg = BnbConfig(max_boxes=1500, ce_limit=8, seed=case[1])
 
     def checks():
-        init = [check_init(cert, env, cfg)] if delta == 0 else []
+        init = [check_init(cert, cfg)] if delta == 0 else []
         return init + [check_robust_decrease(cert, policy, env, delta, 5e-3, cfg)]
 
     got_hunts, want_hunts = [], []
@@ -548,7 +556,7 @@ def test_no_hunted_box_has_two_passing_halves(case, monkeypatch):
     got, every_failed = [], []
     for loop, hunts in ((_branch_and_bound, got), (hunt_every_failed_box, every_failed)):
         monkeypatch.setattr(clbf.verifier, "_branch_and_bound", recording(loop, hunts))
-        check_init(cert, env, cfg)
+        check_init(cert, cfg)
         check_robust_decrease(cert, policy, env, 0.01, 5e-3, cfg)
 
     want = []
@@ -605,9 +613,10 @@ def test_proved_boxes_sound_by_sampling(rng):
 # the interval screen of the decrease hunt
 
 
-def unscreened_exact_violation(cert, env, X, nxt, raw_x, v_nxt, delta, epsilon, rng):
+def unscreened_exact_violation(cert, X, nxt, raw_x, v_nxt, delta, epsilon, rng):
     """_exact_violation without the interval screen: the inner PGD and the
     unsafe-point search run on every row. V(nxt) is evaluated afresh."""
+    env = cert.env
     p = cert.params
     v_x, _ = cert.apply_masks(X, raw_x)
     eligible = ~env.in_goal(X) & (v_x <= p.beta)
@@ -664,10 +673,11 @@ def test_screened_hunt_matches_unscreened_hunt(env_name, seed, delta, monkeypatc
 # one evaluation per hunted point set
 
 
-def two_phase_violation_grad(cert, policy, env, X):
+def two_phase_violation_grad(cert, policy, X):
     """The nominal ascent gradient with its own policy passes: a forward pass
     for the next states, and the Jacobian from a fresh tape, one backward
     pass per output."""
+    env = cert.env
     tape_pi = forward_tape(policy, X)
     Y = env.step(X, tape_pi.output)
     tape_x = forward_tape(cert.net, X)
@@ -687,10 +697,11 @@ def two_phase_violation_grad(cert, policy, env, X):
     return g + np.einsum("kmj,km->kj", J_pi, gu)
 
 
-def two_phase_exact_violation(cert, policy, env, sets, delta, epsilon, rng):
+def two_phase_exact_violation(cert, policy, sets, delta, epsilon, rng):
     """The screened exact check of the stacked point sets, with its own
     policy and certificate passes, one per set: a pass over all sets at
     once could round differently."""
+    env = cert.env
     p = cert.params
     nxt = [env.step(X, env.clamp_control(forward_batch(policy, X))) for X in sets]
     X, v_x, nxt, v_nxt = (np.concatenate(a) for a in (
@@ -707,7 +718,7 @@ def two_phase_exact_violation(cert, policy, env, sets, delta, epsilon, rng):
     return viol, best_y, int(np.count_nonzero(active)) if delta > 0 else 0
 
 
-def two_phase_hunt(cert, policy, env, lo, hi, delta, epsilon, rng):
+def two_phase_hunt(cert, policy, lo, hi, delta, epsilon, rng):
     """The decrease hunt in two phases: the whole sign ascent first, then the
     exact checks, each phase with its own passes. The centers are checked
     alone, and the ascent's iterates, if needed, in one check of them all."""
@@ -718,13 +729,13 @@ def two_phase_hunt(cert, policy, env, lo, hi, delta, epsilon, rng):
     steps = clbf.verifier.OUTER_PGD_STEPS
     step = (hi - lo) / (2.0 * steps)
     for _ in range(steps):
-        g = two_phase_violation_grad(cert, policy, env, x)
+        g = two_phase_violation_grad(cert, policy, x)
         x = np.clip(x + step * np.sign(g), lo, hi)
         checked.append(x.copy())
     found, hunted, pgd = [], 0, 0
     for sets in (checked[:1], checked[1:]):
         viol, ball_pts, pgd_rows = two_phase_exact_violation(
-            cert, policy, env, sets, delta, epsilon, rng)
+            cert, policy, sets, delta, epsilon, rng)
         hunted += viol.shape[0]
         pgd += pgd_rows
         for s, X_set in enumerate(sets):
@@ -732,7 +743,7 @@ def two_phase_hunt(cert, policy, env, lo, hi, delta, epsilon, rng):
             for i in np.flatnonzero(viol[rows] >= WITNESS_SLACK):
                 w = Witness(X_set[i].copy(), "decrease", float(viol[rows][i]),
                             ball_pts[rows][i].copy())
-                if _recheck_decrease(cert, policy, env, w, delta, epsilon):
+                if _recheck_decrease(cert, policy, w, delta, epsilon):
                     found.append((int(i), w))
             if found:
                 return found, hunted, pgd
@@ -772,7 +783,7 @@ def test_violation_grad_matches_finite_differences(env_name, seed):
         nxt = env.step(X, forward_batch(policy, X))
         return float(np.sum(cert.value(nxt) - cert.raw(X)))
 
-    nxt, raw_x, v_nxt, g = _violation_grad(cert, policy, env, X)
+    nxt, raw_x, v_nxt, g = _violation_grad(cert, policy, X)
     want_nxt = env.step(X, forward_batch(policy, X))
     assert np.array_equal(nxt, want_nxt)
     assert np.array_equal(raw_x, cert.raw(X))
@@ -853,7 +864,7 @@ def test_hunt_sends_each_point_set_through_the_policy_once(pendulum, monkeypatch
         monkeypatch.setattr(clbf.nets, name, count_policy_rows(
             getattr(clbf.nets, name), nets_policy_rows))
     monkeypatch.setattr(clbf.verifier, "_hunt_decrease_ce", count_calls(
-        clbf.verifier._hunt_decrease_ce, boxes, lambda args: args[3].shape[0]))
+        clbf.verifier._hunt_decrease_ce, boxes, lambda args: args[2].shape[0]))
     monkeypatch.setattr(clbf.verifier, "_recheck_decrease", count_calls(
         clbf.verifier._recheck_decrease, rechecks))
     v = check_robust_decrease(cert, policy, pendulum, 0.01, 5e-3, cfg)
@@ -880,14 +891,14 @@ def test_hunt_checks_the_ascent_in_one_exact_pass(pendulum, monkeypatch):
     exact_violation = clbf.verifier._exact_violation
 
     def hunt(*args):
-        hunts.append([args[3].shape[0], None])
+        hunts.append([args[2].shape[0], None])
         found = hunt_decrease_ce(*args)
         hunts[-1][1] = found[0]
         return found
 
-    def exact(cert, env, X, *args):
+    def exact(cert, X, *args):
         hunts[-1].append(X.shape[0])
-        return exact_violation(cert, env, X, *args)
+        return exact_violation(cert, X, *args)
 
     monkeypatch.setattr(clbf.verifier, "_hunt_decrease_ce", hunt)
     monkeypatch.setattr(clbf.verifier, "_exact_violation", exact)
@@ -910,9 +921,9 @@ def test_hunt_stops_at_the_first_point_set_with_a_witness(delta, monkeypatch):
     cert = FilteredCertificate(constant_net(0.9, n_in=1), ClbfParams(), env)
     boxes, grads = [], []
     monkeypatch.setattr(clbf.verifier, "_hunt_decrease_ce", count_calls(
-        clbf.verifier._hunt_decrease_ce, boxes, lambda args: args[3].shape[0]))
+        clbf.verifier._hunt_decrease_ce, boxes, lambda args: args[2].shape[0]))
     monkeypatch.setattr(clbf.verifier, "_violation_grad", count_calls(
-        clbf.verifier._violation_grad, grads, lambda args: args[3].shape[0]))
+        clbf.verifier._violation_grad, grads, lambda args: args[2].shape[0]))
     v = check_robust_decrease(cert, zero_policy(), env, delta, 1e-3)
 
     assert v.status == "counterexample" and len(boxes) > 0
@@ -1040,7 +1051,7 @@ def test_recheck_decrease_rejects_forged_witnesses():
         return Witness(np.array([x]), "decrease", 1.0, np.array([y]))
 
     def recheck(w, epsilon=eps):
-        return _recheck_decrease(cert, zero_policy(), env, w, delta, epsilon)
+        return _recheck_decrease(cert, zero_policy(), w, delta, epsilon)
 
     # V(-2) = V(-1) = 0.9, so the violation is epsilon
     assert recheck(witness(-2.0, -1.0 + delta))
@@ -1086,7 +1097,7 @@ def test_every_witness_passes_an_outside_recheck(env_name, seed, beta, delta):
     cfg = BnbConfig(max_boxes=300, ce_limit=8, seed=seed)
     with pytest.MonkeyPatch.context() as mp:
         set_bnb_constants(mp, chunk=64)
-        init = check_init(cert, env, cfg)
+        init = check_init(cert, cfg)
         dec = check_robust_decrease(cert, policy, env, delta, eps, cfg)
     for v in (init, dec):
         assert (v.status == "counterexample") == bool(v.witnesses)
@@ -1120,7 +1131,7 @@ def certify_with_decrease(monkeypatch, passes, **kwargs):
         return Verdict("proved" if passes(delta) else "unknown", "decrease")
 
     monkeypatch.setattr(clbf.verifier, "check_robust_decrease", stub)
-    return certify_delta(cert, zero_policy(), env, **kwargs)
+    return certify_delta(cert, zero_policy(), **kwargs)
 
 
 def failed_probes(info):
@@ -1200,7 +1211,7 @@ def test_certify_delta_on_synthetic_contraction():
     cert = FilteredCertificate(abs_net(), ClbfParams(epsilon=0.1), env)
     # v(x) - max ball v = 0.5 x - delta >= 1e-6; at x=0.5 passes iff
     # delta <= 0.25 - 1e-6, capped by delta_hi
-    delta, info = certify_delta(cert, zero_policy(), env, delta_hi=0.3,
+    delta, info = certify_delta(cert, zero_policy(), delta_hi=0.3,
                                 epsilon=1e-6)
     assert 0.2499 <= delta <= 0.25
 
@@ -1208,7 +1219,7 @@ def test_certify_delta_on_synthetic_contraction():
 def test_certify_delta_requires_preconditions(pendulum):
     cert = FilteredCertificate(constant_net(1.5), ClbfParams(), pendulum)
     policy = small_policy(pendulum)
-    delta, info = certify_delta(cert, policy, pendulum)
+    delta, info = certify_delta(cert, policy)
     assert delta == 0.0 and info["reason"] == "precondition failed (init)"
     assert set(info) == {"init", "history", "reason"}
 
@@ -1219,7 +1230,7 @@ def test_certify_delta_reports_a_decrease_failure_at_zero():
     neg_abs = Mlp([np.array([[1.0], [-1.0]]), np.array([[-1.0, -1.0]])],
                   [np.zeros(2), np.zeros(1)])
     cert = FilteredCertificate(neg_abs, ClbfParams(epsilon=0.1), env)
-    delta, info = certify_delta(cert, zero_policy(), env)
+    delta, info = certify_delta(cert, zero_policy())
     assert delta == 0.0
     assert info["reason"] == "decrease condition fails at delta=0"
     assert info["history"] == [(0.0, "counterexample")]
