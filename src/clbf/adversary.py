@@ -42,6 +42,12 @@ def check_delta(delta: float):
         raise ValueError("delta must be finite")
 
 
+def check_count(name: str, value, least: int):
+    """Reject a count that is not an integer of at least `least`."""
+    if not (isinstance(value, (int, np.integer)) and value >= least):
+        raise ValueError(f"{name} must be an integer >= {least}")
+
+
 @dataclass
 class PgdConfig:
     steps: int = 20

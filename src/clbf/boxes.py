@@ -1,7 +1,8 @@
 """Axis-aligned boxes: the unit of state-set geometry and of verification.
 
 Box is one box of a task set or a check's root; volumes and subtract work on
-whole (k, n) arrays of lower and upper corners."""
+whole (k, n) arrays of lower and upper corners. sample_union draws states
+uniformly from a union of boxes, for training batches and rollout starts."""
 
 from __future__ import annotations
 
@@ -93,3 +94,18 @@ def subtract(lo: np.ndarray, hi: np.ndarray, cuts: list[Box]):
         owner = np.repeat(owner, keep.sum(axis=1))
     return lo, hi, owner
 
+
+def sample_union(boxes: list[Box], rng: np.random.Generator, k: int) -> np.ndarray:
+    """k points uniform over the union of boxes with disjoint interiors: a
+    multinomial share of k per box by volume, then each box draws in turn. A
+    box with fewer positive widths than the widest (a face that subtract
+    leaves) has no volume in the union and takes no share."""
+    if not boxes:
+        raise ValueError("cannot sample from an empty union of boxes")
+    if len(boxes) == 1:
+        return boxes[0].sample(rng, k)
+    lo, hi = np.array([b.lo for b in boxes]), np.array([b.hi for b in boxes])
+    dims = np.count_nonzero(hi > lo, axis=1)
+    vols = np.where(dims == dims.max(), volumes(lo, hi), 0.0)
+    counts = rng.multinomial(k, vols / vols.sum())
+    return np.concatenate([b.sample(rng, c) for b, c in zip(boxes, counts)])

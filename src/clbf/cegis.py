@@ -17,7 +17,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .adversary import PgdConfig
+from .adversary import PgdConfig, check_count
 from .boxes import Box
 from .certificate import ClbfParams, FilteredCertificate
 from .envs import EnvSpec, make_env
@@ -76,6 +76,8 @@ class TrainConfig:
         out = replace(self, **{k: v for k, v in default.items() if getattr(self, k) is None})
         if not out.timeout_hours > 0:  # a NaN fails too
             raise ValueError("timeout_hours must be positive")
+        for name in ("epochs_per_iter", "warmstart_epochs", "teacher_samples", "max_iters"):
+            check_count(name, getattr(out, name), 0 if name == "warmstart_epochs" else 1)
         # the derived configs check every other setting, before any work
         out.clbf_params()
         out.loss_config().validate()

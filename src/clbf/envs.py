@@ -15,7 +15,7 @@ from typing import Callable
 
 import numpy as np
 
-from .boxes import Box, subtract, volumes
+from .boxes import Box, sample_union, subtract
 
 
 # ---------------------------------------------------------------------------
@@ -69,7 +69,8 @@ class EnvSpec:
     network rather than a mask gives the value; it is always derived from
     these boxes. The set predicates and eligible_cover (the unmasked pieces
     of domain) are derived from them too when left None. Those stay settable
-    fields because perfbench/synth.py passes them by keyword.
+    fields because perfbench/synth.py passes them by keyword. Sampling reads
+    the boxes, not the predicates: init_boxes and eligible_cover.
     """
 
     name: str
@@ -133,26 +134,12 @@ class EnvSpec:
         return np.clip(u, self.control_box.lo, self.control_box.hi)
 
     def sample_init(self, rng: np.random.Generator, k: int) -> np.ndarray:
-        """Uniform over the initial set (proportional to box volumes)."""
-        if len(self.init_boxes) == 1:
-            return self.init_boxes[0].sample(rng, k)
-        vols = volumes(np.array([b.lo for b in self.init_boxes]),
-                       np.array([b.hi for b in self.init_boxes]))
-        counts = rng.multinomial(k, vols / vols.sum())
-        parts = [b.sample(rng, c) for b, c in zip(self.init_boxes, counts) if c]
-        return np.concatenate(parts)
+        """k states uniform over the initial set."""
+        return sample_union(self.init_boxes, rng, k)
 
     def sample_states(self, rng: np.random.Generator, k: int) -> np.ndarray:
-        """Uniform over domain \\ (goal u unsafe) by rejection."""
-        out = np.empty((0, self.state_dim))
-        region = self.eligible_cover
-        lo = np.stack([b.lo for b in region]).min(axis=0)
-        hi = np.stack([b.hi for b in region]).max(axis=0)
-        while out.shape[0] < k:
-            cand = rng.uniform(lo, hi, size=(2 * k, self.state_dim))
-            keep = ~self.in_goal(cand) & ~self.in_unsafe(cand)
-            out = np.concatenate([out, cand[keep]])
-        return out[:k]
+        """k states uniform over eligible_cover, the decrease check's roots."""
+        return sample_union(self.eligible_cover, rng, k)
 
 
 def _boxes_intersect(boxes: list[Box], lo: np.ndarray, hi: np.ndarray) -> np.ndarray:

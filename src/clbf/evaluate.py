@@ -13,7 +13,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .adversary import PgdConfig
+from .adversary import PgdConfig, check_count, check_delta
+from .boxes import Box, sample_union, subtract
 from .certificate import FilteredCertificate
 from .envs import EnvSpec
 from .nets import Mlp, forward_batch
@@ -33,6 +34,20 @@ class Campaign:
     seed: int = 0
     pgd: PgdConfig = field(default_factory=PgdConfig)
 
+    def validate(self):
+        check_count("n_states", self.n_states, 1)
+        check_count("horizon", self.horizon, 1)
+        for mode, delta in self.modes:
+            _check_perturbation(mode, delta)
+        self.pgd.validate()
+        return self
+
+
+def _check_perturbation(mode: str, delta: float):
+    if mode not in ("adversarial", "random"):
+        raise ValueError(f"unknown perturbation mode {mode!r}")
+    check_delta(delta)
+
 
 def rollout_batch(policy: Mlp, cert: FilteredCertificate, X0: np.ndarray, mode: str,
                   delta: float, horizon: int, rng: np.random.Generator,
@@ -44,8 +59,7 @@ def rollout_batch(policy: Mlp, cert: FilteredCertificate, X0: np.ndarray, mode: 
     settings of `pgd` (defaults if None). mode "random": uniform
     per-coordinate noise in [-delta, delta].
     """
-    if mode not in ("adversarial", "random"):
-        raise ValueError(f"unknown perturbation mode {mode!r}")
+    _check_perturbation(mode, delta)
     X = np.atleast_2d(np.asarray(X0, dtype=float)).copy()
     k = X.shape[0]
     outcome = np.full(k, -1, dtype=np.int8)  # -1 running, 0 goal, 1 unsafe
@@ -78,13 +92,10 @@ def rollout_batch(policy: Mlp, cert: FilteredCertificate, X0: np.ndarray, mode: 
 
 
 def sample_initial_states(env: EnvSpec, n: int, rng: np.random.Generator) -> np.ndarray:
-    """States from the initial set but outside the goal, by rejection."""
-    out = np.empty((0, env.state_dim))
-    while out.shape[0] < n:
-        cand = env.sample_init(rng, 2 * n)
-        keep = ~env.in_goal(cand)
-        out = np.concatenate([out, cand[keep]])
-    return out[:n]
+    """n states uniform over the tiles of the initial boxes minus the goal."""
+    lo, hi, _ = subtract(np.array([b.lo for b in env.init_boxes]),
+                         np.array([b.hi for b in env.init_boxes]), env.goal_boxes)
+    return sample_union([Box(l, h) for l, h in zip(lo, hi)], rng, n)
 
 
 def wilson_interval(successes: int, n: int) -> tuple[float, float]:
@@ -113,6 +124,7 @@ class CampaignRow:
 def run_campaign(policy: Mlp, cert: FilteredCertificate,
                  campaign: Campaign) -> list[CampaignRow]:
     """Success rate per (mode, delta) over shared initial states of cert.env."""
+    campaign.validate()
     root = np.random.SeedSequence(campaign.seed)
     init_ss, *mode_ss = root.spawn(1 + len(campaign.modes))
     X0 = sample_initial_states(cert.env, campaign.n_states, np.random.default_rng(init_ss))

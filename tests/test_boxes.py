@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from clbf.boxes import Box, subtract, volumes
+from clbf.boxes import Box, sample_union, subtract, volumes
 
 
 def test_invalid_bounds_rejected():
@@ -136,3 +136,53 @@ def test_subtract_equals_the_per_box_sweep_in_order(case):
         want += [(i, l.tolist(), h.tolist()) for l, h in pieces]
     p_lo, p_hi, owner = subtract(lo, hi, cuts)
     assert [(int(i), l.tolist(), h.tolist()) for i, l, h in zip(owner, p_lo, p_hi)] == want
+
+
+# ---------------------------------------------------------------------------
+# uniform draws over a union of boxes
+
+
+@settings(max_examples=200, deadline=None)
+@given(boxes_and_cuts(), st.integers(0, 64), st.integers(0, 2**32 - 1))
+def test_sample_union_of_tiles_stays_in_the_tiles_and_out_of_the_cuts(case, k, seed):
+    # one box minus the cuts, tiled by subtract: the draws lie in a tile and
+    # in no cut's interior
+    lo, hi, cuts = case
+    p_lo, p_hi, _ = subtract(lo[:1], hi[:1], cuts)
+    tiles = [Box(l, h) for l, h in zip(p_lo, p_hi)]
+    if not tiles:
+        with pytest.raises(ValueError, match="empty union"):
+            sample_union(tiles, np.random.default_rng(seed), k)
+        return
+    pts = sample_union(tiles, np.random.default_rng(seed), k)
+    assert pts.shape == (k, lo.shape[1])
+    assert np.all(_covered(p_lo, p_hi, pts))
+    for cut in cuts:
+        assert not np.any(np.all((pts > cut.lo) & (pts < cut.hi), axis=1))
+
+
+def test_sample_union_of_one_box_draws_as_box_sample():
+    box = Box(np.array([-1.0, 0.0, 2.0]), np.array([1.0, 0.0, 5.0]))
+    for seed in range(4):
+        got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        assert np.array_equal(sample_union([box], got_rng, 100), box.sample(want_rng, 100))
+        assert got_rng.random() == want_rng.random()  # the same draws were used
+
+
+def test_sample_union_of_no_points_is_empty():
+    boxes = [Box(np.array([0.0, 0.0]), np.array([1.0, 1.0])),
+             Box(np.array([1.0, 0.0]), np.array([3.0, 1.0]))]
+    for union in (boxes[:1], boxes):
+        assert sample_union(union, np.random.default_rng(0), 0).shape == (0, 2)
+
+
+def test_sample_union_gives_a_face_no_share():
+    # a cut sharing one face leaves all of the box and a segment on the face;
+    # the segment has no area, so no draw lands on it alone
+    b = Box(np.array([0.0, 0.0]), np.array([1.0, 2.0]))
+    p_lo, p_hi, _ = subtract(b.lo[None], b.hi[None], [Box(np.array([1.0, 1.0]),
+                                                           np.array([3.0, 3.0]))])
+    assert volumes(p_lo, p_hi).tolist() == [2.0, 1.0]
+    pts = sample_union([Box(l, h) for l, h in zip(p_lo, p_hi)],
+                       np.random.default_rng(0), 1000)
+    assert np.all(pts[:, 0] < 1.0)

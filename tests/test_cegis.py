@@ -137,7 +137,9 @@ def test_resolved_rejects_unknown_env_and_method():
 BAD_SETTINGS = [("max_boxes", np.nan), ("max_boxes", 0), ("epsilon", np.nan),
                 ("epsilon", -1.0), ("tau", -1.0), ("tau", np.nan), ("delta", np.inf),
                 ("delta", -1.0), ("timeout_hours", np.nan), ("timeout_hours", 0.0),
-                ("timeout_hours", -1.0)]
+                ("timeout_hours", -1.0), ("max_iters", 0), ("max_iters", 2.5),
+                ("epochs_per_iter", -5), ("epochs_per_iter", 0), ("teacher_samples", 0),
+                ("warmstart_epochs", -1), ("warmstart_epochs", np.nan)]
 
 
 @pytest.mark.parametrize("name,value", BAD_SETTINGS)

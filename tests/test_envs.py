@@ -3,8 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from clbf.boxes import Box, subtract
+from clbf.boxes import Box, subtract, volumes
 from clbf.envs import EnvSpec, docking_matrices, make_env, sin_range
+from clbf.evaluate import sample_initial_states
 
 from conftest import halving_env_1d
 
@@ -123,6 +124,63 @@ def test_sample_init_over_two_boxes():
     assert np.array_equal(pts, env.sample_init(np.random.default_rng(3), 4000))
     # volume shares 1/4 and 3/4; a multinomial count has std ~27 here
     assert abs(np.count_nonzero(pts[:, 0] < 0) - 1000) < 150
+
+
+def sample_init_reference(env, rng, k):
+    """The multinomial draw that sample_init made before boxes.sample_union."""
+    if len(env.init_boxes) == 1:
+        return env.init_boxes[0].sample(rng, k)
+    vols = volumes(np.array([b.lo for b in env.init_boxes]),
+                   np.array([b.hi for b in env.init_boxes]))
+    counts = rng.multinomial(k, vols / vols.sum())
+    return np.concatenate([b.sample(rng, c) for b, c in zip(env.init_boxes, counts) if c])
+
+
+def test_sample_init_draws_as_before(pendulum, docking):
+    two = halving_env_1d()
+    two.init_boxes = [Box(np.array([-4.0]), np.array([-3.5])),
+                      Box(np.array([2.0]), np.array([3.5]))]
+    for env in (pendulum, docking, two):
+        for seed in range(4):
+            got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            for k in (1, 7, 512):
+                assert np.array_equal(env.sample_init(got_rng, k),
+                                      sample_init_reference(env, want_rng, k))
+            assert got_rng.random() == want_rng.random()  # the same draws were used
+
+
+def test_sample_states_stays_in_a_set_eligible_cover():
+    # a cover narrower than the domain minus the sets: training samples the
+    # region the decrease check verifies, not what the predicates leave
+    env = halving_env_1d()
+    env.eligible_cover = [Box(np.array([-4.0]), np.array([-2.0])),
+                          Box(np.array([2.0]), np.array([4.0]))]
+    pts = env.sample_states(np.random.default_rng(0), 4000)
+    assert pts.shape == (4000, 1)
+    assert np.all(np.abs(pts[:, 0]) >= 2.0)
+
+
+@pytest.mark.parametrize("env_name", ["pendulum", "docking2d"])
+@pytest.mark.parametrize("region", ["eligible_cover", "init_minus_goal"])
+def test_sampled_tile_shares_match_the_volume_shares(env_name, region):
+    env = make_env(env_name)
+    rng, k = np.random.default_rng(5), 20_000
+    if region == "eligible_cover":
+        lo = np.array([b.lo for b in env.eligible_cover])
+        hi = np.array([b.hi for b in env.eligible_cover])
+        pts = env.sample_states(rng, k)
+    else:
+        lo, hi, _ = subtract(np.array([b.lo for b in env.init_boxes]),
+                             np.array([b.hi for b in env.init_boxes]), env.goal_boxes)
+        pts = sample_initial_states(env, k, rng)
+    assert len(lo) > 1 and pts.shape == (k, env.state_dim)
+    inside = np.all((pts[:, None] >= lo) & (pts[:, None] <= hi), axis=2)
+    # tiles share faces only, which a uniform draw misses
+    assert np.all(inside.sum(axis=1) == 1)
+    share = volumes(lo, hi) / volumes(lo, hi).sum()
+    sd = np.sqrt(k * share * (1 - share))
+    assert np.all(np.abs(inside.sum(axis=0) - k * share) <= 4 * sd)
+    assert not np.any(env.in_goal(pts) | env.in_unsafe(pts))
 
 
 # ---------------------------------------------------------------------------

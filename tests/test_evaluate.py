@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import clbf.evaluate
 import clbf.verifier
 from clbf.adversary import PgdConfig
 from clbf.certificate import ClbfParams, FilteredCertificate
@@ -104,3 +105,32 @@ def test_campaign_pgd_settings_reach_the_adversary(pendulum, monkeypatch):
     assert seen and all(
         cfg == PgdConfig(steps=1, delta=0.02, restarts=1)
         for cfg in seen)
+
+
+BAD_CAMPAIGNS = [
+    dict(n_states=0), dict(n_states=2.5), dict(horizon=0), dict(horizon=-1),
+    dict(modes=[("random", -0.05)]), dict(modes=[("random", np.nan)]),
+    dict(modes=[("adversarial", np.inf)]), dict(pgd=PgdConfig(steps=0)),
+    # a good mode first: the bad one must still raise before any rollout
+    dict(modes=[("adversarial", 0.01), ("nope", 0.01)]),
+]
+
+
+@pytest.mark.parametrize("setting", BAD_CAMPAIGNS, ids=repr)
+def test_campaign_rejects_a_bad_setting_before_any_rollout(setting, pendulum, monkeypatch):
+    def never(*args, **kw):
+        pytest.fail("the campaign ran on an invalid setting")
+
+    monkeypatch.setattr(clbf.evaluate, "sample_initial_states", never)
+    monkeypatch.setattr(clbf.evaluate, "rollout_batch", never)
+    campaign = Campaign(**{**dict(n_states=8, horizon=4), **setting})
+    with pytest.raises(ValueError):
+        run_campaign(small_policy(pendulum), small_cert(pendulum), campaign)
+
+
+@pytest.mark.parametrize("delta", [-0.05, np.nan, np.inf])
+def test_rollout_rejects_a_bad_delta(delta, pendulum):
+    # a bad delta must not run nominally under its own label
+    with pytest.raises(ValueError, match="delta"):
+        rollout_batch(small_policy(pendulum), small_cert(pendulum), np.zeros((2, 2)),
+                      "random", delta, 4, np.random.default_rng(0))
