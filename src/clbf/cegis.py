@@ -224,10 +224,11 @@ def resample_counterexamples(env: EnvSpec, states: np.ndarray, m: int,
                              condition: str) -> np.ndarray:
     """m uniform samples in the l-inf ball around each of the (k, n)
     counterexample states of the verifier's condition ("init" or
-    "decrease"), clipped into the relevant region and filtered to trainable
-    states. An init counterexample's region is the first initial box that
-    contains it (else the first initial box); a decrease counterexample's is
-    the domain. Each counterexample is kept, followed by its samples."""
+    "decrease"), clipped into the relevant region. An init counterexample's
+    region is the first initial box that contains it (else the first initial
+    box). A decrease counterexample's is the domain, and of its samples only
+    those in eligible_cover, the decrease check's roots, are kept. Each
+    counterexample is kept, followed by its samples."""
     k, n = len(states), env.state_dim
     states = np.asarray(states, dtype=float).reshape(k, n)
     pts = states[:, None] + rng.uniform(-radius, radius, (k, m, n))
@@ -239,7 +240,10 @@ def resample_counterexamples(env: EnvSpec, states: np.ndarray, m: int,
                       np.array([b.hi for b in boxes])[first, None])
     else:
         pts = env.domain.clip(pts).reshape(-1, n)
-        keep[:, 1:] = (~env.in_goal(pts) & ~env.in_unsafe(pts)).reshape(k, m)
+        in_cover = np.zeros(len(pts), dtype=bool)
+        for box in env.eligible_cover:
+            in_cover |= box.contains(pts)
+        keep[:, 1:] = in_cover.reshape(k, m)
     return np.concatenate([states[:, None], pts.reshape(k, m, n)], axis=1)[keep]
 
 

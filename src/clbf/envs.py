@@ -123,11 +123,19 @@ class EnvSpec:
     def unmasked_pieces(self, lo: np.ndarray, hi: np.ndarray):
         """Tile the part of each of the (k, n) boxes [lo, hi] outside the goal
         and unsafe sets: (piece_lo, piece_hi, owner) as boxes.subtract gives
-        them, after each box is clipped to safe_box."""
+        them, after each box is clipped to safe_box. The clipped boxes are
+        taken apart only when one is empty; with an unbounded safe_box none
+        is."""
         lo = np.maximum(lo, self.safe_box.lo)
         hi = np.minimum(hi, self.safe_box.hi)
-        rows = np.flatnonzero(np.all(lo <= hi, axis=1))
-        p_lo, p_hi, owner = subtract(lo[rows], hi[rows], self.goal_boxes + self.unsafe_boxes)
+        nonempty = lo[:, 0] <= hi[:, 0]  # a column at a time: a few columns
+        for d in range(1, lo.shape[1]):
+            nonempty &= lo[:, d] <= hi[:, d]
+        cuts = self.goal_boxes + self.unsafe_boxes
+        if nonempty.all():
+            return subtract(lo, hi, cuts)
+        rows = np.flatnonzero(nonempty)
+        p_lo, p_hi, owner = subtract(lo[rows], hi[rows], cuts)
         return p_lo, p_hi, rows[owner]
 
     def clamp_control(self, u: np.ndarray) -> np.ndarray:

@@ -4,9 +4,12 @@ Forward evaluation, exact reverse-mode gradients (parameters and inputs,
 from a Tape, for training), a tapeless input Jacobian that keeps only the
 ReLU masks (with its scalar view for PGD), interval bound propagation in
 cache-sized row tiles, the spectral-norm product with its l-inf Lipschitz
-bound, and a first-order adaptive-moment optimizer. Everything is float64
-numpy; batches are (k, n) arrays. No general computation graphs: the
-architecture is a fixed affine/ReLU chain, so backprop is hand-chained.
+bound, and a first-order adaptive-moment optimizer. Batches are (k, n)
+numpy arrays. A net computes in the dtype of its weights: float64 for
+training, proofs and witnesses, and float32 for the copies that the
+verifier's counterexample hunt searches with (Mlp.astype); inputs are cast
+to it. No general computation graphs: the architecture is a fixed
+affine/ReLU chain, so backprop is hand-chained.
 """
 
 from __future__ import annotations
@@ -58,8 +61,20 @@ class Mlp:
             out.append(b)
         return out
 
+    @property
+    def dtype(self) -> np.dtype:
+        """The dtype the net computes in: that of its weights, or float64
+        for integer weights."""
+        dtype = self.weights[0].dtype
+        return dtype if dtype.kind == "f" else np.dtype(float)
+
     def copy(self) -> "Mlp":
         return Mlp([W.copy() for W in self.weights], [b.copy() for b in self.biases])
+
+    def astype(self, dtype) -> "Mlp":
+        """A copy with every weight and bias cast to dtype."""
+        return Mlp([W.astype(dtype) for W in self.weights],
+                   [b.astype(dtype) for b in self.biases])
 
     def all_finite(self) -> bool:
         return all(np.all(np.isfinite(p)) for p in self.params())
@@ -89,8 +104,8 @@ def accumulate(grads: list[np.ndarray], incr: list[np.ndarray], scale: float = 1
 
 
 def _batch(net: Mlp, X: np.ndarray) -> np.ndarray:
-    """X as a float (k, n_in) batch for net; anything else is rejected."""
-    X = np.asarray(X, dtype=float)
+    """X as a (k, n_in) batch in net's dtype; anything else is rejected."""
+    X = np.asarray(X, dtype=net.dtype)
     if X.ndim != 2 or X.shape[1] != net.n_in:
         raise ValueError(f"expected batch of dim {net.n_in}, got shape {X.shape}")
     return X
@@ -140,7 +155,7 @@ def backward(net: Mlp, tape: Tape, gY: np.ndarray) -> tuple[list[np.ndarray], np
     """
     if tape is None:
         raise ValueError("no recorded forward pass")
-    g = np.asarray(gY, dtype=float)
+    g = np.asarray(gY, dtype=net.dtype)
     g = g[:, None] if g.ndim == 1 else g
     grads: list[np.ndarray] = [None] * (2 * len(net.weights))
     last = len(net.weights) - 1
@@ -175,7 +190,7 @@ def input_jacobian(net: Mlp, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         if k != last:
             masks.append(a > 0.0)
             np.maximum(a, 0.0, out=a)
-    J = np.empty((X.shape[0], net.n_out, net.n_in))
+    J = np.empty((X.shape[0], net.n_out, net.n_in), dtype=net.dtype)
     for j in range(net.n_out):
         g = net.weights[last][j]  # e_j W, the same row for every state
         for k in range(last - 1, -1, -1):
@@ -202,33 +217,41 @@ def ibp_bounds(net: Mlp, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np
     """Sound output bounds (k, n_out) over the input boxes given as (k, n)
     lower and upper corners.
 
-    The rows go through in tiles of _TILE_BYTES // (8 * max(net.dims)) rows
-    (_ibp_tile_rows), so that the widest (rows, width) array of a tile, and
-    the few temporaries like it, stay in cache: 256 rows for a net 128 units
-    wide. Each row's bounds are its tile's, which BLAS may round differently
-    from those of a pass over all rows at once.
+    The pass carries each layer's bounds as their sum hi + lo and difference
+    hi - lo, twice the midpoint and radius of interval arithmetic, and every
+    layer's W.T and |W|.T carry the factor 0.5 instead. Halving is exact, so
+    the bounds are bit for bit those of the midpoint-radius pass, except
+    where a halved weight or a product is subnormal. The ReLU image is
+    formed in place on the arrays that each product makes fresh.
+
+    The rows go through in tiles of _TILE_BYTES // (itemsize * max(net.dims))
+    rows (_ibp_tile_rows), so that the widest (rows, width) array of a tile,
+    and the few temporaries like it, stay in cache: 256 rows for a float64
+    net 128 units wide. Each row's bounds are its tile's, which BLAS may
+    round differently from those of a pass over all rows at once.
     """
-    lo = np.asarray(lo, dtype=float)
-    hi = np.asarray(hi, dtype=float)
+    lo = np.asarray(lo, dtype=net.dtype)
+    hi = np.asarray(hi, dtype=net.dtype)
     tile = _ibp_tile_rows(net)
-    layers = [(W.T, np.abs(W).T, b) for W, b in zip(net.weights, net.biases)]
+    layers = [(0.5 * W.T, 0.5 * np.abs(W).T, b) for W, b in zip(net.weights, net.biases)]
     last = len(layers) - 1
-    out_lo, out_hi = np.empty((2, lo.shape[0], net.n_out))
+    out_lo, out_hi = np.empty((2, lo.shape[0], net.n_out), dtype=net.dtype)
     for s in range(0, lo.shape[0], tile):
-        mid = 0.5 * (lo[s:s + tile] + hi[s:s + tile])
-        rad = 0.5 * (hi[s:s + tile] - lo[s:s + tile])
-        for k, (W_T, abs_W_T, b) in enumerate(layers):
-            mid = mid @ W_T + b
-            rad = rad @ abs_W_T
+        t_lo, t_hi = lo[s:s + tile], hi[s:s + tile]
+        total, diff = t_hi + t_lo, t_hi - t_lo
+        for k, (half_W_T, half_abs_W_T, b) in enumerate(layers):
+            mid = total @ half_W_T
+            mid += b
+            rad = diff @ half_abs_W_T
             if k != last:
-                # the ReLU image, in place: two fewer (k, width) arrays alive
-                z_lo = np.maximum(mid - rad, 0.0)
-                z_hi = np.maximum(mid + rad, 0.0, out=mid)
-                rad = np.subtract(z_hi, z_lo, out=rad)
-                rad *= 0.5
-                mid = z_hi
-                mid += z_lo
-                mid *= 0.5
+                # the ReLU image [max(mid - rad, 0), max(mid + rad, 0)] as
+                # its sum and difference
+                z_lo = np.subtract(mid, rad)
+                np.maximum(z_lo, 0.0, out=z_lo)
+                mid += rad
+                total = np.maximum(mid, 0.0, out=mid)
+                diff = np.subtract(total, z_lo, out=rad)
+                total += z_lo
         np.subtract(mid, rad, out=out_lo[s:s + tile])
         np.add(mid, rad, out=out_hi[s:s + tile])
     return out_lo, out_hi
@@ -240,7 +263,7 @@ _TILE_BYTES = 256 << 10
 
 def _ibp_tile_rows(net: Mlp) -> int:
     """Rows per tile of ibp_bounds for net."""
-    return max(1, _TILE_BYTES // (8 * max(net.dims)))
+    return max(1, _TILE_BYTES // (net.dtype.itemsize * max(net.dims)))
 
 
 # ---------------------------------------------------------------------------

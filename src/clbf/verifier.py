@@ -43,6 +43,21 @@ each set's random starts are the same draws, and only BLAS may round a
 batch of the stacked rows differently. The hunt's generator is fresh for
 each round, so the draws of the later sets move nothing after it.
 
+The hunt searches in float32 and checks in float64. Each decrease check
+makes float32 copies of the certificate and the policy once. The ascent's
+gradients and a first pass of the screen run on them: a point is a
+candidate when it is eligible to within beta + SLACK and its float32 screen
+value epsilon - (V(x) - ub) is at least -SLACK. Where the float32 values
+are off by less than SLACK, as rounding bounds them for the nets here, every
+point that the float64 screen passes is a candidate. Only the candidates
+are evaluated again in float64, and they go through the exact check above:
+the float64 screen, the inner PGD over all the stacked rows (so that its
+random starts are the same draws), the unsafe-point search and the
+recheck. The search only decides where to look, and sign steps need only
+the gradient's signs. Proofs and witnesses need float64: the box test, the
+exact check and the recheck stay there, so "proved" and "witness" keep
+their meaning, and a point that is not a candidate is never a witness.
+
 The queue is processed in deterministic FIFO chunk order; within a chunk the
 lexicographically smallest violating box wins, so verdicts are reproducible.
 """
@@ -85,8 +100,8 @@ class Verdict:
     unknown_hi: np.ndarray = field(default_factory=lambda: np.zeros((0, 0)))
     unknown_volume_fraction: float = 0.0
     boxes_processed: int = 0
-    # decrease: the points the hunt's exact check evaluated, the box centres
-    # and, where they held no witness, every iterate of the ascent from them
+    # decrease: the points the hunt checked, the box centres and, where they
+    # held no witness, every iterate of the ascent from them
     hunted_rows: int = 0
     pgd_rows: int = 0     # decrease: those of them the screen passed to PGD
 
@@ -118,6 +133,20 @@ MIN_WIDTH = 1e-4   # per-dimension refinement floor
 CHUNK = 4096       # boxes per vectorised round
 INNER_PGD = PgdConfig(steps=20, restarts=2)  # the hunt's ball search
 OUTER_PGD_STEPS = 5  # sign-ascent steps on x inside a failed box
+# The hunt's search runs on copies of the nets in this dtype: its ascent and
+# the first screen of its point sets. The exact check and the rechecks run
+# on the float64 nets.
+SEARCH_DTYPE = np.float32
+# How far the search's values and bounds may sit from the exact ones before
+# a candidate is lost. float32 rounds to within a relative u = 2**-24
+# (6e-8); an affine layer of width n adds at most about n u of the magnitude
+# |W| |a| of its terms, so over the four layers of at most 128 units here,
+# on O(1) states, values and interval bounds, the search is off by about
+# 4 * 128 * u = 3e-5 at worst, and 1e-3 leaves a margin of thirty. A SLACK
+# too small can only lose a witness, never make a false witness or a false
+# proof: every candidate is checked again in float64, and boxes are proved
+# by the float64 box test alone.
+SLACK = 1e-3
 
 
 @dataclass
@@ -172,8 +201,8 @@ def _branch_and_bound(roots: list[Box], cfg: BnbConfig, condition: str,
     split or have a failing half, takes witnesses up to cfg.ce_limit and
     drops the box of each one taken. The halves of the other splittable
     failed boxes are queued; the failed boxes that cannot be split, and the
-    queue left at a stop, are Unknown residue, kept as (lo, hi) arrays in
-    the order they are left.
+    failed boxes of the queue left at a stop, are Unknown residue, kept as
+    (lo, hi) arrays in the order they are left.
     """
     def tested(lo, hi):
         """The boxes with their box test, run on CHUNK boxes at a time."""
@@ -216,7 +245,8 @@ def _branch_and_bound(roots: list[Box], cfg: BnbConfig, condition: str,
         if np.any(keep):
             queue.append((c_lo[keep], c_hi[keep], c_fail[keep]))
 
-    residue.extend((lo, hi) for lo, hi, _ in queue)
+    # a queued box that passed its own test is proved, not Unknown
+    residue.extend((lo[fail], hi[fail]) for lo, hi, fail in queue)
     u_lo, u_hi = (np.concatenate(a) for a in zip(*residue))
     status = "counterexample" if witnesses else "unknown" if len(u_lo) else "proved"
     total_vol = sum(volumes(r_lo, r_hi).tolist())
@@ -277,7 +307,9 @@ def check_robust_decrease(cert: FilteredCertificate, policy: Mlp, env: EnvSpec,
     so the left side uses raw network bounds (a conservative superset on the
     shared faces). Box test: raw lower bound of V over B minus the filtered
     upper bound over the inflated interval image must reach epsilon. env
-    must be the certificate's own cert.env, or a ValueError is raised.
+    must be the certificate's own cert.env, or a ValueError is raised. The
+    counterexample hunt searches on float32 copies of the two nets and
+    checks what it finds on the nets themselves (see the module docstring).
     """
     if env is not cert.env:
         raise ValueError("env is not the certificate's environment cert.env")
@@ -285,6 +317,9 @@ def check_robust_decrease(cert: FilteredCertificate, policy: Mlp, env: EnvSpec,
     cfg = (cfg or BnbConfig()).validate()
     p = cert.params
     hunted_rows = pgd_rows = 0
+    # the hunt's search copies; the box test and the exact check use the nets
+    cert32 = replace(cert, net=cert.net.astype(SEARCH_DTYPE))
+    policy32 = policy.astype(SEARCH_DTYPE)
 
     def fails(lo, hi):
         r_lo = ibp_bounds(cert.net, lo, hi)[0][:, 0]
@@ -301,8 +336,8 @@ def check_robust_decrease(cert: FilteredCertificate, policy: Mlp, env: EnvSpec,
     def hunt(lo, hi, round_):
         nonlocal hunted_rows, pgd_rows
         rng = np.random.default_rng((cfg.seed, round_))
-        found, hunted, pgd = _hunt_decrease_ce(cert, policy, lo, hi, delta,
-                                               epsilon, rng)
+        found, hunted, pgd = _hunt_decrease_ce(cert, policy, cert32, policy32,
+                                               lo, hi, delta, epsilon, rng)
         hunted_rows += hunted
         pgd_rows += pgd
         return found
@@ -362,32 +397,34 @@ def _points_in_unsafe(env: EnvSpec, lo: np.ndarray, hi: np.ndarray):
     return ok[first, np.arange(k)], cands[first, np.arange(k)]
 
 
-def _hunt_decrease_ce(cert, policy, lo, hi, delta, epsilon, rng):
+def _hunt_decrease_ce(cert, policy, cert32, policy32, lo, hi, delta, epsilon, rng):
     """Exact counterexample search inside failed boxes. The box centers are
     checked first. If they hold no witness, a sign ascent of
     OUTER_PGD_STEPS steps on the nominal violation runs from them, and
-    all its iterates are checked in one exact pass. Returns the witnesses of
-    the first point set that has any, as [(row_index, Witness)] by ascending
-    row, the number of points the exact check evaluated, and the number of
-    them it passed to the inner PGD."""
+    all its iterates are checked in one exact pass. The point sets are
+    evaluated on the search copies cert32 and policy32 (SEARCH_DTYPE), the
+    exact check on cert and policy. Returns the witnesses of the first point
+    set that has any, as [(row_index, Witness)] by ascending row, the number
+    of points checked, and the number of them passed to the inner PGD."""
     k, steps = lo.shape[0], OUTER_PGD_STEPS
     if k == 0:
         return [], 0, 0
     # sign ascent on g(x) = eps - V(x) + V(f(x, pi(x))), the violation at
     # delta = 0; the delta-ball is searched only by the exact check. The
-    # ascent step and the check share one evaluation of each point set (V at
-    # the next states too); the last set needs no gradient
+    # ascent step and the check's first screen share one evaluation of each
+    # point set (V at the next states too); the last set needs no gradient
     x = 0.5 * (lo + hi)
-    centers = _point_set(cert, policy, x, True)
-    found, pgd = _first_witnesses(cert, policy, [centers], delta, epsilon, rng)
+    centers = _point_set(cert32, policy32, x, True)
+    found, pgd = _first_witnesses(cert, policy, cert32, [centers], delta, epsilon, rng)
     if found:
         return found, k, pgd
     step = (hi - lo) / (2.0 * steps)
     sets = [centers]
     for s in range(1, steps + 1):
         x = np.clip(x + step * np.sign(sets[-1][-1]), lo, hi)
-        sets.append(_point_set(cert, policy, x, s < steps))
-    found, pgd_ascent = _first_witnesses(cert, policy, sets[1:], delta, epsilon, rng)
+        sets.append(_point_set(cert32, policy32, x, s < steps))
+    found, pgd_ascent = _first_witnesses(cert, policy, cert32, sets[1:], delta,
+                                         epsilon, rng)
     return found, k * (steps + 1), pgd + pgd_ascent
 
 
@@ -400,14 +437,16 @@ def _point_set(cert, policy, x, grad: bool):
     return x, nxt, cert.raw(x), cert.value(nxt), None
 
 
-def _first_witnesses(cert, policy, sets, delta, epsilon, rng):
+def _first_witnesses(cert, policy, cert32, sets, delta, epsilon, rng):
     """One exact check of the point sets [(x, nxt, raw_x, v_nxt, _)] of k
-    rows each, stacked in order: the witnesses of the first set that has any
-    that _recheck_decrease confirms, as [(row_index, Witness)] by ascending
-    row, and the number of rows passed to the inner PGD."""
+    rows each, evaluated on cert32 and stacked in order: the witnesses of the
+    first set that has any that _recheck_decrease confirms, as
+    [(row_index, Witness)] by ascending row, and the number of rows passed to
+    the inner PGD. Only the _candidates are checked."""
     k = sets[0][0].shape[0]
     X, nxt, raw_x, v_nxt = (np.concatenate(a) for a in list(zip(*sets))[:4])
-    viol, ball_pts, pgd = _exact_violation(cert, X, nxt, raw_x, v_nxt, delta,
+    rows = np.flatnonzero(_candidates(cert32, X, nxt, raw_x, v_nxt, delta, epsilon))
+    viol, ball_pts, pgd = _exact_violation(cert, policy, X, nxt, rows, delta,
                                            epsilon, rng)
     found = []  # (stacked row, witness)
     for r in np.flatnonzero(viol >= WITNESS_SLACK):
@@ -419,11 +458,30 @@ def _first_witnesses(cert, policy, sets, delta, epsilon, rng):
     return [(int(r % k), w) for r, w in found], pgd
 
 
-def _exact_violation(cert, X, nxt, raw_x, v_nxt, delta, epsilon, rng):
-    """Exact violation of the robust decrease condition at states X, given
-    their next states nxt, their raw values raw_x and the filtered values
-    v_nxt at nxt, with the ball points realizing it and the number of rows
-    sent to PGD.
+def _candidates(cert32, X, nxt, raw_x, v_nxt, delta, epsilon):
+    """The rows of states X that the exact check evaluates, given their
+    next states nxt, raw values raw_x and filtered values v_nxt at nxt, all
+    from the search copy cert32: eligible to within beta + SLACK, with
+    epsilon - (v_x - ub) >= -SLACK for ub the filtered upper bound of the
+    delta-ball around nxt (certificate.decrease_may_fail on cert32), or its
+    centre's value v_nxt at delta = 0. Where the search's values and bounds
+    are within SLACK of the exact ones, this holds every row that the exact
+    screen passes, and so every witness."""
+    v_x, _ = cert32.apply_masks(X, raw_x)
+    eligible = ~cert32.env.in_goal(X) & (v_x <= cert32.params.beta + SLACK)
+    if delta > 0:
+        return decrease_may_fail(cert32, eligible, v_x, nxt, delta, epsilon + SLACK)
+    return eligible & (epsilon + SLACK - (v_x - v_nxt) >= 0)
+
+
+def _exact_violation(cert, policy, X, nxt, rows, delta, epsilon, rng):
+    """Exact violation of the robust decrease condition at the rows `rows`
+    of the states X, with the ball points realizing it and the number of
+    rows sent to PGD. The rows' next states and values are evaluated here;
+    every other row reports -inf. nxt holds next states for all rows: those
+    of the other rows only centre PGD's draws, so that the inner PGD runs
+    over all rows of X and each row's random starts do not depend on which
+    rows are evaluated.
 
     Ineligible rows (inside goal, filtered value above beta) report -inf.
     For delta > 0 the inner search, INNER_PGD, runs only on the rows that
@@ -434,14 +492,20 @@ def _exact_violation(cert, X, nxt, raw_x, v_nxt, delta, epsilon, rng):
     margin far above the rounding error of ub). Such rows skip PGD and keep
     the value at their ball center, which leaves every witness unchanged.
     """
-    p = cert.params
-    v_x, _ = cert.apply_masks(X, raw_x)
-    eligible = ~cert.env.in_goal(X) & (v_x <= p.beta)
-    active = (decrease_may_fail(cert, eligible, v_x, nxt, delta, epsilon)
-              if delta > 0 else eligible)
+    env, p = cert.env, cert.params
+    x = X[rows]
+    nxt = nxt.astype(float)  # a float64 copy, whatever the search's dtype
+    nxt[rows] = env.step(x, forward_batch(policy, x))  # step clamps the control
+    v_nxt = np.full(X.shape[0], -np.inf)
+    v_nxt[rows] = cert.value(nxt[rows])
+    v_x = cert.value(x)
+    eligible = ~env.in_goal(x) & (v_x <= p.beta)
+    active = np.zeros(X.shape[0], dtype=bool)
+    active[rows] = (decrease_may_fail(cert, eligible, v_x, nxt[rows], delta, epsilon)
+                    if delta > 0 else eligible)
     best_v, best_y = ball_max(cert, nxt, v_nxt, delta, INNER_PGD, rng, active)
-    viol = epsilon - (v_x - best_v)
-    viol = np.where(eligible, viol, -np.inf)
+    viol = np.full(X.shape[0], -np.inf)
+    viol[rows] = np.where(eligible, epsilon - (v_x - best_v[rows]), -np.inf)
     return viol, best_y, int(np.count_nonzero(active)) if delta > 0 else 0
 
 

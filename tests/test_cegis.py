@@ -16,6 +16,8 @@ from clbf.losses import LossWeights, TotalLossConfig
 from clbf.nets import Mlp
 from clbf.verifier import BnbConfig, Verdict
 
+from conftest import halving_env_1d
+
 
 def two_init_boxes_env_1d():
     """A 1-D system on [-3, 3] whose initial set is [-2, -1] and [1, 2]."""
@@ -56,6 +58,23 @@ def test_decrease_resampling_drops_goal_states(pendulum):
     assert not np.any(pendulum.in_goal(pts)) and not np.any(pendulum.in_unsafe(pts))
 
 
+def test_decrease_resampling_keeps_only_states_of_the_eligible_cover():
+    # a cover narrower than the goal and unsafe predicates leave: the
+    # verifier checks nothing in (-2, 2), so training should not sample there
+    env = halving_env_1d()
+    env.eligible_cover = [Box(np.array([-4.0]), np.array([-2.0])),
+                          Box(np.array([2.0]), np.array([4.0]))]
+    rng, draws = np.random.default_rng(0), np.random.default_rng(0)
+    pts = resample_counterexamples(env, [np.array([-2.0])], 64, 0.5, rng,
+                                   condition="decrease")
+    draws.uniform(-0.5, 0.5, (1, 64, 1))
+    assert rng.random() == draws.random()  # the draws are unchanged
+    assert pts[0, 0] == -2.0
+    assert 1 < len(pts) < 65
+    assert np.count_nonzero((pts[1:, 0] > -2.0) & (pts[1:, 0] < 2.0)) == 0
+    assert np.all((pts[:, 0] >= -2.5) & (pts[:, 0] <= -2.0))
+
+
 def resample_reference(env, states, m, radius, rng, condition):
     """The per-counterexample loop that resample_counterexamples replaced."""
     out = []
@@ -67,7 +86,7 @@ def resample_reference(env, states, m, radius, rng, condition):
             pts = box.clip(pts)
         else:
             pts = env.domain.clip(pts)
-            pts = pts[~env.in_goal(pts) & ~env.in_unsafe(pts)]
+            pts = pts[np.any([b.contains(pts) for b in env.eligible_cover], axis=0)]
         out += [ce[None, :], pts]
     return np.concatenate(out) if out else np.empty((0, env.state_dim))
 

@@ -373,6 +373,29 @@ def _array_pairs(lo, hi):
     return [(l.tolist(), h.tolist()) for l, h in zip(lo, hi)]
 
 
+def unmasked_pieces_reference(env, lo, hi):
+    """EnvSpec.unmasked_pieces as first written: the clipped boxes are
+    always filtered and taken apart."""
+    lo = np.maximum(lo, env.safe_box.lo)
+    hi = np.minimum(hi, env.safe_box.hi)
+    rows = np.flatnonzero(np.all(lo <= hi, axis=1))
+    p_lo, p_hi, owner = subtract(lo[rows], hi[rows], env.goal_boxes + env.unsafe_boxes)
+    return p_lo, p_hi, rows[owner]
+
+
+@pytest.mark.parametrize("safe", [None, Box(np.array([-0.5, -0.5]), np.array([0.5, 0.5]))])
+@pytest.mark.parametrize("rows", [0, 1, 300])
+def test_unmasked_pieces_equal_the_filtered_reference_bit_for_bit(safe, rows, rng):
+    # boxes inside, across and outside the safe box, some of them points
+    env = _bare_env([Box(np.array([-0.2, -0.2]), np.array([0.2, 0.2]))],
+                    [Box(np.array([0.3, -1.0]), np.array([0.4, 0.0]))], safe_box=safe)
+    lo = rng.uniform(-1.0, 1.0, (rows, 2))
+    hi = lo + rng.uniform(0.0, 0.5, (rows, 2)) * (rng.random((rows, 1)) < 0.9)
+    for got, want in zip(env.unmasked_pieces(lo, hi), unmasked_pieces_reference(env, lo, hi)):
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+
 # ---------------------------------------------------------------------------
 # set geometry derived from goal boxes, unsafe boxes and the safe box
 

@@ -412,7 +412,7 @@ def test_loss_dec_adv_equals_the_verifiers_exact_violation(env_name, delta, monk
 
     got = dec_loss(cert, policy, Batch(X), "pgd", delta=delta, pgd_cfg=cfg,
                    rng=np.random.default_rng(7))[0]
-    viol, ball_pts, _ = _exact_violation(cert, X, nxt, cert.raw(X), cert.value(nxt),
+    viol, ball_pts, _ = _exact_violation(cert, policy, X, nxt, np.arange(len(X)),
                                          delta, cert.params.epsilon,
                                          np.random.default_rng(7))
     # rows realized in the unsafe set, and rows realized by PGD, both count

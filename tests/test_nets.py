@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from clbf.nets import (
     Adam,
@@ -343,6 +344,61 @@ def test_ibp_bounds_in_place_matches_reference_bit_for_bit(rng):
             for g, w in zip(got, reference_ibp(net, lo, hi)):
                 np.testing.assert_allclose(g, w, rtol=1e-13, atol=1e-13)
             assert np.array_equal(lo, lo0) and np.array_equal(hi, hi0)
+
+
+# entries whose halves, and the products and sums of a few small layers of
+# them, stay in the normal float range, where halving is exact
+NORMAL = st.floats(-4.0, 4.0, allow_subnormal=False).filter(
+    lambda v: v == 0.0 or abs(v) > 1e-20)
+
+
+@st.composite
+def net_and_boxes(draw):
+    """A net of one to three layers of one to six units, and up to five
+    boxes, with every entry drawn from NORMAL."""
+    dims = draw(st.lists(st.integers(1, 6), min_size=2, max_size=4))
+    weights = [draw(arrays(np.float64, (m, n), elements=NORMAL))
+               for n, m in zip(dims, dims[1:])]
+    biases = [draw(arrays(np.float64, m, elements=NORMAL)) for m in dims[1:]]
+    rows = draw(st.integers(0, 5))
+    lo = draw(arrays(np.float64, (rows, dims[0]), elements=NORMAL))
+    hi = lo + draw(arrays(np.float64, (rows, dims[0]),
+                          elements=NORMAL.map(abs)))
+    return Mlp(weights, biases), lo, hi
+
+
+@settings(max_examples=300, deadline=None)
+@given(net_and_boxes())
+def test_ibp_sum_difference_pass_matches_midpoint_radius_pass_bit_for_bit(case):
+    # the pass carries sums and differences with halved weights; halving is
+    # exact in the normal range, so every bound, and the sign of every zero,
+    # is the midpoint-radius pass's
+    net, lo, hi = case
+    for got, want in zip(ibp_bounds(net, lo, hi), reference_ibp(net, lo, hi)):
+        assert got.tobytes() == want.tobytes()
+
+
+def test_float32_nets_compute_in_float32(rng):
+    net = init_mlp([3, 16, 8, 2], rng)
+    net32 = net.astype(np.float32)
+    assert net32.dims == net.dims and net.dtype == np.float64
+    assert all(p.dtype == np.float32 for p in net32.params())
+    X = rng.uniform(-1.0, 1.0, (7, 3))
+    lo, hi = X - 0.1, X + 0.1
+    scalar32 = Mlp(net32.weights[:-1] + [net32.weights[-1][:1]],
+                   net32.biases[:-1] + [net32.biases[-1][:1]])
+    tape = forward_tape(net32, X)
+    outs = [forward_batch(net32, X), *input_jacobian(net32, X),
+            *value_and_input_grad(scalar32, X), *ibp_bounds(net32, lo, hi),
+            tape.output, *backward(net32, tape, np.ones((7, 2)))[0],
+            backward(net32, tape, np.ones((7, 2)))[1]]
+    assert all(a.dtype == np.float32 for a in outs)
+    # within float32 rounding of the float64 net
+    np.testing.assert_allclose(outs[0], forward_batch(net, X), rtol=1e-5, atol=1e-5)
+    np.testing.assert_allclose(outs[2], input_jacobian(net, X)[1], rtol=1e-5, atol=1e-5)
+    # a float64 net stays float64 on float32 inputs
+    assert forward_batch(net, X.astype(np.float32)).dtype == np.float64
+    assert ibp_bounds(net, lo.astype(np.float32), hi.astype(np.float32))[0].dtype == np.float64
 
 
 def test_ibp_degenerate_box_is_point_evaluation(rng):

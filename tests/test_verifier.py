@@ -10,7 +10,8 @@ import clbf.nets
 import clbf.verifier
 from clbf.adversary import PgdConfig, pgd_maximize_batch
 from clbf.boxes import Box, volumes
-from clbf.certificate import ClbfParams, FilteredCertificate, filtered_upper_bound
+from clbf.certificate import (ClbfParams, FilteredCertificate, decrease_may_fail,
+                               filtered_upper_bound)
 from clbf.envs import EnvSpec, make_env, pendulum_env
 from clbf.nets import Mlp, backward, forward_batch, forward_tape, ibp_bounds, init_mlp
 from clbf.verifier import (
@@ -19,7 +20,9 @@ from clbf.verifier import (
     Verdict,
     Witness,
     _branch_and_bound,
+    _candidates,
     _lex_sorted,
+    _point_set,
     _points_in_unsafe,
     _recheck_decrease,
     _split_widest,
@@ -472,7 +475,8 @@ def hunt_every_failed_box(roots, cfg, condition, fails, hunt):
         if np.any(can_split):
             queue.append(_split_widest(lo[can_split], hi[can_split],
                                        splittable[can_split]))
-    residue.extend(queue)
+    # a queued box that passes its own test is proved, not Unknown
+    residue.extend((lo[fails(lo, hi)], hi[fails(lo, hi)]) for lo, hi in queue)
     u_lo, u_hi = (np.concatenate(a) for a in zip(*residue))
     status = "counterexample" if witnesses else "unknown" if len(u_lo) else "proved"
     total_vol = sum(volumes(r_lo, r_hi).tolist())
@@ -613,12 +617,14 @@ def test_proved_boxes_sound_by_sampling(rng):
 # the interval screen of the decrease hunt
 
 
-def unscreened_exact_violation(cert, X, nxt, raw_x, v_nxt, delta, epsilon, rng):
-    """_exact_violation without the interval screen: the inner PGD and the
-    unsafe-point search run on every row. V(nxt) is evaluated afresh."""
+def unscreened_exact_violation(cert, policy, X, nxt, rows, delta, epsilon, rng):
+    """_exact_violation without either screen: every row of X is evaluated
+    exactly, whatever the search's candidate rows, and the inner PGD and the
+    unsafe-point search run on every row."""
     env = cert.env
     p = cert.params
-    v_x, _ = cert.apply_masks(X, raw_x)
+    nxt = env.step(X, forward_batch(policy, X))
+    v_x = cert.value(X)
     eligible = ~env.in_goal(X) & (v_x <= p.beta)
     best_y = nxt.copy()
     best_v = cert.value(nxt)
@@ -718,10 +724,11 @@ def two_phase_exact_violation(cert, policy, sets, delta, epsilon, rng):
     return viol, best_y, int(np.count_nonzero(active)) if delta > 0 else 0
 
 
-def two_phase_hunt(cert, policy, lo, hi, delta, epsilon, rng):
-    """The decrease hunt in two phases: the whole sign ascent first, then the
-    exact checks, each phase with its own passes. The centers are checked
-    alone, and the ascent's iterates, if needed, in one check of them all."""
+def two_phase_hunt(cert, policy, cert32, policy32, lo, hi, delta, epsilon, rng):
+    """The decrease hunt in two phases: the whole sign ascent on the search
+    copies first, then the exact checks of every row, each phase with its
+    own passes. The centers are checked alone, and the ascent's iterates, if
+    needed, in one check of them all."""
     if lo.shape[0] == 0:
         return [], 0, 0
     x = 0.5 * (lo + hi)
@@ -729,7 +736,7 @@ def two_phase_hunt(cert, policy, lo, hi, delta, epsilon, rng):
     steps = clbf.verifier.OUTER_PGD_STEPS
     step = (hi - lo) / (2.0 * steps)
     for _ in range(steps):
-        g = two_phase_violation_grad(cert, policy, x)
+        g = two_phase_violation_grad(cert32, policy32, x)
         x = np.clip(x + step * np.sign(g), lo, hi)
         checked.append(x.copy())
     found, hunted, pgd = [], 0, 0
@@ -826,8 +833,10 @@ def test_shared_hunt_matches_two_phase_hunt(env_name, seed, delta, monkeypatch):
     assert len(got.witnesses) == len(want.witnesses) > 1
     for g, w in zip(got.witnesses, want.witnesses):
         assert np.array_equal(g.state, w.state)
-        assert np.array_equal(g.ball_point, w.ball_point)
-        assert g.violation == w.violation
+        # the exact check evaluates its candidate rows as one batch, which
+        # BLAS may round differently from the reference's batch of each set
+        np.testing.assert_allclose(g.ball_point, w.ball_point, rtol=0, atol=1e-12)
+        assert g.violation == pytest.approx(w.violation, rel=0, abs=1e-12)
     assert got.hunted_rows == want.hunted_rows > 0
     assert got.pgd_rows == want.pgd_rows
 
@@ -845,33 +854,48 @@ def test_hunt_sends_each_point_set_through_the_policy_once(pendulum, monkeypatch
     policy = small_policy(pendulum, seed=17)
     set_bnb_constants(monkeypatch, chunk=256)
     cfg = BnbConfig(max_boxes=1500, ce_limit=64, seed=7)
-    jacobian_rows, batch_rows, nets_policy_rows, boxes, rechecks = [], [], [], [], []
+    search_rows, batch_rows, nets_policy_rows, boxes, rechecks = [], [], [], [], []
+    candidates = []
 
-    def count_policy_rows(fn, rows):
+    def is_search_policy(net):
+        return (net is not policy and net.dtype == np.float32
+                and all(np.array_equal(p, q.astype(np.float32))
+                        for p, q in zip(net.params(), policy.params())))
+
+    def count_policy_rows(fn, exact, search):
         def counted(net, X):
             if net is policy:
-                rows.append(X.shape[0])
+                exact.append(X.shape[0])
+            elif is_search_policy(net):
+                search.append(X.shape[0])
             return fn(net, X)
         return counted
 
-    # the ascent's point sets go through input_jacobian, the last set and
-    # the rechecks through forward_batch; calls from inside nets look these
-    # names up in clbf.nets
-    for name, rows in (("input_jacobian", jacobian_rows), ("forward_batch", batch_rows)):
-        monkeypatch.setattr(clbf.verifier, name, count_policy_rows(
-            getattr(clbf.verifier, name), rows))
+    # the search's point sets go through the float32 copy of the policy,
+    # by input_jacobian or, for the last set, forward_batch; the exact
+    # check's candidates and the rechecks go through the policy itself, by
+    # forward_batch. Calls from inside nets look these names up in clbf.nets
+    monkeypatch.setattr(clbf.verifier, "input_jacobian", count_policy_rows(
+        clbf.verifier.input_jacobian, nets_policy_rows, search_rows))
+    monkeypatch.setattr(clbf.verifier, "forward_batch", count_policy_rows(
+        clbf.verifier.forward_batch, batch_rows, search_rows))
     for name in ("forward_tape", "forward_batch", "input_jacobian"):
         monkeypatch.setattr(clbf.nets, name, count_policy_rows(
-            getattr(clbf.nets, name), nets_policy_rows))
+            getattr(clbf.nets, name), nets_policy_rows, nets_policy_rows))
     monkeypatch.setattr(clbf.verifier, "_hunt_decrease_ce", count_calls(
-        clbf.verifier._hunt_decrease_ce, boxes, lambda args: args[2].shape[0]))
+        clbf.verifier._hunt_decrease_ce, boxes, lambda args: args[4].shape[0]))
     monkeypatch.setattr(clbf.verifier, "_recheck_decrease", count_calls(
         clbf.verifier._recheck_decrease, rechecks))
+    monkeypatch.setattr(clbf.verifier, "_exact_violation", count_calls(
+        clbf.verifier._exact_violation, candidates, lambda args: len(args[4])))
     v = check_robust_decrease(cert, policy, pendulum, 0.01, 5e-3, cfg)
 
     assert v.status == "counterexample" and len(rechecks) > 0
-    assert len(jacobian_rows) > 0 and len(batch_rows) > len(rechecks)
-    assert sum(jacobian_rows) + sum(batch_rows) == v.hunted_rows + len(rechecks)
+    assert sum(search_rows) == v.hunted_rows
+    assert sum(batch_rows) == sum(candidates) + len(rechecks)
+    # the exact check evaluates the candidates only, which hold every row
+    # it passes to PGD
+    assert v.pgd_rows <= sum(candidates) < v.hunted_rows
     # a hunt whose centers hold a witness evaluates only them
     assert v.hunted_rows < (clbf.verifier.OUTER_PGD_STEPS + 1) * sum(boxes)
     assert nets_policy_rows == []
@@ -891,14 +915,14 @@ def test_hunt_checks_the_ascent_in_one_exact_pass(pendulum, monkeypatch):
     exact_violation = clbf.verifier._exact_violation
 
     def hunt(*args):
-        hunts.append([args[2].shape[0], None])
+        hunts.append([args[4].shape[0], None])
         found = hunt_decrease_ce(*args)
         hunts[-1][1] = found[0]
         return found
 
-    def exact(cert, X, *args):
+    def exact(cert, policy, X, *args):
         hunts[-1].append(X.shape[0])
-        return exact_violation(cert, X, *args)
+        return exact_violation(cert, policy, X, *args)
 
     monkeypatch.setattr(clbf.verifier, "_hunt_decrease_ce", hunt)
     monkeypatch.setattr(clbf.verifier, "_exact_violation", exact)
@@ -921,7 +945,7 @@ def test_hunt_stops_at_the_first_point_set_with_a_witness(delta, monkeypatch):
     cert = FilteredCertificate(constant_net(0.9, n_in=1), ClbfParams(), env)
     boxes, grads = [], []
     monkeypatch.setattr(clbf.verifier, "_hunt_decrease_ce", count_calls(
-        clbf.verifier._hunt_decrease_ce, boxes, lambda args: args[2].shape[0]))
+        clbf.verifier._hunt_decrease_ce, boxes, lambda args: args[4].shape[0]))
     monkeypatch.setattr(clbf.verifier, "_violation_grad", count_calls(
         clbf.verifier._violation_grad, grads, lambda args: args[2].shape[0]))
     v = check_robust_decrease(cert, zero_policy(), env, delta, 1e-3)
@@ -962,6 +986,76 @@ def test_hunt_counts_are_zero_without_pgd(pendulum, monkeypatch):
     v = check_robust_decrease(cert, policy, pendulum, 0.0, 5e-3,
                               BnbConfig(max_boxes=300, ce_limit=64))
     assert v.hunted_rows > 0 and v.pgd_rows == 0
+
+
+# ---------------------------------------------------------------------------
+# the float32 search in front of the float64 exact check
+
+
+# (env, seed, beta): pairs whose hunts run for many rounds; on pendulum and
+# docking2d they find several witnesses, on synth1d none
+SEARCH_CASES = [("pendulum", 7, 1.0), ("docking2d", 2, 1.0), ("synth1d", 7, 1.0)]
+
+
+@pytest.mark.parametrize("case", SEARCH_CASES)
+@pytest.mark.parametrize("delta", [0.0, 0.01, 0.05])
+def test_float32_hunt_matches_float64_hunt(case, delta, monkeypatch):
+    env, cert, policy = lookahead_case(*case)
+    set_bnb_constants(monkeypatch, chunk=256)
+    cfg = BnbConfig(max_boxes=1500, ce_limit=64, seed=case[1])
+    got = check_robust_decrease(cert, policy, env, delta, 5e-3, cfg)
+    set_bnb_constants(monkeypatch, search_dtype=np.float64)
+    want = check_robust_decrease(cert, policy, env, delta, 5e-3, cfg)
+
+    assert got.status == want.status
+    assert got.boxes_processed == want.boxes_processed
+    assert len(got.witnesses) == len(want.witnesses)
+    assert (len(got.witnesses) > 1) == (case[0] != "synth1d")
+    for g, w in zip(got.witnesses, want.witnesses):
+        assert np.array_equal(g.state, w.state)
+        # BLAS may round the candidate rows of the two searches differently
+        np.testing.assert_allclose(g.ball_point, w.ball_point, rtol=0, atol=1e-12)
+    assert got.hunted_rows == want.hunted_rows > 0
+    assert got.pgd_rows == want.pgd_rows
+    assert (got.pgd_rows > 0) == (delta > 0)
+
+
+SEARCH_ENVS = {name: make_env(name) for name in ("pendulum", "docking2d")}
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(["pendulum", "docking2d"]), st.integers(0, 2**32 - 1),
+       st.sampled_from([0.0, 0.01, 0.05]), st.booleans())
+def test_float32_candidates_hold_every_row_the_float64_screen_passes(env_name, seed,
+                                                                     delta, grad):
+    env = SEARCH_ENVS[env_name]
+    rng = np.random.default_rng(seed)
+    cert = small_cert(env, seed=int(rng.integers(1000)))
+    policy = small_policy(env, seed=int(rng.integers(1000)))
+    X = rng.uniform(env.domain.lo, env.domain.hi, (400, env.state_dim))
+    # values around beta, so that eligibility splits the rows
+    cert.net.biases[-1][0] += cert.params.beta - np.median(cert.raw(X))
+    # the float64 screen: at delta > 0 decrease_may_fail, at delta 0 the
+    # nominal violation, the ball being its centre
+    nxt = env.step(X, forward_batch(policy, X))
+    v_x = cert.value(X)
+    eligible = ~env.in_goal(X) & (v_x <= cert.params.beta)
+    rows = np.flatnonzero(eligible)
+    ub = (filtered_upper_bound(cert, nxt[rows] - delta, nxt[rows] + delta) if delta > 0
+          else cert.value(nxt)[rows])
+    # a margin that half the eligible rows pass, one of them with no room
+    gaps = np.sort(v_x[rows] - ub)
+    epsilon = float(gaps[len(gaps) // 2]) if len(gaps) else 5e-3
+    if delta > 0:
+        passed = decrease_may_fail(cert, eligible, v_x, nxt, delta, epsilon)
+    else:
+        passed = eligible & (epsilon - (v_x - cert.value(nxt)) >= 0)
+
+    cert32 = replace(cert, net=cert.net.astype(np.float32))
+    _, nxt32, raw_x, v_nxt, _ = _point_set(cert32, policy.astype(np.float32), X, grad)
+    cand = _candidates(cert32, X, nxt32, raw_x, v_nxt, delta, epsilon)
+    assert not np.any(passed & ~cand)
+    assert len(rows) // 2 < np.count_nonzero(passed) or not len(rows)
 
 
 def test_point_in_unsafe_finds_a_point_of_the_unsafe_set():
