@@ -47,10 +47,15 @@ class ClbfParams:
             raise ValueError("need unsafe_mask > beta > goal_mask")
         if not (self.goal_mask > -np.inf and self.unsafe_mask < np.inf):
             raise ValueError("goal_mask and unsafe_mask must be finite")
-        if not 0 < self.epsilon < np.inf:
-            raise ValueError("epsilon must be positive and finite")
+        check_epsilon(self.epsilon)
         check_delta(self.delta)
         return self
+
+
+def check_epsilon(epsilon: float):
+    """Reject a decrease margin that is not positive and finite, or NaN."""
+    if not 0 < epsilon < np.inf:
+        raise ValueError("epsilon must be positive and finite")
 
 
 @dataclass(frozen=True)

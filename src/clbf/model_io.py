@@ -47,7 +47,10 @@ def _net_from_doc(doc: dict, name: str) -> Mlp:
         raise ValueError(f"{name} net: activations must be {acts}")
     weights = [np.array(W, dtype=float).reshape(n_out, n_in)
                for W, n_in, n_out in zip(doc["weights"], dims[:-1], dims[1:])]
-    return Mlp(weights, [np.array(b, dtype=float) for b in doc["biases"]])
+    net = Mlp(weights, [np.array(b, dtype=float) for b in doc["biases"]])
+    if not net.all_finite():
+        raise ValueError(f"{name} net: every weight and bias must be finite")
+    return net
 
 
 def _model_doc(policy: Mlp, cert: FilteredCertificate) -> dict:

@@ -21,42 +21,36 @@ violates the condition, and every witness is an exact violation. The halves
 are queued with their test results, which their own round reuses instead of
 bounding them again; a box is still proved only by its own box test.
 
-The decrease hunt screens its points with the same interval bound, through
-certificate.decrease_may_fail, the screen that adversarial training
-(losses.loss_dec_grads) also uses: a point x whose delta-ball around
-f(x, pi(x)) has filtered upper bound ub with epsilon - (V(x) - ub) < 0
-cannot yield a witness, because every ball point the hunt evaluates (PGD
-iterates, a point in the unsafe set) has value at most ub. Only the
-remaining points get the inner PGD, so the screen saves work without
-changing what is found. The exact check's ball maximum, ball_max, is also
-adversarial training's and adversarial rollouts'. The hunt checks the box
-centres first and stops there if they hold a witness. Otherwise it runs a
-sign ascent on the nominal violation epsilon - V(x) + V(f(x, pi(x))) to its
-end and checks all its iterates in one exact pass over the stacked points,
-one screen, one PGD call and one unsafe-point search for them all, and
-reports the witnesses of the first iterate set that has any. The ascent
-only chooses where to look: the delta-ball is searched once per point set,
-by the exact check, and the ascent step and the exact check share one
-evaluation of a set. Checking the sets past the first with a witness finds
-the same witnesses as stopping there: with INNER_PGD's two restarts
-each set's random starts are the same draws, and only BLAS may round a
-batch of the stacked rows differently. The hunt's generator is fresh for
-each round, so the draws of the later sets move nothing after it.
+The decrease hunt runs a sign ascent on the nominal violation
+epsilon - V(x) + V(f(x, pi(x))) from the box centres to its end and checks
+the centres and every iterate in one exact pass over the stacked points,
+with one screen, one PGD call and one unsafe-point search, reporting the
+witnesses of the first point set that has any. The ascent only chooses
+where to look; the delta-ball is searched once per point set, by the exact
+check. Checking the sets past the first with a witness finds the same
+witnesses as stopping there: PGD draws starts for every stacked row, so with
+INNER_PGD's two restarts each set's starts are the same draws (only BLAS may
+round the stacked batch differently), and the hunt's generator is fresh for
+each round. ball_max, the exact check's ball maximum, is also adversarial
+training's and adversarial rollouts'.
 
 The hunt searches in float32 and checks in float64. Each decrease check
-makes float32 copies of the certificate and the policy once. The ascent's
-gradients and a first pass of the screen run on them: a point is a
-candidate when it is eligible to within beta + SLACK and its float32 screen
-value epsilon - (V(x) - ub) is at least -SLACK. Where the float32 values
-are off by less than SLACK, as rounding bounds them for the nets here, every
-point that the float64 screen passes is a candidate. Only the candidates
-are evaluated again in float64, and they go through the exact check above:
-the float64 screen, the inner PGD over all the stacked rows (so that its
-random starts are the same draws), the unsafe-point search and the
-recheck. The search only decides where to look, and sign steps need only
-the gradient's signs. Proofs and witnesses need float64: the box test, the
-exact check and the recheck stay there, so "proved" and "witness" keep
-their meaning, and a point that is not a candidate is never a witness.
+makes float32 copies of the certificate and the policy once, for the
+ascent's gradients and the screen. The screen is the interval bound of
+certificate.decrease_may_fail, which adversarial training also uses: a
+point x whose delta-ball around f(x, pi(x)) has filtered upper bound ub
+with epsilon - (V(x) - ub) < 0 cannot yield a witness, since every ball
+point the hunt evaluates has value at most ub. A point is a candidate when
+it is eligible to within beta + SLACK and its float32 screen value is at
+least -SLACK; where the float32 values are off by less than SLACK, as
+rounding bounds them for the nets here, every point that can yield a
+witness is one. The candidates are evaluated again in float64; those
+eligible there go through the inner PGD (over all stacked rows, so its
+random starts are the same draws), the unsafe-point search and the recheck.
+A candidate whose float64 ball bound would fail costs one search and yields
+no witness, so no second screen runs. Proofs and witnesses stay float64:
+the box test, the exact check and the recheck, so "proved" and "witness"
+keep their meaning.
 
 The queue is processed in deterministic FIFO chunk order; within a chunk the
 lexicographically smallest violating box wins, so verdicts are reproducible.
@@ -71,7 +65,7 @@ import numpy as np
 
 from .adversary import PgdConfig, check_delta, pgd_maximize_batch
 from .boxes import Box, volumes
-from .certificate import (FilteredCertificate, decrease_may_fail,
+from .certificate import (FilteredCertificate, check_epsilon, decrease_may_fail,
                           filtered_upper_bound)
 from .envs import EnvSpec
 from .nets import Mlp, forward_batch, ibp_bounds, input_jacobian
@@ -100,10 +94,12 @@ class Verdict:
     unknown_hi: np.ndarray = field(default_factory=lambda: np.zeros((0, 0)))
     unknown_volume_fraction: float = 0.0
     boxes_processed: int = 0
-    # decrease: the points the hunt checked, the box centres and, where they
-    # held no witness, every iterate of the ascent from them
+    # decrease: the points the hunt checked, (OUTER_PGD_STEPS + 1) per
+    # hunted box: its centre and every iterate of the ascent from it
     hunted_rows: int = 0
-    pgd_rows: int = 0     # decrease: those of them the screen passed to PGD
+    # decrease: those of them the inner PGD ascended, the candidates of the
+    # float32 screen that are eligible in float64
+    pgd_rows: int = 0
 
     def __post_init__(self, first):
         if first is None:
@@ -134,8 +130,8 @@ CHUNK = 4096       # boxes per vectorised round
 INNER_PGD = PgdConfig(steps=20, restarts=2)  # the hunt's ball search
 OUTER_PGD_STEPS = 5  # sign-ascent steps on x inside a failed box
 # The hunt's search runs on copies of the nets in this dtype: its ascent and
-# the first screen of its point sets. The exact check and the rechecks run
-# on the float64 nets.
+# the screen of its point sets. The exact check and the rechecks run on the
+# float64 nets.
 SEARCH_DTYPE = np.float32
 # How far the search's values and bounds may sit from the exact ones before
 # a candidate is lost. float32 rounds to within a relative u = 2**-24
@@ -314,6 +310,7 @@ def check_robust_decrease(cert: FilteredCertificate, policy: Mlp, env: EnvSpec,
     if env is not cert.env:
         raise ValueError("env is not the certificate's environment cert.env")
     check_delta(delta)
+    check_epsilon(epsilon)
     cfg = (cfg or BnbConfig()).validate()
     p = cert.params
     hunted_rows = pgd_rows = 0
@@ -398,34 +395,29 @@ def _points_in_unsafe(env: EnvSpec, lo: np.ndarray, hi: np.ndarray):
 
 
 def _hunt_decrease_ce(cert, policy, cert32, policy32, lo, hi, delta, epsilon, rng):
-    """Exact counterexample search inside failed boxes. The box centers are
-    checked first. If they hold no witness, a sign ascent of
-    OUTER_PGD_STEPS steps on the nominal violation runs from them, and
-    all its iterates are checked in one exact pass. The point sets are
-    evaluated on the search copies cert32 and policy32 (SEARCH_DTYPE), the
-    exact check on cert and policy. Returns the witnesses of the first point
-    set that has any, as [(row_index, Witness)] by ascending row, the number
-    of points checked, and the number of them passed to the inner PGD."""
+    """Exact counterexample search inside failed boxes. A sign ascent of
+    OUTER_PGD_STEPS steps on the nominal violation runs from the box
+    centers, and the centers and all its iterates are checked in one exact
+    pass. The point sets are evaluated on the search copies cert32 and
+    policy32 (SEARCH_DTYPE), the exact check on cert and policy. Returns the
+    witnesses of the first point set that has any, as [(row_index, Witness)]
+    by ascending row, the number of points checked, and the number of them
+    passed to the inner PGD."""
     k, steps = lo.shape[0], OUTER_PGD_STEPS
     if k == 0:
         return [], 0, 0
     # sign ascent on g(x) = eps - V(x) + V(f(x, pi(x))), the violation at
     # delta = 0; the delta-ball is searched only by the exact check. The
-    # ascent step and the check's first screen share one evaluation of each
-    # point set (V at the next states too); the last set needs no gradient
+    # ascent step and the check's screen share one evaluation of each point
+    # set (V at the next states too); the last set needs no gradient
     x = 0.5 * (lo + hi)
-    centers = _point_set(cert32, policy32, x, True)
-    found, pgd = _first_witnesses(cert, policy, cert32, [centers], delta, epsilon, rng)
-    if found:
-        return found, k, pgd
     step = (hi - lo) / (2.0 * steps)
-    sets = [centers]
+    sets = [_point_set(cert32, policy32, x, True)]
     for s in range(1, steps + 1):
         x = np.clip(x + step * np.sign(sets[-1][-1]), lo, hi)
         sets.append(_point_set(cert32, policy32, x, s < steps))
-    found, pgd_ascent = _first_witnesses(cert, policy, cert32, sets[1:], delta,
-                                         epsilon, rng)
-    return found, k * (steps + 1), pgd + pgd_ascent
+    found, pgd = _first_witnesses(cert, policy, cert32, sets, delta, epsilon, rng)
+    return found, k * (steps + 1), pgd
 
 
 def _point_set(cert, policy, x, grad: bool):
@@ -442,7 +434,8 @@ def _first_witnesses(cert, policy, cert32, sets, delta, epsilon, rng):
     rows each, evaluated on cert32 and stacked in order: the witnesses of the
     first set that has any that _recheck_decrease confirms, as
     [(row_index, Witness)] by ascending row, and the number of rows passed to
-    the inner PGD. Only the _candidates are checked."""
+    the inner PGD. Only the rows the hunt's one screen passes (_candidates)
+    are checked."""
     k = sets[0][0].shape[0]
     X, nxt, raw_x, v_nxt = (np.concatenate(a) for a in list(zip(*sets))[:4])
     rows = np.flatnonzero(_candidates(cert32, X, nxt, raw_x, v_nxt, delta, epsilon))
@@ -465,8 +458,8 @@ def _candidates(cert32, X, nxt, raw_x, v_nxt, delta, epsilon):
     epsilon - (v_x - ub) >= -SLACK for ub the filtered upper bound of the
     delta-ball around nxt (certificate.decrease_may_fail on cert32), or its
     centre's value v_nxt at delta = 0. Where the search's values and bounds
-    are within SLACK of the exact ones, this holds every row that the exact
-    screen passes, and so every witness."""
+    are within SLACK of the exact ones, this holds every row whose exact
+    check can reach WITNESS_SLACK, and so every witness."""
     v_x, _ = cert32.apply_masks(X, raw_x)
     eligible = ~cert32.env.in_goal(X) & (v_x <= cert32.params.beta + SLACK)
     if delta > 0:
@@ -484,13 +477,10 @@ def _exact_violation(cert, policy, X, nxt, rows, delta, epsilon, rng):
     rows are evaluated.
 
     Ineligible rows (inside goal, filtered value above beta) report -inf.
-    For delta > 0 the inner search, INNER_PGD, runs only on the rows that
-    certificate.decrease_may_fail passes, the screen that adversarial
-    training shares: PGD's best iterate and the unsafe mask are both values
-    at ball points, so neither exceeds the ball's interval upper bound ub,
-    and a row with epsilon - (V(x) - ub) < 0 cannot reach WITNESS_SLACK (a
-    margin far above the rounding error of ub). Such rows skip PGD and keep
-    the value at their ball center, which leaves every witness unchanged.
+    For delta > 0 the inner search, INNER_PGD, runs on the eligible rows of
+    `rows`, which the caller's screen picked. A row whose exact ball bound
+    ub fails, epsilon - (V(x) - ub) < 0, stays below WITNESS_SLACK: PGD's
+    best iterate and the unsafe mask are values at ball points, at most ub.
     """
     env, p = cert.env, cert.params
     x = X[rows]
@@ -501,8 +491,7 @@ def _exact_violation(cert, policy, X, nxt, rows, delta, epsilon, rng):
     v_x = cert.value(x)
     eligible = ~env.in_goal(x) & (v_x <= p.beta)
     active = np.zeros(X.shape[0], dtype=bool)
-    active[rows] = (decrease_may_fail(cert, eligible, v_x, nxt[rows], delta, epsilon)
-                    if delta > 0 else eligible)
+    active[rows] = eligible
     best_v, best_y = ball_max(cert, nxt, v_nxt, delta, INNER_PGD, rng, active)
     viol = np.full(X.shape[0], -np.inf)
     viol[rows] = np.where(eligible, epsilon - (v_x - best_v[rows]), -np.inf)
@@ -573,6 +562,7 @@ def certify_delta(cert: FilteredCertificate, policy: Mlp, cfg: BnbConfig | None 
     """
     if not tol > 0:
         raise ValueError("tol must be positive")
+    check_epsilon(epsilon)
     cfg = cfg or BnbConfig()
     init_v = check_init(cert, cfg)
     info = {"init": init_v, "history": []}

@@ -141,3 +141,15 @@ def test_net_section_with_a_wrong_layer_count_is_rejected(pendulum, tmp_path,
     path.write_text(json.dumps(doc))
     with pytest.raises(ValueError, match="weight and bias lists"):
         load_model(path)
+
+
+@pytest.mark.parametrize("net", ["policy", "certificate"])
+@pytest.mark.parametrize("key", ["weights", "biases"])
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+def test_net_with_a_non_finite_parameter_is_rejected(pendulum, tmp_path, net, key, bad):
+    # saved as a net holds it: json writes NaN and Infinity and reads them back
+    cert, policy = small_cert(pendulum), small_policy(pendulum)
+    getattr(policy if net == "policy" else cert.net, key)[1].flat[3] = bad
+    path = save_model(tmp_path / "m.clbf", policy, cert)
+    with pytest.raises(ValueError, match=rf"{net} net: every weight and bias must be finite"):
+        load_model(path)

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import clbf.certificate
 import clbf.nets
 import clbf.verifier
 from clbf.adversary import PgdConfig, pgd_maximize_batch
@@ -106,6 +107,24 @@ def test_bad_delta_is_rejected_before_any_box_work(delta, pendulum, monkeypatch)
     with pytest.raises(ValueError, match="delta"):
         check_robust_decrease(small_cert(pendulum), small_policy(pendulum), pendulum,
                               delta, 5e-3, BnbConfig(max_boxes=2000))
+
+
+@pytest.mark.parametrize("epsilon", [np.nan, np.inf, -np.inf, 0.0, -1.0])
+def test_bad_epsilon_is_rejected_before_any_box_work(epsilon, pendulum, monkeypatch):
+    # a NaN margin once spent the whole box budget and returned unknown, an
+    # infinite one returned a witness violating by infinity, and certify_delta
+    # returned delta* = 0 at a NaN margin
+    def no_bounds(*args):
+        raise AssertionError("interval work before validation")
+
+    monkeypatch.setattr(clbf.verifier, "ibp_bounds", no_bounds)
+    monkeypatch.setattr(clbf.certificate, "ibp_bounds", no_bounds)
+    cert, policy = small_cert(pendulum), small_policy(pendulum)
+    with pytest.raises(ValueError, match="epsilon must be positive and finite"):
+        check_robust_decrease(cert, policy, pendulum, 0.01, epsilon,
+                              BnbConfig(max_boxes=2000))
+    with pytest.raises(ValueError, match="epsilon must be positive and finite"):
+        certify_delta(cert, policy, BnbConfig(max_boxes=2000), epsilon=epsilon)
 
 
 def test_an_env_other_than_the_certificates_is_rejected():
@@ -810,23 +829,22 @@ def test_shared_hunt_matches_two_phase_hunt(env_name, seed, delta, monkeypatch):
     set_bnb_constants(monkeypatch, chunk=256)
     cfg = BnbConfig(max_boxes=1500, ce_limit=64, seed=seed)
 
-    def recording(hunt, rng_states):
+    def recording(hunt, calls):
         def hunt_and_record(*args):
+            entry = args[-1].bit_generator.state
             found = hunt(*args)
-            rng_states.append(args[-1].bit_generator.state)
+            calls.append((args[4].shape[0], entry, args[-1].bit_generator.state))
             return found
         return hunt_and_record
 
-    got_rng, want_rng = [], []
+    got_calls, want_calls = [], []
     monkeypatch.setattr(clbf.verifier, "_hunt_decrease_ce",
-                        recording(clbf.verifier._hunt_decrease_ce, got_rng))
+                        recording(clbf.verifier._hunt_decrease_ce, got_calls))
     got = check_robust_decrease(cert, policy, env, delta, 5e-3, cfg)
     monkeypatch.setattr(clbf.verifier, "_hunt_decrease_ce",
-                        recording(two_phase_hunt, want_rng))
+                        recording(two_phase_hunt, want_calls))
     want = check_robust_decrease(cert, policy, env, delta, 5e-3, cfg)
 
-    # the same random stream, drawn in the same order
-    assert got_rng == want_rng
     assert got.status == want.status == "counterexample"
     assert got.boxes_processed == want.boxes_processed
     assert len(got.unknown_boxes) == len(want.unknown_boxes)
@@ -837,8 +855,23 @@ def test_shared_hunt_matches_two_phase_hunt(env_name, seed, delta, monkeypatch):
         # BLAS may round differently from the reference's batch of each set
         np.testing.assert_allclose(g.ball_point, w.ball_point, rtol=0, atol=1e-12)
         assert g.violation == pytest.approx(w.violation, rel=0, abs=1e-12)
-    assert got.hunted_rows == want.hunted_rows > 0
-    assert got.pgd_rows == want.pgd_rows
+    # the same boxes hunted from the same fresh generators; the shared hunt
+    # checks every point set and draws the starts of INNER_PGD's one random
+    # restart for all of them at once, where the reference stops at the
+    # first set with a witness, so only their later draws differ, and each
+    # round's generator is dropped after it
+    steps = clbf.verifier.OUTER_PGD_STEPS
+    assert [c[:2] for c in got_calls] == [c[:2] for c in want_calls]
+    for k, entry, end in got_calls:
+        rng = np.random.default_rng()
+        rng.bit_generator.state = entry
+        if delta > 0:
+            rng.random(((steps + 1) * k, env.state_dim))
+        assert end == rng.bit_generator.state
+    assert got.hunted_rows == (steps + 1) * sum(c[0] for c in got_calls)
+    assert 0 < want.hunted_rows < got.hunted_rows
+    assert got.pgd_rows >= want.pgd_rows
+    assert (got.pgd_rows > 0) == (delta > 0)
 
 
 def count_calls(fn, calls, rows_of=None):
@@ -896,28 +929,28 @@ def test_hunt_sends_each_point_set_through_the_policy_once(pendulum, monkeypatch
     # the exact check evaluates the candidates only, which hold every row
     # it passes to PGD
     assert v.pgd_rows <= sum(candidates) < v.hunted_rows
-    # a hunt whose centers hold a witness evaluates only them
-    assert v.hunted_rows < (clbf.verifier.OUTER_PGD_STEPS + 1) * sum(boxes)
+    # every hunt evaluates its centers and every iterate of the ascent
+    assert v.hunted_rows == (clbf.verifier.OUTER_PGD_STEPS + 1) * sum(boxes)
     assert nets_policy_rows == []
 
 
 def test_hunt_checks_the_ascent_in_one_exact_pass(pendulum, monkeypatch):
-    # each hunt checks its centers, then, if they hold no witness, every
-    # iterate of the ascent at once; hunted_rows counts what was checked.
-    # An ascent length other than the default shows that the hunt reads it
+    # each hunt checks its centers and every iterate of the ascent from them
+    # in one exact check; hunted_rows counts what was checked. An ascent
+    # length other than the default shows that the hunt reads it
     cert = small_cert(pendulum, seed=7)
     policy = small_policy(pendulum, seed=17)
     steps = 3
     set_bnb_constants(monkeypatch, chunk=256, outer_pgd_steps=steps)
     cfg = BnbConfig(max_boxes=1500, ce_limit=64, seed=7)
-    hunts = []  # per hunt: [boxes, found, rows of each exact check]
+    hunts = []  # per hunt: [lo, hi, found, rows of each exact check]
     hunt_decrease_ce = clbf.verifier._hunt_decrease_ce
     exact_violation = clbf.verifier._exact_violation
 
     def hunt(*args):
-        hunts.append([args[4].shape[0], None])
+        hunts.append([args[4], args[5], None])
         found = hunt_decrease_ce(*args)
-        hunts[-1][1] = found[0]
+        hunts[-1][2] = found[0]
         return found
 
     def exact(cert, policy, X, *args):
@@ -929,54 +962,82 @@ def test_hunt_checks_the_ascent_in_one_exact_pass(pendulum, monkeypatch):
     v = check_robust_decrease(cert, policy, pendulum, 0.01, 5e-3, cfg)
 
     assert v.status == "counterexample"
-    assert v.hunted_rows == sum(sum(h[2:]) for h in hunts)
-    for k, found, *checks in hunts:
-        assert checks in ([k], [k, steps * k])
-        assert found or checks == [k, steps * k]
+    assert v.hunted_rows == sum(sum(h[3:]) for h in hunts)
+    at_center = []  # per witness: whether it is its box's center
+    for lo, hi, found, *checks in hunts:
+        assert checks == [(steps + 1) * len(lo)]
+        at_center += [np.array_equal(w.state, 0.5 * (lo[i] + hi[i])) for i, w in found]
     # some hunts find their witnesses at the centers, some past them
-    assert any(found and checks == [k] for k, found, *checks in hunts)
-    assert any(found and len(checks) == 2 for k, found, *checks in hunts)
+    assert any(at_center) and not all(at_center)
+
+
+def hunt_records(monkeypatch):
+    """Patch the decrease hunt to append (lo, hi, found) per call to the
+    returned list."""
+    hunts = []
+    hunt_decrease_ce = clbf.verifier._hunt_decrease_ce
+
+    def hunt(*args):
+        found = hunt_decrease_ce(*args)
+        hunts.append((args[4], args[5], found[0]))
+        return found
+
+    monkeypatch.setattr(clbf.verifier, "_hunt_decrease_ce", hunt)
+    return hunts
 
 
 @pytest.mark.parametrize("delta", [0.0, 0.05])
 def test_hunt_stops_at_the_first_point_set_with_a_witness(delta, monkeypatch):
-    # a constant certificate never decreases, so every box centre violates
+    # a constant certificate never decreases, so every box centre violates,
+    # and the centres, the first point set, give the witnesses
     env = synth_env_1d()
     cert = FilteredCertificate(constant_net(0.9, n_in=1), ClbfParams(), env)
-    boxes, grads = [], []
-    monkeypatch.setattr(clbf.verifier, "_hunt_decrease_ce", count_calls(
-        clbf.verifier._hunt_decrease_ce, boxes, lambda args: args[4].shape[0]))
+    grads = []
+    hunts = hunt_records(monkeypatch)
     monkeypatch.setattr(clbf.verifier, "_violation_grad", count_calls(
         clbf.verifier._violation_grad, grads, lambda args: args[2].shape[0]))
     v = check_robust_decrease(cert, zero_policy(), env, delta, 1e-3)
 
-    assert v.status == "counterexample" and len(boxes) > 0
-    assert v.hunted_rows == sum(boxes)
-    assert grads == boxes
+    steps = clbf.verifier.OUTER_PGD_STEPS
+    assert v.status == "counterexample" and len(hunts) > 0
+    assert v.hunted_rows == (steps + 1) * sum(len(lo) for lo, _, _ in hunts)
+    # every point set but the last takes a gradient
+    assert grads == [len(lo) for lo, _, _ in hunts for _ in range(steps)]
+    found = [(lo, hi, i, w) for lo, hi, f in hunts for i, w in f]
+    assert len(found) == len(v.witnesses) > 0
+    for lo, hi, i, w in found:
+        assert np.array_equal(w.state, 0.5 * (lo[i] + hi[i]))
 
 
 def test_inner_pgd_ascends_only_the_rows_the_screen_passes(pendulum, monkeypatch):
-    # the hunt searches each delta-ball once, in the exact check; the ascent
-    # climbs the nominal violation and runs no PGD of its own
+    # the hunt searches each delta-ball once, in its one exact check, and
+    # PGD ascends exactly the float32 candidates that are eligible in
+    # float64; the ascent climbs the nominal violation and runs no PGD
     cert = small_cert(pendulum, seed=7)
     policy = small_policy(pendulum, seed=17)
     set_bnb_constants(monkeypatch, chunk=256)
     cfg = BnbConfig(max_boxes=1500, ce_limit=64, seed=7)
-    ascended = []
+    ascended, eligible = [], []
 
     def counted(net, centers, cfg, rng=None, active=None):
         ascended.append(len(centers) if active is None else np.count_nonzero(active))
         return pgd_maximize_batch(net, centers, cfg, rng, active)
 
+    def candidates(cert32, X, *args):
+        cand = _candidates(cert32, X, *args)
+        x = X[cand].astype(float)
+        eligible.append(np.count_nonzero(~pendulum.in_goal(x)
+                                         & (cert.value(x) <= cert.params.beta)))
+        return cand
+
     monkeypatch.setattr(clbf.verifier, "pgd_maximize_batch", counted)
-    hunts = []
-    monkeypatch.setattr(clbf.verifier, "_hunt_decrease_ce", count_calls(
-        clbf.verifier._hunt_decrease_ce, hunts))
+    monkeypatch.setattr(clbf.verifier, "_candidates", candidates)
+    hunts = hunt_records(monkeypatch)
     v = check_robust_decrease(cert, policy, pendulum, 0.01, 5e-3, cfg)
     assert v.status == "counterexample" and v.pgd_rows > 0
+    assert len(ascended) == len(hunts)
+    assert ascended == eligible
     assert sum(ascended) == v.pgd_rows
-    # one PGD call for the centers and at most one for the ascent's iterates
-    assert len(hunts) < len(ascended) <= 2 * len(hunts)
 
 
 def test_hunt_counts_are_zero_without_pgd(pendulum, monkeypatch):
@@ -1035,8 +1096,9 @@ def test_float32_candidates_hold_every_row_the_float64_screen_passes(env_name, s
     X = rng.uniform(env.domain.lo, env.domain.hi, (400, env.state_dim))
     # values around beta, so that eligibility splits the rows
     cert.net.biases[-1][0] += cert.params.beta - np.median(cert.raw(X))
-    # the float64 screen: at delta > 0 decrease_may_fail, at delta 0 the
-    # nominal violation, the ball being its centre
+    # the float64 screen, which every witness passes: at delta > 0
+    # decrease_may_fail, at delta 0 the nominal violation, the ball being
+    # its centre
     nxt = env.step(X, forward_batch(policy, X))
     v_x = cert.value(X)
     eligible = ~env.in_goal(X) & (v_x <= cert.params.beta)
